@@ -514,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--poll", type=float, default=0.5, metavar="SECONDS",
-        help="service polling interval while waiting on a submitted job "
+        help="longest one status request waits on the service for new "
+             "results of a submitted job; results stream as they land "
              "(--submit only; default 0.5)",
     )
     run_parser.add_argument(
@@ -1099,9 +1100,7 @@ def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
     cache = ResultCache(args.cache) if args.cache else None
     hooks: List[Callable[[SpecProgress], None]] = []
     if args.progress:
-        hooks.append(
-            lambda event: print(event.describe(), file=sys.stderr, flush=True)
-        )
+        hooks.append(lambda event: _stderr_line(event.describe()))
     if manifest is not None:
         hooks.append(
             lambda event: manifest.record_result(event.spec, event.cached)
@@ -1137,6 +1136,17 @@ def _print_run_summary(args: argparse.Namespace, counting, cache, elapsed: float
     )
 
 
+def _stderr_line(text: str) -> None:
+    """Write one line to stderr in a single write.
+
+    ``print`` writes the text and the newline separately, and stderr is
+    unbuffered, so a local worker sharing the sweep's stderr could land its
+    own line in between and split a ``--progress`` line in two.
+    """
+    sys.stderr.write(f"{text}\n")
+    sys.stderr.flush()
+
+
 def _write_text(payload: str, path: str) -> None:
     """Write ``payload`` to ``path``, with ``-`` meaning stdout."""
     if path == "-":
@@ -1158,7 +1168,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
         )
     except OSError as error:
         raise ReproError(f"cannot reach broker at {args.connect}: {error}")
-    print(f"worker drained: {completed} specs completed", file=sys.stderr)
+    _stderr_line(f"worker drained: {completed} specs completed")
     return 0
 
 

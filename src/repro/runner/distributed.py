@@ -136,6 +136,103 @@ def _read(reader: Any) -> Optional[Dict[str, Any]]:
     return json.loads(line)
 
 
+class Listener:
+    """Accept TCP connections and serve each one on its own daemon thread.
+
+    The one accept loop behind the sweep :class:`Broker`, the service's
+    worker plane and its HTTP plane.  Every accepted socket gets
+    ``TCP_NODELAY``: both wires trade small request/response writes, which
+    Nagle's algorithm would hold back until the peer's delayed ACK (~40 ms).
+    :meth:`close` shuts the listening socket down before closing it — on
+    Linux that wakes the thread blocked in ``accept()`` at once, where a
+    bare ``close()`` leaves it blocked — then shuts every live connection
+    down with ``sever`` and joins the handler threads, so a clean teardown
+    never waits out a timeout.
+    """
+
+    def __init__(
+        self,
+        bind: Tuple[str, int],
+        handle: Callable[[socket.socket], None],
+        label: str,
+        sever: int = socket.SHUT_RDWR,
+    ) -> None:
+        self._bind = bind
+        self._handle = handle
+        self._label = label
+        self._sever = sever
+        self._sock: Optional[socket.socket] = None
+        self._acceptor: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+        self._live: Dict[socket.socket, threading.Thread] = {}
+        self._closing = False
+
+    def start(self) -> Tuple[str, int]:
+        """Bind and start accepting; returns the bound ``(host, port)``."""
+        try:
+            self._sock = socket.create_server(self._bind)
+        except OSError as error:
+            raise ConfigurationError(
+                f"cannot bind {self._label} to "
+                f"{self._bind[0]}:{self._bind[1]}: {error}"
+            )
+        self._acceptor = threading.Thread(target=self._accept_loop, daemon=True)
+        self._acceptor.start()
+        return self._sock.getsockname()[:2]
+
+    def close(self) -> None:
+        with self._lock:
+            self._closing = True
+            live = list(self._live.items())
+        if self._sock is not None:
+            try:
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already shut down
+            self._sock.close()
+        for conn, _ in live:
+            # shutdown(), not close(): a handler's makefile() reader holds an
+            # io-ref, so close() alone would defer the real FD close and the
+            # connection would silently stay alive.
+            try:
+                conn.shutdown(self._sever)
+            except OSError:
+                pass
+        # A safety net only: every thread joined here was just woken.
+        deadline = time.monotonic() + 2.0
+        for thread in [self._acceptor] + [thread for _, thread in live]:
+            if thread is not None:
+                thread.join(max(0.0, deadline - time.monotonic()))
+
+    def _accept_loop(self) -> None:
+        assert self._sock is not None
+        while True:
+            try:
+                conn, _ = self._sock.accept()
+            except OSError:
+                return  # listener shut down
+            with self._lock:
+                if self._closing:
+                    conn.close()
+                    return
+                thread = threading.Thread(
+                    target=self._serve, args=(conn,), daemon=True
+                )
+                self._live[conn] = thread
+                thread.start()
+
+    def _serve(self, conn: socket.socket) -> None:
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._handle(conn)
+        except OSError:
+            pass  # the peer went away mid-exchange
+        finally:
+            with self._lock:
+                self._live.pop(conn, None)
+            conn.close()
+
+
 def claim_worker_name(requested: str, in_use: Any) -> str:
     """A connection-unique worker name: ``requested``, or ``requested#N``.
 
@@ -222,7 +319,6 @@ class Broker:
             raise ConfigurationError("spec_deadline_seconds must be positive")
         if sweep_deadline_seconds is not None and sweep_deadline_seconds <= 0:
             raise ConfigurationError("sweep_deadline_seconds must be positive")
-        self._bind = (host, port)
         self.host = host
         self.port = port
         self.lease_seconds = lease_seconds
@@ -238,9 +334,8 @@ class Broker:
         self._lock = threading.Lock()
         self._events: "Queue[Tuple[str, int, Any]]" = Queue()
         self._closed = threading.Event()
-        self._listener: Optional[socket.socket] = None
-        self._connections: List[socket.socket] = []
-        self._threads: List[threading.Thread] = []
+        self._listener = Listener((host, port), self._serve, "broker")
+        self._monitor = threading.Thread(target=self._monitor_loop, daemon=True)
         self._workers: set = set()
         self.stats = {
             "assigned": 0, "completed": 0, "failed": 0, "requeued": 0,
@@ -343,43 +438,16 @@ class Broker:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "Broker":
-        try:
-            self._listener = socket.create_server(self._bind)
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot bind broker to {self._bind[0]}:{self._bind[1]}: {error}"
-            )
-        self.host, self.port = self._listener.getsockname()[:2]
+        self.host, self.port = self._listener.start()
         self._started_at = time.monotonic()
-        for target in (self._accept_loop, self._monitor_loop):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._monitor.start()
         return self
 
     def close(self) -> None:
         self._closed.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
-            # shutdown(), not just close(): the handler thread's makefile()
-            # reader holds an io-ref, so close() alone defers the real FD
-            # close and the connection would silently stay alive.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        self._listener.close()
+        if self._monitor.is_alive():
+            self._monitor.join(timeout=2.0)
         if self._journal is not None:
             self._journal.close()
 
@@ -452,19 +520,6 @@ class Broker:
             yield event
 
     # ----------------------------------------------------- connection side
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed
-            with self._lock:
-                self._connections.append(conn)
-            thread = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            thread.start()
-            self._threads.append(thread)
-
     def _serve(self, conn: socket.socket) -> None:
         # Live peers are chatty (idle workers poll every ~50 ms, leased ones
         # heartbeat every lease/3), so a generous read timeout only ever
@@ -524,7 +579,7 @@ class Broker:
         except OSError:
             pass
         finally:
-            self._disconnect(worker, conn)
+            self._disconnect(worker)
 
     # ------------------------------------------------------ state machine
     def _assign(self, worker: str) -> Dict[str, Any]:
@@ -687,13 +742,9 @@ class Broker:
             # single-worker fleet the retry still lands on the same worker.
             self._requeue_or_fail_locked(task, reason, exclude=True)
 
-    def _disconnect(self, worker: str, conn: socket.socket) -> None:
+    def _disconnect(self, worker: str) -> None:
         with self._lock:
             self._workers.discard(worker)
-            try:
-                self._connections.remove(conn)
-            except ValueError:
-                pass
             leased = [
                 task for task in self._tasks
                 if task.state == _LEASED and task.worker == worker
@@ -703,10 +754,6 @@ class Broker:
                 self._requeue_or_fail_locked(
                     task, f"worker {worker} disconnected mid-spec", exclude=True
                 )
-        try:
-            conn.close()
-        except OSError:
-            pass
 
     def _monitor_loop(self) -> None:
         interval = min(0.5, self.lease_seconds / 4.0)
@@ -839,12 +886,17 @@ def _connect(host: str, port: int, timeout: float = 10.0) -> socket.socket:
     delays = backoff_delays(0.05, 1.0)
     while True:
         try:
-            return socket.create_connection((host, port), timeout=30.0)
+            sock = socket.create_connection((host, port), timeout=30.0)
         except OSError:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise
             time.sleep(min(next(delays), max(0.0, remaining)))
+            continue
+        # A worker writes ``result`` then ``next`` back to back; with Nagle
+        # on, ``next`` would sit out the broker's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock
 
 
 def _handshake(
@@ -1016,7 +1068,9 @@ def run_worker(
     :data:`FAULT_ENV` environment variable) injects worker-level failures for
     tests and chaos drills: ``exit-on-task`` kills the process the moment a
     task is assigned (a crash holding a lease), ``error-on-task`` reports
-    every task as failed without running it.
+    every task as failed without running it.  After each failed task the
+    worker waits a jittered, doubling delay before asking for the next one
+    (reset by a success), so a sick host cannot outrun its healthy peers.
 
     Specs run in event slices, so the worker stays responsive: a SIGTERM
     mid-spec stops the simulation at the next slice boundary, ships the
@@ -1062,6 +1116,7 @@ def run_worker(
     )
     interval = heartbeat if heartbeat is not None else max(0.05, lease / 3.0)
     completed = 0
+    failing: Optional[Iterator[float]] = None  # backoff after failed tasks
     try:
         while True:
             if stop_requested.is_set():
@@ -1176,6 +1231,15 @@ def run_worker(
                 break  # preempted: the lease is returned, exit cleanly
             if max_tasks is not None and completed >= max_tasks:
                 break
+            if report["type"] == "error":
+                # Back off before asking again.  Exclusion falls back to the
+                # reporter while it is the only worker connected, so at wire
+                # speed a broken host would burn every spec's attempts
+                # before a healthy peer has finished starting up.
+                failing = failing or backoff_delays(0.05, 1.0)
+                stop_requested.wait(next(failing))
+            else:
+                failing = None
     finally:
         sock.close()
     return completed

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -58,6 +59,7 @@ class ServiceClient:
         method: str,
         path: str,
         payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         body = None
         headers = {"Accept": "application/json"}
@@ -70,7 +72,9 @@ class ServiceClient:
             self.url + path, data=body, headers=headers, method=method
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(
+                request, timeout=timeout or self.timeout
+            ) as resp:
                 return json.load(resp)
         except urllib.error.HTTPError as error:
             detail = ""
@@ -113,9 +117,28 @@ class ServiceClient:
     def job(self, job_id: str) -> Dict[str, Any]:
         return self._request("GET", f"/jobs/{job_id}")
 
-    def results(self, job_id: str, partial: bool = False) -> Dict[str, Any]:
-        suffix = "?partial=1" if partial else ""
-        return self._request("GET", f"/jobs/{job_id}/results{suffix}")
+    def results(
+        self,
+        job_id: str,
+        partial: bool = False,
+        after: Optional[int] = None,
+        wait: float = 0.0,
+    ) -> Dict[str, Any]:
+        """The job's results; with ``after``, a long-poll for new ones.
+
+        A long-poll waits up to ``wait`` seconds on the service for runs
+        beyond the first ``after`` to land, and returns only those.
+        """
+        query: Dict[str, Any] = {}
+        if partial:
+            query["partial"] = 1
+        if after is not None:
+            query.update(after=after, wait=wait)
+        suffix = f"?{urllib.parse.urlencode(query)}" if query else ""
+        return self._request(
+            "GET", f"/jobs/{job_id}/results{suffix}",
+            timeout=self.timeout + wait,
+        )
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._request("DELETE", f"/jobs/{job_id}")
@@ -125,9 +148,11 @@ class ServiceExecutor(_ExecutorBase):
     """Executor that submits the sweep to a ``repro serve`` daemon.
 
     Satisfies the ``run_iter`` contract — ``(position, result)`` pairs in
-    completion order — by polling the job and fetching ``?partial=1``
-    results as they land, so local progress hooks and manifest recording
-    stream exactly as they do for any other executor.
+    completion order — by long-polling the job's results: each request
+    waits on the service (at most ``poll_seconds``) until new runs land and
+    returns only those, so each result is yielded the moment it lands and
+    local progress hooks and manifest recording stream exactly as they do
+    for any other executor.
     """
 
     def __init__(
@@ -159,27 +184,30 @@ class ServiceExecutor(_ExecutorBase):
             sweep, name=self.name, priority=self.priority
         )["job"])
         yielded: set = set()
+        landed = 0
         finished = False
         try:
             while True:
-                summary = self.client.job(job_id)
-                state = str(summary["state"])
-                terminal = state in _TERMINAL
-                if terminal or summary["done"] > len(yielded):
-                    payload = self.client.results(
-                        job_id, partial=not terminal
-                    )
-                    for run in payload["runs"]:
-                        position = by_key.get(
-                            RunSpec.from_dict(run["spec"]).key()
-                        )
-                        if position is None or position in yielded:
-                            continue
-                        yielded.add(position)
-                        yield position, SimResult.from_dict(run["result"])
-                if terminal:
+                asked = time.monotonic()
+                # ``partial`` as well: an older daemon ignores ``after`` and
+                # ``wait`` but still answers with every run landed so far.
+                payload = self.client.results(
+                    job_id, partial=True, after=landed,
+                    wait=self.poll_seconds,
+                )
+                landed += len(payload["runs"])
+                fresh = False
+                for run in payload["runs"]:
+                    position = by_key.get(RunSpec.from_dict(run["spec"]).key())
+                    if position is None or position in yielded:
+                        continue
+                    yielded.add(position)
+                    fresh = True
+                    yield position, SimResult.from_dict(run["result"])
+                state = str(payload["state"])
+                if state in _TERMINAL:
                     finished = True
-                    self.last_job = summary
+                    self.last_job = self.client.job(job_id)
                     if state == "cancelled":
                         raise ExecutionError(
                             f"job {job_id} was cancelled on the service "
@@ -193,7 +221,13 @@ class ServiceExecutor(_ExecutorBase):
                     if failures:
                         raise failures_error(failures, len(specs))
                     return
-                time.sleep(self.poll_seconds)
+                if not fresh:
+                    # Back early with nothing new: the daemon ignored
+                    # ``wait`` or is stopping.  Sleep out the rest of the
+                    # wait so this loop can never spin.
+                    time.sleep(
+                        max(0.0, self.poll_seconds - (time.monotonic() - asked))
+                    )
         finally:
             if not finished:
                 # Abandoned mid-flight (generator closed, transport error):

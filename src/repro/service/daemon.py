@@ -21,13 +21,13 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.distributed import (
     DEFAULT_LEASE_SECONDS,
     DEFAULT_MAX_ATTEMPTS,
+    Listener,
     _read,
     _send,
     connect_host,
@@ -54,15 +54,14 @@ class ServiceBroker:
         token: Optional[str] = None,
     ) -> None:
         self._store = store
-        self._bind = (host, port)
         self.host = host
         self.port = port
         self.token = token
         self._closed = threading.Event()
-        self._lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
-        self._connections: List[socket.socket] = []
-        self._threads: List[threading.Thread] = []
+        self._listener = Listener(
+            (host, port), self._serve, "service worker plane"
+        )
+        self._monitor = threading.Thread(target=self._monitor_loop, daemon=True)
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -70,60 +69,17 @@ class ServiceBroker:
 
     # ----------------------------------------------------------- lifecycle
     def start(self) -> "ServiceBroker":
-        try:
-            self._listener = socket.create_server(self._bind)
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot bind service worker plane to "
-                f"{self._bind[0]}:{self._bind[1]}: {error}"
-            )
-        self.host, self.port = self._listener.getsockname()[:2]
-        for target in (self._accept_loop, self._monitor_loop):
-            thread = threading.Thread(target=target, daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self.host, self.port = self._listener.start()
+        self._monitor.start()
         return self
 
     def close(self) -> None:
         self._closed.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
-            # shutdown(), not just close(): the handler thread's makefile()
-            # reader holds an io-ref, so close() alone defers the real FD
-            # close and the connection would silently stay alive.
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
+        self._listener.close()
+        if self._monitor.is_alive():
+            self._monitor.join(timeout=2.0)
 
     # ----------------------------------------------------------- plumbing
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed
-            with self._lock:
-                self._connections.append(conn)
-            thread = threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
-            )
-            thread.start()
-            self._threads.append(thread)
-
     def _monitor_loop(self) -> None:
         interval = max(0.02, min(0.5, self._store.lease_seconds / 4.0))
         while not self._closed.wait(interval):
@@ -202,17 +158,8 @@ class ServiceBroker:
         except OSError:
             pass
         finally:
-            with self._lock:
-                try:
-                    self._connections.remove(conn)
-                except ValueError:
-                    pass
             if worker is not None:
                 self._store.drop_worker(worker)
-            try:
-                conn.close()
-            except OSError:
-                pass
 
 
 class SweepService:
@@ -267,6 +214,9 @@ class SweepService:
         return self
 
     def close(self) -> None:
+        # Answer held long-polls first, so the HTTP plane's handler threads
+        # finish at once instead of sitting out their ``wait``.
+        self.store.shutdown()
         self.http.close()
         self.broker.close()
         self.store.close_journal()

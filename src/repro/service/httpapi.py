@@ -7,9 +7,16 @@ Routes::
     GET    /jobs                 summaries of every job, submission order
     POST   /jobs                 submit a SweepSpec -> job summary (201)
     GET    /jobs/<id>            summary + per-spec progress
-    GET    /jobs/<id>/results    SweepResult-shaped JSON (streamed);
-                                 ``?partial=1`` returns whatever has landed
-                                 on a still-running job instead of 409
+    GET    /jobs/<id>/results    SweepResult-shaped JSON (streamed), runs
+                                 sorted by position; ``?partial=1`` returns
+                                 whatever has landed on a still-running job
+                                 instead of 409
+    GET    /jobs/<id>/results?after=N&wait=S
+                                 long-poll: waits up to S seconds (capped at
+                                 MAX_WAIT_SECONDS) until a run beyond the
+                                 first N has landed or the job is terminal,
+                                 then returns only the runs after the first
+                                 N, in landing order (implies ``partial``)
     DELETE /jobs/<id>            cancel (404 unknown, 409 already terminal)
 
 Auth: when the service has a token, every route but ``/healthz`` requires
@@ -18,18 +25,24 @@ same token guards the worker TCP plane.  Payloads deliberately use a
 ``state`` field, never ``type``/``kind`` — those tag the worker wire
 protocol and the journal, and keeping the vocabularies disjoint lets the
 PROTO001 closure lint hold them to the wire contract.
+
+Connections are accepted by the same :class:`~repro.runner.distributed.Listener`
+as the worker plane, so stopping the daemon wakes the acceptor at once.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.errors import ConfigurationError
+from repro.runner.distributed import Listener
 from repro.service.jobstore import TERMINAL_JOB_STATES, JobStore
+
+#: Upper bound on one long-poll's ``wait``.
+MAX_WAIT_SECONDS = 60.0
 
 
 class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
@@ -37,6 +50,9 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
     #: Close-delimited responses: the results endpoint streams JSON with no
     #: Content-Length, which HTTP/1.0 framing makes unambiguous.
     protocol_version = "HTTP/1.0"
+    #: Buffered replies: the connection has TCP_NODELAY, so every unbuffered
+    #: write (iterencode yields one per JSON token) would be its own packet.
+    wbufsize = 1 << 16
 
     # The default handler logs every request line to stderr; the daemon's
     # stderr is its operational log and per-poll noise would swamp it.
@@ -122,6 +138,9 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
         self._error(404, f"no such route: GET {path}")
 
     def _get_results(self, job_id: str, query: Dict[str, Any]) -> None:
+        if "after" in query:
+            self._long_poll_results(job_id, query)
+            return
         summary = self._store.job_summary(job_id)
         if summary is None:
             self._error(404, f"unknown job {job_id!r}")
@@ -135,6 +154,21 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             )
             return
         payload = self._store.job_results(job_id)
+        if payload is None:
+            self._error(404, f"unknown job {job_id!r}")
+            return
+        self._stream_json(payload)
+
+    def _long_poll_results(self, job_id: str, query: Dict[str, Any]) -> None:
+        try:
+            after = int(query["after"][-1])
+            wait = min(float(query.get("wait", ["0"])[-1]), MAX_WAIT_SECONDS)
+        except ValueError:
+            after, wait = -1, -1.0
+        if not (after >= 0 and wait >= 0):  # also rejects a NaN wait
+            self._error(400, "?after= and ?wait= must be non-negative numbers")
+            return
+        payload = self._store.wait_for_results(job_id, after, wait)
         if payload is None:
             self._error(404, f"unknown job {job_id!r}")
             return
@@ -201,7 +235,12 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer:
-    """Threaded HTTP listener bound to one JobStore; start/close lifecycle."""
+    """Threaded HTTP listener bound to one JobStore; start/close lifecycle.
+
+    One request per connection (HTTP/1.0), each on its own handler thread.
+    Closing shuts live connections down for reading only: an idle client
+    is cut off at once, while a handler mid-reply still finishes it.
+    """
 
     def __init__(
         self,
@@ -210,44 +249,25 @@ class ServiceHTTPServer:
         port: int = 0,
         token: Optional[str] = None,
     ) -> None:
-        self._bind = (host, port)
-        self._store = store
-        self._token = token
-        self._server: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
+        self.store = store
+        self.token = token
         self.host = host
         self.port = port
+        self._listener = Listener(
+            (host, port), self._handle, "service http api",
+            sever=socket.SHUT_RD,
+        )
 
     @property
     def address(self) -> Tuple[str, int]:
         return self.host, self.port
 
     def start(self) -> "ServiceHTTPServer":
-        try:
-            server = ThreadingHTTPServer(
-                self._bind, _ServiceHTTPRequestHandler
-            )
-        except OSError as error:
-            raise ConfigurationError(
-                f"cannot bind service http api to "
-                f"{self._bind[0]}:{self._bind[1]}: {error}"
-            )
-        server.daemon_threads = True
-        server.store = self._store  # type: ignore[attr-defined]
-        server.token = self._token  # type: ignore[attr-defined]
-        self._server = server
-        self.host, self.port = server.server_address[:2]
-        self._thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        self._thread.start()
+        self.host, self.port = self._listener.start()
         return self
 
     def close(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
+        self._listener.close()
+
+    def _handle(self, conn: socket.socket) -> None:
+        _ServiceHTTPRequestHandler(conn, conn.getpeername(), self)

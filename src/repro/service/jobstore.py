@@ -27,7 +27,10 @@ job:
 * **durability** — every transition is written ahead to a
   :class:`~repro.runner.journal.ServiceJournal`, so a SIGKILL'd daemon
   restarted on the same ``--journal``/``--cache`` directories resumes
-  every live job (see :meth:`JobStore.recover`).
+  every live job (see :meth:`JobStore.recover`);
+* **long-polled results** — a condition over the store lock wakes
+  :meth:`JobStore.wait_for_results` the moment a task goes terminal, so
+  clients receive each result as it lands, exactly once.
 """
 
 from __future__ import annotations
@@ -106,6 +109,8 @@ class Job:
         self.ready: Deque[int] = deque()
         self.outstanding = len(self.tasks)
         self.results: Dict[int, SimResult] = {}
+        #: Positions of ``results`` in the order they landed (long-polls).
+        self.landed: List[int] = []
         self.failures: Dict[int, str] = {}
         #: Positions answered from the result cache (never reached a worker).
         self.cached: Set[int] = set()
@@ -168,15 +173,20 @@ class Job:
         ]
         return payload
 
-    def results_payload(self) -> Dict[str, Any]:
-        """SweepResult-shaped document for ``GET /jobs/<id>/results``."""
+    def results_payload(self, after: Optional[int] = None) -> Dict[str, Any]:
+        """SweepResult-shaped document for ``GET /jobs/<id>/results``.
+
+        Runs are sorted by position; with ``after``, only the runs that
+        landed after the first ``after`` ones, in landing order.
+        """
+        positions = sorted(self.results) if after is None else self.landed[after:]
         runs = [
             {
                 "spec": self.tasks[position].payload,
                 "result": self.results[position].to_dict(),
                 "cached": position in self.cached,
             }
-            for position in sorted(self.results)
+            for position in positions
         ]
         failures = [
             {"spec": self.tasks[position].payload, "reason": reason}
@@ -200,8 +210,9 @@ class JobStore:
     :meth:`claim_worker` / :meth:`assign` / :meth:`complete` /
     :meth:`error` / :meth:`heartbeat` / :meth:`checkpoint` /
     :meth:`release` / :meth:`drop_worker`; the HTTP plane calls
-    :meth:`submit` / :meth:`cancel` and the query methods; the daemon's
-    monitor thread calls :meth:`expire_leases`.
+    :meth:`submit` / :meth:`cancel` and the query methods, and long-polls
+    with :meth:`wait_for_results`; the daemon's monitor thread calls
+    :meth:`expire_leases`.
     """
 
     def __init__(
@@ -226,6 +237,9 @@ class JobStore:
         self.checkpoint_every = checkpoint_every
         self._journal = journal
         self._lock = threading.Lock()
+        #: Notified whenever a task goes terminal, and on :meth:`shutdown`.
+        self._changed = threading.Condition(self._lock)
+        self._shut_down = False
         self._jobs: Dict[str, Job] = {}  # insertion order = submission order
         self._scheduler = FairShareScheduler()
         #: Spec key -> [(job_id, position), ...]: the head entry is the one
@@ -267,6 +281,12 @@ class JobStore:
     def close_journal(self) -> None:
         if self._journal is not None:
             self._journal.close()
+
+    def shutdown(self) -> None:
+        """Answer every held long-poll now, and every later one at once."""
+        with self._lock:
+            self._shut_down = True
+            self._changed.notify_all()
 
     # ------------------------------------------------------------ recovery
     def recover(self) -> int:
@@ -673,6 +693,27 @@ class JobStore:
             job = self._jobs.get(job_id)
             return None if job is None else job.results_payload()
 
+    def wait_for_results(
+        self, job_id: str, after: int, wait: float
+    ) -> Optional[Dict[str, Any]]:
+        """Long-poll: the runs that landed after the first ``after``.
+
+        Blocks up to ``wait`` seconds until such a run lands, the job goes
+        terminal, or the store shuts down; then returns the results payload
+        restricted to those runs, in landing order (possibly none).
+        """
+        with self._changed:
+            job = self._jobs.get(job_id)
+            if job is None:
+                return None
+            self._changed.wait_for(
+                lambda: len(job.landed) > after
+                or job.state in TERMINAL_JOB_STATES
+                or self._shut_down,
+                timeout=wait,
+            )
+            return job.results_payload(after)
+
     def queue_depth(self) -> int:
         with self._lock:
             return sum(len(job.ready) for job in self._jobs.values())
@@ -782,8 +823,10 @@ class JobStore:
         task.state = state
         task.worker = None
         job.outstanding -= 1
+        self._changed.notify_all()  # wake long-polls (caller holds the lock)
         if state == _DONE:
             job.results[task.position] = result
+            job.landed.append(task.position)
             if journal:
                 self._journal_append({
                     "kind": "completed", "job": job.job_id, "key": task.key,

@@ -142,6 +142,54 @@ class TestBroker:
             blocker.close()
 
 
+class TestPromptTeardown:
+    """Closing wakes every blocked thread instead of waiting out a timeout."""
+
+    def _hello(self, port):
+        sock = socket.create_connection(("127.0.0.1", port))
+        reader = sock.makefile("r", encoding="utf-8")
+        sock.sendall(b'{"type": "hello", "worker": "idle"}\n')
+        assert json.loads(reader.readline())["type"] == "welcome"
+        return sock, reader
+
+    def test_close_with_an_idle_accept_thread_is_prompt(self):
+        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        started = time.monotonic()
+        broker.close()
+        assert time.monotonic() - started < 0.5
+
+    def test_close_with_a_connected_idle_worker_is_prompt(self):
+        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        sock, reader = self._hello(broker.port)
+        started = time.monotonic()
+        broker.close()
+        assert time.monotonic() - started < 0.5
+        assert reader.readline() == ""  # the broker hung up on the worker
+        sock.close()
+
+    def test_port_is_free_again_right_after_close(self):
+        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        port = broker.port
+        broker.close()
+        Broker([tightloop_spec(4).to_dict()], port=port).start().close()
+
+    def test_tcp_nodelay_on_both_ends_of_the_worker_wire(self):
+        from repro.runner.distributed import _connect
+
+        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        try:
+            sock = _connect("127.0.0.1", broker.port)
+            reader = sock.makefile("r", encoding="utf-8")
+            sock.sendall(b'{"type": "hello", "worker": "probe"}\n')
+            assert json.loads(reader.readline())["type"] == "welcome"
+            [accepted] = list(broker._listener._live)
+            for end in (sock, accepted):
+                assert end.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            sock.close()
+        finally:
+            broker.close()
+
+
 class TestQuickAxes:
     def test_quick_fills_unset_axes_only(self):
         from repro.runner.cli import _apply_quick, build_parser
@@ -185,8 +233,10 @@ class TestDistributedExecutor:
         # One of the two workers dies (os._exit) the moment its first task
         # is assigned — i.e. while holding a lease.  The broker must detect
         # the dropped connection, requeue with the dead worker excluded, and
-        # the surviving worker must finish the sweep bit-identically.
-        sweep = quick_fig7()
+        # the surviving worker must finish the sweep bit-identically.  The
+        # grid is long enough that the healthy worker cannot drain it all
+        # before the doomed one has started and taken its first task.
+        sweep = fig7_sweep(core_counts=[8, 16], iterations=30)
         serial = SerialExecutor().run(sweep.specs)
         executor = DistributedExecutor(
             workers=2, faults=["exit-on-task", None], lease_seconds=10.0
@@ -542,6 +592,38 @@ class TestCli:
         # --quick: cores [8, 16] x 2 configs = 4 grid points
         assert "4 simulated, 0 cached" in proc.stderr
         assert "(distributed=2)" in proc.stderr
+
+    def test_progress_and_drain_lines_are_written_whole(self, monkeypatch):
+        # A local worker shares the sweep's stderr.  A line written in two
+        # pieces (text, then newline) lets the other process's line land in
+        # between, splitting a --progress line.
+        import io
+        import signal
+
+        from repro.runner.cli import main
+
+        writes = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stderr", Recorder())
+        assert main([
+            "run", "fig7", "--cores", "8", "--iterations", "1",
+            "--configs", "WiSync", "--progress", "--no-manifest",
+        ]) == 0
+        broker = Broker([]).start()
+        handler = signal.getsignal(signal.SIGTERM)
+        try:
+            assert main(["worker", "--connect", f"127.0.0.1:{broker.port}"]) == 0
+        finally:
+            signal.signal(signal.SIGTERM, handler)
+            broker.close()
+        lines = [text for text in writes if text.startswith(("[", "worker"))]
+        assert len(lines) == 2
+        assert all(text.endswith("\n") for text in lines)
 
     def test_parallel_and_distributed_are_mutually_exclusive(self):
         proc = self._repro(

@@ -343,6 +343,197 @@ class TestServiceBrokerSocket:
             sock.close()
 
 
+class TestPromptTeardown:
+    """Stopping the daemon wakes its blocked threads; it waits out nothing."""
+
+    def test_close_with_idle_planes_is_prompt(self):
+        svc = SweepService().start()
+        started = time.monotonic()
+        svc.close()
+        assert time.monotonic() - started < 0.5
+
+    def test_close_with_a_connected_idle_worker_is_prompt(self):
+        svc = SweepService().start()
+        sock = socket.create_connection(svc.worker_address)
+        reader = sock.makefile("r", encoding="utf-8")
+        sock.sendall(b'{"type": "hello", "worker": "idle"}\n')
+        assert json.loads(reader.readline())["type"] == "welcome"
+        started = time.monotonic()
+        svc.close()
+        assert time.monotonic() - started < 0.5
+        assert reader.readline() == ""  # the daemon hung up on the worker
+        sock.close()
+
+    def test_close_answers_a_held_long_poll_at_once(self):
+        svc = SweepService().start()
+        client = ServiceClient(svc.http_url)
+        job = client.submit(small_sweep())
+        answers = []
+        poller = threading.Thread(target=lambda: answers.append(
+            client.results(job["job"], after=0, wait=30.0)
+        ))
+        poller.start()
+        deadline = time.monotonic() + 10.0
+        while not svc.store._changed._waiters:  # until the poll is held
+            assert time.monotonic() < deadline, "long-poll never reached the store"
+            time.sleep(0.01)
+        started = time.monotonic()
+        svc.close()
+        poller.join(timeout=5.0)
+        assert time.monotonic() - started < 0.5
+        assert answers[0]["state"] == JOB_QUEUED and answers[0]["runs"] == []
+
+
+class TestLongPoll:
+    def _store_with_landings(self, order):
+        """A 3-spec job whose specs landed in ``order`` (positions)."""
+        store = JobStore()
+        job = store.submit(small_sweep(cores=(4, 8, 16)))["job"]
+        store.claim_worker("w")
+        leased = [store.assign("w") for _ in range(3)]
+        for position in order:
+            message = leased[position]
+            result = execute_spec(RunSpec.from_dict(message["payload"]))
+            store.complete(job, position, "w", result.to_dict())
+        return store, job
+
+    def test_after_returns_each_run_once_in_landing_order(self):
+        store, job = self._store_with_landings([2, 0])  # 16 cores, then 4
+        after_cursor = {
+            after: [
+                RunSpec.from_dict(run["spec"]).num_cores
+                for run in store.wait_for_results(job, after, 0.0)["runs"]
+            ]
+            for after in (0, 1, 2)
+        }
+        assert after_cursor == {0: [16, 4], 1: [4], 2: []}
+        # Without ``after``, runs stay sorted by position.
+        assert [
+            RunSpec.from_dict(run["spec"]).num_cores
+            for run in store.job_results(job)["runs"]
+        ] == [4, 16]
+
+    def test_no_progress_returns_empty_at_its_wait(self):
+        store, job = self._store_with_landings([1])
+        started = time.monotonic()
+        payload = store.wait_for_results(job, 1, 0.3)
+        elapsed = time.monotonic() - started
+        assert payload["runs"] == [] and payload["state"] == "running"
+        assert 0.3 <= elapsed < 2.0
+
+    def test_a_landing_run_wakes_a_held_long_poll(self):
+        store, job = self._store_with_landings([])  # all three leased
+        result = execute_spec(tightloop_spec(8)).to_dict()
+        threading.Timer(0.2, store.complete, (job, 1, "w", result)).start()
+        started = time.monotonic()
+        payload = store.wait_for_results(job, 0, 10.0)
+        assert time.monotonic() - started < 2.0
+        assert [RunSpec.from_dict(run["spec"]).num_cores
+                for run in payload["runs"]] == [8]
+
+    def test_http_long_poll_returns_promptly_on_cancel(self):
+        with SweepService() as svc:
+            client = ServiceClient(svc.http_url)
+            job = client.submit(small_sweep())["job"]
+            threading.Timer(0.2, client.cancel, (job,)).start()
+            started = time.monotonic()
+            payload = client.results(job, after=0, wait=10.0)
+            assert payload["state"] == JOB_CANCELLED and payload["runs"] == []
+            # A terminal job answers at once, cursor or not.
+            assert client.results(job, after=0, wait=10.0)["runs"] == []
+            assert time.monotonic() - started < 2.0
+
+    def test_http_rejects_malformed_cursors(self):
+        with SweepService() as svc:
+            client = ServiceClient(svc.http_url)
+            job = client.submit(small_sweep())["job"]
+            for query in ("after=-1", "after=x", "after=0&wait=nan"):
+                with pytest.raises(ServiceError, match="400"):
+                    client._request("GET", f"/jobs/{job}/results?{query}")
+
+    def test_first_result_streams_before_the_job_is_terminal(self):
+        with SweepService() as svc:
+            host, port = svc.worker_address
+            # A long wait: the first result must not wait it out.
+            executor = ServiceExecutor(svc.http_url, poll_seconds=5.0)
+            iterator = executor.run_iter([tightloop_spec(4), tightloop_spec(8)])
+            threading.Thread(
+                target=run_worker, args=(host, port),
+                kwargs={"max_tasks": 1}, daemon=True,
+            ).start()
+            started = time.monotonic()
+            first, _ = next(iterator)
+            assert time.monotonic() - started < 2.5
+            [job] = svc.store.list_jobs()
+            assert job["state"] == "running"  # one spec still has no worker
+            threading.Thread(
+                target=run_worker, args=(host, port),
+                kwargs={"max_tasks": 1}, daemon=True,
+            ).start()
+            assert [position for position, _ in iterator] == [1 - first]
+            assert executor.last_job["state"] == JOB_COMPLETED
+
+    def test_client_never_spins_on_a_daemon_that_ignores_the_cursor(self):
+        # An older daemon answers ``?after=N&wait=S`` at once with every run
+        # landed so far: the client must sleep out each wait, not spin.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        specs = [tightloop_spec(4), tightloop_spec(8)]
+        runs = [
+            {"spec": spec.to_dict(), "result": execute_spec(spec).to_dict(),
+             "cached": False}
+            for spec in specs
+        ]
+        requests = []
+        opened = time.monotonic()
+
+        class OldDaemon(BaseHTTPRequestHandler):
+            def log_message(self, *args):
+                pass
+
+            def _reply(self, status, payload):
+                body = json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self._reply(201, {"job": "old", "state": "queued"})
+
+            def do_GET(self):
+                if not self.path.startswith("/jobs/old/results"):
+                    self._reply(200, {"job": "old", "state": "completed"})
+                    return
+                requests.append(self.path)
+                age = time.monotonic() - opened
+                landed = runs[:1] if age < 0.8 else runs
+                self._reply(200, {
+                    "state": "running" if age < 0.8 else "completed",
+                    "runs": landed, "failures": [],
+                })
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), OldDaemon)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        try:
+            poll = 0.1
+            executor = ServiceExecutor(
+                f"http://127.0.0.1:{server.server_address[1]}",
+                poll_seconds=poll,
+            )
+            yielded = [position for position, _ in executor.run_iter(specs)]
+            elapsed = time.monotonic() - opened
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert sorted(yielded) == [0, 1]
+        assert "after=" in requests[0] and "wait=" in requests[0]
+        # Answers with nothing new are paced one per ``poll``; only the
+        # ones that bring a new run may follow without a pause.
+        assert len(requests) <= elapsed / poll + len(specs) + 1
+
+
 def _poll_terminal(client, job_id, timeout=120.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
