@@ -9,17 +9,15 @@ loses data in production.  This rule extracts both vocabularies from the AST
 and flags any kind that is sent-but-never-handled or journaled-but-never-
 replayed.
 
-Side attribution: dict literals built *inside* a broker-side class
-(``Broker``, or the sweep service's ``ServiceBroker``/``JobStore``) are
+Side attribution: dict literals built *inside* a broker-side class (the
+one broker's two halves, ``ServiceBroker`` and ``JobStore``) are
 broker-sent (must be compared somewhere outside those classes — the worker
 functions); literals built outside are worker-sent (must be compared inside
 a broker-side class).  Both vocabularies are aggregated across
-``runner/distributed.py`` *and* every ``service/`` module, because the
-service daemon speaks the same wire protocol and appends to the same
-journal format — a service-only message (``reject``) handled only in the
-worker's handshake, or a service-only journal kind (``job-submitted``)
-replayed only by ``ServiceJournal``, closes the vocabulary across module
-boundaries.  Journal replay handling counts only equality comparisons in
+``runner/distributed.py`` (the worker side) *and* every ``service/`` module
+(the broker side) — a broker message (``reject``) handled only in the
+worker's handshake, or a journal kind (``job-submitted``) written only by
+``JobStore``, closes the vocabulary across module boundaries.  Journal replay handling counts only equality comparisons in
 ``runner/journal.py``, so a deleted ``elif kind == KIND_X`` aggregation
 branch is caught even while ``_KNOWN_KINDS`` still lists the kind.
 
@@ -50,9 +48,9 @@ class Proto001ProtocolClosure(ProjectRule):
         "reply loop / journal replay), or remove the dead sender"
     )
 
-    #: Classes whose dict literals count as broker-sent: the single-sweep
-    #: broker plus the sweep service's two broker-side halves.
-    BROKER_CLASSES = ("Broker", "ServiceBroker", "JobStore")
+    #: Classes whose dict literals count as broker-sent: the worker plane
+    #: and the store behind it.
+    BROKER_CLASSES = ("ServiceBroker", "JobStore")
 
     def check_project(
         self, modules: Sequence[ModuleInfo], walker: ModuleWalker
@@ -150,8 +148,8 @@ class Proto001ProtocolClosure(ProjectRule):
     def _tagged_dicts(
         self, tree: ast.Module, tag: str
     ) -> Dict[Tuple[str, bool], int]:
-        """``{(literal, built-inside-Broker): first lineno}`` for every dict
-        literal carrying ``tag`` as a constant-string key."""
+        """``{(literal, built-in-a-broker-class): first lineno}`` for every
+        dict literal carrying ``tag`` as a constant-string key."""
         found: Dict[Tuple[str, bool], int] = {}
 
         def visit(node: ast.AST, in_broker: bool) -> None:
@@ -176,8 +174,8 @@ class Proto001ProtocolClosure(ProjectRule):
     def _compared_strings(
         self, tree: ast.Module, env: Dict[str, List[str]]
     ) -> Set[Tuple[str, bool]]:
-        """``(literal, compared-inside-Broker)`` for every string that appears
-        in a comparison (``==``, ``!=``, ``in``, ``not in``)."""
+        """``(literal, compared-in-a-broker-class)`` for every string that
+        appears in a comparison (``==``, ``!=``, ``in``, ``not in``)."""
         found: Set[Tuple[str, bool]] = set()
 
         def visit(node: ast.AST, in_broker: bool) -> None:

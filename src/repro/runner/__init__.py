@@ -14,24 +14,14 @@ from repro.runner.chaos import (
     run_embedded_drill,
     verify_against_serial,
 )
-from repro.runner.distributed import (
-    Broker,
-    DistributedExecutor,
-    LocalCluster,
-    run_worker,
-)
+from repro.runner.distributed import DistributedExecutor, run_worker
 from repro.runner.executor import (
     ParallelExecutor,
     SerialExecutor,
     backoff_variant,
     execute_spec,
 )
-from repro.runner.journal import (
-    BrokerJournal,
-    JournalWarning,
-    ServiceJournal,
-    TaskReplay,
-)
+from repro.runner.journal import JournalWarning, ServiceJournal, TaskReplay
 from repro.runner.service_client import ServiceClient, ServiceExecutor
 from repro.runner.supervisor import WorkerSupervisor, backoff_delays
 from repro.runner.registry import (
@@ -60,14 +50,11 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "DistributedExecutor",
-    "Broker",
-    "BrokerJournal",
     "JournalWarning",
     "ServiceJournal",
     "TaskReplay",
     "ServiceClient",
     "ServiceExecutor",
-    "LocalCluster",
     "WorkerSupervisor",
     "backoff_delays",
     "run_worker",

@@ -11,9 +11,10 @@ stale checkpoint) show up as a cycle-count mismatch.
 
 Two drills share the schedule format:
 
-* :func:`run_embedded_drill` — in-process brokers (journaled, restarted on
-  the same port after each broker kill) plus a
-  :class:`~repro.runner.supervisor.WorkerSupervisor` of real worker
+* :func:`run_embedded_drill` — the sweep as the one job of an in-process
+  journaled :class:`~repro.service.jobstore.JobStore` behind the worker
+  plane, rebuilt on the same port from the journal after each broker kill,
+  plus a :class:`~repro.runner.supervisor.WorkerSupervisor` of real worker
   subprocesses.  Fast enough for property tests to sweep many seeds.
 * :func:`run_subprocess_drill` — the full ``repro chaos`` path: the sweep
   host is a real ``repro run --bind --journal`` process that gets SIGKILL'd
@@ -25,7 +26,6 @@ Two drills share the schedule format:
 from __future__ import annotations
 
 import json
-import os
 import random
 import signal
 import subprocess
@@ -38,9 +38,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.machine.results import SimResult
-from repro.runner.distributed import Broker, connect_host
+from repro.runner.distributed import connect_host
 from repro.runner.spec import RunSpec
-from repro.runner.supervisor import WorkerSupervisor
+from repro.runner.supervisor import WorkerSupervisor, repro_env
 
 #: Recognized kill targets.
 KILL_TARGETS = ("broker", "worker")
@@ -123,12 +123,8 @@ def results_identical(mine: SimResult, theirs: SimResult) -> bool:
     )
 
 
-class _BrokerGone(Exception):
-    """Internal pump signal: the broker under drill was (deliberately) killed."""
-
-
 # ---------------------------------------------------------------------------
-# Embedded drill: in-process brokers, supervised worker subprocesses
+# Embedded drill: an in-process journaled store, supervised worker subprocesses
 # ---------------------------------------------------------------------------
 @dataclass
 class DrillReport:
@@ -155,56 +151,58 @@ def run_embedded_drill(
     redial: float = 30.0,
     timeout: float = 180.0,
 ) -> DrillReport:
-    """Execute ``schedule`` against a journaled in-process broker fabric.
+    """Execute ``schedule`` against a journaled in-process sweep fabric.
 
-    Broker kills close the live broker (its sockets drop exactly as a
-    SIGKILL's would; the fsync'd journal is the only survivor) and construct
-    a replacement on the *same* port from the same journal.  Worker kills
-    SIGKILL a supervised worker subprocess — the supervisor respawns it.
-    Completed positions are collected into a dict, so the re-emitted events
-    of a journal replay deduplicate naturally; the caller compares against
-    serial with :func:`results_identical`.
+    Broker kills close the live worker plane and its store (the sockets
+    drop exactly as a SIGKILL's would; the fsync'd journal is the only
+    survivor) and rebuild both on the *same* port from the same journal.
+    Worker kills SIGKILL a supervised worker subprocess — the supervisor
+    respawns it.  Completed positions are collected into a dict, so the
+    re-emitted results of a journal replay deduplicate naturally; the
+    caller compares against serial with :func:`results_identical`.
     """
-    payloads = [spec.to_dict() for spec in specs]
+    from repro.runner.journal import ServiceJournal
+    from repro.service import JobStore, ServiceBroker
+
     report = DrillReport(schedule=schedule, results={}, failed={})
     lock = threading.Lock()
 
-    def make_broker(port: int) -> Broker:
-        return Broker(
-            payloads,
-            host="127.0.0.1",
-            port=port,
+    def open_fabric(port: int) -> Tuple[Any, Any, str, threading.Thread]:
+        store = JobStore(
+            journal=ServiceJournal(journal_dir),
             lease_seconds=lease_seconds,
             checkpoint_every=checkpoint_every,
-            journal_dir=str(journal_dir),
-        ).start()
+            drain=True,
+        )
+        job = store.submit_sweep(specs)
+        broker = ServiceBroker(store, "127.0.0.1", port).start()
 
-    def start_pump(broker: Broker) -> threading.Thread:
         def pump() -> None:
-            def poll() -> None:
-                if broker.closed():
-                    raise _BrokerGone  # repro: noqa[ERR001] -- internal drill signal, caught in this function; never escapes the module
-
-            try:
-                for kind, position, payload in broker.events(
-                    poll=poll, poll_interval=0.1
-                ):
-                    with lock:
-                        if kind == "result":
-                            report.results[position] = payload
-                            report.failed.pop(position, None)
-                        else:
-                            report.failed[position] = payload
-            except _BrokerGone:
-                pass
+            # Runs until the job finishes or the store is shut down (killed).
+            landed, settled = 0, False
+            while not settled:
+                runs, settled = store.wait_for_landed(job, landed, 1.0)
+                landed += len(runs)
+                with lock:
+                    for position, result in runs:
+                        report.results[position] = result
+                        report.failed.pop(position, None)
+            with lock:
+                for position, reason, _ in store.job_failures(job):
+                    report.failed[position] = reason
 
         thread = threading.Thread(target=pump, daemon=True)
         thread.start()
-        return thread
+        return store, broker, job, thread
 
-    broker = make_broker(0)
+    def kill_fabric() -> None:
+        broker.close()
+        store.shutdown()
+        store.close_journal()
+        pump.join(timeout=5.0)
+
+    store, broker, job, pump = open_fabric(0)
     port = broker.port
-    pump = start_pump(broker)
     supervisor = WorkerSupervisor(
         connect_host(broker.host), port, pool,
         heartbeat=min(0.5, lease_seconds / 4.0),
@@ -215,39 +213,31 @@ def run_embedded_drill(
         backoff_base=0.1,
         backoff_cap=1.0,
     )
-    deadline = time.monotonic() + timeout
     started = time.monotonic()
     try:
         for kill in schedule.ordered():
-            while (
-                time.monotonic() - started < kill.at
-                and broker.outstanding() > 0
-            ):
+            while time.monotonic() - started < kill.at and pump.is_alive():
                 time.sleep(0.02)
-            if broker.outstanding() == 0:
+            if not pump.is_alive():
                 break  # sweep finished before this kill; remaining are no-ops
             if kill.target == "broker":
-                broker.close()
-                pump.join(timeout=5.0)
-                broker = make_broker(port)
+                kill_fabric()
+                store, broker, job, pump = open_fabric(port)
                 report.broker_restarts += 1
-                report.replayed += broker.stats["replayed"]
-                pump = start_pump(broker)
+                report.replayed += store.stats["replayed"]
             else:
                 supervisor.kill(kill.index % pool)
                 report.worker_kills += 1
-        while broker.outstanding() > 0:
-            if time.monotonic() > deadline:
-                raise ExecutionError(
-                    f"chaos drill timed out after {timeout}s "
-                    f"({schedule.describe()}; "
-                    f"{len(report.results)}/{len(specs)} completed)"
-                )
-            time.sleep(0.05)
-        pump.join(timeout=10.0)
+        pump.join(timeout=max(0.0, started + timeout - time.monotonic()))
+        if pump.is_alive():
+            raise ExecutionError(
+                f"chaos drill timed out after {timeout}s "
+                f"({schedule.describe()}; "
+                f"{len(report.results)}/{len(specs)} completed)"
+            )
     finally:
         supervisor.close()
-        broker.close()
+        kill_fabric()
     return report
 
 
@@ -279,16 +269,6 @@ def verify_against_serial(
 # ---------------------------------------------------------------------------
 # Subprocess drill: real SIGKILLs against a real `repro run --bind --journal`
 # ---------------------------------------------------------------------------
-def _repro_env() -> Dict[str, str]:
-    env = os.environ.copy()
-    src = str(Path(__file__).resolve().parents[2])
-    env["PYTHONPATH"] = (
-        src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    )
-    env.pop("REPRO_WORKER_FAULT", None)
-    return env
-
-
 def _free_port() -> int:
     import socket
 
@@ -342,7 +322,7 @@ def run_subprocess_drill(
         prefix="repro-chaos-", dir=str(work_dir) if work_dir else None
     ) as scratch:
         scratch_path = Path(scratch)
-        env = _repro_env()
+        env = repro_env()
         schedule = ChaosSchedule.generate(
             seed, targets=kills, window=(0.5, 4.0), workers=workers
         )

@@ -1,4 +1,4 @@
-"""Distributed sweep execution: a JSON-lines-over-TCP broker plus workers.
+"""Distributed sweep execution: the worker wire, workers, and the executor.
 
 The contention-scenario grids (cores x config x contention x backoff) and the
 paper's fig7-fig11 grids saturate one machine's process pool; this module
@@ -7,12 +7,8 @@ results — identical to a serial run.
 
 Three pieces:
 
-* :class:`Broker` — owns one batch of spec payloads and serves them to
-  pull-based workers over newline-delimited JSON on TCP.  Work assignment is
-  lease-based: every task carries a deadline that the executing worker's
-  heartbeats extend; an expired lease or a dropped connection requeues the
-  task with the offending worker excluded, and a spec that exhausts its
-  attempts is reported as failed instead of wedging the sweep.
+* the wire — JSON-lines helpers and the :class:`Listener` that accepts the
+  connections of both planes of :mod:`repro.service`;
 * ``repro worker --connect host:port`` (:func:`run_worker`) — the process any
   host runs to pull spec payloads and push ``SimResult`` dicts back.  It
   executes specs through exactly the serialization path the process-pool
@@ -21,32 +17,41 @@ Three pieces:
   bit-identical to serial ones.
 * :class:`DistributedExecutor` — implements the ``run_iter``-in-completion-
   order executor contract, so ``Runner``, the result cache, ``SpecProgress``
-  streaming, and ``--progress`` compose unchanged.  With ``workers=N`` it
-  spins a :class:`LocalCluster` of N localhost worker subprocesses per sweep;
-  with ``workers=0`` it binds ``(host, port)`` and waits for external
-  ``repro worker`` processes to join.
+  streaming, and ``--progress`` compose unchanged.  It runs the sweep as the
+  one job of an embedded :class:`~repro.service.jobstore.JobStore`, served
+  on ``(host, port)`` by the service's worker plane
+  (:class:`~repro.service.daemon.ServiceBroker`); with ``workers=N`` a
+  :class:`~repro.runner.supervisor.WorkerSupervisor` runs N localhost
+  workers, and external ``repro worker`` processes may join as well.
+
+Work assignment is lease-based: every task carries a deadline that the
+executing worker's heartbeats extend; an expired lease or a dropped
+connection requeues the task with the offending worker excluded, and a spec
+that exhausts its attempts is reported as failed instead of wedging the
+sweep.
 
 Wire protocol (one TCP connection per worker, one JSON object per line)::
 
-    worker -> {"type": "hello", "worker": "<id>"}
-    broker -> {"type": "welcome", "lease_seconds": <s>}
+    worker -> {"type": "hello", "worker": "<id>", "token": <secret>|absent}
+    broker -> {"type": "welcome", "lease_seconds": <s>, "worker": "<id>"}
+            | {"type": "reject", "reason": "<why>"}  (bad token)
     worker -> {"type": "next"}
-    broker -> {"type": "task", "task": <n>, "payload": {<RunSpec dict>}}
+    broker -> {"type": "task", "task": <id>, "payload": {<RunSpec dict>}}
             | {"type": "idle", "delay": <s>}       (nothing assignable yet)
             | {"type": "drain"}                    (sweep finished; exit)
-    worker -> {"type": "heartbeat", "task": <n>}   (no reply; extends lease)
-    worker -> {"type": "result", "task": <n>, "result": {<SimResult dict>}}
-    worker -> {"type": "error", "task": <n>, "error": "<reason>"}
-    worker -> {"type": "checkpoint", "task": <n>, "snapshot": {<document>}}
-    worker -> {"type": "release", "task": <n>, "snapshot": {<document>}|null}
+    worker -> {"type": "heartbeat", "task": <id>}  (no reply; extends lease)
+    worker -> {"type": "result", "task": <id>, "result": {<SimResult dict>}}
+    worker -> {"type": "error", "task": <id>, "error": "<reason>"}
+    worker -> {"type": "checkpoint", "task": <id>, "snapshot": {<document>}}
+    worker -> {"type": "release", "task": <id>, "snapshot": {<document>}|null}
 
 ``result``/``error`` get no reply; the worker immediately sends the next
 ``next``.  Late results from a worker whose lease already expired are still
 accepted (first result wins — they are deterministic), so a slow-but-alive
 worker never wastes its work.
 
-Checkpoint shipping (broker built with ``checkpoint_every``): every task
-message carries ``checkpoint_every`` and, when the broker holds one, a
+Checkpoint shipping (store built with ``checkpoint_every``): every task
+message carries ``checkpoint_every`` and, when the store holds one, a
 ``checkpoint`` snapshot document; the worker resumes mid-spec from it and
 ships a fresh ``checkpoint`` message every N events.  A SIGTERM'd worker
 sends ``release`` — a *clean* lease return that refunds the attempt and
@@ -57,21 +62,16 @@ than from zero.
 
 from __future__ import annotations
 
-import collections
 import json
 import os
 import socket
-import subprocess
 import sys
 import threading
 import time
 import uuid
-from pathlib import Path
-from queue import Empty, Queue
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -139,8 +139,8 @@ def _read(reader: Any) -> Optional[Dict[str, Any]]:
 class Listener:
     """Accept TCP connections and serve each one on its own daemon thread.
 
-    The one accept loop behind the sweep :class:`Broker`, the service's
-    worker plane and its HTTP plane.  Every accepted socket gets
+    The one accept loop behind both planes of :mod:`repro.service`: the
+    worker plane and the HTTP plane.  Every accepted socket gets
     ``TCP_NODELAY``: both wires trade small request/response writes, which
     Nagle's algorithm would hold back until the peer's delayed ACK (~40 ms).
     :meth:`close` shuts the listening socket down before closing it — on
@@ -231,638 +231,6 @@ class Listener:
             with self._lock:
                 self._live.pop(conn, None)
             conn.close()
-
-
-def claim_worker_name(requested: str, in_use: Any) -> str:
-    """A connection-unique worker name: ``requested``, or ``requested#N``.
-
-    Two workers arriving with the same auto-generated name (cloned VMs,
-    copy-pasted ``--connect`` commands from different clients) would
-    otherwise alias in broker stats and — worse — in per-task exclusion
-    sets, letting a crashing worker's retry land right back on its
-    same-named twin.  The broker assigns the suffixed name at handshake
-    and echoes it in the welcome message; the worker adopts it for the
-    rest of the session (heartbeats, redials), so exclusions stay keyed
-    on the unique name.  Caller holds the lock guarding ``in_use``.
-    """
-    if requested not in in_use:
-        return requested
-    ordinal = 2
-    while f"{requested}#{ordinal}" in in_use:
-        ordinal += 1
-    return f"{requested}#{ordinal}"
-
-
-# ---------------------------------------------------------------------------
-# Broker
-# ---------------------------------------------------------------------------
-_READY, _LEASED, _DONE, _FAILED = "ready", "leased", "done", "failed"
-
-
-class _Task:
-    __slots__ = ("position", "payload", "state", "attempts", "excluded",
-                 "worker", "deadline", "errors", "checkpoint", "key",
-                 "first_assigned", "timed_out")
-
-    def __init__(self, position: int, payload: Dict[str, Any]) -> None:
-        self.position = position
-        self.payload = payload
-        self.state = _READY
-        self.attempts = 0
-        self.excluded: set = set()
-        self.worker: Optional[str] = None
-        self.deadline = 0.0
-        self.errors: List[str] = []
-        #: Latest shipped :class:`~repro.snapshot.Snapshot`, if any; attached
-        #: to the next assignment so a replacement worker resumes mid-spec.
-        self.checkpoint: Optional[Any] = None
-        #: Spec content key (sha256); set only on journaled brokers, where
-        #: records must survive grid renumbering across restarts.
-        self.key: Optional[str] = None
-        #: Wall-clock (monotonic) of the *first* assignment — the per-spec
-        #: deadline measures total time-in-flight, not per-attempt time.
-        self.first_assigned: Optional[float] = None
-        #: True when this task was terminally failed by a deadline, not by
-        #: worker errors; surfaces as PartialSweepError on the sweep host.
-        self.timed_out = False
-
-
-class Broker:
-    """Serve one batch of spec payloads to pull-based workers over TCP.
-
-    Thread layout: one acceptor, one connection handler per worker, one lease
-    monitor.  All task-state transitions happen under ``_lock``; completion
-    and terminal-failure events flow through ``_events`` to
-    :meth:`events`, which the executor consumes on the sweep host.
-    """
-
-    def __init__(
-        self,
-        payloads: Sequence[Dict[str, Any]],
-        host: str = "127.0.0.1",
-        port: int = 0,
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        checkpoint_every: Optional[int] = None,
-        checkpoint_dir: Optional[str] = None,
-        journal_dir: Optional[str] = None,
-        spec_deadline_seconds: Optional[float] = None,
-        sweep_deadline_seconds: Optional[float] = None,
-    ) -> None:
-        if lease_seconds <= 0:
-            raise ConfigurationError("lease_seconds must be positive")
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ConfigurationError("checkpoint_every must be a positive event count")
-        if spec_deadline_seconds is not None and spec_deadline_seconds <= 0:
-            raise ConfigurationError("spec_deadline_seconds must be positive")
-        if sweep_deadline_seconds is not None and sweep_deadline_seconds <= 0:
-            raise ConfigurationError("sweep_deadline_seconds must be positive")
-        self.host = host
-        self.port = port
-        self.lease_seconds = lease_seconds
-        self.max_attempts = max_attempts
-        self.checkpoint_every = checkpoint_every
-        self.checkpoint_dir = checkpoint_dir
-        self.spec_deadline_seconds = spec_deadline_seconds
-        self.sweep_deadline_seconds = sweep_deadline_seconds
-        self._started_at: Optional[float] = None
-        self._tasks = [_Task(i, payload) for i, payload in enumerate(payloads)]
-        self._ready: Deque[int] = collections.deque(range(len(self._tasks)))
-        self._outstanding = len(self._tasks)
-        self._lock = threading.Lock()
-        self._events: "Queue[Tuple[str, int, Any]]" = Queue()
-        self._closed = threading.Event()
-        self._listener = Listener((host, port), self._serve, "broker")
-        self._monitor = threading.Thread(target=self._monitor_loop, daemon=True)
-        self._workers: set = set()
-        self.stats = {
-            "assigned": 0, "completed": 0, "failed": 0, "requeued": 0,
-            "expired": 0, "disconnects": 0, "duplicates": 0,
-            "checkpoints": 0, "released": 0, "resumed": 0,
-            "replayed": 0, "timed_out": 0,
-        }
-        self._journal: Optional[Any] = None
-        if journal_dir is not None:
-            self._attach_journal(journal_dir)
-        if self.checkpoint_dir is not None:
-            self._preload_checkpoints()
-
-    def _attach_journal(self, journal_dir: str) -> None:
-        """Open (and replay, if present) the write-ahead journal.
-
-        Replay happens *before* the listener starts, so a restarted broker
-        re-enters the exact task state the journal proves: finished grid
-        points go terminal immediately (their events pre-queued for the
-        sweep host — re-emitted, never re-run), burned attempts and worker
-        exclusions stick, shipped checkpoints are re-adopted, and the attempt
-        that was in flight when the old broker died is refunded.
-        """
-        from repro.runner.journal import BrokerJournal
-
-        self._journal = BrokerJournal(journal_dir)
-        for task in self._tasks:
-            task.key = RunSpec.from_dict(task.payload).key()
-        states = self._journal.replay()
-        for task in self._tasks:
-            state = states.get(task.key)
-            if state is None:
-                continue
-            if state.result is not None:
-                try:
-                    parsed = SimResult.from_dict(state.result)
-                except Exception:  # noqa: BLE001 - foreign/corrupt payload
-                    continue  # treat as never-run rather than crash the sweep
-                self._ready.remove(task.position)
-                self.stats["replayed"] += 1
-                self._finish_locked(task, _DONE, parsed, journal=False)
-                continue
-            if state.failed:
-                task.errors = list(state.errors)
-                self._ready.remove(task.position)
-                self._finish_locked(task, _FAILED, journal=False)
-                continue
-            task.attempts = state.settled_attempts()
-            task.excluded = set(state.excluded)
-            task.errors = list(state.errors)
-            if state.checkpoint is not None:
-                snapshot = self._parse_checkpoint(task.position, state.checkpoint)
-                if snapshot is not None:
-                    task.checkpoint = snapshot
-                    self.stats["replayed"] += 1
-
-    def _journal_append(self, record: Dict[str, Any]) -> None:
-        """Durably log one transition; disk trouble degrades to no journal."""
-        if self._journal is None:
-            return
-        try:
-            self._journal.append(record)
-        except OSError as error:
-            import warnings
-
-            from repro.runner.journal import JournalWarning
-
-            warnings.warn(
-                f"broker journal write failed ({error}); continuing without "
-                f"crash recovery for this sweep",
-                JournalWarning,
-                stacklevel=2,
-            )
-            try:
-                self._journal.close()
-            finally:
-                self._journal = None
-
-    def _preload_checkpoints(self) -> None:
-        """Adopt checkpoints a previous (killed) sweep host left on disk.
-
-        Journal-replayed checkpoints win: they are at least as fresh as the
-        persisted copies (every persisted snapshot was journaled first).
-        """
-        from repro.snapshot import checkpoint_path, try_load_snapshot
-
-        for task in self._tasks:
-            if task.checkpoint is not None or task.state in (_DONE, _FAILED):
-                continue
-            spec = RunSpec.from_dict(task.payload)
-            snapshot, _ = try_load_snapshot(
-                checkpoint_path(self.checkpoint_dir, spec)
-            )
-            if snapshot is not None and snapshot.spec == spec:
-                task.checkpoint = snapshot
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self.host, self.port
-
-    # ----------------------------------------------------------- lifecycle
-    def start(self) -> "Broker":
-        self.host, self.port = self._listener.start()
-        self._started_at = time.monotonic()
-        self._monitor.start()
-        return self
-
-    def close(self) -> None:
-        self._closed.set()
-        self._listener.close()
-        if self._monitor.is_alive():
-            self._monitor.join(timeout=2.0)
-        if self._journal is not None:
-            self._journal.close()
-
-    def __enter__(self) -> "Broker":
-        return self.start()
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    # ------------------------------------------------------------- queries
-    def outstanding(self) -> int:
-        """Tasks not yet terminal (neither done nor failed)."""
-        with self._lock:
-            return self._outstanding
-
-    def worker_count(self) -> int:
-        """Workers currently connected (hello received, not disconnected)."""
-        with self._lock:
-            return len(self._workers)
-
-    def closed(self) -> bool:
-        """True once :meth:`close` ran (chaos drills poll this mid-kill)."""
-        return self._closed.is_set()
-
-    def timed_out_positions(self) -> set:
-        """Positions terminally failed by a spec deadline or the sweep budget."""
-        with self._lock:
-            return {task.position for task in self._tasks if task.timed_out}
-
-    def abort(self, reason: str) -> None:
-        """Terminally fail every non-finished task (unblocks :meth:`events`).
-
-        Abort failures are *not* journaled: they reflect this session's
-        environment (every local worker died), not a durable fact about the
-        spec, and a restarted broker should retry those grid points.
-        """
-        with self._lock:
-            for task in self._tasks:
-                if task.state in (_DONE, _FAILED):
-                    continue
-                if task.state == _READY:
-                    try:
-                        self._ready.remove(task.position)
-                    except ValueError:
-                        pass
-                task.errors.append(reason)
-                self._finish_locked(task, _FAILED, journal=False)
-
-    def events(
-        self,
-        poll: Optional[Callable[[], None]] = None,
-        poll_interval: float = 0.5,
-    ) -> Iterator[Tuple[str, int, Any]]:
-        """Yield ``("result"|"failed", position, payload)`` until all terminal.
-
-        ``payload`` is the parsed :class:`SimResult` for ``"result"`` events
-        and the joined failure reasons (a string) for ``"failed"`` ones.
-        ``poll`` runs whenever no event arrived for ``poll_interval`` seconds
-        — the executor's liveness watchdog hook.
-        """
-        pending = len(self._tasks)
-        while pending:
-            try:
-                event = self._events.get(timeout=poll_interval)
-            except Empty:
-                if poll is not None:
-                    poll()
-                continue
-            pending -= 1
-            yield event
-
-    # ----------------------------------------------------- connection side
-    def _serve(self, conn: socket.socket) -> None:
-        # Live peers are chatty (idle workers poll every ~50 ms, leased ones
-        # heartbeat every lease/3), so a generous read timeout only ever
-        # fires for a half-open connection whose host dropped without a
-        # FIN/RST — which would otherwise stay in _workers forever, blocking
-        # the exclusion fallback and wedging the sweep.
-        conn.settimeout(max(self.lease_seconds * 2.0, 10.0))
-        write_lock = threading.Lock()
-        worker = f"anon-{uuid.uuid4().hex[:8]}"
-        reader = conn.makefile("r", encoding="utf-8")
-        try:
-            while True:
-                try:
-                    message = _read(reader)
-                except (OSError, ValueError):
-                    break
-                if message is None:
-                    break
-                try:
-                    kind = message.get("type")
-                    if kind == "hello":
-                        requested = str(message.get("worker") or worker)
-                        with self._lock:
-                            worker = claim_worker_name(requested, self._workers)
-                            self._workers.add(worker)
-                        _send(conn, write_lock, {
-                            "type": "welcome", "lease_seconds": self.lease_seconds,
-                            "worker": worker,
-                        })
-                    elif kind == "next":
-                        _send(conn, write_lock, self._assign(worker))
-                    elif kind in ("heartbeat", "result", "error",
-                                  "checkpoint", "release"):
-                        task_id = int(message["task"])
-                        if not 0 <= task_id < len(self._tasks):
-                            continue  # corrupt or foreign task id; ignore
-                        if kind == "heartbeat":
-                            self._extend_lease(task_id, worker)
-                        elif kind == "result":
-                            self._complete(task_id, worker, message["result"])
-                        elif kind == "checkpoint":
-                            self._store_checkpoint(
-                                task_id, worker, message.get("snapshot")
-                            )
-                        elif kind == "release":
-                            self._release(task_id, worker, message.get("snapshot"))
-                        else:
-                            self._report_error(
-                                task_id, worker, str(message.get("error"))
-                            )
-                except (AttributeError, KeyError, TypeError, ValueError):
-                    # Structurally invalid message (JSON array, missing/odd
-                    # fields): drop the line, keep the worker's connection —
-                    # killing the handler would cost it a lease and an
-                    # exclusion for one corrupt line.
-                    continue
-        except OSError:
-            pass
-        finally:
-            self._disconnect(worker)
-
-    # ------------------------------------------------------ state machine
-    def _assign(self, worker: str) -> Dict[str, Any]:
-        with self._lock:
-            chosen: Optional[int] = None
-            for task_id in self._ready:
-                if worker not in self._tasks[task_id].excluded:
-                    chosen = task_id
-                    break
-            if chosen is None:
-                # Exclusion is best-effort: a task that excludes every
-                # currently connected worker has nobody left to serve it and
-                # would wedge the sweep — retrying beats deadlocking.
-                for task_id in self._ready:
-                    if self._workers <= self._tasks[task_id].excluded:
-                        chosen = task_id
-                        break
-            if chosen is not None:
-                self._ready.remove(chosen)
-                task = self._tasks[chosen]
-                task.state = _LEASED
-                task.worker = worker
-                task.attempts += 1
-                now = time.monotonic()
-                if task.first_assigned is None:
-                    task.first_assigned = now
-                task.deadline = now + self.lease_seconds
-                self.stats["assigned"] += 1
-                self._journal_append({
-                    "kind": "assigned", "key": task.key, "worker": worker,
-                })
-                message = {"type": "task", "task": chosen, "payload": task.payload}
-                if self.checkpoint_every is not None:
-                    message["checkpoint_every"] = self.checkpoint_every
-                if task.checkpoint is not None:
-                    from repro.snapshot import snapshot_document
-
-                    message["checkpoint"] = snapshot_document(task.checkpoint)
-                    self.stats["resumed"] += 1
-                return message
-            if self._outstanding == 0:
-                return {"type": "drain"}
-            return {"type": "idle", "delay": 0.05}
-
-    def _extend_lease(self, task_id: int, worker: str) -> None:
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state == _LEASED and task.worker == worker:
-                task.deadline = time.monotonic() + self.lease_seconds
-
-    def _parse_checkpoint(self, task_id: int, document: Any) -> Optional[Any]:
-        """Validate a shipped snapshot document against its task's spec."""
-        from repro.errors import SnapshotError
-        from repro.snapshot import parse_document
-
-        try:
-            snapshot = parse_document(document, source=f"task {task_id} checkpoint")
-        except SnapshotError:
-            return None  # corrupt in flight; the old checkpoint stays usable
-        if snapshot.spec != RunSpec.from_dict(self._tasks[task_id].payload):
-            return None
-        return snapshot
-
-    def _persist_checkpoint(self, snapshot: Any) -> None:
-        if self.checkpoint_dir is None:
-            return
-        from repro.snapshot import checkpoint_path, save_snapshot
-
-        try:
-            save_snapshot(snapshot, checkpoint_path(self.checkpoint_dir, snapshot.spec))
-        except OSError:
-            pass  # disk trouble only costs resume granularity, not the sweep
-
-    def _store_checkpoint(self, task_id: int, worker: str, document: Any) -> None:
-        snapshot = self._parse_checkpoint(task_id, document)
-        if snapshot is None:
-            return
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return  # stale shipment from an expired lease
-            task.checkpoint = snapshot
-            # A checkpoint proves liveness as well as any heartbeat.
-            task.deadline = time.monotonic() + self.lease_seconds
-            self.stats["checkpoints"] += 1
-            self._journal_append({
-                "kind": "checkpointed", "key": task.key, "snapshot": document,
-            })
-        self._persist_checkpoint(snapshot)
-
-    def _release(self, task_id: int, worker: str, document: Any) -> None:
-        """A clean mid-spec lease return (worker preempted, e.g. SIGTERM).
-
-        Unlike ``error`` this refunds the attempt and excludes nobody: the
-        worker did nothing wrong, and its final snapshot means the next
-        assignee continues from the slice boundary instead of from zero.
-        """
-        snapshot = self._parse_checkpoint(task_id, document) if document else None
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return
-            if snapshot is not None:
-                task.checkpoint = snapshot
-                self._journal_append({
-                    "kind": "checkpointed", "key": task.key,
-                    "snapshot": document,
-                })
-            task.attempts -= 1
-            task.state = _READY
-            task.worker = None
-            self._ready.append(task.position)
-            self.stats["released"] += 1
-            self._journal_append({"kind": "released", "key": task.key})
-        if snapshot is not None:
-            self._persist_checkpoint(snapshot)
-
-    def _complete(self, task_id: int, worker: str, result: Dict[str, Any]) -> None:
-        # Parse the payload into a SimResult *before* the task goes terminal:
-        # a wrong-shape dict from a version-skewed worker must requeue the
-        # spec like any worker error, not crash the sweep host's event loop.
-        try:
-            parsed = SimResult.from_dict(result)
-        except Exception as error:  # noqa: BLE001 - arbitrary payloads
-            self._report_error(
-                task_id, worker,
-                f"worker returned an invalid result payload: "
-                f"{describe_error(error)}",
-            )
-            return
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state in (_DONE, _FAILED):
-                self.stats["duplicates"] += 1  # late result after reassignment
-                return
-            if task.state == _READY:
-                # Expired lease, but the original worker finished after all.
-                self._ready.remove(task_id)
-            task.checkpoint = None
-            self._finish_locked(task, _DONE, parsed)
-        if self.checkpoint_dir is not None:
-            from repro.snapshot import checkpoint_path
-
-            try:
-                checkpoint_path(
-                    self.checkpoint_dir, RunSpec.from_dict(task.payload)
-                ).unlink(missing_ok=True)
-            except OSError:
-                pass
-
-    def _report_error(self, task_id: int, worker: str, reason: str) -> None:
-        with self._lock:
-            task = self._tasks[task_id]
-            if task.state != _LEASED or task.worker != worker:
-                return  # stale report from a lease that already expired
-            # Exclude the reporter so the retry prefers a different worker: a
-            # host with a broken environment errors instantly and would
-            # otherwise re-poll and burn the spec's whole attempt budget in
-            # milliseconds.  Exclusion is best-effort (see _assign), so on a
-            # single-worker fleet the retry still lands on the same worker.
-            self._requeue_or_fail_locked(task, reason, exclude=True)
-
-    def _disconnect(self, worker: str) -> None:
-        with self._lock:
-            self._workers.discard(worker)
-            leased = [
-                task for task in self._tasks
-                if task.state == _LEASED and task.worker == worker
-            ]
-            for task in leased:
-                self.stats["disconnects"] += 1
-                self._requeue_or_fail_locked(
-                    task, f"worker {worker} disconnected mid-spec", exclude=True
-                )
-
-    def _monitor_loop(self) -> None:
-        interval = min(0.5, self.lease_seconds / 4.0)
-        if self.spec_deadline_seconds is not None:
-            interval = min(interval, self.spec_deadline_seconds / 4.0)
-        if self.sweep_deadline_seconds is not None:
-            interval = min(interval, self.sweep_deadline_seconds / 4.0)
-        interval = max(interval, 0.02)
-        while not self._closed.wait(interval):
-            now = time.monotonic()
-            with self._lock:
-                for task in self._tasks:
-                    if task.state in (_DONE, _FAILED):
-                        continue
-                    if (
-                        self.spec_deadline_seconds is not None
-                        and task.first_assigned is not None
-                        and now - task.first_assigned > self.spec_deadline_seconds
-                    ):
-                        self._time_out_locked(
-                            task,
-                            f"spec deadline exceeded "
-                            f"({self.spec_deadline_seconds}s since first "
-                            f"assignment)",
-                        )
-                        continue
-                    if task.state == _LEASED and task.deadline < now:
-                        self.stats["expired"] += 1
-                        self._requeue_or_fail_locked(
-                            task,
-                            f"lease expired on worker {task.worker} "
-                            f"(no heartbeat for {self.lease_seconds}s)",
-                            exclude=True,
-                        )
-                if (
-                    self.sweep_deadline_seconds is not None
-                    and self._started_at is not None
-                    and now - self._started_at > self.sweep_deadline_seconds
-                ):
-                    for task in self._tasks:
-                        if task.state not in (_DONE, _FAILED):
-                            self._time_out_locked(
-                                task,
-                                f"sweep budget exhausted "
-                                f"({self.sweep_deadline_seconds}s)",
-                            )
-
-    def _time_out_locked(self, task: _Task, reason: str) -> None:
-        """Terminally fail a wedged task so the sweep degrades gracefully.
-
-        Not journaled: deadlines are session policy, not durable facts about
-        the spec — a restarted broker (perhaps with a bigger budget) should
-        be free to retry it.  A late result from the still-running worker is
-        dropped as a duplicate, keeping the executor's yield-once contract.
-        """
-        if task.state == _READY:
-            try:
-                self._ready.remove(task.position)
-            except ValueError:
-                pass
-        task.errors.append(reason)
-        task.timed_out = True
-        self.stats["timed_out"] += 1
-        self._finish_locked(task, _FAILED, journal=False)
-
-    def _requeue_or_fail_locked(
-        self, task: _Task, reason: str, exclude: bool
-    ) -> None:
-        task.errors.append(reason)
-        if exclude and task.worker is not None:
-            task.excluded.add(task.worker)
-            self._journal_append({
-                "kind": "excluded", "key": task.key,
-                "worker": task.worker, "reason": reason,
-            })
-        if task.attempts >= self.max_attempts:
-            self._finish_locked(task, _FAILED)
-        else:
-            task.state = _READY
-            task.worker = None
-            self._ready.append(task.position)
-            self.stats["requeued"] += 1
-
-    def _finish_locked(
-        self,
-        task: _Task,
-        state: str,
-        result: Optional[SimResult] = None,
-        journal: bool = True,
-    ) -> None:
-        task.state = state
-        task.worker = None
-        self._outstanding -= 1
-        if state == _DONE:
-            if journal:
-                self._journal_append({
-                    "kind": "completed", "key": task.key,
-                    "result": result.to_dict() if result is not None else None,
-                })
-            self.stats["completed"] += 1
-            self._events.put(("result", task.position, result))
-        else:
-            if journal:
-                self._journal_append({
-                    "kind": "failed", "key": task.key,
-                    "reasons": list(task.errors),
-                })
-            self.stats["failed"] += 1
-            self._events.put(("failed", task.position, "; ".join(task.errors)))
 
 
 # ---------------------------------------------------------------------------
@@ -1158,9 +526,8 @@ def run_worker(
                     continue
                 if reply_type != "task":
                     raise KeyError(reply_type)  # repro: noqa[ERR001] -- control flow: caught by the reply loop and retried as a protocol error
-                # Task ids are opaque to the worker and echoed verbatim: the
-                # sweep broker uses grid positions (ints), the multi-tenant
-                # service uses "job-id/position" strings.
+                # Task ids are opaque to the worker and echoed verbatim (the
+                # store's are "job-id/position" strings).
                 task_id = reply["task"]
                 if not isinstance(task_id, (int, str)):
                     raise TypeError("task")  # repro: noqa[ERR001] -- control flow: caught by the reply-shape handler below and converted to ExecutionError
@@ -1246,80 +613,13 @@ def run_worker(
 
 
 # ---------------------------------------------------------------------------
-# Local cluster harness
-# ---------------------------------------------------------------------------
-class LocalCluster:
-    """Broker-facing fleet of ``repro worker`` subprocesses on this host.
-
-    The test/CI harness for the real wire path: each worker is a genuine
-    ``python -m repro worker --connect`` process, so everything — handshake,
-    leases, heartbeats, retry, drain — is exercised over actual sockets.
-    ``faults`` injects a per-worker :data:`FAULT_ENV` mode (None = healthy).
-    """
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        workers: int,
-        faults: Optional[Sequence[Optional[str]]] = None,
-        heartbeat: Optional[float] = None,
-    ) -> None:
-        if workers < 1:
-            raise ConfigurationError("LocalCluster needs at least one worker")
-        env = os.environ.copy()
-        src = str(Path(__file__).resolve().parents[2])
-        env["PYTHONPATH"] = (
-            src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        )
-        command = [sys.executable, "-m", "repro", "worker",
-                   "--connect", f"{host}:{port}"]
-        if heartbeat is not None:
-            command += ["--heartbeat", str(heartbeat)]
-        self.procs: List[subprocess.Popen] = []
-        for index in range(workers):
-            worker_env = dict(env)
-            fault = faults[index] if faults and index < len(faults) else None
-            if fault:
-                worker_env[FAULT_ENV] = fault
-            self.procs.append(
-                subprocess.Popen(command, env=worker_env,
-                                 stdout=subprocess.DEVNULL)
-            )
-
-    def alive_count(self) -> int:
-        return sum(1 for proc in self.procs if proc.poll() is None)
-
-    def kill(self, index: int) -> None:
-        """SIGKILL one worker (fault drills)."""
-        self.procs[index].kill()
-        self.procs[index].wait()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Wait briefly for workers to drain, then terminate stragglers."""
-        deadline = time.monotonic() + timeout
-        for proc in self.procs:
-            if proc.poll() is None:
-                try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.terminate()
-                    try:
-                        proc.wait(timeout=2.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-
-    def __enter__(self) -> "LocalCluster":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
 # Executor
 # ---------------------------------------------------------------------------
+#: Longest a finished sweep with external workers waits for them to collect
+#: their ``drain`` before it closes the worker plane.
+DRAIN_GRACE_SECONDS = 2.0
+
+
 def _announce_default(host: str, port: int) -> None:
     # A wildcard bind address is not dialable: tell remote operators to use
     # this machine's name instead of a copy-pasteable-but-wrong 0.0.0.0.
@@ -1333,7 +633,7 @@ def _announce_default(host: str, port: int) -> None:
 
 
 class DistributedExecutor(_ExecutorBase):
-    """Run specs through a TCP broker feeding pull-based ``repro worker``s.
+    """Run specs as the one job of an embedded store feeding ``repro worker``s.
 
     Implements the ``run_iter`` completion-order contract, so it drops into
     ``Runner`` (cache, ``SpecProgress`` streaming, ``--progress``) exactly
@@ -1341,8 +641,8 @@ class DistributedExecutor(_ExecutorBase):
     retried up to ``max_attempts`` assignments with the crashed/timed-out
     worker excluded; specs that still fail surface as one
     :class:`~repro.errors.ExecutionError` *after* every successful result has
-    been yielded.  ``last_stats`` holds the final broker counters of the most
-    recent sweep (assigned/completed/failed/requeued/expired/...).
+    been yielded.  ``last_stats`` holds the final store counters of the most
+    recent sweep (assigned/completed/failed/requeued/expired/timed_out/...).
     """
 
     def __init__(
@@ -1395,22 +695,29 @@ class DistributedExecutor(_ExecutorBase):
     ) -> Iterator[Tuple[int, SimResult]]:
         if not specs:
             return
-        payloads = [spec.to_dict() for spec in specs]
-        broker = Broker(
-            payloads,
-            host=self.host,
-            port=self.port,
+        # Imported here: serial, --parallel and --submit runs never load the
+        # service package.
+        from repro.runner.journal import ServiceJournal
+        from repro.service import JobStore, ServiceBroker
+
+        store = JobStore(
+            journal=(
+                ServiceJournal(self.journal_dir)
+                if self.journal_dir is not None else None
+            ),
             lease_seconds=self.lease_seconds,
             max_attempts=self.max_attempts,
             checkpoint_every=self.checkpoint_every,
             checkpoint_dir=self.checkpoint_dir,
-            journal_dir=self.journal_dir,
-            spec_deadline_seconds=self.spec_deadline,
-            sweep_deadline_seconds=self.sweep_deadline,
-        ).start()
+            spec_deadline=self.spec_deadline,
+            sweep_deadline=self.sweep_deadline,
+            drain=True,
+        )
+        job = store.submit_sweep(specs)
+        broker = ServiceBroker(store, self.host, self.port)
         cluster: Optional[WorkerSupervisor] = None
-        failures: List[Tuple[int, str]] = []
         try:
+            broker.start()
             if self.workers:
                 # Supervised, not fire-and-forget: a healthy worker that
                 # crashes is respawned (jittered backoff, circuit breaker);
@@ -1423,8 +730,11 @@ class DistributedExecutor(_ExecutorBase):
             if self.external:
                 # External workers are expected: tell them where to join.
                 (self.announce or _announce_default)(broker.host, broker.port)
-
-            def watchdog() -> None:
+            landed, settled = 0, False
+            while not settled:
+                runs, settled = store.wait_for_landed(job, landed, 0.5)
+                landed += len(runs)
+                yield from runs
                 # Abort only in pure-local mode (owned pool, no external
                 # joiners expected): there, a pool that gave up — every slot
                 # drained, abandoned, or circuit-broken, none awaiting
@@ -1432,36 +742,34 @@ class DistributedExecutor(_ExecutorBase):
                 # external workers expected — present, or still to come —
                 # the sweep must keep waiting.
                 if (
-                    cluster is not None
+                    not runs
+                    and cluster is not None
                     and not self.external
                     and cluster.gave_up()
-                    and broker.worker_count() == 0
+                    and store.worker_count() == 0
                 ):
-                    broker.abort(
+                    store.abort(
+                        job,
                         "every local worker process has exited "
-                        "and no external workers are connected"
+                        "and no external workers are connected",
                     )
-
-            for kind, position, payload in broker.events(poll=watchdog):
-                if kind == "result":
-                    yield position, payload
-                else:
-                    failures.append((position, payload))
+            if self.external:
+                # Idle external workers collect their drain within one idle
+                # poll; closing the plane first would send them redialing.
+                store.wait_for_drain(DRAIN_GRACE_SECONDS)
         finally:
             if cluster is not None:
                 cluster.close()
             broker.close()
-            self.last_stats = dict(broker.stats)
-        if failures:
-            timed_out_at = broker.timed_out_positions()
-            timed_out = [
+            store.close_journal()
+            self.last_stats = dict(store.stats)
+        plain: List[Tuple[RunSpec, str]] = []
+        timed_out: List[Tuple[RunSpec, str]] = []
+        for position, reason, by_deadline in store.job_failures(job):
+            (timed_out if by_deadline else plain).append(
                 (specs[position], reason)
-                for position, reason in failures if position in timed_out_at
-            ]
-            plain = [
-                (specs[position], reason)
-                for position, reason in failures if position not in timed_out_at
-            ]
-            if timed_out:
-                raise partial_sweep_error(plain, timed_out, len(specs))
+            )
+        if timed_out:
+            raise partial_sweep_error(plain, timed_out, len(specs))
+        if plain:
             raise failures_error(plain, len(specs))

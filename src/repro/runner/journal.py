@@ -1,22 +1,26 @@
-"""Broker write-ahead journal: crash-safe task-state transitions.
+"""Write-ahead journal of the sweep fabric's task transitions.
 
-The distributed broker (:class:`~repro.runner.distributed.Broker`) keeps all
-lease/attempt/checkpoint state in memory; without a journal, killing the
-sweep host forfeits every in-flight attempt and every shipped checkpoint.
-:class:`BrokerJournal` closes that hole: every task state transition —
+:class:`~repro.service.jobstore.JobStore` keeps all lease/attempt/checkpoint
+state in memory; without a journal, killing its process forfeits every
+in-flight attempt and every shipped checkpoint.  :class:`ServiceJournal`
+closes that hole: every job submission and task transition —
 ``assigned`` / ``checkpointed`` / ``released`` / ``excluded`` /
 ``completed`` / ``failed`` — is appended as one JSON line and fsync'd before
-the transition is acted on, so a broker constructed with the same
-``journal_dir`` after a SIGKILL replays the log and resumes the *same*
-sweep: finished grid points are re-emitted (not re-run), shipped checkpoints
-are re-adopted, burned attempts and worker exclusions stick, and the
-attempt that was in flight when the broker died is refunded (the broker's
-death is not the worker's fault — mirroring the ``release`` semantics).
+the transition is acted on.  A store constructed on the same journal after a
+SIGKILL replays it: a ``repro serve`` daemon resumes every live job, and a
+``--bind --journal`` sweep host restarted with ``--resume`` resumes its one
+job.  Finished specs are re-emitted (not re-run), shipped checkpoints are
+re-adopted, burned attempts and worker exclusions stick, and the attempts
+in flight at the kill are refunded (that death is not the workers' fault —
+mirroring the ``release`` semantics).
 
-Records are keyed by the spec's sha256 :meth:`~repro.runner.spec.RunSpec.key`
-rather than by queue position, so a restarted sweep whose grid shrank (some
-specs now served by the result cache) still maps every surviving record onto
-the right task.
+Task records carry the ``job`` they belong to and the spec's sha256
+:meth:`~repro.runner.spec.RunSpec.key` rather than a queue position, so a
+restarted sweep whose grid shrank (some specs now served by the result
+cache) still maps every surviving record onto the right task.  A journal
+written by the old single-sweep broker has no ``job`` field: replay warns
+(:class:`JournalWarning`) and skips each such record, so a run resumed on
+it re-executes its unfinished specs.
 
 Durability contract: ``fsync`` per record means the journal never lies about
 the past — but the *last* record may be torn (the process died mid-write).
@@ -50,9 +54,7 @@ KIND_EXCLUDED = "excluded"
 KIND_COMPLETED = "completed"
 KIND_FAILED = "failed"
 
-#: Job-lifecycle record kinds, written only by the multi-tenant sweep
-#: service's :class:`ServiceJournal`; task-transition records in a service
-#: journal additionally carry a ``job`` field scoping them to one job.
+#: Job-lifecycle record kinds.
 KIND_JOB_SUBMITTED = "job-submitted"
 KIND_JOB_CANCELLED = "job-cancelled"
 
@@ -86,24 +88,42 @@ class TaskReplay:
     failed: bool = False
 
     def settled_attempts(self) -> int:
-        """Attempt count a restarted broker should charge the task.
+        """Attempt count a restarted store should charge the task.
 
-        An assignment that was still in flight when the broker died is
-        refunded: the lease died with the broker, not through any fault of
+        An assignment that was still in flight when the store's process
+        died is refunded: the lease died with it, not through any fault of
         the worker, exactly like a clean ``release``.
         """
         return max(0, self.attempts - (1 if self.leased else 0))
 
 
-class BrokerJournal:
-    """Append-only JSONL log of broker task transitions, fsync'd per record.
+@dataclass
+class JobReplay:
+    """Replayed state of one job: identity + per-spec task states.
+
+    ``sweep`` is the submitted SweepSpec dict, verbatim — the restarted
+    service re-submits it with ``tasks`` as the replay states, so finished
+    specs re-emit, burned attempts and exclusions stick, and in-flight
+    leases are refunded.
+    """
+
+    name: str = ""
+    priority: int = 1
+    sweep: Optional[Dict[str, Any]] = None
+    cancelled: bool = False
+    tasks: Dict[str, TaskReplay] = field(default_factory=dict)
+
+
+class ServiceJournal:
+    """Append-only JSONL log of job and task transitions, fsync'd per record.
 
     ``append`` opens the file lazily (writing the header first on an empty
-    file) and flushes + fsyncs every record, so anything the broker acted on
-    is durable before the action's effects can reach a worker.  ``replay``
-    reads the whole log back into per-spec-key :class:`TaskReplay` states —
-    a pure function of the file, so replaying twice (or replaying, appending,
-    and replaying again) is idempotent by construction.
+    file) and flushes + fsyncs every record, so anything the store acted on
+    is durable before the action's effects can reach a worker.
+    :meth:`replay_jobs` reads the whole log back into per-job
+    :class:`JobReplay` states — a pure function of the file, so replaying
+    twice (or replaying, appending, and replaying again) is idempotent by
+    construction.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
@@ -113,7 +133,7 @@ class BrokerJournal:
 
     # -------------------------------------------------------------- writing
     def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one transition record (``kind`` + ``key`` + data)."""
+        """Durably append one record (``kind`` + ``job`` + data)."""
         handle = self._open()
         handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         handle.flush()
@@ -139,7 +159,7 @@ class BrokerJournal:
             finally:
                 self._handle = None
 
-    def __enter__(self) -> "BrokerJournal":
+    def __enter__(self) -> "ServiceJournal":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -149,17 +169,57 @@ class BrokerJournal:
     def exists(self) -> bool:
         return self.path.is_file()
 
-    def replay(self) -> Dict[str, TaskReplay]:
-        """Aggregate the journal into per-spec-key :class:`TaskReplay` states.
+    def replay_jobs(self) -> Dict[str, JobReplay]:
+        """Aggregate the journal into per-job :class:`JobReplay` states.
 
-        Returns an empty mapping when no journal exists yet.  A torn tail
-        record warns (:class:`JournalWarning`) and is dropped; an invalid
-        record before the tail, or a foreign/unsupported header, raises
-        :class:`~repro.errors.JournalError`.
+        Jobs come back in submission order (dict insertion order), which the
+        restarted service relies on to re-register them with the fair-share
+        scheduler deterministically.
         """
         if not self.exists():
             return {}
-        return self._aggregate(self._records())
+        jobs: Dict[str, JobReplay] = {}
+        grouped: Dict[str, List[Dict[str, Any]]] = {}
+        for record in self._records():
+            kind = record.get("kind")
+            job_id = record.get("job")
+            if not isinstance(job_id, str):
+                warnings.warn(
+                    f"skipping job-less record {kind!r} in {self.path} "
+                    f"(written by the old single-sweep broker; its "
+                    f"unfinished specs will re-run)",
+                    JournalWarning,
+                    stacklevel=2,
+                )
+                continue
+            if kind == KIND_JOB_SUBMITTED:
+                job = jobs.setdefault(job_id, JobReplay())
+                job.name = str(record.get("name") or job_id)
+                priority = record.get("priority")
+                if isinstance(priority, int) and priority >= 1:
+                    job.priority = priority
+                sweep = record.get("sweep")
+                if isinstance(sweep, dict):
+                    job.sweep = sweep
+                continue
+            if kind == KIND_JOB_CANCELLED:
+                job = jobs.get(job_id)
+                if job is not None:
+                    job.cancelled = True
+                continue
+            grouped.setdefault(job_id, []).append(record)
+        for job_id, records in grouped.items():
+            job = jobs.get(job_id)
+            if job is None:
+                warnings.warn(
+                    f"skipping task records for unknown job {job_id!r} in "
+                    f"{self.path} (its job-submitted record is missing)",
+                    JournalWarning,
+                    stacklevel=2,
+                )
+                continue
+            job.tasks = self._aggregate(records)
+        return jobs
 
     def _records(self) -> List[Dict[str, Any]]:
         """Validated body records (header stripped), torn tail dropped."""
@@ -178,7 +238,7 @@ class BrokerJournal:
                 if number == len(raw_lines):
                     warnings.warn(
                         f"dropping torn tail record (line {number}) of "
-                        f"{self.path}: the broker died mid-append",
+                        f"{self.path}: its writer died mid-append",
                         JournalWarning,
                         stacklevel=2,
                     )
@@ -253,83 +313,3 @@ class BrokerJournal:
                 if isinstance(reasons, list):
                     state.errors = [str(reason) for reason in reasons]
         return states
-
-
-@dataclass
-class JobReplay:
-    """Replayed state of one service job: identity + per-spec task states.
-
-    ``sweep`` is the submitted SweepSpec dict, verbatim — the restarted
-    service re-submits it with ``tasks`` as the replay states, so finished
-    specs re-emit, burned attempts and exclusions stick, and in-flight
-    leases are refunded exactly like a restarted single-sweep broker.
-    """
-
-    name: str = ""
-    priority: int = 1
-    sweep: Optional[Dict[str, Any]] = None
-    cancelled: bool = False
-    tasks: Dict[str, TaskReplay] = field(default_factory=dict)
-
-
-class ServiceJournal(BrokerJournal):
-    """Write-ahead journal for the multi-tenant sweep service.
-
-    Same file format, header, and task-transition kinds as
-    :class:`BrokerJournal`, with two additions: job-lifecycle records
-    (``job-submitted`` carrying the SweepSpec, ``job-cancelled``), and a
-    ``job`` field on every task record so :meth:`replay_jobs` can rebuild
-    each tenant's task states independently.
-    """
-
-    def replay_jobs(self) -> Dict[str, JobReplay]:
-        """Aggregate the journal into per-job :class:`JobReplay` states.
-
-        Jobs come back in submission order (dict insertion order), which the
-        restarted service relies on to re-register them with the fair-share
-        scheduler deterministically.
-        """
-        if not self.exists():
-            return {}
-        jobs: Dict[str, JobReplay] = {}
-        grouped: Dict[str, List[Dict[str, Any]]] = {}
-        for record in self._records():
-            kind = record.get("kind")
-            job_id = record.get("job")
-            if not isinstance(job_id, str):
-                warnings.warn(
-                    f"skipping job-less record {kind!r} in {self.path} "
-                    f"(single-sweep broker journal replayed as a service "
-                    f"journal?)",
-                    JournalWarning,
-                    stacklevel=2,
-                )
-                continue
-            if kind == KIND_JOB_SUBMITTED:
-                job = jobs.setdefault(job_id, JobReplay())
-                job.name = str(record.get("name") or job_id)
-                priority = record.get("priority")
-                if isinstance(priority, int) and priority >= 1:
-                    job.priority = priority
-                sweep = record.get("sweep")
-                if isinstance(sweep, dict):
-                    job.sweep = sweep
-                continue
-            if kind == KIND_JOB_CANCELLED:
-                job = jobs.get(job_id)
-                if job is not None:
-                    job.cancelled = True
-                continue
-            grouped.setdefault(job_id, []).append(record)
-        for job_id, records in grouped.items():
-            job = jobs.get(job_id)
-            if job is None:
-                warnings.warn(
-                    f"skipping task records for unknown job {job_id!r} in "
-                    f"{self.path} (its job-submitted record is missing)",
-                    JournalWarning,
-                    stacklevel=2,
-                )
-                continue
-            job.tasks = self._aggregate(records)
-        return jobs

@@ -1,20 +1,20 @@
 """Worker supervisor: a self-healing pool of ``repro worker`` processes.
 
-:class:`~repro.runner.distributed.LocalCluster` spawns workers
-fire-and-forget: a crashed worker stays dead, and a fleet of them dies one
-crash at a time.  :class:`WorkerSupervisor` babysits the pool instead —
-each slot that exits *abnormally* (nonzero status or a signal) is respawned
-with jittered exponential backoff, while a slot that drains cleanly (exit 0:
-the broker finished, or a SIGTERM'd worker released its lease) is left
-retired.  A circuit breaker stops the respawn loop for any slot that keeps
-dying *rapidly* — N consecutive failures within seconds of spawning mean the
-host (or its environment) is sick, and blindly respawning would only burn
-the sweep's per-spec attempt budgets — so a sick pool parks itself instead
-of flapping.
+:class:`WorkerSupervisor` runs the sweep fabric's local workers and babysits
+them: each slot that exits *abnormally* (nonzero status or a signal) is
+respawned with jittered exponential backoff, while a slot that drains
+cleanly (exit 0: the sweep finished, or a SIGTERM'd worker released its
+lease) is left retired — and so is any slot that fails after a sibling
+drained, since the sweep it served is over.  A circuit breaker stops the
+respawn loop for any slot that keeps dying *rapidly* — N consecutive
+failures within seconds of spawning mean the host (or its environment) is
+sick, and blindly respawning would only burn the sweep's per-spec attempt
+budgets — so a sick pool parks itself instead of flapping.
 
 ``repro workers --connect HOST:PORT --pool N`` runs the supervisor in the
 foreground; :class:`~repro.runner.distributed.DistributedExecutor` embeds it
-for ``--distributed N`` sweeps, replacing the old fire-and-forget spawn.
+for ``--distributed N`` sweeps.  :func:`repro_env` is the one environment
+builder for every ``python -m repro`` child the fabric and its drills spawn.
 
 The jittered-backoff schedule (:func:`backoff_delays`) is shared with the
 worker's broker dial/redial loops: a respawned fleet and a restarted broker
@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -100,7 +101,10 @@ def _worker_command(
     return command
 
 
-def _worker_env(fault: Optional[str]) -> dict:
+def repro_env(fault: Optional[str] = None) -> Dict[str, str]:
+    """Environment for a ``python -m repro`` child: these sources first on
+    ``PYTHONPATH``, and the worker fault-injection variable set to ``fault``
+    (or cleared, so a drill's own fault never leaks into its children)."""
     from repro.runner.distributed import FAULT_ENV
 
     env = os.environ.copy()
@@ -143,17 +147,16 @@ class _Slot:
 class WorkerSupervisor:
     """Spawn and babysit ``pool`` worker subprocesses against one broker.
 
-    API-compatible with the parts of :class:`LocalCluster` the executor and
-    the drills use (``alive_count`` / ``kill`` / ``close`` / context
-    manager), plus the supervision surface: ``respawns`` counts recoveries,
-    ``sick()`` reports tripped breakers, and ``gave_up()`` is True once no
-    worker is alive and none will ever be respawned — the signal the
-    executor's dead-cluster watchdog keys on.
+    ``alive_count`` / ``kill`` / ``close`` (and the context manager) drive
+    the pool; ``respawns`` counts recoveries, ``sick()`` reports tripped
+    breakers, and ``gave_up()`` is True once no worker is alive and none
+    will ever be respawned — the signal the executor's dead-cluster
+    watchdog keys on.
 
     ``faults`` injects per-slot :data:`~repro.runner.distributed.FAULT_ENV`
-    modes exactly like LocalCluster; faulted slots are *not* respawned unless
-    ``respawn_faulted`` is set (tests want a dead worker to stay dead —
-    the ``repro workers --fault`` drill wants the breaker to trip).
+    modes; faulted slots are *not* respawned unless ``respawn_faulted`` is
+    set (tests want a dead worker to stay dead — the ``repro workers
+    --fault`` drill wants the breaker to trip).
     """
 
     def __init__(
@@ -210,7 +213,7 @@ class WorkerSupervisor:
             self.checkpoint_every, self.token,
         )
         slot.proc = subprocess.Popen(
-            command, env=_worker_env(slot.fault), stdout=subprocess.DEVNULL
+            command, env=repro_env(slot.fault), stdout=subprocess.DEVNULL
         )
         slot.spawned_at = time.monotonic()
         slot.respawn_at = None
@@ -245,6 +248,16 @@ class WorkerSupervisor:
         returncode = slot.proc.returncode
         if returncode == 0:
             slot.drained = True  # clean drain/preemption: service is over
+            return
+        if any(other.drained for other in self._slots):
+            # A sibling drained, so the sweep this pool served is over: a
+            # worker failing now (say one that started too late and found
+            # the sweep host gone) has nothing to come back for.
+            slot.drained = True
+            self._emit(
+                f"worker {slot.index} exited {returncode} after the pool "
+                f"drained; not respawning"
+            )
             return
         if slot.fault is not None and not self.respawn_faulted:
             slot.abandoned = True  # fault drills want the corpse left alone
@@ -300,13 +313,19 @@ class WorkerSupervisor:
             return all(slot.drained for slot in self._slots)
 
     # ------------------------------------------------------------- control
-    def kill(self, index: int) -> None:
-        """SIGKILL one worker (chaos drills); the supervisor will respawn it."""
+    def kill(self, index: int, signum: int = signal.SIGKILL) -> Optional[int]:
+        """Signal one worker (drills) and reap it; returns its exit status.
+
+        A SIGKILL'd worker is respawned; a SIGTERM'd one releases its lease,
+        exits 0, and stays retired.
+        """
         with self._lock:
             proc = self._slots[index].proc
-        if proc is not None and proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        if proc is None:
+            return None
+        if proc.poll() is None:
+            proc.send_signal(signum)
+        return proc.wait()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until every slot is terminal; True iff all drained cleanly."""

@@ -1,15 +1,16 @@
-"""The sweep service daemon: worker TCP plane + HTTP plane + recovery.
+"""The sweep fabric's worker plane, and the service daemon built on it.
 
-:class:`ServiceBroker` speaks the same JSON-lines wire protocol as the
-single-sweep :class:`~repro.runner.distributed.Broker` — ``hello`` /
-``welcome``, ``next`` / ``task`` / ``idle``, ``heartbeat``, ``result``,
-``error``, ``checkpoint``, ``release`` — so stock ``repro worker
---connect`` processes serve it unchanged.  The differences are exactly the
-multi-tenant ones: task state lives in a shared
-:class:`~repro.service.jobstore.JobStore` instead of one task list, task
-ids are ``job-id/position`` strings, a bad shared token is answered with a
-``reject`` message, and the broker never drains — the service outlives any
-one job, so idle workers keep polling (pools should run ``--redial``).
+:class:`ServiceBroker` is the one broker: it speaks the JSON-lines wire
+protocol of :mod:`repro.runner.distributed` — ``hello`` / ``welcome``,
+``next`` / ``task`` / ``idle`` / ``drain``, ``heartbeat``, ``result``,
+``error``, ``checkpoint``, ``release`` — to stock ``repro worker
+--connect`` processes and moves each message into a
+:class:`~repro.service.jobstore.JobStore`, where all task state lives.
+Task ids are ``job-id/position`` strings, and a bad shared token is
+answered with a ``reject`` message.  A ``--distributed``/``--bind`` sweep
+host serves its embedded one-job store through it; ``repro serve`` serves
+a multi-tenant store that never answers ``drain`` — the service outlives
+any one job, so idle workers keep polling (pools should run ``--redial``).
 
 :class:`SweepService` composes the store, both planes, and the
 write-ahead journal; constructing it on the journal/cache directories of
@@ -39,11 +40,11 @@ from repro.service.jobstore import JobStore, parse_task_id
 
 
 class ServiceBroker:
-    """Worker-facing TCP plane of the service: sockets in, JobStore calls out.
+    """Worker-facing TCP plane: sockets in, JobStore calls out.
 
-    Thread layout mirrors the single-sweep broker: one acceptor, one
-    handler per worker connection, one lease monitor.  All task-state
-    logic lives in the store; this class only moves messages.
+    Thread layout: one acceptor, one handler per worker connection, one
+    monitor expiring leases and deadlines.  All task-state logic lives in
+    the store; this class only moves messages.
     """
 
     def __init__(
@@ -81,7 +82,11 @@ class ServiceBroker:
 
     # ----------------------------------------------------------- plumbing
     def _monitor_loop(self) -> None:
-        interval = max(0.02, min(0.5, self._store.lease_seconds / 4.0))
+        limits = (self._store.lease_seconds, self._store.spec_deadline,
+                  self._store.sweep_deadline)
+        interval = max(0.02, min(
+            [0.5] + [limit / 4.0 for limit in limits if limit is not None]
+        ))
         while not self._closed.wait(interval):
             self._store.expire_leases()
 

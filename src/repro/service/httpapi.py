@@ -184,6 +184,13 @@ class _ServiceHTTPRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # rfile.read(-1) would read until the client hangs up: never.
+            self._error(400, "Content-Length must be a non-negative integer")
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(payload, dict):
                 raise ValueError("the request body must be a JSON object")  # repro: noqa[ERR001] -- control flow: caught just below and mapped to a 400 reply

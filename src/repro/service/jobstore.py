@@ -1,11 +1,19 @@
-"""Multi-tenant job state for the sweep service.
+"""Job and task state of the sweep fabric: its one lease state machine.
 
-A *job* is one submitted :class:`~repro.runner.spec.SweepSpec`: a named,
-prioritized batch of specs sharing the service's worker pool with every
-other live job.  :class:`JobStore` owns all job and task state under one
-lock, reusing the single-sweep broker's task model and journal kinds
-(:mod:`repro.runner.distributed` / :mod:`repro.runner.journal`) scoped per
-job:
+A *job* is one :class:`~repro.runner.spec.SweepSpec`: a named, prioritized
+batch of specs.  :class:`JobStore` owns all job and task state under one
+lock, and is the only code that assigns, heartbeats, checkpoints,
+releases, completes, errors and requeues-or-fails a task.  Workers reach
+it through the worker plane (:class:`~repro.service.daemon.ServiceBroker`)
+in two deployments:
+
+* ``repro serve`` — a multi-tenant store whose jobs share one worker pool;
+  it outlives every job, so it never answers ``drain``;
+* ``repro run --distributed N`` / ``--bind`` — an embedded ``drain`` store
+  running the sweep as its one job (:meth:`JobStore.submit_sweep`); its
+  workers are answered ``drain`` once that job is finished.
+
+Per job it provides:
 
 * **fair-share assignment** across jobs via
   :class:`~repro.service.scheduler.FairShareScheduler` — deterministic
@@ -24,10 +32,17 @@ job:
   are refunded exactly once (``stats["refunded"]``) and go terminal; a
   straggler worker's late result is still banked in the cache and
   completes any successor chain for the key;
+* **deadlines** — a spec deadline (counted from a spec's first assignment)
+  and a sweep budget (counted from submission) terminally fail wedged
+  specs (``stats["timed_out"]``); a late result is dropped;
+* **checkpoint persistence** — with ``checkpoint_dir`` (a run's
+  ``checkpoints/`` directory), shipped snapshots are saved there,
+  preloaded from it at submission, and deleted on completion;
 * **durability** — every transition is written ahead to a
   :class:`~repro.runner.journal.ServiceJournal`, so a SIGKILL'd daemon
   restarted on the same ``--journal``/``--cache`` directories resumes
-  every live job (see :meth:`JobStore.recover`);
+  every live job (see :meth:`JobStore.recover`), and a sweep host
+  restarted with ``--resume --journal`` resumes its sweep;
 * **long-polled results** — a condition over the store lock wakes
   :meth:`JobStore.wait_for_results` the moment a task goes terminal, so
   clients receive each result as it lands, exactly once.
@@ -39,21 +54,12 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError, ServiceError
 from repro.machine.results import SimResult
 from repro.runner.cache import ResultCache
-from repro.runner.distributed import (
-    DEFAULT_LEASE_SECONDS,
-    DEFAULT_MAX_ATTEMPTS,
-    _DONE,
-    _FAILED,
-    _LEASED,
-    _READY,
-    _Task,
-    claim_worker_name,
-)
+from repro.runner.distributed import DEFAULT_LEASE_SECONDS, DEFAULT_MAX_ATTEMPTS
 from repro.runner.executor import describe_error
 from repro.runner.journal import ServiceJournal, TaskReplay
 from repro.runner.spec import RunSpec, SweepSpec
@@ -66,12 +72,17 @@ JOB_COMPLETED = "completed"
 JOB_FAILED = "failed"
 JOB_CANCELLED = "cancelled"
 
-#: Task state for specs dropped by a job cancellation (extends the broker's
-#: ready/leased/done/failed vocabulary; terminal like done/failed).
-_CANCELLED = "cancelled"
+#: Task states; ``cancelled`` marks specs dropped by a job cancellation.
+_READY, _LEASED, _DONE, _FAILED, _CANCELLED = (
+    "ready", "leased", "done", "failed", "cancelled"
+)
 
 _TERMINAL_TASK_STATES = (_DONE, _FAILED, _CANCELLED)
 TERMINAL_JOB_STATES = (JOB_COMPLETED, JOB_FAILED, JOB_CANCELLED)
+
+#: Job id of the sweep an embedded store runs.  Fixed, so a sweep host
+#: restarted on the same journal finds its predecessor's records.
+SWEEP_JOB = "sweep"
 
 
 def format_task_id(job_id: str, position: int) -> str:
@@ -89,6 +100,34 @@ def parse_task_id(task_id: Any) -> Optional[Tuple[str, int]]:
     return job_id, int(position)
 
 
+class _Task:
+    __slots__ = ("position", "payload", "state", "attempts", "excluded",
+                 "worker", "deadline", "errors", "checkpoint", "key",
+                 "first_assigned", "timed_out")
+
+    def __init__(self, position: int, spec: RunSpec) -> None:
+        self.position = position
+        self.payload = spec.to_dict()
+        self.state = _READY
+        self.attempts = 0
+        self.excluded: Set[str] = set()
+        self.worker: Optional[str] = None
+        self.deadline = 0.0
+        self.errors: List[str] = []
+        #: Latest shipped :class:`~repro.snapshot.Snapshot`, if any; attached
+        #: to the next assignment so a replacement worker resumes mid-spec.
+        self.checkpoint: Optional[Any] = None
+        #: Spec content key (sha256): journal records and coalescing chains
+        #: are keyed by it, so they survive grid renumbering.
+        self.key = spec.key()
+        #: Monotonic time of the *first* assignment — the spec deadline
+        #: measures total time-in-flight, not per-attempt time.
+        self.first_assigned: Optional[float] = None
+        #: True when a deadline, not worker errors, failed this task; the
+        #: sweep host reports it in a PartialSweepError.
+        self.timed_out = False
+
+
 class Job:
     """One tenant's submitted sweep: tasks, queue, results, counters."""
 
@@ -100,11 +139,9 @@ class Job:
         self.priority = priority
         self.sweep = sweep
         self.state = JOB_QUEUED
-        self.tasks: List[_Task] = []
-        for position, spec in enumerate(sweep.specs):
-            task = _Task(position, spec.to_dict())
-            task.key = spec.key()
-            self.tasks.append(task)
+        self.tasks = [
+            _Task(position, spec) for position, spec in enumerate(sweep.specs)
+        ]
         #: Positions ready for assignment (excludes coalesced followers).
         self.ready: Deque[int] = deque()
         self.outstanding = len(self.tasks)
@@ -121,6 +158,8 @@ class Job:
         # sim-core packages, so DET001's path scope exempts it.
         self.created_at = time.time()
         self.finished_at: Optional[float] = None
+        #: Monotonic submission time: the sweep budget counts from here.
+        self.started = time.monotonic()
 
     def counts(self) -> Dict[str, int]:
         counts = {"pending": 0, "leased": 0, "done": 0,
@@ -204,15 +243,21 @@ class Job:
 
 
 class JobStore:
-    """All job/task state of one sweep service, under one lock.
+    """All job/task state of one sweep service or sweep host, under one lock.
 
     The TCP plane (:class:`~repro.service.daemon.ServiceBroker`) calls
     :meth:`claim_worker` / :meth:`assign` / :meth:`complete` /
     :meth:`error` / :meth:`heartbeat` / :meth:`checkpoint` /
-    :meth:`release` / :meth:`drop_worker`; the HTTP plane calls
-    :meth:`submit` / :meth:`cancel` and the query methods, and long-polls
-    with :meth:`wait_for_results`; the daemon's monitor thread calls
-    :meth:`expire_leases`.
+    :meth:`release` / :meth:`drop_worker`, and its monitor thread calls
+    :meth:`expire_leases`; the HTTP plane calls :meth:`submit` /
+    :meth:`cancel` and the query methods, and long-polls with
+    :meth:`wait_for_results`.  A sweep host submits with
+    :meth:`submit_sweep`, waits with :meth:`wait_for_landed`, and may
+    :meth:`abort` its job.
+
+    ``drain`` makes the store answer ``drain`` to idle workers once every
+    job is terminal, so an embedded sweep's workers leave with its one job.
+    The service leaves it off: it outlives every job.
     """
 
     def __init__(
@@ -222,6 +267,10 @@ class JobStore:
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         checkpoint_every: Optional[int] = None,
+        checkpoint_dir: Optional[str] = None,
+        spec_deadline: Optional[float] = None,
+        sweep_deadline: Optional[float] = None,
+        drain: bool = False,
     ) -> None:
         if lease_seconds <= 0:
             raise ConfigurationError("lease_seconds must be positive")
@@ -231,13 +280,22 @@ class JobStore:
             raise ConfigurationError(
                 "checkpoint_every must be a positive event count"
             )
+        if spec_deadline is not None and spec_deadline <= 0:
+            raise ConfigurationError("spec_deadline must be positive")
+        if sweep_deadline is not None and sweep_deadline <= 0:
+            raise ConfigurationError("sweep_deadline must be positive")
         self.cache = cache
         self.lease_seconds = lease_seconds
         self.max_attempts = max_attempts
         self.checkpoint_every = checkpoint_every
+        self.checkpoint_dir = checkpoint_dir
+        self.spec_deadline = spec_deadline
+        self.sweep_deadline = sweep_deadline
+        self.drain = drain
         self._journal = journal
         self._lock = threading.Lock()
-        #: Notified whenever a task goes terminal, and on :meth:`shutdown`.
+        #: Notified whenever a task goes terminal or a worker leaves, and on
+        #: :meth:`shutdown`.
         self._changed = threading.Condition(self._lock)
         self._shut_down = False
         self._jobs: Dict[str, Job] = {}  # insertion order = submission order
@@ -252,7 +310,8 @@ class JobStore:
             "jobs_cancelled": 0, "assigned": 0, "completed": 0, "failed": 0,
             "requeued": 0, "expired": 0, "disconnects": 0, "duplicates": 0,
             "checkpoints": 0, "released": 0, "resumed": 0, "replayed": 0,
-            "short_circuited": 0, "coalesced": 0, "refunded": 0,
+            "timed_out": 0, "short_circuited": 0, "coalesced": 0,
+            "refunded": 0,
         }
 
     # ------------------------------------------------------------- journal
@@ -268,7 +327,7 @@ class JobStore:
             from repro.runner.journal import JournalWarning
 
             warnings.warn(
-                f"service journal write failed ({error}); continuing without "
+                f"journal write failed ({error}); continuing without "
                 f"crash recovery",
                 JournalWarning,
                 stacklevel=2,
@@ -321,10 +380,44 @@ class JobStore:
             recovered += 1
         return recovered
 
+    def submit_sweep(self, specs: Sequence[RunSpec]) -> str:
+        """Submit a sweep host's grid as the job :data:`SWEEP_JOB`.
+
+        The journal's records for that job, if any, are adopted: a sweep
+        host restarted with ``--resume --journal`` re-emits its finished
+        specs, keeps burned attempts, exclusions and shipped checkpoints,
+        and refunds the leases that were in flight when it died.  Records
+        are keyed by spec sha256, so the grid may have shrunk meanwhile
+        (specs now answered by the result cache never re-enter).
+        """
+        replay = (
+            self._journal.replay_jobs().get(SWEEP_JOB)
+            if self._journal is not None else None
+        )
+        self.submit(
+            SweepSpec(name=SWEEP_JOB, specs=tuple(specs)),
+            job_id=SWEEP_JOB,
+            replay=replay.tasks if replay is not None else None,
+        )
+        return SWEEP_JOB
+
     # ------------------------------------------------------------- workers
     def claim_worker(self, requested: str) -> str:
+        """Register a worker under a connection-unique name.
+
+        ``requested``, or ``requested#N`` when that is taken: two workers
+        arriving with the same auto-generated name (cloned VMs, copy-pasted
+        ``--connect`` commands) would otherwise alias in stats and — worse —
+        in per-task exclusion sets, letting a crashing worker's retry land
+        right back on its same-named twin.  The worker adopts the name
+        from the welcome message for the rest of its session (heartbeats,
+        redials), so exclusions stay keyed on it.
+        """
         with self._lock:
-            worker = claim_worker_name(requested, self._workers)
+            worker, ordinal = requested, 2
+            while worker in self._workers:
+                worker = f"{requested}#{ordinal}"
+                ordinal += 1
             self._workers.add(worker)
             return worker
 
@@ -332,6 +425,7 @@ class JobStore:
         """Forget a disconnected worker and requeue everything it leased."""
         with self._lock:
             self._workers.discard(worker)
+            self._changed.notify_all()  # wake wait_for_drain
             for job in self._jobs.values():
                 for task in job.tasks:
                     if task.state == _LEASED and task.worker == worker:
@@ -345,6 +439,15 @@ class JobStore:
     def worker_count(self) -> int:
         with self._lock:
             return len(self._workers)
+
+    def wait_for_drain(self, wait: float) -> bool:
+        """Block up to ``wait`` seconds until no worker is connected.
+
+        A finished ``drain`` store's idle workers leave within one idle
+        poll; a plane closed before that would make them redial it.
+        """
+        with self._changed:
+            return self._changed.wait_for(lambda: not self._workers, wait)
 
     # ------------------------------------------------------------ submission
     def submit(
@@ -445,18 +548,29 @@ class JobStore:
             job.coalesced += 1
             self.stats["coalesced"] += 1
             return  # follower: stays ready but never queued itself
+        if task.checkpoint is None and self.checkpoint_dir is not None:
+            # Adopt a checkpoint a killed sweep host left on disk; a
+            # journal-replayed one wins (every persisted one was journaled).
+            from repro.snapshot import checkpoint_path, try_load_snapshot
+
+            snapshot, _ = try_load_snapshot(
+                checkpoint_path(self.checkpoint_dir, spec)
+            )
+            if snapshot is not None and snapshot.spec == spec:
+                task.checkpoint = snapshot
         self._inflight[task.key] = [(job.job_id, position)]
         job.ready.append(position)
 
     # ---------------------------------------------------------- assignment
     def assign(self, worker: str) -> Dict[str, Any]:
-        """Next wire message for an idle worker: a task, or an idle nudge.
+        """Next wire message for a worker: a task, an idle nudge, or drain.
 
         Jobs are tried in fair-share order; within a job, specs go out in
         queue order, skipping any that exclude this worker.  Only the job
-        that actually receives the slot is charged.  The service never
-        drains workers — it outlives any one job — so an empty store
-        answers ``idle``, and pools are expected to run with ``--redial``.
+        that actually receives the slot is charged.  With nothing to
+        assign, a ``drain`` store whose jobs are all terminal answers
+        ``drain``; otherwise — always, for the service, whose pools are
+        expected to run with ``--redial`` — the answer is ``idle``.
         """
         with self._lock:
             order = self._scheduler.order(
@@ -472,9 +586,9 @@ class JobStore:
                 if chosen is not None:
                     break
             if chosen is None:
-                # Exclusion is best-effort, as in the single-sweep broker: a
-                # spec that excludes every connected worker has nobody left
-                # to serve it — retrying beats wedging the job forever.
+                # Exclusion is best-effort: a spec that excludes every
+                # connected worker has nobody left to serve it — retrying
+                # beats wedging the job forever.
                 for job_id in order:
                     job = self._jobs[job_id]
                     for position in job.ready:
@@ -484,6 +598,11 @@ class JobStore:
                     if chosen is not None:
                         break
             if chosen is None:
+                if self.drain and all(
+                    job.state in TERMINAL_JOB_STATES
+                    for job in self._jobs.values()
+                ):
+                    return {"type": "drain"}
                 return {"type": "idle", "delay": 0.05}
             job, position = chosen
             job.ready.remove(position)
@@ -557,6 +676,16 @@ class JobStore:
                     return  # a coalesced follower never leases; drop it
             task.checkpoint = None
             self._finish_task_locked(job, task, _DONE, parsed)
+        if self.checkpoint_dir is not None:
+            from repro.snapshot import checkpoint_path
+
+            path = checkpoint_path(
+                self.checkpoint_dir, RunSpec.from_dict(task.payload)
+            )
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
 
     def error(
         self, job_id: str, position: int, worker: str, reason: str
@@ -594,6 +723,7 @@ class JobStore:
                 "kind": "checkpointed", "job": job_id, "key": task.key,
                 "snapshot": document,
             })
+        self._persist_checkpoint(snapshot)
 
     def release(
         self, job_id: str, position: int, worker: str, document: Any
@@ -625,14 +755,46 @@ class JobStore:
             self._journal_append({
                 "kind": "released", "job": job_id, "key": task.key,
             })
+        if snapshot is not None:
+            self._persist_checkpoint(snapshot)
+
+    def _persist_checkpoint(self, snapshot: Any) -> None:
+        if self.checkpoint_dir is None:
+            return
+        from repro.snapshot import checkpoint_path, save_snapshot
+
+        try:
+            save_snapshot(
+                snapshot, checkpoint_path(self.checkpoint_dir, snapshot.spec)
+            )
+        except OSError:
+            pass  # disk trouble only costs resume granularity, not the sweep
 
     def expire_leases(self) -> None:
-        """Requeue every lease whose deadline passed (monitor-thread hook)."""
+        """Requeue expired leases and fail specs past a deadline.
+
+        The worker plane's monitor thread calls this every few hundred
+        milliseconds.  A spec deadline counts from the spec's first
+        assignment; the sweep budget from its job's submission.
+        """
         now = time.monotonic()
         with self._lock:
             for job in self._jobs.values():
                 for task in job.tasks:
-                    if task.state == _LEASED and task.deadline < now:
+                    if task.state in _TERMINAL_TASK_STATES:
+                        continue
+                    if (
+                        self.spec_deadline is not None
+                        and task.first_assigned is not None
+                        and now - task.first_assigned > self.spec_deadline
+                    ):
+                        self._fail_for_session_locked(
+                            job, task,
+                            f"spec deadline exceeded ({self.spec_deadline}s "
+                            f"since first assignment)",
+                            timed_out=True,
+                        )
+                    elif task.state == _LEASED and task.deadline < now:
                         self.stats["expired"] += 1
                         self._requeue_or_fail_locked(
                             job, task,
@@ -640,6 +802,30 @@ class JobStore:
                             f"(no heartbeat for {self.lease_seconds}s)",
                             exclude=True,
                         )
+                if (
+                    self.sweep_deadline is not None
+                    and now - job.started > self.sweep_deadline
+                ):
+                    for task in job.tasks:
+                        if task.state not in _TERMINAL_TASK_STATES:
+                            self._fail_for_session_locked(
+                                job, task,
+                                f"sweep budget exhausted "
+                                f"({self.sweep_deadline}s)",
+                                timed_out=True,
+                            )
+
+    def abort(self, job_id: str, reason: str) -> None:
+        """Fail every unfinished spec of a job for ``reason``.
+
+        A sweep host aborts when its local workers all died and nobody
+        else is connected, so nobody can ever serve the job.
+        """
+        with self._lock:
+            job = self._jobs[job_id]
+            for task in job.tasks:
+                if task.state not in _TERMINAL_TASK_STATES:
+                    self._fail_for_session_locked(job, task, reason)
 
     # -------------------------------------------------------- cancellation
     def cancel(self, job_id: str, record: bool = True) -> Optional[Dict[str, Any]]:
@@ -706,13 +892,41 @@ class JobStore:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
-            self._changed.wait_for(
-                lambda: len(job.landed) > after
-                or job.state in TERMINAL_JOB_STATES
-                or self._shut_down,
-                timeout=wait,
-            )
+            self._wait_locked(job, after, wait)
             return job.results_payload(after)
+
+    def wait_for_landed(
+        self, job_id: str, after: int, wait: float
+    ) -> Tuple[List[Tuple[int, SimResult]], bool]:
+        """In-process :meth:`wait_for_results` for a sweep host.
+
+        Returns the ``(position, result)`` pairs that landed after the first
+        ``after``, in landing order, and whether the job has settled: gone
+        terminal, or the store shut down.
+        """
+        with self._changed:
+            job = self._jobs[job_id]
+            self._wait_locked(job, after, wait)
+            runs = [(position, job.results[position])
+                    for position in job.landed[after:]]
+            return runs, job.state in TERMINAL_JOB_STATES or self._shut_down
+
+    def job_failures(self, job_id: str) -> List[Tuple[int, str, bool]]:
+        """``(position, reasons, timed_out)`` of every failed spec of a job."""
+        with self._lock:
+            job = self._jobs[job_id]
+            return [
+                (position, reason, job.tasks[position].timed_out)
+                for position, reason in sorted(job.failures.items())
+            ]
+
+    def _wait_locked(self, job: Job, after: int, wait: float) -> None:
+        self._changed.wait_for(
+            lambda: len(job.landed) > after
+            or job.state in TERMINAL_JOB_STATES
+            or self._shut_down,
+            timeout=wait,
+        )
 
     def queue_depth(self) -> int:
         with self._lock:
@@ -803,6 +1017,27 @@ class JobStore:
             task.worker = None
             job.ready.append(task.position)
             self.stats["requeued"] += 1
+
+    def _fail_for_session_locked(
+        self, job: Job, task: _Task, reason: str, timed_out: bool = False
+    ) -> None:
+        """Terminally fail a task for a reason of this session, not the spec.
+
+        Deadlines and aborts are session policy, not durable facts about
+        the spec, so nothing is journaled: a restarted store (perhaps with
+        a bigger budget) retries the spec.  A late result from a worker
+        still running it is dropped as a duplicate.
+        """
+        if task.state == _READY:
+            try:
+                job.ready.remove(task.position)
+            except ValueError:
+                pass  # coalesced follower: not queued itself
+        task.errors.append(reason)
+        if timed_out:
+            task.timed_out = True
+            self.stats["timed_out"] += 1
+        self._finish_task_locked(job, task, _FAILED, journal=False)
 
     def _finish_task_locked(
         self,

@@ -23,7 +23,6 @@ import pytest
 
 from repro.errors import ConfigurationError, PartialSweepError
 from repro.runner import (
-    Broker,
     DistributedExecutor,
     RunSpec,
     SerialExecutor,
@@ -38,6 +37,7 @@ from repro.runner.chaos import (
     run_subprocess_drill,
     verify_against_serial,
 )
+from sweep_host import collect, serve, sweep_store
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -121,24 +121,19 @@ class TestSubprocessDrill:
 class TestWorkerSupervisor:
     def test_killed_worker_is_respawned_and_the_sweep_completes(self):
         specs = drill_grid()
-        broker = Broker(
-            [spec.to_dict() for spec in specs], lease_seconds=10.0
-        ).start()
+        store = sweep_store(specs)
+        broker = serve(store)
         supervisor = WorkerSupervisor(
             "127.0.0.1", broker.port, 1,
             heartbeat=0.2, backoff_base=0.1, backoff_cap=0.5,
         )
         try:
             deadline = time.monotonic() + 30
-            while broker.stats["assigned"] == 0:
+            while store.stats["assigned"] == 0:
                 assert time.monotonic() < deadline, "task never assigned"
                 time.sleep(0.02)
             supervisor.kill(0)  # SIGKILL mid-lease; the supervisor recovers
-            collected = {
-                position: payload
-                for kind, position, payload in broker.events()
-                if kind == "result"
-            }
+            collected = collect(store)
         finally:
             supervisor.close()
             broker.close()
@@ -152,9 +147,7 @@ class TestWorkerSupervisor:
         # exit-on-task dies seconds after every spawn; after max_rapid_failures
         # consecutive rapid deaths the breaker opens instead of burning the
         # sweep's attempt budget with doomed respawns.
-        broker = Broker(
-            [tightloop_spec(4).to_dict()], lease_seconds=5.0
-        ).start()
+        broker = serve(sweep_store([tightloop_spec(4)], lease_seconds=5.0))
         supervisor = WorkerSupervisor(
             "127.0.0.1", broker.port, 1,
             faults=["exit-on-task"], respawn_faulted=True,
@@ -176,9 +169,7 @@ class TestWorkerSupervisor:
     def test_faulted_slot_stays_dead_by_default(self):
         # Fault-injection tests rely on a killed worker *staying* dead;
         # respawning is opt-in (respawn_faulted / `repro workers --fault`).
-        broker = Broker(
-            [tightloop_spec(4).to_dict()], lease_seconds=5.0
-        ).start()
+        broker = serve(sweep_store([tightloop_spec(4)], lease_seconds=5.0))
         supervisor = WorkerSupervisor(
             "127.0.0.1", broker.port, 1, faults=["exit-on-task"]
         )
@@ -189,6 +180,33 @@ class TestWorkerSupervisor:
                 time.sleep(0.05)
             assert supervisor.respawns == 0
             assert not supervisor.sick()
+        finally:
+            supervisor.close()
+            broker.close()
+
+    def test_worker_failing_after_a_sibling_drained_is_not_respawned(self):
+        # Once one worker of the pool has drained, the sweep it served is
+        # over: a worker that fails afterwards (one that started too late
+        # and found the sweep host gone) is retired, so the pool ends.
+        import signal
+
+        store = sweep_store([tightloop_spec(16, iterations=2000)])
+        broker = serve(store)
+        supervisor = WorkerSupervisor(
+            "127.0.0.1", broker.port, 2, backoff_base=0.1, backoff_cap=0.2,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while store.worker_count() < 2:
+                assert time.monotonic() < deadline, "workers never joined"
+                time.sleep(0.02)
+            assert supervisor.kill(0, signal.SIGTERM) == 0  # drains
+            supervisor.kill(1)
+            while not supervisor.gave_up():
+                assert time.monotonic() < deadline, "the pool never ended"
+                time.sleep(0.05)
+            assert supervisor.respawns == 0
+            assert supervisor.drained()
         finally:
             supervisor.close()
             broker.close()

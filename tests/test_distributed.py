@@ -1,10 +1,10 @@
 """Fault-injection and wire-path tests for the distributed sweep executor.
 
-Every test here exercises real sockets: the broker binds an ephemeral
-localhost port and the workers are genuine ``python -m repro worker``
-subprocesses (via :class:`LocalCluster`), so handshake, leases, heartbeats,
-retry, exclusion, and drain all run over the actual JSON-lines-over-TCP
-protocol.
+Every test here exercises real sockets: the worker plane binds an
+ephemeral localhost port and the workers are genuine ``python -m repro
+worker`` subprocesses (supervised, or launched by hand), so handshake,
+leases, heartbeats, retry, exclusion, and drain all run over the actual
+JSON-lines-over-TCP protocol.
 """
 
 import json
@@ -19,7 +19,6 @@ import pytest
 from repro.errors import ConfigurationError, ExecutionError
 from repro.experiments.fig7_tightloop import fig7_sweep
 from repro.runner import (
-    Broker,
     DistributedExecutor,
     ResultCache,
     Runner,
@@ -27,6 +26,8 @@ from repro.runner import (
     SerialExecutor,
 )
 from repro.runner.distributed import parse_address
+from repro.service import JobStore, ServiceBroker
+from sweep_host import collect, serve, sweep_store, sweep_task
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -63,36 +64,41 @@ class TestBroker:
         # Liveness: a task whose excluded set covers every connected worker
         # has nobody left to serve it; best-effort assignment beats wedging
         # the sweep forever while all workers poll "idle".
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker._workers = {"a", "b"}
-        broker._tasks[0].excluded = {"a", "b"}
-        reply = broker._assign("a")
-        assert reply["type"] == "task"
+        store = sweep_store([tightloop_spec(4)])
+        store.claim_worker("a")
+        store.claim_worker("b")
+        sweep_task(store).excluded = {"a", "b"}
+        assert store.assign("a")["type"] == "task"
 
     def test_partially_excluded_task_waits_for_an_eligible_worker(self):
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker._workers = {"a", "b"}
-        broker._tasks[0].excluded = {"a"}
-        assert broker._assign("a")["type"] == "idle"
-        assert broker._assign("b")["type"] == "task"
+        store = sweep_store([tightloop_spec(4)])
+        store.claim_worker("a")
+        store.claim_worker("b")
+        sweep_task(store).excluded = {"a"}
+        assert store.assign("a")["type"] == "idle"
+        assert store.assign("b")["type"] == "task"
 
     def test_broker_survives_malformed_messages(self):
-        # One structurally invalid line (JSON array, missing fields, non-int
+        # A structurally invalid line (JSON array, missing fields, a foreign
         # task id) must not kill the handler thread — the same connection
         # must still complete a normal handshake and assignment afterwards.
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker.start()
+        broker = serve(sweep_store([tightloop_spec(4)]))
         try:
             sock = socket.create_connection(("127.0.0.1", broker.port))
             reader = sock.makefile("r", encoding="utf-8")
             sock.sendall(
                 b'[1, 2, 3]\n'
                 b'{"type": "result"}\n'
-                b'{"type": "heartbeat", "task": "abc"}\n'
                 b'{"type": "hello", "worker": "probe"}\n'
             )
             assert json.loads(reader.readline())["type"] == "welcome"
-            sock.sendall(b'{"type": "next"}\n')
+            sock.sendall(
+                b'[1, 2, 3]\n'
+                b'{"type": "result"}\n'
+                b'{"type": "heartbeat", "task": "abc"}\n'
+                b'{"type": "result", "task": "sweep/0"}\n'
+                b'{"type": "next"}\n'
+            )
             assert json.loads(reader.readline())["type"] == "task"
             sock.close()
         finally:
@@ -102,16 +108,19 @@ class TestBroker:
         # A wrong-shape result dict (version-skewed worker) must be treated
         # as a worker error — requeue with exclusion — not crash the sweep
         # host's event loop after the task already went terminal.
-        broker = Broker([tightloop_spec(4).to_dict()], lease_seconds=10.0)
-        broker.start()
+        store = sweep_store([tightloop_spec(4)])
+        broker = serve(store)
         try:
             sock = socket.create_connection(("127.0.0.1", broker.port))
             reader = sock.makefile("r", encoding="utf-8")
             sock.sendall(b'{"type": "hello", "worker": "skewed"}\n')
             assert json.loads(reader.readline())["type"] == "welcome"
             sock.sendall(b'{"type": "next"}\n')
-            assert json.loads(reader.readline())["type"] == "task"
-            sock.sendall(b'{"type": "result", "task": 0, "result": {}}\n')
+            task = json.loads(reader.readline())
+            assert task["type"] == "task"
+            sock.sendall((json.dumps(
+                {"type": "result", "task": task["task"], "result": {}}
+            ) + "\n").encode())
             # The spec must be assignable again (best-effort fallback: we are
             # the only connected worker, even though we are now excluded).
             sock.sendall(b'{"type": "next"}\n')
@@ -121,8 +130,8 @@ class TestBroker:
             broker.close()
         # Two requeues: the invalid payload, then the disconnect while
         # holding the re-assigned lease when the test closes its socket.
-        assert broker.stats["requeued"] == 2
-        assert broker.stats["completed"] == 0
+        assert store.stats["requeued"] == 2
+        assert store.stats["completed"] == 0
 
     def test_worker_rejects_non_positive_heartbeat(self):
         from repro.runner.distributed import run_worker
@@ -137,7 +146,7 @@ class TestBroker:
         port = blocker.getsockname()[1]
         try:
             with pytest.raises(ConfigurationError, match="cannot bind"):
-                Broker([], port=port).start()
+                ServiceBroker(JobStore(), port=port).start()
         finally:
             blocker.close()
 
@@ -153,13 +162,13 @@ class TestPromptTeardown:
         return sock, reader
 
     def test_close_with_an_idle_accept_thread_is_prompt(self):
-        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        broker = serve(sweep_store([tightloop_spec(4)]))
         started = time.monotonic()
         broker.close()
         assert time.monotonic() - started < 0.5
 
     def test_close_with_a_connected_idle_worker_is_prompt(self):
-        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        broker = serve(sweep_store([tightloop_spec(4)]))
         sock, reader = self._hello(broker.port)
         started = time.monotonic()
         broker.close()
@@ -168,15 +177,15 @@ class TestPromptTeardown:
         sock.close()
 
     def test_port_is_free_again_right_after_close(self):
-        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        broker = serve(sweep_store([tightloop_spec(4)]))
         port = broker.port
         broker.close()
-        Broker([tightloop_spec(4).to_dict()], port=port).start().close()
+        serve(sweep_store([tightloop_spec(4)]), port).close()
 
     def test_tcp_nodelay_on_both_ends_of_the_worker_wire(self):
         from repro.runner.distributed import _connect
 
-        broker = Broker([tightloop_spec(4).to_dict()]).start()
+        broker = serve(sweep_store([tightloop_spec(4)]))
         try:
             sock = _connect("127.0.0.1", broker.port)
             reader = sock.makefile("r", encoding="utf-8")
@@ -345,12 +354,12 @@ class TestRunnerIntegration:
 
 class TestWireProtocol:
     def test_external_cli_worker_drains_a_broker(self):
-        # The zero-LocalCluster path: a broker plus a manually launched
+        # The no-local-pool path: a worker plane plus a manually launched
         # `python -m repro worker --connect` subprocess, exactly what a
         # remote host would run.
         specs = [tightloop_spec(4), tightloop_spec(8)]
-        broker = Broker([spec.to_dict() for spec in specs], lease_seconds=10.0)
-        broker.start()
+        store = sweep_store(specs)
+        broker = serve(store)
         try:
             proc = subprocess.Popen(
                 [
@@ -363,11 +372,7 @@ class TestWireProtocol:
                 stderr=subprocess.PIPE,
                 text=True,
             )
-            events = dict(
-                (position, payload)
-                for kind, position, payload in broker.events()
-                if kind == "result"
-            )
+            events = collect(store)
             _, stderr = proc.communicate(timeout=30)
         finally:
             broker.close()
@@ -378,17 +383,51 @@ class TestWireProtocol:
         for position, payload in events.items():
             assert payload.total_cycles == serial[position].total_cycles
 
+    def test_idle_external_workers_are_drained_before_the_plane_closes(self):
+        # A finished --bind sweep answers its idle external workers `drain`
+        # before it closes the worker plane; closing first would leave a
+        # --redial worker redialing a dead port for its whole budget.
+        import threading
+
+        slow = RunSpec(
+            workload="tightloop", params={"iterations": 200},
+            config="WiSync", num_cores=16,
+        )
+        probe = socket.create_server(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        executor = DistributedExecutor(
+            workers=0, port=port, lease_seconds=10.0,
+            announce=lambda host, port: None,
+        )
+        sweep = threading.Thread(target=executor.run, args=([slow],))
+        sweep.start()
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--connect", f"127.0.0.1:{port}", "--redial", "30"],
+                env={"PYTHONPATH": SRC},
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            for _ in range(2)
+        ]
+        sweep.join(timeout=60)
+        assert not sweep.is_alive(), "sweep did not finish"
+        assert executor.last_stats["completed"] == 1
+        for worker in workers:
+            assert worker.wait(timeout=5) == 0  # drained, not redialing
+
     def test_broker_death_mid_task_fails_the_worker(self):
         # Regression: a broker dying while the worker holds a task used to be
-        # swallowed as a clean drain (exit 0) — and Broker.close() didn't
+        # swallowed as a clean drain (exit 0) — and closing the broker didn't
         # even sever live connections (the handler's makefile() reader holds
         # an io-ref, so close() without shutdown() defers the real FD close).
         slow = RunSpec(
             workload="tightloop", params={"iterations": 600},
             config="WiSync", num_cores=16,
         )
-        broker = Broker([slow.to_dict()], lease_seconds=10.0)
-        broker.start()
+        store = sweep_store([slow])
+        broker = serve(store)
         proc = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "worker",
@@ -400,7 +439,7 @@ class TestWireProtocol:
         )
         try:
             deadline = time.monotonic() + 30
-            while broker.stats["assigned"] == 0:
+            while store.stats["assigned"] == 0:
                 assert time.monotonic() < deadline, "task never assigned"
                 time.sleep(0.05)
             time.sleep(0.2)  # worker is now mid-spec (the spec takes ~3s)
@@ -567,7 +606,7 @@ class TestWireProtocol:
         assert connect_host("sweephost") == "sweephost"
 
     def test_wildcard_bind_with_local_workers_completes(self):
-        # Combined-mode regression: LocalCluster used to dial the wildcard
+        # Combined-mode regression: the local pool used to dial the wildcard
         # bind address verbatim, which is not a dialable host everywhere.
         executor = DistributedExecutor(
             workers=1, host="0.0.0.0", lease_seconds=10.0
@@ -614,7 +653,7 @@ class TestCli:
             "run", "fig7", "--cores", "8", "--iterations", "1",
             "--configs", "WiSync", "--progress", "--no-manifest",
         ]) == 0
-        broker = Broker([]).start()
+        broker = ServiceBroker(JobStore(drain=True)).start()
         handler = signal.getsignal(signal.SIGTERM)
         try:
             assert main(["worker", "--connect", f"127.0.0.1:{broker.port}"]) == 0

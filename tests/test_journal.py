@@ -1,14 +1,14 @@
-"""Broker write-ahead journal tests: file format, replay, restart recovery.
+"""Write-ahead journal tests: file format, replay, restart recovery.
 
 Three layers:
 
-* file level — :class:`BrokerJournal` append/replay semantics: header,
+* file level — :class:`ServiceJournal` append/replay semantics: header,
   idempotence, torn-tail tolerance, corruption detection, record aggregation
-  into :class:`TaskReplay` states;
+  into per-job :class:`TaskReplay` states;
 * property level — hypothesis sweeps over random record sequences and random
   truncation points (replay is a pure function of the file; a torn tail
   costs exactly the last record);
-* broker level — a journaled :class:`Broker` killed mid-sweep and rebuilt
+* sweep-host level — a journaled one-job store killed mid-sweep and rebuilt
   from the same journal resumes the *same* sweep: completed specs are
   re-emitted without re-running, and the recovered results are bit-identical
   to a serial run (the acceptance bar, also swept by hypothesis over random
@@ -18,7 +18,6 @@ Three layers:
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -27,11 +26,11 @@ from hypothesis import strategies as st
 
 from repro.errors import JournalError
 from repro.runner import (
-    Broker,
-    BrokerJournal,
+    DistributedExecutor,
     JournalWarning,
     RunSpec,
     SerialExecutor,
+    ServiceJournal,
     TaskReplay,
 )
 from repro.runner.chaos import (
@@ -40,6 +39,8 @@ from repro.runner.chaos import (
     run_embedded_drill,
     verify_against_serial,
 )
+from repro.service.jobstore import SWEEP_JOB
+from sweep_host import collect, serve, sweep_store
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -51,27 +52,44 @@ def tightloop_spec(num_cores=8, iterations=2):
     )
 
 
+JOB = "j"
+
+
+def _write(directory, *records):
+    """Append task records of job ``JOB`` (submitted on a fresh journal)."""
+    with ServiceJournal(directory) as journal:
+        if not journal.exists():
+            journal.append({"kind": "job-submitted", "job": JOB})
+        for record in records:
+            journal.append({"job": JOB, **record})
+
+
+def _replay(directory):
+    """The replayed task states of job ``JOB``."""
+    return ServiceJournal(directory).replay_jobs()[JOB].tasks
+
+
 class TestJournalFile:
     def test_missing_journal_replays_empty(self, tmp_path):
-        journal = BrokerJournal(tmp_path)
+        journal = ServiceJournal(tmp_path)
         assert not journal.exists()
-        assert journal.replay() == {}
+        assert journal.replay_jobs() == {}
 
     def test_first_append_writes_the_header(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
+        with ServiceJournal(tmp_path) as journal:
+            journal.append({"kind": "job-submitted", "job": JOB})
         lines = journal.path.read_text().splitlines()
         assert len(lines) == 2
         header = lines[0]
         assert "wisync-broker-journal" in header
 
     def test_assigned_then_completed_round_trips(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-            journal.append(
-                {"kind": "completed", "key": "k", "result": {"total_cycles": 7}}
-            )
-        states = BrokerJournal(tmp_path).replay()
+        _write(
+            tmp_path,
+            {"kind": "assigned", "key": "k", "worker": "w"},
+            {"kind": "completed", "key": "k", "result": {"total_cycles": 7}},
+        )
+        states = _replay(tmp_path)
         assert set(states) == {"k"}
         state = states["k"]
         assert state.result == {"total_cycles": 7}
@@ -81,30 +99,31 @@ class TestJournalFile:
     def test_in_flight_attempt_is_refunded(self, tmp_path):
         # The broker died while the task was leased: its death is not the
         # worker's fault, so the attempt must not be charged on restart.
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(tmp_path, {"kind": "assigned", "key": "k", "worker": "w"})
+        state = _replay(tmp_path)["k"]
         assert state.attempts == 1
         assert state.leased
         assert state.settled_attempts() == 0
 
     def test_released_lease_is_refunded_too(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-            journal.append({"kind": "released", "key": "k"})
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(
+            tmp_path,
+            {"kind": "assigned", "key": "k", "worker": "w"},
+            {"kind": "released", "key": "k"},
+        )
+        state = _replay(tmp_path)["k"]
         assert state.attempts == 0
         assert not state.leased
         assert state.settled_attempts() == 0
 
     def test_exclusion_burns_the_attempt_and_sticks(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w1"})
-            journal.append({
-                "kind": "excluded", "key": "k",
-                "worker": "w1", "reason": "worker crashed",
-            })
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(
+            tmp_path,
+            {"kind": "assigned", "key": "k", "worker": "w1"},
+            {"kind": "excluded", "key": "k",
+             "worker": "w1", "reason": "worker crashed"},
+        )
+        state = _replay(tmp_path)["k"]
         assert state.excluded == {"w1"}
         assert state.errors == ["worker crashed"]
         assert state.attempts == 1
@@ -112,93 +131,89 @@ class TestJournalFile:
         assert state.settled_attempts() == 1
 
     def test_checkpoint_adopted_then_cleared_by_completion(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-            journal.append({
-                "kind": "checkpointed", "key": "k",
-                "snapshot": {"events_processed": 500},
-            })
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(
+            tmp_path,
+            {"kind": "assigned", "key": "k", "worker": "w"},
+            {"kind": "checkpointed", "key": "k",
+             "snapshot": {"events_processed": 500}},
+        )
+        state = _replay(tmp_path)["k"]
         assert state.checkpoint == {"events_processed": 500}
-        with BrokerJournal(tmp_path) as journal:
-            journal.append(
-                {"kind": "completed", "key": "k", "result": {"total_cycles": 1}}
-            )
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(
+            tmp_path,
+            {"kind": "completed", "key": "k", "result": {"total_cycles": 1}},
+        )
+        state = _replay(tmp_path)["k"]
         assert state.checkpoint is None  # a finished spec needs no resume point
 
     def test_terminal_state_wins_over_late_records(self, tmp_path):
         # A completed record followed by stale transitions (late heartbeat
         # bookkeeping, a duplicate report) must not reopen the task.
-        with BrokerJournal(tmp_path) as journal:
-            journal.append(
-                {"kind": "completed", "key": "k", "result": {"total_cycles": 3}}
-            )
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-            journal.append({"kind": "failed", "key": "k", "reasons": ["late"]})
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(
+            tmp_path,
+            {"kind": "completed", "key": "k", "result": {"total_cycles": 3}},
+            {"kind": "assigned", "key": "k", "worker": "w"},
+            {"kind": "failed", "key": "k", "reasons": ["late"]},
+        )
+        state = _replay(tmp_path)["k"]
         assert state.result == {"total_cycles": 3}
         assert not state.failed
         assert state.attempts == 0
 
     def test_failed_record_restores_the_reasons(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append(
-                {"kind": "failed", "key": "k", "reasons": ["a", "b"]}
-            )
-        state = BrokerJournal(tmp_path).replay()["k"]
+        _write(tmp_path, {"kind": "failed", "key": "k", "reasons": ["a", "b"]})
+        state = _replay(tmp_path)["k"]
         assert state.failed
         assert state.errors == ["a", "b"]
 
     def test_torn_tail_warns_and_drops_only_the_tail(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-            journal.append(
-                {"kind": "completed", "key": "k", "result": {"total_cycles": 1}}
-            )
-        with open(BrokerJournal(tmp_path).path, "a", encoding="utf-8") as handle:
+        _write(
+            tmp_path,
+            {"kind": "assigned", "key": "k", "worker": "w"},
+            {"kind": "completed", "key": "k", "result": {"total_cycles": 1}},
+        )
+        with open(ServiceJournal(tmp_path).path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "assi')  # killed mid-append: no newline
         with pytest.warns(JournalWarning, match="torn tail"):
-            states = BrokerJournal(tmp_path).replay()
+            states = _replay(tmp_path)
         assert states["k"].result == {"total_cycles": 1}
 
     def test_mid_file_corruption_raises(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-        path = BrokerJournal(tmp_path).path
+        _write(tmp_path, {"kind": "assigned", "key": "k", "worker": "w"})
+        path = ServiceJournal(tmp_path).path
         lines = path.read_text().splitlines(keepends=True)
-        path.write_text(lines[0] + "not json\n" + lines[1])
+        path.write_text(lines[0] + "not json\n" + "".join(lines[1:]))
         with pytest.raises(JournalError, match="corrupt at line 2"):
-            BrokerJournal(tmp_path).replay()
+            ServiceJournal(tmp_path).replay_jobs()
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"format": "someone-elses-log", "version": 1}\n')
         with pytest.raises(JournalError, match="not a wisync-broker-journal"):
-            BrokerJournal(tmp_path).replay()
+            ServiceJournal(tmp_path).replay_jobs()
 
     def test_future_version_rejected(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         path.write_text('{"format": "wisync-broker-journal", "version": 99}\n')
         with pytest.raises(JournalError, match="version 99"):
-            BrokerJournal(tmp_path).replay()
+            ServiceJournal(tmp_path).replay_jobs()
 
     def test_unknown_kind_warns_and_is_skipped(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "teleported", "key": "k"})
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
+        _write(
+            tmp_path,
+            {"kind": "teleported", "key": "k"},
+            {"kind": "assigned", "key": "k", "worker": "w"},
+        )
         with pytest.warns(JournalWarning, match="unrecognized"):
-            states = BrokerJournal(tmp_path).replay()
+            states = _replay(tmp_path)
         assert states["k"].attempts == 1
 
     def test_reopening_appends_without_a_second_header(self, tmp_path):
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "assigned", "key": "k", "worker": "w"})
-        with BrokerJournal(tmp_path) as journal:
-            journal.append({"kind": "released", "key": "k"})
-        lines = BrokerJournal(tmp_path).path.read_text().splitlines()
-        assert len(lines) == 3  # header + two records
-        assert BrokerJournal(tmp_path).replay()["k"].attempts == 0
+        _write(tmp_path, {"kind": "assigned", "key": "k", "worker": "w"})
+        _write(tmp_path, {"kind": "released", "key": "k"})
+        lines = ServiceJournal(tmp_path).path.read_text().splitlines()
+        assert len(lines) == 4  # header + submission + two records
+        assert _replay(tmp_path)["k"].attempts == 0
 
 
 _KEYS = ("k-a", "k-b", "k-c")
@@ -214,20 +229,14 @@ _RECORDS = st.sampled_from(_KEYS).flatmap(lambda key: st.one_of(
 ))
 
 
-def _write_journal(directory, records):
-    with BrokerJournal(directory) as journal:
-        for record in records:
-            journal.append(record)
-
-
 class TestReplayProperties:
     @given(records=st.lists(_RECORDS, max_size=25))
     @settings(max_examples=25, deadline=None)
     def test_replay_is_a_pure_idempotent_function_of_the_file(self, records):
         with tempfile.TemporaryDirectory() as directory:
-            _write_journal(directory, records)
-            first = BrokerJournal(directory).replay()
-            second = BrokerJournal(directory).replay()
+            _write(directory, *records)
+            first = _replay(directory)
+            second = _replay(directory)
         assert first == second
         for state in first.values():
             assert isinstance(state, TaskReplay)
@@ -243,11 +252,11 @@ class TestReplayProperties:
         # record, replay must warn and produce exactly the state of the
         # journal without that record — no more, no less.
         with tempfile.TemporaryDirectory() as reference:
-            _write_journal(reference, records[:-1])
-            expected = BrokerJournal(reference).replay()
+            _write(reference, *records[:-1])
+            expected = _replay(reference)
         with tempfile.TemporaryDirectory() as directory:
-            _write_journal(directory, records)
-            path = BrokerJournal(directory).path
+            _write(directory, *records)
+            path = ServiceJournal(directory).path
             raw = path.read_text(encoding="utf-8")
             lines = raw.splitlines(keepends=True)
             last = lines[-1]
@@ -256,7 +265,7 @@ class TestReplayProperties:
             cut = data.draw(st.integers(min_value=2, max_value=len(last) - 1))
             path.write_text("".join(lines[:-1]) + last[:-cut], encoding="utf-8")
             with pytest.warns(JournalWarning, match="torn tail"):
-                got = BrokerJournal(directory).replay()
+                got = _replay(directory)
         assert got == expected
 
 
@@ -269,39 +278,41 @@ class TestBrokerRestartRecovery:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
 
-    def test_restart_reemits_completed_specs_without_rerunning(self, tmp_path):
-        # Phase 1: a --max-tasks 1 worker completes exactly one spec, then
-        # the broker "dies" (close() drops its sockets; the journal is what
-        # survives, exactly as under SIGKILL — fsync'd per record).
-        specs = [tightloop_spec(8), tightloop_spec(16), tightloop_spec(4, 50)]
-        payloads = [spec.to_dict() for spec in specs]
-        first = Broker(
-            payloads, journal_dir=str(tmp_path), lease_seconds=10.0
-        ).start()
+    def _store(self, specs, journal_dir):
+        return sweep_store(specs, journal=ServiceJournal(journal_dir))
+
+    def _complete_one(self, specs, journal_dir):
+        """Phase 1: a --max-tasks 1 worker completes exactly one spec, then
+        the sweep host "dies" (its sockets drop; the journal is what
+        survives, exactly as under SIGKILL — fsync'd per record)."""
+        store = self._store(specs, journal_dir)
+        broker = serve(store)
         try:
-            proc = self._worker(first.port, "--max-tasks", "1")
-            stream = first.events()
-            kind, done_position, done_result = next(stream)
-            assert kind == "result"
+            proc = self._worker(broker.port, "--max-tasks", "1")
+            [(position, result)], _ = store.wait_for_landed(SWEEP_JOB, 0, 30.0)
             proc.wait(timeout=30)
         finally:
-            first.close()
+            broker.close()
+            store.close_journal()
+        return position, result
 
-        # Phase 2: a fresh broker on the same journal replays the completed
+    def test_restart_reemits_completed_specs_without_rerunning(self, tmp_path):
+        specs = [tightloop_spec(8), tightloop_spec(16), tightloop_spec(4, 50)]
+        done_position, done_result = self._complete_one(specs, tmp_path)
+
+        # Phase 2: a fresh store on the same journal replays the completed
         # spec (re-emitted, not re-run) and serves only the remaining two.
-        second = Broker(payloads, journal_dir=str(tmp_path), lease_seconds=10.0)
+        second = self._store(specs, tmp_path)
         assert second.stats["replayed"] == 1
-        assert second.outstanding() == 2
-        second.start()
+        assert second.job_summary(SWEEP_JOB)["pending"] == 2
+        broker = serve(second)
         try:
-            drainer = self._worker(second.port)
-            collected = {}
-            for kind, position, payload in second.events():
-                assert kind == "result"
-                collected[position] = payload
+            drainer = self._worker(broker.port)
+            collected = collect(second)
             drainer.wait(timeout=30)
         finally:
-            second.close()
+            broker.close()
+            second.close_journal()
 
         assert sorted(collected) == [0, 1, 2]
         # Zero re-runs of the completed spec: only two fresh assignments.
@@ -315,43 +326,51 @@ class TestBrokerRestartRecovery:
 
     def test_restart_tolerates_a_torn_tail(self, tmp_path):
         specs = [tightloop_spec(8), tightloop_spec(16)]
-        payloads = [spec.to_dict() for spec in specs]
-        first = Broker(
-            payloads, journal_dir=str(tmp_path), lease_seconds=10.0
-        ).start()
-        try:
-            proc = self._worker(first.port, "--max-tasks", "1")
-            kind, _, _ = next(first.events())
-            assert kind == "result"
-            proc.wait(timeout=30)
-        finally:
-            first.close()
-        journal_path = BrokerJournal(tmp_path).path
-        with open(journal_path, "a", encoding="utf-8") as handle:
+        self._complete_one(specs, tmp_path)
+        with open(ServiceJournal(tmp_path).path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "assigned", "key": ')  # died mid-append
         with pytest.warns(JournalWarning, match="torn tail"):
-            second = Broker(
-                payloads, journal_dir=str(tmp_path), lease_seconds=10.0
-            )
+            second = self._store(specs, tmp_path)
+        second.close_journal()
         assert second.stats["replayed"] == 1
-        assert second.outstanding() == 1
+        assert second.job_summary(SWEEP_JOB)["pending"] == 1
 
     def test_replaying_twice_is_idempotent_at_the_broker_too(self, tmp_path):
         specs = [tightloop_spec(8)]
-        payloads = [spec.to_dict() for spec in specs]
-        first = Broker(
-            payloads, journal_dir=str(tmp_path), lease_seconds=10.0
-        ).start()
+        store = self._store(specs, tmp_path)
+        broker = serve(store)
         try:
-            proc = self._worker(first.port)
-            assert next(first.events())[0] == "result"
+            proc = self._worker(broker.port)
+            assert list(collect(store)) == [0]
             proc.wait(timeout=30)
         finally:
-            first.close()
+            broker.close()
+            store.close_journal()
         for _ in range(2):  # construct-from-journal twice: same state
-            broker = Broker(payloads, journal_dir=str(tmp_path))
-            assert broker.stats["replayed"] == 1
-            assert broker.outstanding() == 0
+            store = self._store(specs, tmp_path)
+            assert store.stats["replayed"] == 1
+            assert store.job_summary(SWEEP_JOB)["state"] == "completed"
+            store.close_journal()
+
+    def test_old_job_less_journal_warns_and_its_specs_rerun(self, tmp_path):
+        # A journal the old single-sweep broker left behind has no ``job``
+        # field: its records are reported and skipped, so the resumed sweep
+        # re-runs the spec (a finished one would come from the manifest).
+        spec = tightloop_spec(8)
+        with ServiceJournal(tmp_path) as journal:
+            journal.append({"kind": "assigned", "key": spec.key(), "worker": "w"})
+            journal.append({
+                "kind": "completed", "key": spec.key(),
+                "result": SerialExecutor().run([spec])[0].to_dict(),
+            })
+        executor = DistributedExecutor(
+            workers=1, lease_seconds=10.0, journal_dir=str(tmp_path)
+        )
+        with pytest.warns(JournalWarning, match="job-less"):
+            [result] = executor.run([spec])
+        assert result.completed
+        assert executor.last_stats["replayed"] == 0
+        assert executor.last_stats["assigned"] == 1
 
 
 class TestRestartRecoveryProperty:
@@ -382,8 +401,8 @@ class TestRestartRecoveryProperty:
                 specs, schedule, journal_dir,
                 pool=2, lease_seconds=10.0, timeout=120.0,
             )
-            journal = BrokerJournal(journal_dir)
+            journal = ServiceJournal(journal_dir)
             if journal.exists():
-                assert journal.replay() == journal.replay()
+                assert journal.replay_jobs() == journal.replay_jobs()
         problems = verify_against_serial(specs, report)
         assert problems == [], f"kill@{kill_at:.2f}s: {problems}"

@@ -437,7 +437,7 @@ class TestSnap002:
 # -------------------------------------------------------------- PROTO001
 class TestProto001:
     DISTRIBUTED = """
-        class Broker:
+        class ServiceBroker:
             def serve(self, kind):
                 if kind == "hello":
                     return {"type": "welcome"}
@@ -489,9 +489,8 @@ class TestProto001:
         assert lint(tmp_path, select=["PROTO001"]) == []
 
     def test_service_module_kind_without_worker_handler_is_flagged(self, tmp_path):
-        # The service daemon sends over the same wire protocol: a kind built
-        # inside ServiceBroker/JobStore that no worker-side code compares
-        # must close the vocabulary exactly like a Broker-sent kind.
+        # A kind built inside ServiceBroker/JobStore in a service/ module
+        # that no worker-side code compares leaves the vocabulary open.
         closed = self.DISTRIBUTED.replace('return {"type": "orphan"}', "return None")
         write_tree(tmp_path, {
             "runner/distributed.py": closed,

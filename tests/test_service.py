@@ -342,6 +342,32 @@ class TestServiceBrokerSocket:
             assert json.loads(reader.readline())["type"] == "idle"
             sock.close()
 
+    def test_closing_service_never_answers_drain(self):
+        # Only a sweep host's store drains its workers.  A daemon that is
+        # stopping — even with every job finished — just hangs up, so a
+        # --redial pool rides out its restart.
+        svc = SweepService().start()
+        try:
+            job = svc.store.submit(small_sweep(cores=(4,)))["job"]
+            sock, reader, _ = self._hello(
+                svc.worker_address[1], {"type": "hello", "worker": "w"}
+            )
+            sock.sendall(b'{"type": "next"}\n')
+            task = json.loads(reader.readline())
+            result = execute_spec(RunSpec.from_dict(task["payload"]))
+            sock.sendall((json.dumps({
+                "type": "result", "task": task["task"],
+                "result": result.to_dict(),
+            }) + "\n").encode())
+            svc.store.shutdown()  # the first step of close()
+            sock.sendall(b'{"type": "next"}\n')
+            assert json.loads(reader.readline())["type"] == "idle"
+            assert svc.store.job_summary(job)["state"] == JOB_COMPLETED
+        finally:
+            svc.close()
+        assert reader.readline() == ""  # hung up, never drained
+        sock.close()
+
 
 class TestPromptTeardown:
     """Stopping the daemon wakes its blocked threads; it waits out nothing."""
@@ -570,6 +596,17 @@ class TestHttpApi:
             assert cancelled["state"] == "cancelled"
             with pytest.raises(ServiceError, match="409"):
                 client.cancel(job["job"])
+
+    def test_negative_content_length_is_a_400(self):
+        # rfile.read(-1) would read until the client hangs up, and the
+        # client is waiting for the reply: answer at once instead.
+        with SweepService() as svc:
+            with socket.create_connection(svc.http.address, timeout=5.0) as sock:
+                sock.sendall(
+                    b"POST /jobs HTTP/1.0\r\nContent-Length: -1\r\n\r\n{}"
+                )
+                status = sock.makefile("rb").readline()
+        assert b" 400 " in status
 
     def test_http_auth_is_enforced(self):
         with SweepService(token="sekrit") as svc:

@@ -13,9 +13,9 @@ truncated, or wrong-spec checkpoint is discarded with a structured
 never a silently wrong continuation.
 
 The distributed drills exercise the real wire path: genuine ``repro worker``
-subprocesses checkpoint into a live broker, get SIGTERM'd (clean release) or
-SIGKILL'd (lease expiry + shipped-checkpoint resume), and the sweep must
-still finish bit-identical to serial.
+subprocesses checkpoint into a live sweep store, get SIGTERM'd (clean
+release) or SIGKILL'd (requeue + shipped-checkpoint resume), and the sweep
+must still finish bit-identical to serial.
 """
 
 import json
@@ -31,10 +31,12 @@ from hypothesis import strategies as st
 from goldens import GOLDEN_PATH, golden_specs
 from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.scenarios import scenario_sweep
-from repro.runner import Broker, RunSpec, SerialExecutor
+from repro.runner import RunSpec, SerialExecutor, WorkerSupervisor
 from repro.runner.cli import main
-from repro.runner.distributed import DistributedExecutor, LocalCluster
+from repro.runner.distributed import DistributedExecutor
 from repro.runner.executor import execute_spec
+from repro.service import JobStore
+from repro.service.jobstore import SWEEP_JOB
 from repro.sim.rng import DeterministicRng
 from repro.snapshot import (
     SNAPSHOT_FORMAT,
@@ -57,6 +59,7 @@ from repro.snapshot import (
     snapshot_document,
     try_load_snapshot,
 )
+from sweep_host import collect, serve, sweep_store, sweep_task
 
 
 def tight(iterations=60, num_cores=16, seed=0):
@@ -624,85 +627,86 @@ class TestSnapshotCli:
 
 
 # ---------------------------------------------------------------------------
-# Broker checkpoint protocol (in-process state machine)
+# Broker checkpoint protocol (the store's in-process state machine)
 # ---------------------------------------------------------------------------
 class TestBrokerCheckpointProtocol:
-    def _broker(self, spec, **kwargs):
-        broker = Broker([spec.to_dict()], lease_seconds=10.0, **kwargs)
-        broker._workers = {"a", "b"}
-        return broker
+    def _store(self, spec, **kwargs):
+        store = sweep_store([spec], **kwargs)
+        store.claim_worker("a")
+        store.claim_worker("b")
+        return store
 
     def test_rejects_non_positive_checkpoint_every(self):
         with pytest.raises(ConfigurationError, match="positive"):
-            Broker([tight().to_dict()], checkpoint_every=0)
+            JobStore(checkpoint_every=0)
 
     def test_checkpoint_stored_and_replayed_to_next_assignee(self):
         spec = tight()
         document = snapshot_document(snapshot_after(spec, 2000))
-        broker = self._broker(spec, checkpoint_every=2000)
-        assert broker._assign("a")["type"] == "task"
-        broker._store_checkpoint(0, "a", document)
-        assert broker.stats["checkpoints"] == 1
-        broker._release(0, "a", document)
-        assert broker.stats["released"] == 1
+        store = self._store(spec, checkpoint_every=2000)
+        assert store.assign("a")["type"] == "task"
+        store.checkpoint(SWEEP_JOB, 0, "a", document)
+        assert store.stats["checkpoints"] == 1
+        store.release(SWEEP_JOB, 0, "a", document)
+        assert store.stats["released"] == 1
         # The refunded attempt means a clean release never burns retry budget.
-        assert broker._tasks[0].attempts == 0
-        reassigned = broker._assign("b")
+        assert sweep_task(store).attempts == 0
+        reassigned = store.assign("b")
         assert reassigned["type"] == "task"
         assert reassigned["checkpoint_every"] == 2000
         assert parse_document(reassigned["checkpoint"]).events_processed == 2000
-        assert broker.stats["resumed"] == 1
+        assert store.stats["resumed"] == 1
 
     def test_checkpoint_from_non_lease_holder_is_ignored(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
-        broker._store_checkpoint(
-            0, "b", snapshot_document(snapshot_after(spec, 2000))
+        store = self._store(spec)
+        store.assign("a")
+        store.checkpoint(
+            SWEEP_JOB, 0, "b", snapshot_document(snapshot_after(spec, 2000))
         )
-        assert broker.stats["checkpoints"] == 0
-        assert broker._tasks[0].checkpoint is None
+        assert store.stats["checkpoints"] == 0
+        assert sweep_task(store).checkpoint is None
 
     def test_corrupt_shipment_keeps_the_previous_checkpoint(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
+        store = self._store(spec)
+        store.assign("a")
         good = snapshot_document(snapshot_after(spec, 2000))
-        broker._store_checkpoint(0, "a", good)
+        store.checkpoint(SWEEP_JOB, 0, "a", good)
         bad = snapshot_document(snapshot_after(spec, 3000))
         bad["sha256"] = "0" * 64
-        broker._store_checkpoint(0, "a", bad)
-        assert broker.stats["checkpoints"] == 1
-        assert broker._tasks[0].checkpoint.events_processed == 2000
+        store.checkpoint(SWEEP_JOB, 0, "a", bad)
+        assert store.stats["checkpoints"] == 1
+        assert sweep_task(store).checkpoint.events_processed == 2000
 
     def test_wrong_spec_shipment_is_ignored(self):
         spec = tight()
-        broker = self._broker(spec)
-        broker._assign("a")
+        store = self._store(spec)
+        store.assign("a")
         foreign = snapshot_document(snapshot_after(tight(seed=9), 2000))
-        broker._store_checkpoint(0, "a", foreign)
-        assert broker._tasks[0].checkpoint is None
+        store.checkpoint(SWEEP_JOB, 0, "a", foreign)
+        assert sweep_task(store).checkpoint is None
 
     def test_checkpoints_preloaded_from_disk(self, tmp_path):
         spec = tight()
         save_snapshot(snapshot_after(spec, 2500), checkpoint_path(tmp_path, spec))
-        broker = self._broker(spec, checkpoint_dir=str(tmp_path))
-        assert broker._tasks[0].checkpoint.events_processed == 2500
-        message = broker._assign("a")
+        store = self._store(spec, checkpoint_dir=str(tmp_path))
+        assert sweep_task(store).checkpoint.events_processed == 2500
+        message = store.assign("a")
         assert parse_document(message["checkpoint"]).events_processed == 2500
 
     def test_completion_deletes_the_persisted_checkpoint(self, tmp_path):
         spec = tight()
-        broker = self._broker(spec, checkpoint_every=2000,
-                              checkpoint_dir=str(tmp_path))
-        broker._assign("a")
-        broker._store_checkpoint(
-            0, "a", snapshot_document(snapshot_after(spec, 2000))
+        store = self._store(spec, checkpoint_every=2000,
+                            checkpoint_dir=str(tmp_path))
+        store.assign("a")
+        store.checkpoint(
+            SWEEP_JOB, 0, "a", snapshot_document(snapshot_after(spec, 2000))
         )
         assert checkpoint_path(tmp_path, spec).exists()
-        broker._complete(0, "a", execute_spec(spec).to_dict())
+        store.complete(SWEEP_JOB, 0, "a", execute_spec(spec).to_dict())
         assert not checkpoint_path(tmp_path, spec).exists()
-        assert broker._tasks[0].checkpoint is None
+        assert sweep_task(store).checkpoint is None
 
 
 # ---------------------------------------------------------------------------
@@ -739,53 +743,50 @@ class TestDistributedCheckpointing:
         # bit-identical result.
         spec = tight(iterations=400)
         serial = execute_spec(spec)
-        broker = Broker(
-            [spec.to_dict()], lease_seconds=10.0, checkpoint_every=2000
-        ).start()
+        store = sweep_store([spec], checkpoint_every=2000)
+        broker = serve(store)
         try:
-            first = LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1)
-            try:
-                assert _wait_for(lambda: broker.stats["checkpoints"] >= 1)
-                first.procs[0].send_signal(signal.SIGTERM)
-                assert first.procs[0].wait(timeout=30) == 0
-                assert _wait_for(lambda: broker.stats["released"] >= 1, timeout=5)
-            finally:
-                first.close()
-            assert broker.outstanding() == 1  # released, not completed
-            with LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1):
-                events = list(broker.events())
+            # A SIGTERM'd worker exits 0, so its supervisor retires it.
+            with WorkerSupervisor(
+                "127.0.0.1", broker.port, 1, heartbeat=0.1
+            ) as first:
+                assert _wait_for(lambda: store.stats["checkpoints"] >= 1)
+                assert first.kill(0, signal.SIGTERM) == 0
+                assert _wait_for(lambda: store.stats["released"] >= 1, timeout=5)
+            # Released, not completed.
+            assert store.job_summary(SWEEP_JOB)["pending"] == 1
+            with WorkerSupervisor("127.0.0.1", broker.port, 1, heartbeat=0.1):
+                results = collect(store)
         finally:
             broker.close()
-        (kind, position, payload), = events
-        assert (kind, position) == ("result", 0)
-        assert broker.stats["released"] == 1
-        assert broker.stats["resumed"] >= 1
-        assert broker.stats["failed"] == 0
-        assert_identical(payload, serial)
+        assert list(results) == [0]
+        assert store.stats["released"] == 1
+        assert store.stats["resumed"] >= 1
+        assert store.stats["failed"] == 0
+        assert_identical(results[0], serial)
 
     def test_sigkilled_worker_resumes_from_shipped_checkpoint(self):
         # The harsher drill: SIGKILL gives the worker no chance to release.
-        # The broker already holds its last shipped checkpoint, so the
-        # replacement continues mid-spec instead of from zero.
+        # The store already holds its last shipped checkpoint, so the
+        # replacement (the supervisor's respawn) continues mid-spec instead
+        # of from zero.
         spec = tight(iterations=400)
         serial = execute_spec(spec)
-        broker = Broker(
-            [spec.to_dict()], lease_seconds=10.0, checkpoint_every=2000
-        ).start()
+        store = sweep_store([spec], checkpoint_every=2000)
+        broker = serve(store)
         try:
-            first = LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1)
-            try:
-                assert _wait_for(lambda: broker.stats["checkpoints"] >= 1)
-                first.kill(0)
-            finally:
-                first.close()
-            assert _wait_for(lambda: broker.stats["requeued"] >= 1)
-            with LocalCluster("127.0.0.1", broker.port, 1, heartbeat=0.1):
-                events = list(broker.events())
+            with WorkerSupervisor(
+                "127.0.0.1", broker.port, 1, heartbeat=0.1,
+                backoff_base=0.1, backoff_cap=0.5,
+            ) as pool:
+                assert _wait_for(lambda: store.stats["checkpoints"] >= 1)
+                pool.kill(0)
+                results = collect(store)
+            assert pool.respawns == 1
         finally:
             broker.close()
-        (kind, position, payload), = events
-        assert (kind, position) == ("result", 0)
-        assert broker.stats["resumed"] >= 1
-        assert broker.stats["failed"] == 0
-        assert_identical(payload, serial)
+        assert list(results) == [0]
+        assert store.stats["requeued"] >= 1
+        assert store.stats["resumed"] >= 1
+        assert store.stats["failed"] == 0
+        assert_identical(results[0], serial)
