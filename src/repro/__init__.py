@@ -28,45 +28,7 @@ Typical use::
     print(result.summary())
 """
 
-from repro.config import (
-    BackoffConfig,
-    BroadcastMemoryConfig,
-    CacheConfig,
-    CoreConfig,
-    DataChannelConfig,
-    MachineConfig,
-    MemoryConfig,
-    NocConfig,
-    SyncConfig,
-    ToneChannelConfig,
-    default_machine_config,
-)
-from repro.machine import (
-    Manycore,
-    Program,
-    SimResult,
-    baseline,
-    baseline_plus,
-    config_by_name,
-    paper_configurations,
-    sensitivity_variants,
-    wisync,
-    wisync_not,
-)
-from repro.analysis import MetricFrame, Report, compare_frames, load_frame
-from repro.runner import (
-    DistributedExecutor,
-    ParallelExecutor,
-    ResultCache,
-    Runner,
-    RunSpec,
-    SerialExecutor,
-    SweepResult,
-    SweepSpec,
-    register_workload,
-    workload_names,
-)
-from repro.sync import SyncFactory
+from repro._lazy import lazy_exports
 
 __version__ = "1.2.0"
 
@@ -114,3 +76,44 @@ __all__ = [
     "compare_frames",
     "load_frame",
 ]
+
+_EXPORTS = {
+    "BackoffConfig": "repro.config",
+    "BroadcastMemoryConfig": "repro.config",
+    "CacheConfig": "repro.config",
+    "CoreConfig": "repro.config",
+    "DataChannelConfig": "repro.config",
+    "MachineConfig": "repro.config",
+    "MemoryConfig": "repro.config",
+    "NocConfig": "repro.config",
+    "SyncConfig": "repro.config",
+    "ToneChannelConfig": "repro.config",
+    "default_machine_config": "repro.config",
+    "Manycore": "repro.machine.manycore",
+    "Program": "repro.machine.manycore",
+    "SimResult": "repro.machine.results",
+    "baseline": "repro.machine.configs",
+    "baseline_plus": "repro.machine.configs",
+    "config_by_name": "repro.machine.configs",
+    "paper_configurations": "repro.machine.configs",
+    "sensitivity_variants": "repro.machine.configs",
+    "wisync": "repro.machine.configs",
+    "wisync_not": "repro.machine.configs",
+    "MetricFrame": "repro.analysis.frame",
+    "Report": "repro.analysis.report",
+    "compare_frames": "repro.analysis.compare",
+    "load_frame": "repro.analysis.compare",
+    "DistributedExecutor": "repro.runner.distributed",
+    "ParallelExecutor": "repro.runner.executor",
+    "ResultCache": "repro.runner.cache",
+    "Runner": "repro.runner.runner",
+    "RunSpec": "repro.runner.spec",
+    "SerialExecutor": "repro.runner.executor",
+    "SweepResult": "repro.runner.runner",
+    "SweepSpec": "repro.runner.spec",
+    "register_workload": "repro.runner.registry",
+    "workload_names": "repro.runner.registry",
+    "SyncFactory": "repro.sync.api",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

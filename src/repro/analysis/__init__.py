@@ -12,23 +12,7 @@
   Table 4 analytical model and fixed-width text rendering.
 """
 
-from repro.analysis.area_power import CORE_REFERENCES, CoreReference, area_power_table
-from repro.analysis.compare import (
-    FrameComparison,
-    MetricDelta,
-    bench_frame,
-    compare_frames,
-    load_frame,
-)
-from repro.analysis.frame import Column, MetricFrame, Pivot, frame_from_sweep
-from repro.analysis.metrics import (
-    cycles_per_operation,
-    speedup,
-    speedups_over_baseline,
-    throughput_per_kcycle,
-)
-from repro.analysis.report import AggregateRow, Report
-from repro.analysis.tables import format_table, render_columns, render_mapping
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CoreReference",
@@ -53,3 +37,29 @@ __all__ = [
     "render_mapping",
     "render_columns",
 ]
+
+_EXPORTS = {
+    "CORE_REFERENCES": "repro.analysis.area_power",
+    "CoreReference": "repro.analysis.area_power",
+    "area_power_table": "repro.analysis.area_power",
+    "FrameComparison": "repro.analysis.compare",
+    "MetricDelta": "repro.analysis.compare",
+    "bench_frame": "repro.analysis.compare",
+    "compare_frames": "repro.analysis.compare",
+    "load_frame": "repro.analysis.compare",
+    "Column": "repro.analysis.frame",
+    "MetricFrame": "repro.analysis.frame",
+    "Pivot": "repro.analysis.frame",
+    "frame_from_sweep": "repro.analysis.frame",
+    "cycles_per_operation": "repro.analysis.metrics",
+    "speedup": "repro.analysis.metrics",
+    "speedups_over_baseline": "repro.analysis.metrics",
+    "throughput_per_kcycle": "repro.analysis.metrics",
+    "AggregateRow": "repro.analysis.report",
+    "Report": "repro.analysis.report",
+    "format_table": "repro.analysis.tables",
+    "render_columns": "repro.analysis.tables",
+    "render_mapping": "repro.analysis.tables",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,13 +7,7 @@ AllocB/ActiveB tables, and the :class:`~repro.core.fabric.BroadcastFabric`
 that connects all of it to the wireless Data and Tone channels.
 """
 
-from repro.core.allocator import BmAllocator
-from repro.core.bm_controller import BmController, RmwResult
-from repro.core.broadcast_memory import BmEntry, BroadcastMemory
-from repro.core.fabric import BroadcastFabric
-from repro.core.node import WiSyncNode
-from repro.core.tone_controller import ToneController
-from repro.core.translation import BmTlb, PageMapping
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BmEntry",
@@ -27,3 +21,18 @@ __all__ = [
     "BmTlb",
     "PageMapping",
 ]
+
+_EXPORTS = {
+    "BmAllocator": "repro.core.allocator",
+    "BmController": "repro.core.bm_controller",
+    "RmwResult": "repro.core.bm_controller",
+    "BmEntry": "repro.core.broadcast_memory",
+    "BroadcastMemory": "repro.core.broadcast_memory",
+    "BroadcastFabric": "repro.core.fabric",
+    "WiSyncNode": "repro.core.node",
+    "ToneController": "repro.core.tone_controller",
+    "BmTlb": "repro.core.translation",
+    "PageMapping": "repro.core.translation",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,7 +6,15 @@ model here is timing-abstract: a thread issues operations, the core accounts
 for its busy/stalled cycles, and compute phases advance time directly.
 """
 
-from repro.cpu.core import Core
-from repro.cpu.thread import SimThread, ThreadContext, ThreadState
+from repro._lazy import lazy_exports
 
 __all__ = ["Core", "SimThread", "ThreadContext", "ThreadState"]
+
+_EXPORTS = {
+    "Core": "repro.cpu.core",
+    "SimThread": "repro.cpu.thread",
+    "ThreadContext": "repro.cpu.thread",
+    "ThreadState": "repro.cpu.thread",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

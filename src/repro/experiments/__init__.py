@@ -15,40 +15,7 @@ the ``format_*`` helpers render those dicts through the same Report, so the
 directory wraps these functions with pytest-benchmark.
 """
 
-from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep, format_fig7, run_fig7
-from repro.experiments.scenarios import (
-    format_scenarios,
-    run_scenarios,
-    scenario_frame,
-    scenario_sweep,
-    scenarios_report,
-)
-from repro.experiments.fig8_livermore import FIG8_REPORT, fig8_sweep, format_fig8, run_fig8
-from repro.experiments.fig9_cas import FIG9_REPORT, fig9_sweep, format_fig9, run_fig9
-from repro.experiments.fig10_applications import (
-    fig10_report,
-    fig10_sweep,
-    format_fig10,
-    run_fig10,
-)
-from repro.experiments.fig11_sensitivity import (
-    FIG11_REPORT,
-    fig11_sweep,
-    format_fig11,
-    run_fig11,
-)
-from repro.experiments.table4_area_power import (
-    TABLE4_REPORT,
-    format_table4,
-    run_table4,
-    table4_frame,
-)
-from repro.experiments.table5_utilization import (
-    TABLE5_REPORT,
-    format_table5,
-    run_table5,
-    table5_sweep,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "run_fig7", "format_fig7", "fig7_sweep", "FIG7_REPORT",
@@ -61,3 +28,41 @@ __all__ = [
     "run_scenarios", "format_scenarios", "scenario_sweep",
     "scenario_frame", "scenarios_report",
 ]
+
+_EXPORTS = {
+    "FIG7_REPORT": "repro.experiments.fig7_tightloop",
+    "fig7_sweep": "repro.experiments.fig7_tightloop",
+    "format_fig7": "repro.experiments.fig7_tightloop",
+    "run_fig7": "repro.experiments.fig7_tightloop",
+    "format_scenarios": "repro.experiments.scenarios",
+    "run_scenarios": "repro.experiments.scenarios",
+    "scenario_frame": "repro.experiments.scenarios",
+    "scenario_sweep": "repro.experiments.scenarios",
+    "scenarios_report": "repro.experiments.scenarios",
+    "FIG8_REPORT": "repro.experiments.fig8_livermore",
+    "fig8_sweep": "repro.experiments.fig8_livermore",
+    "format_fig8": "repro.experiments.fig8_livermore",
+    "run_fig8": "repro.experiments.fig8_livermore",
+    "FIG9_REPORT": "repro.experiments.fig9_cas",
+    "fig9_sweep": "repro.experiments.fig9_cas",
+    "format_fig9": "repro.experiments.fig9_cas",
+    "run_fig9": "repro.experiments.fig9_cas",
+    "fig10_report": "repro.experiments.fig10_applications",
+    "fig10_sweep": "repro.experiments.fig10_applications",
+    "format_fig10": "repro.experiments.fig10_applications",
+    "run_fig10": "repro.experiments.fig10_applications",
+    "FIG11_REPORT": "repro.experiments.fig11_sensitivity",
+    "fig11_sweep": "repro.experiments.fig11_sensitivity",
+    "format_fig11": "repro.experiments.fig11_sensitivity",
+    "run_fig11": "repro.experiments.fig11_sensitivity",
+    "TABLE4_REPORT": "repro.experiments.table4_area_power",
+    "format_table4": "repro.experiments.table4_area_power",
+    "run_table4": "repro.experiments.table4_area_power",
+    "table4_frame": "repro.experiments.table4_area_power",
+    "TABLE5_REPORT": "repro.experiments.table5_utilization",
+    "format_table5": "repro.experiments.table5_utilization",
+    "run_table5": "repro.experiments.table5_utilization",
+    "table5_sweep": "repro.experiments.table5_utilization",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,14 +10,16 @@ The experiment modules are declarative: each builds a
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.config import MachineConfig
 from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
-from repro.machine.manycore import Manycore
 from repro.machine.results import SimResult
 from repro.runner.runner import Runner, default_runner
 from repro.runner.spec import RunSpec, SweepSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; build_machine imports it
+    from repro.machine.manycore import Manycore
 
 #: The Table 2 configurations in the paper's presentation order.
 CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
@@ -37,6 +39,8 @@ def config_names(include_baseline: bool = True) -> List[str]:
 
 def build_machine(config_label: str, num_cores: int, seed: int = 2016) -> Manycore:
     """Build a fresh machine for one Table 2 configuration."""
+    from repro.machine.manycore import Manycore
+
     config = CONFIG_BUILDERS[config_label](num_cores=num_cores, seed=seed)
     return Manycore(config)
 

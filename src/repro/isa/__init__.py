@@ -6,27 +6,7 @@ the timing models (caches, NoC, wireless network, broadcast memory) and sends
 back the architectural result (loaded value, CAS success flag, ...).
 """
 
-from repro.isa.operations import (
-    AtomicOp,
-    BmAlloc,
-    BmBulkLoad,
-    BmBulkStore,
-    BmFree,
-    BmLoad,
-    BmRmw,
-    BmStore,
-    BmWaitUntil,
-    Compute,
-    Fence,
-    Read,
-    RmwKind,
-    ToneBarrierAlloc,
-    ToneLoad,
-    ToneStore,
-    ToneWait,
-    WaitUntil,
-    Write,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Compute",
@@ -49,3 +29,27 @@ __all__ = [
     "ToneLoad",
     "ToneWait",
 ]
+
+_EXPORTS = {
+    "AtomicOp": "repro.isa.operations",
+    "BmAlloc": "repro.isa.operations",
+    "BmBulkLoad": "repro.isa.operations",
+    "BmBulkStore": "repro.isa.operations",
+    "BmFree": "repro.isa.operations",
+    "BmLoad": "repro.isa.operations",
+    "BmRmw": "repro.isa.operations",
+    "BmStore": "repro.isa.operations",
+    "BmWaitUntil": "repro.isa.operations",
+    "Compute": "repro.isa.operations",
+    "Fence": "repro.isa.operations",
+    "Read": "repro.isa.operations",
+    "RmwKind": "repro.isa.operations",
+    "ToneBarrierAlloc": "repro.isa.operations",
+    "ToneLoad": "repro.isa.operations",
+    "ToneStore": "repro.isa.operations",
+    "ToneWait": "repro.isa.operations",
+    "WaitUntil": "repro.isa.operations",
+    "Write": "repro.isa.operations",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -22,26 +22,7 @@ reason``; grandfather pre-existing findings with a baseline file
 (``--baseline``).  See the README's "Static analysis" section.
 """
 
-from __future__ import annotations
-
-from repro.lint.engine import (
-    Finding,
-    LintEngine,
-    ModuleInfo,
-    ModuleWalker,
-    ProjectRule,
-    Rule,
-    SCOPE_LIBRARY,
-    SCOPE_PROJECT,
-    SCOPE_SIM_CORE,
-    SEVERITY_ERROR,
-    SEVERITY_WARNING,
-    SIM_CORE_PACKAGES,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.rules import default_rules
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Finding",
@@ -61,3 +42,24 @@ __all__ = [
     "load_baseline",
     "write_baseline",
 ]
+
+_EXPORTS = {
+    "Finding": "repro.lint.engine",
+    "LintEngine": "repro.lint.engine",
+    "ModuleInfo": "repro.lint.engine",
+    "ModuleWalker": "repro.lint.engine",
+    "ProjectRule": "repro.lint.engine",
+    "Rule": "repro.lint.engine",
+    "SCOPE_LIBRARY": "repro.lint.engine",
+    "SCOPE_PROJECT": "repro.lint.engine",
+    "SCOPE_SIM_CORE": "repro.lint.engine",
+    "SEVERITY_ERROR": "repro.lint.engine",
+    "SEVERITY_WARNING": "repro.lint.engine",
+    "SIM_CORE_PACKAGES": "repro.lint.engine",
+    "apply_baseline": "repro.lint.engine",
+    "load_baseline": "repro.lint.engine",
+    "write_baseline": "repro.lint.engine",
+    "default_rules": "repro.lint.rules",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,17 +11,7 @@ parallel executor's process boundary and the on-disk result cache of
 :mod:`repro.runner`.
 """
 
-from repro.machine.configs import (
-    baseline,
-    baseline_plus,
-    config_by_name,
-    paper_configurations,
-    sensitivity_variants,
-    wisync,
-    wisync_not,
-)
-from repro.machine.manycore import Manycore, Program
-from repro.machine.results import SimResult
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Manycore",
@@ -35,3 +25,18 @@ __all__ = [
     "sensitivity_variants",
     "config_by_name",
 ]
+
+_EXPORTS = {
+    "baseline": "repro.machine.configs",
+    "baseline_plus": "repro.machine.configs",
+    "config_by_name": "repro.machine.configs",
+    "paper_configurations": "repro.machine.configs",
+    "sensitivity_variants": "repro.machine.configs",
+    "wisync": "repro.machine.configs",
+    "wisync_not": "repro.machine.configs",
+    "Manycore": "repro.machine.manycore",
+    "Program": "repro.machine.manycore",
+    "SimResult": "repro.machine.results",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,11 +7,7 @@ each access computes a completion cycle from cache state, directory state,
 mesh distance, and serialization at the home bank.
 """
 
-from repro.mem.address import AddressMap
-from repro.mem.cache import CacheArray
-from repro.mem.directory import Directory, DirectoryEntry, LineState
-from repro.mem.dram import DramModel
-from repro.mem.hierarchy import MemorySystem
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AddressMap",
@@ -22,3 +18,15 @@ __all__ = [
     "DramModel",
     "MemorySystem",
 ]
+
+_EXPORTS = {
+    "AddressMap": "repro.mem.address",
+    "CacheArray": "repro.mem.cache",
+    "Directory": "repro.mem.directory",
+    "DirectoryEntry": "repro.mem.directory",
+    "LineState": "repro.mem.directory",
+    "DramModel": "repro.mem.dram",
+    "MemorySystem": "repro.mem.hierarchy",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

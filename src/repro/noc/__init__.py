@@ -5,9 +5,15 @@ The paper's manycore uses a 2D mesh with 4-cycle hops and 128-bit links
 flit replication at the router crossbars [Krishna et al., 22].
 """
 
-from repro.noc.topology import MeshTopology
-from repro.noc.routing import xy_route_length
-from repro.noc.mesh import MeshNetwork
-from repro.noc.broadcast_tree import BroadcastTree
+from repro._lazy import lazy_exports
 
 __all__ = ["MeshTopology", "xy_route_length", "MeshNetwork", "BroadcastTree"]
+
+_EXPORTS = {
+    "MeshTopology": "repro.noc.topology",
+    "xy_route_length": "repro.noc.routing",
+    "MeshNetwork": "repro.noc.mesh",
+    "BroadcastTree": "repro.noc.broadcast_tree",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,8 +8,16 @@ scheduler that supports preemption and migration with the paper's tone-
 barrier restriction.
 """
 
-from repro.osmodel.process import OsProcess, ProcessTable
-from repro.osmodel.scheduler import Scheduler, ThreadPlacement
-from repro.osmodel.vm import BmVirtualMemory
+from repro._lazy import lazy_exports
 
 __all__ = ["OsProcess", "ProcessTable", "Scheduler", "ThreadPlacement", "BmVirtualMemory"]
+
+_EXPORTS = {
+    "OsProcess": "repro.osmodel.process",
+    "ProcessTable": "repro.osmodel.process",
+    "Scheduler": "repro.osmodel.scheduler",
+    "ThreadPlacement": "repro.osmodel.scheduler",
+    "BmVirtualMemory": "repro.osmodel.vm",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,37 +7,7 @@ process pool, optionally memoized in an on-disk :class:`ResultCache`, and
 driven either from Python (:class:`Runner`) or the ``python -m repro`` CLI.
 """
 
-from repro.runner.cache import ResultCache
-from repro.runner.chaos import (
-    ChaosSchedule,
-    KillEvent,
-    run_embedded_drill,
-    verify_against_serial,
-)
-from repro.runner.distributed import DistributedExecutor, run_worker
-from repro.runner.executor import (
-    ParallelExecutor,
-    SerialExecutor,
-    backoff_variant,
-    execute_spec,
-)
-from repro.runner.journal import JournalWarning, ServiceJournal, TaskReplay
-from repro.runner.service_client import ServiceClient, ServiceExecutor
-from repro.runner.supervisor import WorkerSupervisor, backoff_delays
-from repro.runner.registry import (
-    REGISTRY,
-    WorkloadRegistry,
-    register_workload,
-    workload_names,
-)
-from repro.runner.runner import (
-    Runner,
-    SpecProgress,
-    SweepProgressHook,
-    SweepResult,
-    default_runner,
-)
-from repro.runner.spec import DEFAULT_SEED, RunSpec, SweepSpec
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_SEED",
@@ -71,3 +41,38 @@ __all__ = [
     "SweepResult",
     "default_runner",
 ]
+
+_EXPORTS = {
+    "ResultCache": "repro.runner.cache",
+    "ChaosSchedule": "repro.runner.chaos",
+    "KillEvent": "repro.runner.chaos",
+    "run_embedded_drill": "repro.runner.chaos",
+    "verify_against_serial": "repro.runner.chaos",
+    "DistributedExecutor": "repro.runner.distributed",
+    "run_worker": "repro.runner.distributed",
+    "ParallelExecutor": "repro.runner.executor",
+    "SerialExecutor": "repro.runner.executor",
+    "backoff_variant": "repro.runner.executor",
+    "execute_spec": "repro.runner.executor",
+    "JournalWarning": "repro.runner.journal",
+    "ServiceJournal": "repro.runner.journal",
+    "TaskReplay": "repro.runner.journal",
+    "ServiceClient": "repro.runner.service_client",
+    "ServiceExecutor": "repro.runner.service_client",
+    "WorkerSupervisor": "repro.runner.supervisor",
+    "backoff_delays": "repro.runner.supervisor",
+    "REGISTRY": "repro.runner.registry",
+    "WorkloadRegistry": "repro.runner.registry",
+    "register_workload": "repro.runner.registry",
+    "workload_names": "repro.runner.registry",
+    "Runner": "repro.runner.runner",
+    "SpecProgress": "repro.runner.runner",
+    "SweepProgressHook": "repro.runner.runner",
+    "SweepResult": "repro.runner.runner",
+    "default_runner": "repro.runner.runner",
+    "DEFAULT_SEED": "repro.runner.spec",
+    "RunSpec": "repro.runner.spec",
+    "SweepSpec": "repro.runner.spec",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

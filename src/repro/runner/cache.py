@@ -69,26 +69,22 @@ class ResultCache:
     def get(self, spec: RunSpec) -> Optional[SimResult]:
         """The cached result for ``spec``, or None on a miss.
 
-        Unreadable and stale-version entries are deleted on the spot: they
-        can never be served again (``put`` would overwrite them anyway), and
+        Dead entries (see :meth:`_load`) are deleted on the spot: they can
+        never be served again (``put`` would overwrite them anyway), and
         leaving them around would make ``len(cache)`` count dead files.
         """
         entry = self.entry_path(spec)
         try:
-            payload = json.loads(entry.read_text(encoding="utf-8"))
+            result = self._load(entry)
         except OSError:
             self.misses += 1
             return None
-        except json.JSONDecodeError:
-            self.misses += 1
-            self._evict(entry)
-            return None
-        if payload.get("version") != CACHE_FORMAT_VERSION:
+        if result is None:
             self.misses += 1
             self._evict(entry)
             return None
         self.hits += 1
-        return SimResult.from_dict(payload["result"])
+        return result
 
     def put(self, spec: RunSpec, result: SimResult) -> None:
         """Store ``result`` under ``spec``'s key (atomic replace)."""
@@ -127,7 +123,7 @@ class ResultCache:
         return removed + self._sweep_tmp(max_age=None)
 
     def prune(self, stale_tmp_age: float = STALE_TMP_AGE_SECONDS) -> int:
-        """Delete every dead entry (corrupt or stale-version); returns the count.
+        """Delete every dead entry (see :meth:`_load`); returns the count.
 
         ``get`` already evicts dead entries it happens to touch; ``prune``
         sweeps the whole directory, e.g. after bumping
@@ -139,15 +135,28 @@ class ResultCache:
         removed = 0
         for entry in self.path.glob("*.json"):
             try:
-                payload = json.loads(entry.read_text(encoding="utf-8"))
+                if self._load(entry) is None:
+                    removed += self._evict(entry)
             except OSError:
                 continue  # concurrently removed; nothing to prune
-            except json.JSONDecodeError:
-                removed += self._evict(entry)
-                continue
-            if payload.get("version") != CACHE_FORMAT_VERSION:
-                removed += self._evict(entry)
         return removed + self._sweep_tmp(max_age=stale_tmp_age)
+
+    @staticmethod
+    def _load(entry: Path) -> Optional[SimResult]:
+        """The result stored in ``entry``, or None if the entry is dead.
+
+        Dead means it cannot be served: not JSON, not this
+        :data:`CACHE_FORMAT_VERSION`, or not the shape ``put`` writes.
+        Raises ``OSError`` when the file cannot be read at all.
+        """
+        data = entry.read_bytes()
+        try:
+            payload = json.loads(data)
+            if payload["version"] == CACHE_FORMAT_VERSION:
+                return SimResult.from_dict(payload["result"])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            pass
+        return None
 
     def _sweep_tmp(self, max_age: Optional[float]) -> int:
         """Delete ``*.tmp`` files older than ``max_age`` seconds (None = all)."""

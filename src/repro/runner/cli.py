@@ -79,15 +79,10 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from repro.errors import ReproError
 from repro.runner.cache import ResultCache
-from repro.runner.distributed import (
-    WORKER_FAULTS,
-    DistributedExecutor,
-    parse_address,
-    run_worker,
-)
 from repro.runner.executor import ParallelExecutor, SerialExecutor
 from repro.runner.registry import workload_names
 from repro.runner.runner import Runner, SpecProgress
+from repro.runner.supervisor import WORKER_FAULTS
 
 
 class _CountingExecutor:
@@ -1027,6 +1022,8 @@ def _build_executor(
             "--parallel; run serially or use --distributed"
         )
     if args.distributed > 0 or args.bind:
+        from repro.runner.distributed import DistributedExecutor, parse_address
+
         host, port = parse_address(args.bind) if args.bind else ("127.0.0.1", 0)
         # (--distributed 0 is only reachable with --bind, so the bind flag
         # alone decides whether external workers are expected.)
@@ -1158,6 +1155,8 @@ def _write_text(payload: str, path: str) -> None:
 
 
 def _cmd_worker(args: argparse.Namespace) -> int:
+    from repro.runner.distributed import parse_address, run_worker
+
     host, port = parse_address(args.connect)
     try:
         completed = run_worker(
@@ -1173,6 +1172,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_workers(args: argparse.Namespace) -> int:
+    from repro.runner.distributed import parse_address
     from repro.runner.supervisor import run_supervisor
 
     host, port = parse_address(args.connect)

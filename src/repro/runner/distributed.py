@@ -90,16 +90,17 @@ from repro.runner.executor import (
     partial_sweep_error,
 )
 from repro.runner.spec import RunSpec
-from repro.runner.supervisor import WorkerSupervisor, backoff_delays
+from repro.runner.supervisor import (
+    FAULT_ENV,
+    WORKER_FAULTS,
+    WorkerSupervisor,
+    backoff_delays,
+)
 
 #: Default lease duration; heartbeats every ``lease/3`` keep long specs alive.
 DEFAULT_LEASE_SECONDS = 30.0
 #: Default per-spec assignment budget (first attempt plus two retries).
 DEFAULT_MAX_ATTEMPTS = 3
-#: Environment variable carrying a worker fault-injection mode (tests/drills).
-FAULT_ENV = "REPRO_WORKER_FAULT"
-#: Recognized fault-injection modes for ``repro worker --fault``.
-WORKER_FAULTS = ("exit-on-task", "error-on-task")
 
 
 def parse_address(text: str) -> Tuple[str, int]:

@@ -35,6 +35,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
+#: Environment variable carrying a worker fault-injection mode (tests/drills).
+FAULT_ENV = "REPRO_WORKER_FAULT"
+#: Recognized fault-injection modes for ``repro worker --fault``.
+WORKER_FAULTS = ("exit-on-task", "error-on-task")
+
 #: Consecutive rapid failures of one slot before its breaker opens.
 DEFAULT_MAX_RAPID_FAILURES = 3
 #: An exit within this many seconds of spawning counts as a *rapid* failure.
@@ -105,8 +110,6 @@ def repro_env(fault: Optional[str] = None) -> Dict[str, str]:
     """Environment for a ``python -m repro`` child: these sources first on
     ``PYTHONPATH``, and the worker fault-injection variable set to ``fault``
     (or cleared, so a drill's own fault never leaks into its children)."""
-    from repro.runner.distributed import FAULT_ENV
-
     env = os.environ.copy()
     src = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = (
@@ -153,7 +156,7 @@ class WorkerSupervisor:
     will ever be respawned — the signal the executor's dead-cluster
     watchdog keys on.
 
-    ``faults`` injects per-slot :data:`~repro.runner.distributed.FAULT_ENV`
+    ``faults`` injects per-slot :data:`FAULT_ENV`
     modes; faulted slots are *not* respawned unless ``respawn_faulted`` is
     set (tests want a dead worker to stay dead — the ``repro workers
     --fault`` drill wants the breaker to trip).

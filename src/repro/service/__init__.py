@@ -8,21 +8,7 @@ resumes its jobs on restart.  See ``README.md`` ("Sweep service") for the
 operational guide.
 """
 
-from repro.service.daemon import ServiceBroker, SweepService, run_service
-from repro.service.jobstore import (
-    JOB_CANCELLED,
-    JOB_COMPLETED,
-    JOB_FAILED,
-    JOB_QUEUED,
-    JOB_RUNNING,
-    TERMINAL_JOB_STATES,
-    Job,
-    JobStore,
-    format_task_id,
-    parse_task_id,
-)
-from repro.service.httpapi import ServiceHTTPServer
-from repro.service.scheduler import STRIDE_SCALE, FairShareScheduler
+from repro._lazy import lazy_exports
 
 __all__ = [
     "JOB_CANCELLED",
@@ -42,3 +28,24 @@ __all__ = [
     "parse_task_id",
     "run_service",
 ]
+
+_EXPORTS = {
+    "ServiceBroker": "repro.service.daemon",
+    "SweepService": "repro.service.daemon",
+    "run_service": "repro.service.daemon",
+    "JOB_CANCELLED": "repro.service.jobstore",
+    "JOB_COMPLETED": "repro.service.jobstore",
+    "JOB_FAILED": "repro.service.jobstore",
+    "JOB_QUEUED": "repro.service.jobstore",
+    "JOB_RUNNING": "repro.service.jobstore",
+    "TERMINAL_JOB_STATES": "repro.service.jobstore",
+    "Job": "repro.service.jobstore",
+    "JobStore": "repro.service.jobstore",
+    "format_task_id": "repro.service.jobstore",
+    "parse_task_id": "repro.service.jobstore",
+    "ServiceHTTPServer": "repro.service.httpapi",
+    "STRIDE_SCALE": "repro.service.scheduler",
+    "FairShareScheduler": "repro.service.scheduler",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,11 +7,7 @@ helpers (:mod:`repro.sim.stats`).  Higher layers (memory, NoC, wireless,
 machine) schedule callbacks on the shared simulator instance.
 """
 
-from repro.sim.engine import Simulator
-from repro.sim.events import Event
-from repro.sim.process import SimProcess, Timeout, WaitCondition
-from repro.sim.rng import DeterministicRng
-from repro.sim.stats import Counter, Histogram, StatsRegistry, UtilizationTracker
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -25,3 +21,18 @@ __all__ = [
     "StatsRegistry",
     "UtilizationTracker",
 ]
+
+_EXPORTS = {
+    "Simulator": "repro.sim.engine",
+    "Event": "repro.sim.events",
+    "SimProcess": "repro.sim.process",
+    "Timeout": "repro.sim.process",
+    "WaitCondition": "repro.sim.process",
+    "DeterministicRng": "repro.sim.rng",
+    "Counter": "repro.sim.stats",
+    "Histogram": "repro.sim.stats",
+    "StatsRegistry": "repro.sim.stats",
+    "UtilizationTracker": "repro.sim.stats",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,38 +25,7 @@ plus :class:`CheckpointRing` (the bounded auto-snapshot buffer behind
 debugger in :mod:`repro.snapshot.debugger`).
 """
 
-from repro.snapshot.execution import (
-    DEFAULT_MAX_EVENTS,
-    ExecutionPreempted,
-    SpecExecution,
-    execute_with_checkpoints,
-    resume_to_completion,
-    run_prefix,
-    snapshot_after,
-)
-from repro.snapshot.format import (
-    SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
-    STRATEGY_NATIVE,
-    STRATEGY_REPLAY,
-    Snapshot,
-    SnapshotWarning,
-    checkpoint_path,
-    load_snapshot,
-    parse_document,
-    save_snapshot,
-    snapshot_document,
-    try_load_snapshot,
-)
-from repro.snapshot.ring import CheckpointRing, RingEntry, ring_path, ring_paths
-from repro.snapshot.manifest import (
-    DEFAULT_RUNS_DIR,
-    RUNS_DIR_ENV,
-    RunManifest,
-    available_runs,
-    new_run_id,
-    runs_root,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SNAPSHOT_FORMAT",
@@ -89,3 +58,37 @@ __all__ = [
     "new_run_id",
     "runs_root",
 ]
+
+_EXPORTS = {
+    "DEFAULT_MAX_EVENTS": "repro.snapshot.execution",
+    "ExecutionPreempted": "repro.snapshot.execution",
+    "SpecExecution": "repro.snapshot.execution",
+    "execute_with_checkpoints": "repro.snapshot.execution",
+    "resume_to_completion": "repro.snapshot.execution",
+    "run_prefix": "repro.snapshot.execution",
+    "snapshot_after": "repro.snapshot.execution",
+    "SNAPSHOT_FORMAT": "repro.snapshot.format",
+    "SNAPSHOT_VERSION": "repro.snapshot.format",
+    "STRATEGY_NATIVE": "repro.snapshot.format",
+    "STRATEGY_REPLAY": "repro.snapshot.format",
+    "Snapshot": "repro.snapshot.format",
+    "SnapshotWarning": "repro.snapshot.format",
+    "checkpoint_path": "repro.snapshot.format",
+    "load_snapshot": "repro.snapshot.format",
+    "parse_document": "repro.snapshot.format",
+    "save_snapshot": "repro.snapshot.format",
+    "snapshot_document": "repro.snapshot.format",
+    "try_load_snapshot": "repro.snapshot.format",
+    "CheckpointRing": "repro.snapshot.ring",
+    "RingEntry": "repro.snapshot.ring",
+    "ring_path": "repro.snapshot.ring",
+    "ring_paths": "repro.snapshot.ring",
+    "DEFAULT_RUNS_DIR": "repro.snapshot.manifest",
+    "RUNS_DIR_ENV": "repro.snapshot.manifest",
+    "RunManifest": "repro.snapshot.manifest",
+    "available_runs": "repro.snapshot.manifest",
+    "new_run_id": "repro.snapshot.manifest",
+    "runs_root": "repro.snapshot.manifest",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

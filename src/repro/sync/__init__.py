@@ -8,20 +8,7 @@ locks / centralized barriers (Baseline), MCS locks / tournament barriers
 (WiSyncNoT / WiSync).
 """
 
-from repro.sync.api import SyncFactory
-from repro.sync.barriers import (
-    Barrier,
-    CentralizedBarrier,
-    ToneBarrier,
-    TournamentBarrier,
-    WirelessBarrier,
-)
-from repro.sync.cells import AtomicCell, BroadcastCell, CachedCell
-from repro.sync.eureka import OrBarrier
-from repro.sync.locks import CasSpinLock, Lock, McsLock, WirelessLock
-from repro.sync.producer_consumer import ProducerConsumerChannel
-from repro.sync.reduction import Reducer
-from repro.sync.rwlock import ReadersWriterLock
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SyncFactory",
@@ -42,3 +29,25 @@ __all__ = [
     "ProducerConsumerChannel",
     "ReadersWriterLock",
 ]
+
+_EXPORTS = {
+    "SyncFactory": "repro.sync.api",
+    "Barrier": "repro.sync.barriers",
+    "CentralizedBarrier": "repro.sync.barriers",
+    "ToneBarrier": "repro.sync.barriers",
+    "TournamentBarrier": "repro.sync.barriers",
+    "WirelessBarrier": "repro.sync.barriers",
+    "AtomicCell": "repro.sync.cells",
+    "BroadcastCell": "repro.sync.cells",
+    "CachedCell": "repro.sync.cells",
+    "OrBarrier": "repro.sync.eureka",
+    "CasSpinLock": "repro.sync.locks",
+    "Lock": "repro.sync.locks",
+    "McsLock": "repro.sync.locks",
+    "WirelessLock": "repro.sync.locks",
+    "ProducerConsumerChannel": "repro.sync.producer_consumer",
+    "Reducer": "repro.sync.reduction",
+    "ReadersWriterLock": "repro.sync.rwlock",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

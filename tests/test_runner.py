@@ -22,6 +22,7 @@ from repro.runner import (
     execute_spec,
     workload_names,
 )
+from repro.runner.cache import CACHE_FORMAT_VERSION
 from repro.workloads.cas_kernels import CasKernelKind
 from repro.workloads.tightloop import build_tightloop
 
@@ -339,11 +340,24 @@ class TestCacheAndRunner:
         assert cached.total_cycles == result.total_cycles
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
-    def test_corrupt_entry_is_a_miss_and_is_evicted(self, tmp_path):
+    # Regression: valid JSON of the wrong shape escaped ``get`` as an
+    # AttributeError/KeyError and crashed the sweep, and ``prune`` kept it.
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "{not json",
+            "[]",
+            "null",
+            json.dumps({"version": CACHE_FORMAT_VERSION}),
+            json.dumps({"version": CACHE_FORMAT_VERSION, "result": {"bogus": 1}}),
+        ],
+    )
+    def test_corrupt_entry_is_a_miss_and_is_evicted(self, tmp_path, body):
         cache = ResultCache(tmp_path)
         spec = tightloop_spec()
-        cache.entry_path(spec).write_text("{not json")
+        cache.entry_path(spec).write_text(body)
         assert cache.get(spec) is None
+        assert (cache.hits, cache.misses) == (0, 1)
         assert not cache.entry_path(spec).exists()
 
     def test_stale_version_entry_is_evicted_on_read(self, tmp_path):
@@ -369,8 +383,11 @@ class TestCacheAndRunner:
         payload["version"] = -1
         cache.entry_path(stale).write_text(json.dumps(payload))
         (tmp_path / "corrupt.json").write_text("{not json")
-        assert len(cache) == 3
-        assert cache.prune() == 2
+        (tmp_path / "misshapen.json").write_text(
+            json.dumps({"version": CACHE_FORMAT_VERSION, "result": {"bogus": 1}})
+        )
+        assert len(cache) == 4
+        assert cache.prune() == 3
         assert len(cache) == 1
         assert cache.get(live) is not None
 
