@@ -1,6 +1,6 @@
 """Benchmark / regeneration of Figure 10 (application speedups over Baseline)."""
 
-from repro.experiments.fig10_applications import format_fig10, run_fig10
+from repro.experiments.fig10_applications import EXPERIMENT, FIG10_REPORT
 from repro.workloads.synthetic_apps import application_names
 
 
@@ -11,12 +11,14 @@ def test_fig10_application_speedups(benchmark, full_sweeps, runner):
         apps = ["streamcluster", "ocean-c", "raytrace", "radiosity",
                 "blackscholes", "swaptions", "barnes", "fft"]
         cores, scale = 32, 0.4
-    table = benchmark.pedantic(
-        run_fig10, kwargs={"apps": apps, "num_cores": cores, "phase_scale": scale, "runner": runner},
+    frame = benchmark.pedantic(
+        EXPERIMENT.frame, args=(runner,),
+        kwargs={"apps": apps, "num_cores": cores, "phase_scale": scale},
         rounds=1, iterations=1,
     )
+    table = FIG10_REPORT.table(frame)
     print()
-    print(format_fig10(table))
+    print(FIG10_REPORT.render_table(table))
     # Paper shape: WiSync >= 1 on (almost) every application, with the
     # barrier-heavy and lock-heavy ones clearly above 1 and the compute-bound
     # ones near 1; the geometric mean clearly exceeds 1 and WiSync is at

@@ -1,6 +1,6 @@
 """Benchmark / regeneration of Figure 11 / Table 6 (latency sensitivity)."""
 
-from repro.experiments.fig11_sensitivity import format_fig11, run_fig11
+from repro.experiments.fig11_sensitivity import EXPERIMENT, FIG11_REPORT
 
 
 def test_fig11_sensitivity(benchmark, full_sweeps, runner):
@@ -12,10 +12,12 @@ def test_fig11_sensitivity(benchmark, full_sweeps, runner):
             "num_cores": 16,
             "phase_scale": 0.3,
         }
-    kwargs["runner"] = runner
-    table = benchmark.pedantic(run_fig11, kwargs=kwargs, rounds=1, iterations=1)
+    frame = benchmark.pedantic(
+        EXPERIMENT.frame, args=(runner,), kwargs=kwargs, rounds=1, iterations=1,
+    )
+    table = FIG11_REPORT.table(frame)
     print()
-    print(format_fig11(table))
+    print(FIG11_REPORT.render_table(table))
     # Paper shape: WiSync's advantage over Baseline grows when the wired
     # network gets slower and shrinks when it gets faster; the BM latency
     # barely matters.

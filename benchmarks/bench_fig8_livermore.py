@@ -1,11 +1,6 @@
 """Benchmark / regeneration of Figure 8 (Livermore loops vs vector length)."""
 
-from repro.experiments.fig8_livermore import (
-    DEFAULT_VECTOR_LENGTHS,
-    PAPER_VECTOR_LENGTHS,
-    format_fig8,
-    run_fig8,
-)
+from repro.experiments.fig8_livermore import EXPERIMENT, FIG8_REPORT, PAPER_VECTOR_LENGTHS
 from repro.workloads.livermore import LivermoreLoop
 
 
@@ -16,14 +11,14 @@ def test_fig8_livermore_loops(benchmark, full_sweeps, runner):
         LivermoreLoop.INNER_PRODUCT: [64, 4096],
         LivermoreLoop.LINEAR_RECURRENCE: [32, 256],
     }
-    series = benchmark.pedantic(
-        run_fig8,
-        kwargs={"core_counts": core_counts, "vector_lengths": lengths, "repetitions": 1,
-                "runner": runner},
+    frame = benchmark.pedantic(
+        EXPERIMENT.frame, args=(runner,),
+        kwargs={"core_counts": core_counts, "vector_lengths": lengths, "repetitions": 1},
         rounds=1, iterations=1,
     )
+    series = FIG8_REPORT.table(frame)
     print()
-    print(format_fig8(series))
+    print(FIG8_REPORT.render_table(series))
     for (loop, cores, length), row in series.items():
         # WiSync never loses to Baseline, and Baseline is the slowest config.
         assert row["WiSync"] <= row["Baseline"]

@@ -1,11 +1,6 @@
 """Benchmark / regeneration of Figure 9 (CAS throughput vs critical section)."""
 
-from repro.experiments.fig9_cas import (
-    DEFAULT_CRITICAL_SECTIONS,
-    PAPER_CRITICAL_SECTIONS,
-    format_fig9,
-    run_fig9,
-)
+from repro.experiments.fig9_cas import EXPERIMENT, FIG9_REPORT, PAPER_CRITICAL_SECTIONS
 from repro.workloads.cas_kernels import CasKernelKind
 
 
@@ -13,19 +8,19 @@ def test_fig9_cas_throughput(benchmark, full_sweeps, runner):
     kinds = list(CasKernelKind) if full_sweeps else [CasKernelKind.ADD, CasKernelKind.FIFO]
     core_counts = [64, 128] if full_sweeps else [32]
     crits = PAPER_CRITICAL_SECTIONS if full_sweeps else [16384, 256, 16]
-    series = benchmark.pedantic(
-        run_fig9,
+    frame = benchmark.pedantic(
+        EXPERIMENT.frame, args=(runner,),
         kwargs={
             "kinds": kinds,
             "core_counts": core_counts,
             "critical_sections": crits,
             "successes_per_thread": 4,
-            "runner": runner,
         },
         rounds=1, iterations=1,
     )
+    series = FIG9_REPORT.table(frame)
     print()
-    print(format_fig9(series))
+    print(FIG9_REPORT.render_table(series))
     for (kernel, cores, crit), row in series.items():
         assert row["WiSync"] >= row["Baseline"]
     # The gap widens as critical sections shrink (contention grows).

@@ -1,12 +1,12 @@
 """Benchmark / regeneration of Table 4 (area and power comparison)."""
 
-from repro.experiments.table4_area_power import format_table4, run_table4
+from repro.experiments.table4_area_power import TABLE4_REPORT, table4_frame
 
 
 def test_table4_area_power(benchmark):
-    table = benchmark(run_table4)
+    table = TABLE4_REPORT.table(benchmark(table4_frame))
     print()
-    print(format_table4(table))
+    print(TABLE4_REPORT.render_table(table))
     rf = table["transceiver+2antennas"]
     # Paper values: 0.14 mm^2 and 18 mW; 0.7%/0.4% of a Haswell core,
     # 5.6%/1.8% of a Silvermont core.

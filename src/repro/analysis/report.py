@@ -4,11 +4,12 @@ A :class:`Report` is the *presentation* of one experiment as data: which
 derived columns to compute (``transforms``), which frame columns form the
 row axes (``index``) and the column axis (``series``), which metric fills
 the cells (``values``), how to order/filter the series labels, and which
-aggregate rows (mean / geomean) to append.  The experiment modules each
-declare one; ``python -m repro report`` renders them; the legacy
-``run_*``/``format_*`` APIs are thin wrappers over :meth:`Report.table` and
-:func:`~repro.analysis.tables.render_mapping`, so both paths produce
-byte-identical tables.
+aggregate rows (mean / geomean) to append.  Each experiment module's
+:class:`~repro.experiments.common.Experiment` record holds one, and both
+``python -m repro run`` and ``python -m repro report`` print it:
+:meth:`Report.table` builds the nested mapping ``run --json`` writes, and
+:meth:`Report.render_table` renders it through
+:func:`~repro.analysis.tables.render_mapping`.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Report:
         return frame.pivot(self.index, self.series, self.values)
 
     def table(self, frame: MetricFrame, prepared: bool = False) -> Dict[Any, Dict[Any, Any]]:
-        """The legacy nested mapping: ``{index: {series_label: value}}``."""
+        """The nested mapping ``{index: {series_label: value}}``."""
         if not prepared:
             frame = self.prepare(frame)
         if self.series is None:
@@ -117,7 +118,7 @@ class Report:
         return table
 
     def render_table(self, table: Mapping[Any, Dict[Any, Any]]) -> str:
-        """Render an already-built table mapping (the legacy ``format_*`` path)."""
+        """Render an already-built :meth:`table` mapping."""
         if self.series is None:
             return render_columns(
                 table,

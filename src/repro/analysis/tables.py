@@ -3,10 +3,8 @@
 :func:`format_table` is the low-level fixed-width renderer.  The two
 ``render_*`` helpers above it are the *only* way experiment tables are
 turned into text: they render the nested ``{row_key: {column: value}}``
-mappings that :meth:`repro.analysis.frame.Pivot.to_dict` produces (and that
-the legacy ``run_*`` functions return), so the declarative
-:class:`~repro.analysis.report.Report` path and the legacy ``format_*``
-wrappers are guaranteed to produce byte-identical tables.
+mappings that :meth:`repro.analysis.frame.Pivot.to_dict` produces and
+:meth:`~repro.analysis.report.Report.table` returns.
 """
 
 from __future__ import annotations

@@ -1,24 +1,30 @@
-"""Shared helpers for the experiment modules.
+"""Shared helpers for the experiment modules, and the :class:`Experiment` record.
 
-The experiment modules are declarative: each builds a
-:class:`~repro.runner.spec.SweepSpec` grid and executes it through a
-:class:`~repro.runner.runner.Runner` (serial by default; pass a runner with a
-:class:`~repro.runner.executor.ParallelExecutor` and/or a
-:class:`~repro.runner.cache.ResultCache` to fan sweeps out and memoize them).
+Each experiment module declares one :class:`Experiment`: its grid as a
+``*_sweep`` builder returning a :class:`~repro.runner.spec.SweepSpec`, its
+table as a :class:`~repro.analysis.report.Report`, and the ``repro run`` /
+``repro report`` axes that fill the builder's arguments.  The sweep runs
+through a :class:`~repro.runner.runner.Runner` (serial by default; pass a
+runner with a :class:`~repro.runner.executor.ParallelExecutor` and/or a
+:class:`~repro.runner.cache.ResultCache` to fan it out and memoize it).
 ``run_workload_on_configs`` remains for ad-hoc, non-serializable builders.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 
 from repro.config import MachineConfig
+from repro.errors import ConfigurationError
 from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
 from repro.machine.results import SimResult
 from repro.runner.runner import Runner, default_runner
 from repro.runner.spec import RunSpec, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; build_machine imports it
+    from repro.analysis.frame import MetricFrame
+    from repro.analysis.report import Report
     from repro.machine.manycore import Manycore
 
 #: The Table 2 configurations in the paper's presentation order.
@@ -28,13 +34,6 @@ CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
     "WiSyncNoT": wisync_not,
     "WiSync": wisync,
 }
-
-
-def config_names(include_baseline: bool = True) -> List[str]:
-    names = list(CONFIG_BUILDERS)
-    if not include_baseline:
-        names.remove("Baseline")
-    return names
 
 
 def build_machine(config_label: str, num_cores: int, seed: int = 2016) -> Manycore:
@@ -87,18 +86,72 @@ def specs_over_configs(
     ]
 
 
-def run_sweep(
-    sweep: SweepSpec, runner: Optional[Runner] = None
-) -> Dict[RunSpec, SimResult]:
-    """Execute ``sweep`` on ``runner`` (serial default); results per spec."""
-    return default_runner(runner).run(sweep).results
+def _no_note(text: str) -> None:
+    """Drop a note (the library default; the CLI prints them)."""
 
 
-def run_frame(sweep: SweepSpec, runner: Optional[Runner] = None):
-    """Execute ``sweep`` and return its :class:`~repro.analysis.frame.MetricFrame`.
+@dataclass(frozen=True)
+class Experiment:
+    """One table or figure of the evaluation: its grid, its table, its axes.
 
-    This is the canonical consumption path: every experiment module's
-    ``run_*`` function builds its table by piping this frame through the
-    module's :class:`~repro.analysis.report.Report`.
+    ``repro run`` and ``repro report`` share one path through the record:
+    :meth:`sweep_kwargs` turns the command's axis values into ``sweep``
+    arguments, :meth:`frame` runs the grid, and ``report`` (or
+    ``run_report`` for ``run``, when set) turns the frame into the table.
+
+    ``axes`` maps each command-line axis the experiment reads (``cores``,
+    ``configs``, ...) to the ``sweep`` keyword it fills.  An axis left unset
+    keeps the builder's own default; ``--quick`` first fills unset axes from
+    ``quick``.  ``cores`` mapped to ``num_cores`` selects a single-core-count
+    experiment: it runs at the first count given.
     """
-    return default_runner(runner).run(sweep).frame()
+
+    name: str
+    report: Report
+    sweep: Optional[Callable[..., SweepSpec]] = None
+    #: Builds the frame directly, for a closed-form model with no grid.
+    closed_form: Optional[Callable[..., MetricFrame]] = None
+    axes: Mapping[str, str] = field(default_factory=dict)
+    quick: Mapping[str, Any] = field(default_factory=dict)
+    #: Why ``--configs`` is ignored, for experiments with a fixed set.
+    fixed_configs: Optional[str] = None
+    #: Analysis view of the sweep's frame, given the ``sweep`` arguments.
+    view: Optional[Callable[[MetricFrame, Mapping[str, Any]], MetricFrame]] = None
+    #: The table ``repro run`` prints, when it differs from ``report``'s.
+    run_report: Optional[Report] = None
+
+    def sweep_kwargs(
+        self,
+        values: Mapping[str, Any],
+        quick: bool = False,
+        note: Callable[[str], None] = _no_note,
+    ) -> Dict[str, Any]:
+        """The ``sweep`` arguments for axis ``values`` (``None`` = unset).
+
+        An empty axis list raises :class:`ConfigurationError`; ``note``
+        receives the notes the command line prints on stderr.
+        """
+        if self.fixed_configs and values.get("configs") is not None:
+            note(f"--configs is ignored; {self.fixed_configs}")
+        kwargs: Dict[str, Any] = {}
+        for axis, keyword in self.axes.items():
+            value = values.get(axis)
+            if value is None and quick:
+                value = self.quick.get(axis)
+            if value is None:
+                continue
+            if isinstance(value, list) and not value:
+                raise ConfigurationError(f"sweep axis {axis!r} must not be empty")
+            if keyword == "num_cores":
+                if len(value) > 1:
+                    note(f"this experiment runs at one core count; using {value[0]}")
+                value = value[0]
+            kwargs[keyword] = value
+        return kwargs
+
+    def frame(self, runner: Optional[Runner] = None, **kwargs: Any) -> MetricFrame:
+        """The frame the reports read: the grid for ``kwargs``, run on ``runner``."""
+        if self.sweep is None:
+            return self.closed_form(**kwargs)
+        frame = default_runner(runner).run(self.sweep(**kwargs)).frame()
+        return self.view(frame, kwargs) if self.view is not None else frame

@@ -7,45 +7,34 @@ and geometric means, like the two rightmost bar groups of Figure 10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import AggregateRow, Report, speedup_over
-from repro.experiments.common import CONFIG_BUILDERS, run_frame, specs_over_configs
-from repro.machine.results import SimResult
-from repro.runner.runner import Runner, default_runner
+from repro.experiments.common import CONFIG_BUILDERS, Experiment, specs_over_configs
 from repro.runner.spec import SweepSpec
 from repro.workloads.synthetic_apps import application_names
 
+#: Configurations the mean/geoMean rows cover: the Baseline column's speedup
+#: is 1.0 by construction and would only dilute the means.  A configuration
+#: the sweep did not run has no cells, so gets no aggregate cell either.
+NON_BASELINE = tuple(label for label in CONFIG_BUILDERS if label != "Baseline")
 
-def fig10_report(configs: Optional[List[str]] = None) -> Report:
-    """Declarative presentation: per-app speedups plus mean/geoMean rows.
-
-    The aggregate rows cover only the non-Baseline configurations — the
-    Baseline column's speedup is 1.0 by construction and would only dilute
-    the means.
-    """
-    configs = configs if configs is not None else list(CONFIG_BUILDERS)
-    if "Baseline" not in configs:
-        configs = ["Baseline"] + configs
-    non_baseline = tuple(label for label in configs if label != "Baseline")
-    return Report(
-        name="fig10",
-        title="Figure 10: speedup over Baseline (64 cores)",
-        index=("app",),
-        index_headers=("application",),
-        series="config",
-        values="speedup",
-        transforms=(speedup_over("Baseline"),),
-        aggregates=(
-            AggregateRow("mean", "mean", series=non_baseline),
-            AggregateRow("geoMean", "geomean", series=non_baseline),
-        ),
-        series_order=tuple(CONFIG_BUILDERS),
-        drop_series=("Baseline",),
-    )
-
-
-FIG10_REPORT = fig10_report()
+#: Declarative presentation: per-app speedups plus mean/geoMean rows.
+FIG10_REPORT = Report(
+    name="fig10",
+    title="Figure 10: speedup over Baseline (64 cores)",
+    index=("app",),
+    index_headers=("application",),
+    series="config",
+    values="speedup",
+    transforms=(speedup_over("Baseline"),),
+    aggregates=(
+        AggregateRow("mean", "mean", series=NON_BASELINE),
+        AggregateRow("geoMean", "geomean", series=NON_BASELINE),
+    ),
+    series_order=tuple(CONFIG_BUILDERS),
+    drop_series=("Baseline",),
+)
 
 
 def fig10_sweep(
@@ -70,32 +59,14 @@ def fig10_sweep(
     return SweepSpec(name="fig10", specs=tuple(specs))
 
 
-def run_fig10(
-    apps: Optional[List[str]] = None,
-    num_cores: int = 64,
-    phase_scale: float = 1.0,
-    configs: Optional[List[str]] = None,
-    keep_results: bool = False,
-    runner: Optional[Runner] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Speedups over Baseline, keyed by application then configuration.
-
-    Two synthetic rows, ``mean`` and ``geoMean``, aggregate over the selected
-    applications.  With ``keep_results`` the raw :class:`SimResult` objects
-    are attached under the ``_results`` key of each application entry (escape
-    hatch for consumers that need full per-run stats, not just the frame).
-    """
-    sweep = fig10_sweep(apps, num_cores, phase_scale, configs)
-    outcome = default_runner(runner).run(sweep)
-    table = fig10_report(configs).table(outcome.frame())
-    if keep_results:
-        raw: Dict[str, Dict[str, SimResult]] = {}
-        for spec, result in outcome:
-            raw.setdefault(spec.params_dict()["app"], {})[spec.config] = result
-        table["_results"] = raw  # type: ignore[assignment]
-    return table
-
-
-def format_fig10(table: Dict[str, Dict[str, float]]) -> str:
-    rows_source = {name: cols for name, cols in table.items() if not name.startswith("_")}
-    return FIG10_REPORT.render_table(rows_source)
+#: What ``repro run fig10`` and ``repro report fig10`` read.
+EXPERIMENT = Experiment(
+    name="fig10",
+    sweep=fig10_sweep,
+    report=FIG10_REPORT,
+    axes={
+        "apps": "apps", "cores": "num_cores", "phase_scale": "phase_scale",
+        "configs": "configs",
+    },
+    quick={"cores": [16], "phase_scale": 0.25},
+)

@@ -9,12 +9,11 @@ insensitive to the BM latency.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import Report, group_by, speedup_over, where
-from repro.experiments.common import CONFIG_BUILDERS, run_frame, specs_over_configs
+from repro.experiments.common import CONFIG_BUILDERS, Experiment, specs_over_configs
 from repro.machine.configs import sensitivity_variants
-from repro.runner.runner import Runner
 from repro.runner.spec import SweepSpec
 
 #: Representative application subset used by default to keep the sweep fast;
@@ -76,17 +75,15 @@ def fig11_sweep(
     return SweepSpec(name="fig11", specs=tuple(specs))
 
 
-def run_fig11(
-    apps: Optional[List[str]] = None,
-    num_cores: int = 64,
-    phase_scale: float = 0.5,
-    variants: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Geometric-mean speedups over Baseline, keyed by variant then config."""
-    frame = run_frame(fig11_sweep(apps, num_cores, phase_scale, variants), runner)
-    return FIG11_REPORT.table(frame)
-
-
-def format_fig11(table: Dict[str, Dict[str, float]]) -> str:
-    return FIG11_REPORT.render_table(table)
+#: What ``repro run fig11`` and ``repro report fig11`` read.
+EXPERIMENT = Experiment(
+    name="fig11",
+    sweep=fig11_sweep,
+    report=FIG11_REPORT,
+    axes={
+        "apps": "apps", "cores": "num_cores", "phase_scale": "phase_scale",
+        "variants": "variants",
+    },
+    quick={"cores": [16], "phase_scale": 0.25},
+    fixed_configs="fig11 always compares all four Table 2 configurations",
+)

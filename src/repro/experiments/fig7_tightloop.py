@@ -8,11 +8,10 @@ thanks to the Tone channel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import Report, ratio_of
-from repro.experiments.common import CONFIG_BUILDERS, run_frame, specs_over_configs
-from repro.runner.runner import Runner
+from repro.experiments.common import CONFIG_BUILDERS, Experiment, specs_over_configs
 from repro.runner.spec import SweepSpec
 
 #: Core counts of the paper's sweep.  256-core Baseline simulations are slow
@@ -52,16 +51,11 @@ def fig7_sweep(
     return SweepSpec(name="fig7", specs=tuple(specs))
 
 
-def run_fig7(
-    core_counts: Optional[List[int]] = None,
-    iterations: int = 5,
-    configs: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[int, Dict[str, float]]:
-    """Cycles per TightLoop iteration, keyed by core count then configuration."""
-    frame = run_frame(fig7_sweep(core_counts, iterations, configs), runner)
-    return FIG7_REPORT.table(frame)
-
-
-def format_fig7(series: Dict[int, Dict[str, float]]) -> str:
-    return FIG7_REPORT.render_table(series)
+#: What ``repro run fig7`` and ``repro report fig7`` read.
+EXPERIMENT = Experiment(
+    name="fig7",
+    sweep=fig7_sweep,
+    report=FIG7_REPORT,
+    axes={"cores": "core_counts", "iterations": "iterations", "configs": "configs"},
+    quick={"cores": [8, 16], "iterations": 2},
+)

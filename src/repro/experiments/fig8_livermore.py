@@ -8,11 +8,10 @@ dominates, and shrink as the computation grows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.report import Report, derive
-from repro.experiments.common import CONFIG_BUILDERS, run_frame, specs_over_configs
-from repro.runner.runner import Runner
+from repro.experiments.common import CONFIG_BUILDERS, Experiment, specs_over_configs
 from repro.runner.spec import SweepSpec
 from repro.workloads.livermore import LivermoreLoop
 
@@ -70,20 +69,11 @@ def fig8_sweep(
     return SweepSpec(name="fig8", specs=tuple(specs))
 
 
-def run_fig8(
-    loops: Optional[List[LivermoreLoop]] = None,
-    core_counts: Optional[List[int]] = None,
-    vector_lengths: Optional[Dict[LivermoreLoop, List[int]]] = None,
-    repetitions: int = 2,
-    configs: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[Tuple[int, int, int], Dict[str, float]]:
-    """Execution time keyed by ``(loop, cores, vector_length)`` then config."""
-    frame = run_frame(
-        fig8_sweep(loops, core_counts, vector_lengths, repetitions, configs), runner
-    )
-    return FIG8_REPORT.table(frame)
-
-
-def format_fig8(series: Dict[Tuple[int, int, int], Dict[str, float]]) -> str:
-    return FIG8_REPORT.render_table(series)
+#: What ``repro run fig8`` and ``repro report fig8`` read.
+EXPERIMENT = Experiment(
+    name="fig8",
+    sweep=fig8_sweep,
+    report=FIG8_REPORT,
+    axes={"cores": "core_counts", "repetitions": "repetitions", "configs": "configs"},
+    quick={"cores": [16], "repetitions": 1},
+)

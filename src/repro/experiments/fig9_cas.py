@@ -8,12 +8,11 @@ Baseline (CAS through the cache hierarchy).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.analysis.metrics import throughput_per_kcycle
 from repro.analysis.report import Report, derive
-from repro.experiments.common import run_frame, specs_over_configs
-from repro.runner.runner import Runner
+from repro.experiments.common import Experiment, specs_over_configs
 from repro.runner.spec import SweepSpec
 from repro.workloads.cas_kernels import CasKernelKind
 
@@ -82,21 +81,11 @@ def fig9_sweep(
     return SweepSpec(name="fig9", specs=tuple(specs))
 
 
-def run_fig9(
-    kinds: Optional[List[CasKernelKind]] = None,
-    core_counts: Optional[List[int]] = None,
-    critical_sections: Optional[List[int]] = None,
-    successes_per_thread: int = 6,
-    configs: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[Tuple[str, int, int], Dict[str, float]]:
-    """Throughput (CAS/1000 cycles) keyed by ``(kernel, cores, crit)`` then config."""
-    frame = run_frame(
-        fig9_sweep(kinds, core_counts, critical_sections, successes_per_thread, configs),
-        runner,
-    )
-    return FIG9_REPORT.table(frame)
-
-
-def format_fig9(series: Dict[Tuple[str, int, int], Dict[str, float]]) -> str:
-    return FIG9_REPORT.render_table(series)
+#: What ``repro run fig9`` and ``repro report fig9`` read.
+EXPERIMENT = Experiment(
+    name="fig9",
+    sweep=fig9_sweep,
+    report=FIG9_REPORT,
+    axes={"cores": "core_counts", "crit": "critical_sections", "configs": "configs"},
+    quick={"cores": [16], "crit": [16, 256]},
+)

@@ -19,13 +19,14 @@ ablate, so it appears once per grid row regardless of the backoff list.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, List, Optional
 
 from repro.analysis.frame import MetricFrame, Row
-from repro.analysis.report import Report
+from repro.analysis.report import Report, derive
 from repro.errors import ConfigurationError
+from repro.experiments.common import Experiment
 from repro.runner.executor import backoff_variant
-from repro.runner.runner import Runner
 from repro.runner.spec import DEFAULT_SEED, RunSpec, SweepSpec
 from repro.workloads.contention_suite import scenario_names
 
@@ -73,17 +74,13 @@ DEFAULT_CONFIGS = ["Baseline", "WiSync"]
 DEFAULT_CONTENTION = ["low", "high"]
 DEFAULT_BACKOFFS = [DEFAULT_BACKOFF]
 
-#: Row key of the structured result table:
-#: (scenario, contention level, core count, backoff kind).
-ScenarioKey = Tuple[str, str, int, str]
-
 
 def _axis(name: str, values: Optional[List], default: List) -> List:
     """Apply the default for an omitted sweep axis; reject an empty one.
 
-    An explicitly empty axis (e.g. ``--backoffs ,`` on the CLI) would either
-    crash on ``backoffs[0]`` or silently build an empty sweep — both worse
-    than saying what is wrong.
+    An explicitly empty axis (e.g. ``backoffs=[]``) would either crash on
+    ``backoffs[0]`` or silently build an empty sweep — both worse than
+    saying what is wrong.
     """
     if values is None:
         return default
@@ -200,58 +197,39 @@ def scenario_frame(frame: MetricFrame, backoffs: Optional[List[str]] = None) -> 
     return frame.cycles_per_op(default=None)
 
 
-def scenarios_report(
-    configs: Optional[List[str]] = None, values: str = "cycles_per_op"
-) -> Report:
-    """Declarative presentation of the contention grid.
+#: Declarative presentation of the contention grid: cycles per completed
+#: operation, one row per (scenario, level, cores, backoff), one column per
+#: configuration in sweep order.
+SCENARIOS_REPORT = Report(
+    name="scenarios",
+    title="Contention scenarios: cycles per completed operation",
+    index=("workload", "contention", "cores", "backoff"),
+    index_headers=("scenario", "contention", "cores", "backoff"),
+    series="config",
+    values="cycles_per_op",
+    series_sort=False,
+    sort_rows=True,
+)
 
-    The default metric is ``cycles_per_op``; the legacy total-cycles view
-    passes ``values="total_cycles_f"``.
-    """
-    titles = {
-        "cycles_per_op": "Contention scenarios: cycles per completed operation",
-        "total_cycles_f": "Contention scenarios: total cycles",
-    }
-    return Report(
-        name="scenarios",
-        title=titles.get(values, f"Contention scenarios: {values}"),
-        index=("workload", "contention", "cores", "backoff"),
-        index_headers=("scenario", "contention", "cores", "backoff"),
-        series="config",
-        values=values,
-        series_order=tuple(configs) if configs is not None else None,
-        series_sort=False,
-        filter_present=False,
-        sort_rows=True,
-    )
+#: The total-cycles view of the same grid, the table ``repro run scenarios``
+#: prints (``repro report scenarios`` prints the per-operation one).
+SCENARIOS_TOTAL_REPORT = replace(
+    SCENARIOS_REPORT,
+    title="Contention scenarios: total cycles",
+    values="total_cycles_f",
+    transforms=(derive("total_cycles_f", lambda row: float(row["cycles"])),),
+)
 
-
-def run_scenarios(
-    scenarios: Optional[List[str]] = None,
-    core_counts: Optional[List[int]] = None,
-    configs: Optional[List[str]] = None,
-    contention: Optional[List[str]] = None,
-    backoffs: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[ScenarioKey, Dict[str, float]]:
-    """Total cycles keyed by (scenario, level, cores, backoff) then config.
-
-    Configurations without a wireless MAC are repeated across the backoff
-    rows of their grid point (one simulation serves every row), keeping each
-    row a complete config-by-config comparison.
-    """
-    scenarios = _axis("scenarios", scenarios, scenario_names())
-    core_counts = _axis("core_counts", core_counts, DEFAULT_CORE_COUNTS)
-    configs = _axis("configs", configs, DEFAULT_CONFIGS)
-    contention = _axis("contention", contention, DEFAULT_CONTENTION)
-    backoffs = _axis("backoffs", backoffs, DEFAULT_BACKOFFS)
-    sweep = scenario_sweep(scenarios, core_counts, configs, contention, backoffs)
-    from repro.runner.runner import default_runner
-
-    frame = scenario_frame(default_runner(runner).run(sweep).frame(), backoffs)
-    frame = frame.derive("total_cycles_f", lambda row: float(row["cycles"]))
-    return scenarios_report(configs, values="total_cycles_f").table(frame, prepared=True)
-
-
-def format_scenarios(table: Dict[ScenarioKey, Dict[str, float]]) -> str:
-    return scenarios_report(values="total_cycles_f").render_table(table)
+#: What ``repro run scenarios`` and ``repro report scenarios`` read.
+EXPERIMENT = Experiment(
+    name="scenarios",
+    sweep=scenario_sweep,
+    report=SCENARIOS_REPORT,
+    run_report=SCENARIOS_TOTAL_REPORT,
+    view=lambda frame, kwargs: scenario_frame(frame, kwargs.get("backoffs")),
+    axes={
+        "scenarios": "scenarios", "cores": "core_counts", "configs": "configs",
+        "contention": "contention", "backoffs": "backoffs",
+    },
+    quick={"cores": [16], "contention": ["low"]},
+)

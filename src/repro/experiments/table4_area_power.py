@@ -6,11 +6,10 @@ compared against the Xeon Haswell and Atom Silvermont cores at 22 nm.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.analysis.area_power import area_power_table
 from repro.analysis.frame import Column, MetricFrame
 from repro.analysis.report import Report
+from repro.experiments.common import Experiment
 
 #: Column layout of the analytical table's frame.
 TABLE4_SCHEMA = (
@@ -47,14 +46,11 @@ def table4_frame(technology_nm: int = 22) -> MetricFrame:
     return MetricFrame.from_rows(TABLE4_SCHEMA, rows)
 
 
-def run_table4(technology_nm: int = 22, runner=None) -> Dict[str, Dict[str, float]]:
-    """Regenerate Table 4's numbers at the requested technology node.
-
-    ``runner`` is accepted (and ignored) for CLI uniformity with the
-    simulation-backed experiments; this one is a closed-form model.
-    """
-    return TABLE4_REPORT.table(table4_frame(technology_nm))
-
-
-def format_table4(table: Dict[str, Dict[str, float]]) -> str:
-    return TABLE4_REPORT.render_table(table)
+#: What ``repro run table4`` and ``repro report table4`` read: no grid, the
+#: frame is the closed-form model's.
+EXPERIMENT = Experiment(
+    name="table4",
+    report=TABLE4_REPORT,
+    closed_form=table4_frame,
+    axes={"technology_nm": "technology_nm"},
+)

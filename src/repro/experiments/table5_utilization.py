@@ -8,11 +8,10 @@ lower because barrier traffic moves to the Tone channel.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.report import AggregateRow, Report, derive
-from repro.experiments.common import run_frame, specs_over_configs
-from repro.runner.runner import Runner
+from repro.experiments.common import Experiment, specs_over_configs
 from repro.runner.spec import SweepSpec
 
 #: Applications the paper singles out in Table 5 (most demanding ones).
@@ -65,25 +64,12 @@ def table5_sweep(
     return SweepSpec(name="table5", specs=tuple(specs))
 
 
-def run_table5(
-    apps: Optional[List[str]] = None,
-    num_cores: int = 64,
-    phase_scale: float = 1.0,
-    include_geomean_over: Optional[List[str]] = None,
-    runner: Optional[Runner] = None,
-) -> Dict[str, Dict[str, float]]:
-    """Data-channel utilization (%) keyed by application then configuration."""
-    frame = run_frame(table5_sweep(apps, num_cores, phase_scale), runner)
-    table = TABLE5_REPORT.table(frame)
-    if include_geomean_over is not None:
-        # Recompute only the GM row over the requested application subset.
-        table.pop("GM", None)
-        subset = TABLE5_REPORT.pivot(frame.where(app=tuple(include_geomean_over)))
-        gm = TABLE5_REPORT.aggregates[0].compute(subset.to_dict())
-        if gm:
-            table["GM"] = gm
-    return table
-
-
-def format_table5(table: Dict[str, Dict[str, float]]) -> str:
-    return TABLE5_REPORT.render_table(table)
+#: What ``repro run table5`` and ``repro report table5`` read.
+EXPERIMENT = Experiment(
+    name="table5",
+    sweep=table5_sweep,
+    report=TABLE5_REPORT,
+    axes={"apps": "apps", "cores": "num_cores", "phase_scale": "phase_scale"},
+    quick={"cores": [16], "phase_scale": 0.25},
+    fixed_configs="table5 always measures WiSyncNoT and WiSync",
+)

@@ -34,6 +34,9 @@
     python -m repro jobs list http://sweephost:7788
     python -m repro jobs cancel http://sweephost:7788 job-0003-9f2c1a
 
+``run`` and ``report`` share one path: the name selects the experiment's
+:class:`~repro.experiments.common.Experiment` record, whose sweep runs on
+the Runner the flags build and whose Report turns the frame into the table.
 ``run`` reports how many grid points were freshly simulated versus served
 from the cache, so a repeated invocation with ``--cache`` visibly performs
 zero new simulations; ``--progress`` streams one line per grid point to
@@ -109,6 +112,23 @@ def _comma_strs(text: str) -> List[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+def _experiment_name(text: str) -> str:
+    """argparse ``type`` for an experiment name.
+
+    A ``type`` rather than ``choices``: the names come from
+    :mod:`repro.experiments`, which only a command that names an experiment
+    should import (an idle ``repro worker`` never does).
+    """
+    from repro.experiments import experiment_names
+
+    names = experiment_names()
+    if text not in names:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(map(repr, names))})"
+        )
+    return text
+
+
 def _json_safe(value: Any) -> Any:
     """Make experiment tables JSON-serializable (tuple keys -> strings)."""
     if isinstance(value, dict):
@@ -116,222 +136,7 @@ def _json_safe(value: Any) -> Any:
             (",".join(str(p) for p in k) if isinstance(k, tuple) else str(k)): _json_safe(v)
             for k, v in value.items()
         }
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(item) for item in value]
-    if hasattr(value, "to_dict"):
-        return _json_safe(value.to_dict())
     return value
-
-
-# --------------------------------------------------------------------------
-# Experiment adapters: map CLI arguments onto each run_*/format_* pair.
-# --------------------------------------------------------------------------
-def _run_fig7(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_fig7, run_fig7
-
-    table = run_fig7(
-        core_counts=args.cores, iterations=args.iterations,
-        configs=args.configs, runner=runner,
-    )
-    return table, format_fig7(table)
-
-
-def _run_fig8(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_fig8, run_fig8
-
-    table = run_fig8(
-        core_counts=args.cores, repetitions=args.repetitions,
-        configs=args.configs, runner=runner,
-    )
-    return table, format_fig8(table)
-
-
-def _run_fig9(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_fig9, run_fig9
-
-    table = run_fig9(
-        core_counts=args.cores, critical_sections=args.crit,
-        configs=args.configs, runner=runner,
-    )
-    return table, format_fig9(table)
-
-
-def _run_fig10(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_fig10, run_fig10
-
-    table = run_fig10(
-        apps=args.apps, num_cores=_single_core_count(args),
-        phase_scale=args.phase_scale, configs=args.configs, runner=runner,
-    )
-    return table, format_fig10(table)
-
-
-def _run_fig11(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_fig11, run_fig11
-
-    _warn_fixed_configs(args, "fig11 always compares all four Table 2 configurations")
-    table = run_fig11(
-        apps=args.apps, num_cores=_single_core_count(args),
-        phase_scale=args.phase_scale, variants=args.variants, runner=runner,
-    )
-    return table, format_fig11(table)
-
-
-def _run_table4(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_table4, run_table4
-
-    table = run_table4(technology_nm=args.technology_nm, runner=runner)
-    return table, format_table4(table)
-
-
-def _run_table5(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_table5, run_table5
-
-    _warn_fixed_configs(args, "table5 always measures WiSyncNoT and WiSync")
-    table = run_table5(
-        apps=args.apps, num_cores=_single_core_count(args),
-        phase_scale=args.phase_scale, runner=runner,
-    )
-    return table, format_table5(table)
-
-
-def _run_scenarios(args: argparse.Namespace, runner: Runner):
-    from repro.experiments import format_scenarios, run_scenarios
-
-    table = run_scenarios(
-        scenarios=args.scenarios, core_counts=args.cores,
-        configs=args.configs, contention=args.contention,
-        backoffs=args.backoffs, runner=runner,
-    )
-    return table, format_scenarios(table)
-
-
-def _warn_fixed_configs(args: argparse.Namespace, reason: str) -> None:
-    if args.configs is not None:
-        print(f"note: --configs is ignored; {reason}", file=sys.stderr)
-
-
-def _single_core_count(args: argparse.Namespace) -> int:
-    if args.cores is None:
-        return 64
-    if len(args.cores) > 1:
-        print(
-            f"note: this experiment runs at one core count; using {args.cores[0]}",
-            file=sys.stderr,
-        )
-    return args.cores[0]
-
-
-EXPERIMENTS: Dict[str, Callable[[argparse.Namespace, Runner], Any]] = {
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "table4": _run_table4,
-    "table5": _run_table5,
-    "scenarios": _run_scenarios,
-}
-
-
-# --------------------------------------------------------------------------
-# Report adapters: map CLI arguments onto (Report, prepared MetricFrame).
-# --------------------------------------------------------------------------
-def _report_fig7(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep
-
-    frame = runner.run(fig7_sweep(args.cores, args.iterations, args.configs)).frame()
-    return FIG7_REPORT, FIG7_REPORT.prepare(frame)
-
-
-def _report_fig8(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.fig8_livermore import FIG8_REPORT, fig8_sweep
-
-    frame = runner.run(
-        fig8_sweep(core_counts=args.cores, repetitions=args.repetitions, configs=args.configs)
-    ).frame()
-    return FIG8_REPORT, FIG8_REPORT.prepare(frame)
-
-
-def _report_fig9(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.fig9_cas import FIG9_REPORT, fig9_sweep
-
-    frame = runner.run(
-        fig9_sweep(core_counts=args.cores, critical_sections=args.crit, configs=args.configs)
-    ).frame()
-    return FIG9_REPORT, FIG9_REPORT.prepare(frame)
-
-
-def _report_fig10(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.fig10_applications import fig10_report, fig10_sweep
-
-    report = fig10_report(args.configs)
-    frame = runner.run(
-        fig10_sweep(
-            apps=args.apps, num_cores=_single_core_count(args),
-            phase_scale=args.phase_scale, configs=args.configs,
-        )
-    ).frame()
-    return report, report.prepare(frame)
-
-
-def _report_fig11(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.fig11_sensitivity import FIG11_REPORT, fig11_sweep
-
-    _warn_fixed_configs(args, "fig11 always compares all four Table 2 configurations")
-    frame = runner.run(
-        fig11_sweep(
-            apps=args.apps, num_cores=_single_core_count(args),
-            phase_scale=args.phase_scale, variants=args.variants,
-        )
-    ).frame()
-    return FIG11_REPORT, FIG11_REPORT.prepare(frame)
-
-
-def _report_table4(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.table4_area_power import TABLE4_REPORT, table4_frame
-
-    return TABLE4_REPORT, table4_frame(args.technology_nm)
-
-
-def _report_table5(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.table5_utilization import TABLE5_REPORT, table5_sweep
-
-    _warn_fixed_configs(args, "table5 always measures WiSyncNoT and WiSync")
-    frame = runner.run(
-        table5_sweep(
-            apps=args.apps, num_cores=_single_core_count(args),
-            phase_scale=args.phase_scale,
-        )
-    ).frame()
-    return TABLE5_REPORT, TABLE5_REPORT.prepare(frame)
-
-
-def _report_scenarios(args: argparse.Namespace, runner: Runner):
-    from repro.experiments.scenarios import (
-        scenario_frame,
-        scenario_sweep,
-        scenarios_report,
-    )
-
-    sweep = scenario_sweep(
-        scenarios=args.scenarios, core_counts=args.cores, configs=args.configs,
-        contention=args.contention, backoffs=args.backoffs,
-    )
-    frame = scenario_frame(runner.run(sweep).frame(), args.backoffs)
-    return scenarios_report(args.configs), frame
-
-
-REPORTS: Dict[str, Callable[[argparse.Namespace, Runner], Any]] = {
-    "fig7": _report_fig7,
-    "fig8": _report_fig8,
-    "fig9": _report_fig9,
-    "fig10": _report_fig10,
-    "fig11": _report_fig11,
-    "table4": _report_table4,
-    "table5": _report_table5,
-    "scenarios": _report_scenarios,
-}
 
 
 # --------------------------------------------------------------------------
@@ -357,10 +162,14 @@ def build_parser() -> argparse.ArgumentParser:
             # ``run --resume RUN_ID`` restores the experiment from the
             # manifest; _cmd_run enforces presence for fresh runs.
             parser.add_argument(
-                "experiment", nargs="?", default=None, choices=sorted(EXPERIMENTS)
+                "experiment", nargs="?", default=None, type=_experiment_name,
+                help="experiment name (see 'repro list')",
             )
         else:
-            parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+            parser.add_argument(
+                "experiment", type=_experiment_name,
+                help="experiment name (see 'repro list')",
+            )
         parser.add_argument(
             "--cores", type=_comma_ints, default=None, metavar="N,N,...",
             help="core counts to sweep (fig7/8/9) or the single core count (fig10/11, table5)",
@@ -398,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="stream one line per completed grid point to stderr",
         )
         # Experiment-specific knobs (ignored by experiments that do not use
-        # them).  iterations/repetitions default to None so --quick can tell
-        # an unset flag from an explicitly passed one; _build_runner fills in
-        # the documented defaults afterwards.
+        # them).  They default to None so --quick can tell an unset flag from
+        # an explicitly passed one; an axis left unset keeps the default of
+        # the experiment's sweep builder.
         parser.add_argument(
             "--iterations", type=int, default=None,
             help="fig7: loop iterations (default 5)",
@@ -726,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
              "with the journal, verify results bit-identical to serial",
     )
     chaos_parser.add_argument(
-        "experiment", nargs="?", default="fig7",
-        choices=sorted(EXPERIMENTS),
+        "experiment", nargs="?", default="fig7", type=_experiment_name,
         help="experiment to drill on its --quick grid (default fig7)",
     )
     chaos_parser.add_argument(
@@ -902,11 +710,12 @@ def build_parser() -> argparse.ArgumentParser:
 # Commands
 # --------------------------------------------------------------------------
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments import experiment_names
     from repro.experiments.common import CONFIG_BUILDERS
     from repro.experiments.fig11_sensitivity import variant_names
 
     inventory = {
-        "experiments": sorted(EXPERIMENTS),
+        "experiments": experiment_names(),
         "workloads": workload_names(),
         "configs": list(CONFIG_BUILDERS),
         "variants": variant_names(),
@@ -949,25 +758,16 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Per-experiment smoke axes selected by ``--quick`` (only for axes whose
-#: flags were left at their parser defaults; explicit flags always win).
-_QUICK_AXES: Dict[str, Dict[str, Any]] = {
-    "fig7": {"cores": [8, 16], "iterations": 2},
-    "fig8": {"cores": [16], "repetitions": 1},
-    "fig9": {"cores": [16], "crit": [16, 256]},
-    "fig10": {"cores": [16], "phase_scale": 0.25},
-    "fig11": {"cores": [16], "phase_scale": 0.25},
-    "table4": {},
-    "table5": {"cores": [16], "phase_scale": 0.25},
-    "scenarios": {"cores": [16], "contention": ["low"]},
-}
+def _experiment_frame(args: argparse.Namespace, runner: Runner):
+    """The path ``run`` and ``report`` share: name -> record -> sweep -> frame."""
+    from repro.experiments import experiment
 
-def _apply_quick(args: argparse.Namespace) -> None:
-    if not getattr(args, "quick", False):
-        return
-    for axis, value in _QUICK_AXES.get(args.experiment, {}).items():
-        if getattr(args, axis) is None:
-            setattr(args, axis, value)
+    record = experiment(args.experiment)
+    kwargs = record.sweep_kwargs(
+        vars(args), quick=args.quick,
+        note=lambda text: print(f"note: {text}", file=sys.stderr),
+    )
+    return record, record.frame(runner, **kwargs)
 
 
 def _build_executor(
@@ -1045,13 +845,6 @@ def _build_executor(
 
 def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
     """The cache/executor/progress plumbing shared by ``run`` and ``report``."""
-    _apply_quick(args)
-    if args.iterations is None:
-        args.iterations = 5
-    if args.repetitions is None:
-        args.repetitions = 2
-    if args.phase_scale is None:
-        args.phase_scale = 0.5 if args.experiment == "fig11" else 1.0
     checkpoint_every = getattr(args, "checkpoint_every", None)
     # Whenever a manifest tracks the run, its checkpoints/ directory is live:
     # even without --checkpoint-every a resumed serial sweep fast-forwards any
@@ -1354,7 +1147,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runner, counting, cache = _build_runner(args, manifest)
     started = time.perf_counter()
     try:
-        table, rendered = EXPERIMENTS[args.experiment](args, runner)
+        record, frame = _experiment_frame(args, runner)
+        report = record.run_report or record.report
+        table = report.table(frame)
     except BaseException:
         if manifest is not None:
             manifest.mark_status("failed")
@@ -1363,7 +1158,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         manifest.mark_status("completed")
     elapsed = time.perf_counter() - started
     if not args.quiet:
-        print(rendered)
+        print(report.render_table(table))
     _print_run_summary(args, counting, cache, elapsed)
     if args.json:
         _write_text(json.dumps(_json_safe(table), indent=2, sort_keys=True), args.json)
@@ -1477,7 +1272,9 @@ def _cmd_debug(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     runner, counting, cache = _build_runner(args)
     started = time.perf_counter()
-    report, frame = REPORTS[args.experiment](args, runner)
+    record, frame = _experiment_frame(args, runner)
+    report = record.report
+    frame = report.prepare(frame)
     if {"events", "wall_seconds"} <= set(frame.column_names):
         # Simulator throughput rides along in every written frame so
         # `repro compare --threshold events_per_sec=...` can trend it.

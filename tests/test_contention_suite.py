@@ -10,9 +10,10 @@ import pytest
 from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments.scenarios import (
     CONTENTION_LEVELS,
+    EXPERIMENT,
+    SCENARIOS_TOTAL_REPORT,
     WIRELESS_CONFIGS,
     contention_params,
-    run_scenarios,
     scenario_sweep,
 )
 from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
@@ -232,7 +233,7 @@ class TestScenarioSweep:
         with pytest.raises(ConfigurationError, match="scenarios"):
             scenario_sweep(scenarios=[])
         with pytest.raises(ConfigurationError, match="configs"):
-            run_scenarios(configs=[])
+            scenario_sweep(configs=[])
 
     def test_backoff_axis_only_on_wireless_configs(self):
         sweep = scenario_sweep(
@@ -279,11 +280,12 @@ class TestScenarioSweep:
         assert default.total_cycles != fixed.total_cycles
 
     def test_run_scenarios_table_shape(self):
-        table = run_scenarios(
+        frame = EXPERIMENT.frame(
             scenarios=["pc_ring"], core_counts=[8],
             configs=["Baseline", "WiSync"], contention=["low"],
             backoffs=["broadcast_aware", "exponential"],
         )
+        table = SCENARIOS_TOTAL_REPORT.table(frame)
         assert set(table) == {
             ("pc_ring", "low", 8, "broadcast_aware"),
             ("pc_ring", "low", 8, "exponential"),

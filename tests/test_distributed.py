@@ -201,24 +201,24 @@ class TestPromptTeardown:
 
 class TestQuickAxes:
     def test_quick_fills_unset_axes_only(self):
-        from repro.runner.cli import _apply_quick, build_parser
+        from repro.experiments import experiment
+        from repro.runner.cli import build_parser
 
         args = build_parser().parse_args(["run", "fig7", "--quick"])
-        _apply_quick(args)
-        assert args.cores == [8, 16]
-        assert args.iterations == 2
+        kwargs = experiment("fig7").sweep_kwargs(vars(args), quick=args.quick)
+        assert kwargs == {"core_counts": [8, 16], "iterations": 2}
 
     def test_quick_respects_explicit_flags_even_at_default_values(self):
         # Regression: --quick used to clobber an explicit --iterations 5
         # because it could not tell it apart from the parser default.
-        from repro.runner.cli import _apply_quick, build_parser
+        from repro.experiments import experiment
+        from repro.runner.cli import build_parser
 
         args = build_parser().parse_args(
             ["run", "fig7", "--quick", "--iterations", "5", "--cores", "32"]
         )
-        _apply_quick(args)
-        assert args.iterations == 5
-        assert args.cores == [32]
+        kwargs = experiment("fig7").sweep_kwargs(vars(args), quick=args.quick)
+        assert kwargs == {"core_counts": [32], "iterations": 5}
 
 
 class TestDistributedExecutor:

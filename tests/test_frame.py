@@ -28,8 +28,8 @@ from repro.analysis.compare import (
 )
 from repro.analysis.frame import COLUMN_KINDS, COLUMN_TYPES, Column, MetricFrame
 from repro.errors import AnalysisError
-from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep, format_fig7
-from repro.experiments.scenarios import scenario_frame, scenario_sweep
+from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep
+from repro.experiments.scenarios import SCENARIOS_REPORT, scenario_frame, scenario_sweep
 from repro.runner import ResultCache, Runner, RunSpec, SweepSpec
 
 COMMON_SETTINGS = settings(max_examples=50, deadline=None,
@@ -317,8 +317,6 @@ class TestSweepFrames:
         assert "operations" not in result.extra
 
     def test_custom_scenario_params_render_as_custom_contention(self):
-        from repro.experiments.scenarios import scenarios_report
-
         sweep = SweepSpec(
             name="scenarios",
             specs=(
@@ -330,7 +328,7 @@ class TestSweepFrames:
         )
         frame = scenario_frame(Runner().run(sweep).frame())
         assert set(frame.column("contention")) == {"low", "custom"}
-        rendered = scenarios_report().render(frame, prepared=True)
+        rendered = SCENARIOS_REPORT.render(frame, prepared=True)
         assert "custom" in rendered  # sortable alongside the preset levels
 
     def test_sweep_frame_round_trips_through_json_and_csv(self):
@@ -492,7 +490,7 @@ class TestReportGolden:
         assert FIG7_REPORT.table(fig7_frame) == GOLDEN_FIG7_VALUES
 
     def test_legacy_format_path_agrees_with_report_path(self, fig7_frame):
-        assert format_fig7(FIG7_REPORT.table(fig7_frame)) == GOLDEN_FIG7_TEXT
+        assert FIG7_REPORT.render_table(FIG7_REPORT.table(fig7_frame)) == GOLDEN_FIG7_TEXT
 
 
 # ---------------------------------------------------------------------------

@@ -500,12 +500,12 @@ class TestStreamedProgress:
         assert all(event.cached for event in events)
 
     def test_runner_level_hook_streams_through_legacy_experiments(self):
-        from repro.experiments import run_fig7
+        from repro.experiments import experiment
 
         events = []
-        run_fig7(
+        experiment("fig7").frame(
+            Runner(progress=events.append),
             core_counts=[8], iterations=2, configs=["WiSync", "Baseline"],
-            runner=Runner(progress=events.append),
         )
         assert [event.spec.config for event in events] == ["WiSync", "Baseline"]
 
@@ -565,21 +565,22 @@ class TestStreamedProgress:
 
 class TestLegacyParity:
     def test_run_fig7_matches_direct_simulation(self):
-        from repro.experiments import run_fig7
+        from repro.experiments import FIG7_REPORT, experiment
 
-        series = run_fig7(core_counts=[8], iterations=2, configs=["WiSync"])
+        frame = experiment("fig7").frame(core_counts=[8], iterations=2, configs=["WiSync"])
+        series = FIG7_REPORT.table(frame)
         direct = build_tightloop(Manycore(wisync(num_cores=8)), iterations=2).run()
         assert series[8]["WiSync"] == direct.total_cycles / 2
 
     def test_run_fig7_parallel_matches_serial(self):
-        from repro.experiments import run_fig7
+        from repro.experiments import FIG7_REPORT, experiment
 
-        serial = run_fig7(core_counts=[8], iterations=2)
-        parallel = run_fig7(
-            core_counts=[8], iterations=2,
-            runner=Runner(executor=ParallelExecutor(max_workers=2)),
+        record = experiment("fig7")
+        serial = record.frame(core_counts=[8], iterations=2)
+        parallel = record.frame(
+            Runner(executor=ParallelExecutor(max_workers=2)), core_counts=[8], iterations=2,
         )
-        assert serial == parallel
+        assert FIG7_REPORT.table(serial) == FIG7_REPORT.table(parallel)
 
 
 class TestCli:

@@ -7,11 +7,12 @@ from repro.analysis.metrics import speedup, throughput_per_kcycle, utilization_p
 from repro.analysis.tables import format_table
 from repro.errors import WorkloadError
 from repro.experiments.common import build_machine, run_workload_on_configs
-from repro.experiments.fig7_tightloop import format_fig7, run_fig7
-from repro.experiments.fig9_cas import format_fig9, run_fig9
-from repro.experiments.table4_area_power import format_table4, run_table4
+from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep
+from repro.experiments.fig9_cas import FIG9_REPORT, fig9_sweep
+from repro.experiments.table4_area_power import TABLE4_REPORT, table4_frame
 from repro.machine.configs import baseline, wisync
 from repro.machine.manycore import Manycore
+from repro.runner.runner import Runner
 from repro.workloads.cas_kernels import CasKernelKind, build_cas_kernel
 from repro.workloads.livermore import LivermoreLoop, build_livermore_loop
 from repro.workloads.synthetic_apps import (
@@ -135,29 +136,30 @@ class TestApplicationProxies:
 
 class TestExperimentsAndAnalysis:
     def test_table4_matches_paper_numbers(self):
-        table = run_table4()
+        table = TABLE4_REPORT.table(table4_frame())
         rf = table["transceiver+2antennas"]
         assert rf["area_mm2"] == pytest.approx(0.14)
         assert rf["power_w"] == pytest.approx(0.018)
         assert table["Xeon Haswell"]["rf_area_percent"] == pytest.approx(0.7, abs=0.1)
         assert table["Atom Silvermont"]["rf_area_percent"] == pytest.approx(5.6, abs=0.2)
-        assert "Table 4" in format_table4(table)
+        assert "Table 4" in TABLE4_REPORT.render_table(table)
 
     def test_fig7_small_sweep_produces_paper_ordering(self):
-        series = run_fig7(core_counts=[16], iterations=2)
+        series = FIG7_REPORT.table(Runner().run(fig7_sweep(core_counts=[16], iterations=2)).frame())
         row = series[16]
         assert row["WiSync"] < row["Baseline+"] < row["Baseline"]
         assert row["WiSync"] < row["WiSyncNoT"] < row["Baseline"]
-        assert "cores" in format_fig7(series)
+        assert "cores" in FIG7_REPORT.render_table(series)
 
     def test_fig9_small_sweep_wisync_wins_at_high_contention(self):
-        series = run_fig9(
+        sweep = fig9_sweep(
             kinds=[CasKernelKind.ADD], core_counts=[8], critical_sections=[64],
             successes_per_thread=3,
         )
+        series = FIG9_REPORT.table(Runner().run(sweep).frame())
         point = series[("add", 8, 64)]
         assert point["WiSync"] > point["Baseline"]
-        assert "kernel" in format_fig9(series)
+        assert "kernel" in FIG9_REPORT.render_table(series)
 
     def test_build_machine_labels(self):
         machine = build_machine("WiSync", num_cores=4)
