@@ -5,7 +5,7 @@
 * :mod:`repro.analysis.report` — declarative :class:`Report` definitions
   (the experiment modules each declare one).
 * :mod:`repro.analysis.compare` — frame diffing with per-metric regression
-  thresholds (``repro compare``, the profile gate, CI perf-smoke).
+  thresholds (``repro compare``).
 * :mod:`repro.analysis.metrics` — scalar metric functions with validated
   denominators.
 * :mod:`repro.analysis.area_power` / :mod:`repro.analysis.tables` — the
@@ -31,7 +31,6 @@ __all__ = [
     "FrameComparison",
     "MetricDelta",
     "compare_frames",
-    "bench_frame",
     "load_frame",
     "format_table",
     "render_mapping",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "area_power_table": "repro.analysis.area_power",
     "FrameComparison": "repro.analysis.compare",
     "MetricDelta": "repro.analysis.compare",
-    "bench_frame": "repro.analysis.compare",
     "compare_frames": "repro.analysis.compare",
     "load_frame": "repro.analysis.compare",
     "Column": "repro.analysis.frame",

@@ -1,12 +1,9 @@
-"""Frame-to-frame comparison: the single baseline-gating implementation.
+"""Frame-to-frame comparison with per-metric regression thresholds.
 
-``python -m repro compare a.json b.json`` diffs two result payloads — either
-serialized :class:`~repro.analysis.frame.MetricFrame`\\ s (written by
-``repro report --json``) or ``BENCH_*.json`` records (written by ``repro
-profile``) — joining rows on their shared dimension columns and checking
-per-metric regression thresholds.  The profile harness's ``--baseline`` gate
-and the CI perf-smoke job both go through :func:`compare_frames`, so there
-is exactly one definition of "regressed" in the repository.
+``python -m repro compare a.json b.json`` diffs two serialized
+:class:`~repro.analysis.frame.MetricFrame`\\ s (written by ``repro report
+--json``), joining rows on their shared dimension columns and checking
+per-metric regression thresholds through :func:`compare_frames`.
 
 Direction matters: cycles regress *up*, events/sec regresses *down*.
 Metrics listed in :data:`HIGHER_IS_BETTER` (or prefixed accordingly) gate on
@@ -19,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.analysis.frame import FRAME_FORMAT, Column, MetricFrame
+from repro.analysis.frame import FRAME_FORMAT, MetricFrame
 from repro.analysis.tables import format_table
 from repro.errors import AnalysisError
 
@@ -33,7 +30,7 @@ HIGHER_IS_BETTER = frozenset(
 #: Metrics that are bookkeeping, not gateable quantities; excluded from the
 #: default comparison set (an explicit --metrics still selects them).
 _NEVER_GATED = frozenset(
-    {"completed", "cached", "quick", "finished_threads", "total_threads"}
+    {"completed", "cached", "finished_threads", "total_threads"}
 )
 
 #: Wall-clock metrics vary run to run even on one machine; the blanket
@@ -274,45 +271,20 @@ def compare_frames(
 
 
 # ---------------------------------------------------------------------------
-# Payload loading (frame JSON or BENCH_*.json records)
+# Payload loading
 # ---------------------------------------------------------------------------
-_BENCH_SCHEMA: Tuple[Column, ...] = (
-    Column("experiment", "str", "dim"),
-    Column("quick", "bool", "metric"),
-    Column("grid_points", "int", "metric"),
-    Column("events", "int", "metric"),
-    Column("wall_seconds", "float", "metric"),
-    Column("events_per_sec", "float", "metric"),
-)
-
-
-def bench_frame(record: Mapping[str, Any]) -> MetricFrame:
-    """A ``repro profile`` benchmark record as a one-row frame."""
-    missing = [c.name for c in _BENCH_SCHEMA if c.name != "quick" and c.name not in record]
-    if missing:
-        raise AnalysisError(f"benchmark record is missing fields: {missing}")
-    row = {column.name: record.get(column.name) for column in _BENCH_SCHEMA}
-    row["quick"] = bool(record.get("quick", False))
-    row["wall_seconds"] = float(record["wall_seconds"])
-    row["events_per_sec"] = float(record["events_per_sec"])
-    return MetricFrame.from_rows(_BENCH_SCHEMA, [row])
-
-
-def frame_from_payload(payload: Mapping[str, Any]) -> MetricFrame:
-    """Interpret a parsed JSON payload as a frame (auto-detects the kind)."""
-    if payload.get("format") == FRAME_FORMAT:
-        return MetricFrame.from_json_dict(payload)
-    if "events_per_sec" in payload:
-        return bench_frame(payload)
-    raise AnalysisError(
-        "unrecognized payload: expected a MetricFrame JSON "
-        f"(format={FRAME_FORMAT!r}, from 'repro report --json') or a "
-        "BENCH_*.json profile record"
-    )
+def frame_from_payload(payload: Any) -> MetricFrame:
+    """Interpret a parsed JSON payload as a frame."""
+    if not isinstance(payload, Mapping) or payload.get("format") != FRAME_FORMAT:
+        raise AnalysisError(
+            "unrecognized payload: expected a MetricFrame JSON object "
+            f"(format={FRAME_FORMAT!r}, from 'repro report --json')"
+        )
+    return MetricFrame.from_json_dict(payload)
 
 
 def load_frame(path: str) -> MetricFrame:
-    """Load a frame or benchmark record from ``path``."""
+    """Load a MetricFrame JSON file from ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as stream:
             payload = json.load(stream)

@@ -87,6 +87,11 @@ class Column:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, str]) -> "Column":
+        if not isinstance(payload, Mapping) or not isinstance(payload.get("name"), str):
+            raise AnalysisError(f"column entry {payload!r} needs a string 'name'")
+        missing = [key for key in ("type", "kind") if key not in payload]
+        if missing:
+            raise AnalysisError(f"column {payload['name']!r} is missing {missing}")
         return cls(name=payload["name"], type=payload["type"], kind=payload["kind"])
 
 
@@ -541,13 +546,21 @@ class MetricFrame:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping[str, Any]) -> "MetricFrame":
+        if not isinstance(payload, Mapping):
+            raise AnalysisError(f"a MetricFrame payload is an object, got {type(payload).__name__}")
         if payload.get("format") != FRAME_FORMAT:
             raise AnalysisError(
                 f"not a MetricFrame payload (format={payload.get('format')!r}, "
                 f"expected {FRAME_FORMAT!r})"
             )
-        schema = tuple(Column.from_dict(entry) for entry in payload["schema"])
-        return cls(schema, payload["columns"])
+        schema, columns = payload.get("schema"), payload.get("columns")
+        if not isinstance(schema, list):
+            raise AnalysisError(f"MetricFrame 'schema' must be a list, got {type(schema).__name__}")
+        if not isinstance(columns, Mapping) or not all(
+            isinstance(values, list) for values in columns.values()
+        ):
+            raise AnalysisError("MetricFrame 'columns' must map each column name to a list")
+        return cls(tuple(Column.from_dict(entry) for entry in schema), columns)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

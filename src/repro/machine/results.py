@@ -24,8 +24,9 @@ class SimResult:
     #: False when the run was truncated (``max_cycles``) before every thread
     #: finished, letting sweeps distinguish converged runs from partial ones.
     completed: bool = True
-    #: Discrete events the engine fired for this run; the numerator of the
-    #: events/sec throughput metric reported by ``python -m repro profile``.
+    #: Discrete events the engine fired for this run; the numerator of
+    #: events/sec (the ``events_per_sec`` column of ``repro report --json``
+    #: frames and perfbench's ``sim.events_per_s``).
     events_processed: int = 0
 
     # ------------------------------------------------------------ durations

@@ -13,9 +13,7 @@
     python -m repro report fig7 --cores 16,32 --cache .wisync-cache --json fig7_frame.json
     python -m repro report scenarios --contention low,high --csv scenarios.csv
     python -m repro compare old_frame.json new_frame.json --threshold cycles=0.05
-    python -m repro compare BENCH_fig7.json BENCH_fig7.ci.json --max-regression 0.30
     python -m repro scenarios
-    python -m repro profile fig7 --quick --baseline BENCH_fig7.json
     python -m repro run fig7 --checkpoint-every 200000 --run-id nightly
     python -m repro run --resume nightly
     python -m repro run fig7 --quick --bind 0.0.0.0:7787 --journal --run-id nightly
@@ -43,13 +41,9 @@ zero new simulations; ``--progress`` streams one line per grid point to
 stderr as it completes.  ``report`` renders an experiment's paper table from
 its :class:`~repro.analysis.frame.MetricFrame` (with ``--cache`` a warm
 cache makes this pure rendering — zero simulations) and can write the frame
-as lossless JSON/CSV.  ``compare`` diffs two such frames — or two
-``BENCH_*.json`` profile records — with per-metric regression thresholds;
-it is the single gating implementation behind ``profile --baseline`` and
-the CI perf-smoke job.  ``scenarios`` prints the contention-scenario
-catalog.  ``profile`` times a pinned sweep, writes a
-``BENCH_<experiment>.json`` throughput record, and can gate on a committed
-baseline.
+as lossless JSON/CSV.  ``compare`` diffs two such frames with per-metric
+regression thresholds.  ``scenarios`` prints the contention-scenario
+catalog.
 
 ``--distributed N`` runs a sweep through the TCP broker with N localhost
 worker subprocesses; ``--bind HOST:PORT`` additionally (or, with
@@ -347,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare_parser = subparsers.add_parser(
         "compare",
-        help="diff two result payloads (MetricFrame JSON from 'report --json', "
-             "or BENCH_*.json profile records) with per-metric thresholds",
+        help="diff two MetricFrame JSON files (from 'report --json') "
+             "with per-metric thresholds",
     )
     compare_parser.add_argument("baseline", help="baseline payload path")
     compare_parser.add_argument("candidate", help="candidate payload path")
@@ -671,37 +665,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint_parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
-    )
-
-    profile_parser = subparsers.add_parser(
-        "profile",
-        help="time a pinned sweep, write BENCH_<experiment>.json, optionally gate on a baseline",
-    )
-    from repro.runner.profile import profile_names
-
-    profile_parser.add_argument("experiment", choices=profile_names())
-    profile_parser.add_argument(
-        "--quick", action="store_true",
-        help="use the smaller pinned grid (what the CI perf-smoke job runs)",
-    )
-    profile_parser.add_argument(
-        "--repeats", type=int, default=3, metavar="N",
-        help="repeat the sweep N times and report the best wall-clock (default 3)",
-    )
-    profile_parser.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="where to write the benchmark record (default BENCH_<experiment>.json)",
-    )
-    profile_parser.add_argument(
-        "--no-write", action="store_true", help="do not write the benchmark record"
-    )
-    profile_parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="committed BENCH_*.json to gate against (non-zero exit on regression)",
-    )
-    profile_parser.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRACTION",
-        help="allowed events/sec drop versus the baseline before failing (default 0.30)",
     )
     return parser
 
@@ -1322,30 +1285,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.runner.profile import (
-        compare_to_baseline,
-        default_bench_path,
-        format_record,
-        run_profile,
-        write_bench,
-    )
-
-    record = run_profile(args.experiment, quick=args.quick, repeats=args.repeats)
-    print(format_record(record))
-    if not args.no_write:
-        path = args.output or default_bench_path(args.experiment)
-        write_bench(record, path)
-        print(f"wrote {path}", file=sys.stderr)
-    if args.baseline:
-        failure = compare_to_baseline(record, args.baseline, args.max_regression)
-        if failure is not None:
-            print(f"FAIL: {failure}", file=sys.stderr)
-            return 1
-        print(f"perf gate OK (baseline {args.baseline})", file=sys.stderr)
-    return 0
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -1353,8 +1292,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_list(args)
         if args.command == "scenarios":
             return _cmd_scenarios(args)
-        if args.command == "profile":
-            return _cmd_profile(args)
         if args.command == "worker":
             return _cmd_worker(args)
         if args.command == "workers":

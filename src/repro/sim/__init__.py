@@ -12,9 +12,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "Simulator",
     "Event",
-    "SimProcess",
-    "Timeout",
-    "WaitCondition",
     "DeterministicRng",
     "Counter",
     "Histogram",
@@ -25,9 +22,6 @@ __all__ = [
 _EXPORTS = {
     "Simulator": "repro.sim.engine",
     "Event": "repro.sim.events",
-    "SimProcess": "repro.sim.process",
-    "Timeout": "repro.sim.process",
-    "WaitCondition": "repro.sim.process",
     "DeterministicRng": "repro.sim.rng",
     "Counter": "repro.sim.stats",
     "Histogram": "repro.sim.stats",

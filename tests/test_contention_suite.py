@@ -298,7 +298,7 @@ class TestScenarioSweep:
 
 
 # ---------------------------------------------------------------------------
-# CLI + profile integration
+# CLI integration
 # ---------------------------------------------------------------------------
 class TestScenarioCli:
     def _repro(self, *argv):
@@ -345,12 +345,3 @@ class TestScenarioCli:
         assert second.returncode == 0, second.stderr
         assert "(cached)" in second.stderr
         assert "(simulated)" not in second.stderr
-
-    def test_profile_scenarios_quick(self):
-        from repro.runner.profile import run_profile
-
-        record = run_profile("scenarios", quick=True, repeats=1)
-        assert record["experiment"] == "scenarios"
-        assert record["grid_points"] == 3
-        assert record["events"] > 0
-        assert record["events_per_sec"] > 0

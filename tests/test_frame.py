@@ -20,12 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.compare import (
-    bench_frame,
-    compare_frames,
-    frame_from_payload,
-    metric_direction,
-)
+from repro.analysis.compare import compare_frames, frame_from_payload, metric_direction
 from repro.analysis.frame import COLUMN_KINDS, COLUMN_TYPES, Column, MetricFrame
 from repro.errors import AnalysisError
 from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep
@@ -365,10 +360,9 @@ class TestCompare:
     def test_higher_is_better_metrics_gate_on_drops(self):
         assert metric_direction("events_per_sec") == "higher"
         assert metric_direction("cycles") == "lower"
-        fast = bench_frame({"experiment": "fig7", "grid_points": 1, "events": 100,
-                            "wall_seconds": 1.0, "events_per_sec": 1000.0})
-        slow = bench_frame({"experiment": "fig7", "grid_points": 1, "events": 100,
-                            "wall_seconds": 1.0, "events_per_sec": 500.0})
+        schema = (Column("experiment", "str", "dim"), Column("events_per_sec", "float", "metric"))
+        fast = MetricFrame.from_rows(schema, [{"experiment": "fig7", "events_per_sec": 1000.0}])
+        slow = MetricFrame.from_rows(schema, [{"experiment": "fig7", "events_per_sec": 500.0}])
         failing = compare_frames(fast, slow, metrics=("events_per_sec",),
                                  thresholds={"events_per_sec": 0.30})
         assert not failing.ok and "below" in failing.failures[0]
@@ -428,32 +422,17 @@ class TestCompare:
         assert "no comparable rows" in comparison.failures[0]
 
     def test_disjoint_frames_raise(self):
-        a = bench_frame({"experiment": "fig7", "grid_points": 1, "events": 1,
-                         "wall_seconds": 1.0, "events_per_sec": 1.0})
-        b = bench_frame({"experiment": "fig8", "grid_points": 1, "events": 1,
-                         "wall_seconds": 1.0, "events_per_sec": 1.0})
+        schema = (Column("experiment", "str", "dim"), Column("events_per_sec", "float", "metric"))
+        a = MetricFrame.from_rows(schema, [{"experiment": "fig7", "events_per_sec": 1.0}])
+        b = MetricFrame.from_rows(schema, [{"experiment": "fig8", "events_per_sec": 1.0}])
         with pytest.raises(AnalysisError, match="no overlapping rows"):
             compare_frames(a, b)
 
     def test_payload_autodetection(self):
         frame = small_frame()
         assert frame_from_payload(frame.to_json_dict()) == frame
-        bench = frame_from_payload({"experiment": "fig7", "grid_points": 1, "events": 5,
-                                    "wall_seconds": 2.0, "events_per_sec": 2.5})
-        assert bench.row(0)["events_per_sec"] == 2.5
         with pytest.raises(AnalysisError, match="unrecognized payload"):
             frame_from_payload({"hello": "world"})
-
-    def test_profile_gate_routes_through_compare(self, tmp_path):
-        from repro.runner.profile import compare_to_baseline
-
-        record = {"experiment": "fig7", "quick": True, "grid_points": 1,
-                  "events": 100, "wall_seconds": 1.0, "events_per_sec": 500.0}
-        baseline_path = tmp_path / "BENCH_fig7.json"
-        baseline_path.write_text(json.dumps({**record, "events_per_sec": 1000.0}))
-        message = compare_to_baseline(record, str(baseline_path), 0.30)
-        assert message is not None and "perf regression" in message
-        assert compare_to_baseline(record, str(baseline_path), 0.60) is None
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +475,24 @@ class TestReportGolden:
 # ---------------------------------------------------------------------------
 # CLI integration
 # ---------------------------------------------------------------------------
+#: Files ``repro compare`` must reject with exit 2 (name -> file body).
+MALFORMED_PAYLOADS = {
+    "null": "null",
+    "number": "3",
+    "string": '"x"',
+    "list": "[1, 2]",
+    "no-schema": '{"format": "metricframe/v1"}',
+    "schema-not-list": '{"format": "metricframe/v1", "schema": 5, "columns": {}}',
+    "column-not-object": '{"format": "metricframe/v1", "schema": [5], "columns": {}}',
+    "name-not-string": '{"format": "metricframe/v1", "schema": '
+                       '[{"name": ["a"], "type": "int", "kind": "dim"}], "columns": {}}',
+    "column-without-type": '{"format": "metricframe/v1", "schema": '
+                           '[{"name": "a", "kind": "dim"}], "columns": {"a": []}}',
+    "values-not-list": '{"format": "metricframe/v1", "schema": '
+                       '[{"name": "a", "type": "int", "kind": "dim"}], "columns": {"a": 5}}',
+}
+
+
 class TestReportCompareCli:
     def _repro(self, *argv):
         env = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
@@ -548,7 +545,13 @@ class TestReportCompareCli:
         structured = json.loads(worse.stdout)
         assert structured["failures"]
 
-    def test_compare_bench_records(self):
-        proc = self._repro("compare", "BENCH_fig7.json", "BENCH_fig7.json",
-                           "--metrics", "events_per_sec", "--max-regression", "0.3")
-        assert proc.returncode == 0, proc.stderr
+    @pytest.mark.parametrize("body", list(MALFORMED_PAYLOADS.values()),
+                             ids=list(MALFORMED_PAYLOADS))
+    def test_compare_rejects_malformed_payloads(self, tmp_path, body):
+        # Exit 1 means "a gate failed"; a file that is not a frame is a usage
+        # error (exit 2), never a traceback.
+        path = tmp_path / "bad.json"
+        path.write_text(body)
+        proc = self._repro("compare", str(path), str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr

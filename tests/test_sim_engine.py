@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import AnalysisError, SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import SimProcess, Timeout, WaitCondition
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import (
     Counter,
@@ -186,80 +185,6 @@ class TestSimulator:
         # Unlike until=, stop_at lets the event that reaches the bound fire.
         assert fired == [5, 10]
         assert sim.now == 10
-
-
-class TestSimProcess:
-    def test_timeout_advances_time(self, sim):
-        log = []
-
-        def proc():
-            yield Timeout(5)
-            log.append(sim.now)
-            yield Timeout(7)
-            log.append(sim.now)
-
-        SimProcess(sim, proc(), "p").start()
-        sim.run()
-        assert log == [5, 12]
-
-    def test_process_result_recorded(self, sim):
-        def proc():
-            yield Timeout(1)
-            return 42
-
-        process = SimProcess(sim, proc(), "p").start()
-        sim.run()
-        assert process.finished
-        assert process.result == 42
-
-    def test_wait_condition_wakes_waiters(self, sim):
-        condition = WaitCondition()
-        results = []
-
-        def waiter():
-            value = yield condition
-            results.append((sim.now, value))
-
-        def notifier():
-            yield Timeout(9)
-            condition.notify("done")
-
-        SimProcess(sim, waiter(), "w").start()
-        SimProcess(sim, notifier(), "n").start()
-        sim.run()
-        assert results == [(9, "done")]
-
-    def test_already_fired_condition_resumes_immediately(self, sim):
-        condition = WaitCondition()
-        condition.notify("early")
-        results = []
-
-        def waiter():
-            value = yield condition
-            results.append(value)
-
-        SimProcess(sim, waiter(), "w").start()
-        sim.run()
-        assert results == ["early"]
-
-    def test_integer_yield_is_a_timeout(self, sim):
-        times = []
-
-        def proc():
-            yield 3
-            times.append(sim.now)
-
-        SimProcess(sim, proc(), "p").start()
-        sim.run()
-        assert times == [3]
-
-    def test_unsupported_yield_raises(self, sim):
-        def proc():
-            yield "nonsense"
-
-        SimProcess(sim, proc(), "p").start()
-        with pytest.raises(SimulationError):
-            sim.run()
 
 
 class TestDeterministicRng:

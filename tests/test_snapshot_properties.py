@@ -95,7 +95,10 @@ PORTED_SPECS = st.one_of(
 
 
 def _three_way_identity(spec, cut):
-    """native restore == forced replay restore == uninterrupted, at ``cut``."""
+    """native restore == forced replay restore == uninterrupted, at ``cut``.
+
+    Returns the native snapshot taken at ``cut``.
+    """
     full = execute_spec(spec)
     cut = min(max(1, cut), full.events_processed - 1)
 
@@ -120,7 +123,7 @@ def _three_way_identity(spec, cut):
     assert replayed.extra.get("native_restore") == 0.0
     assert replayed.extra.get("events_replayed") == float(cut)
     assert_identical(replayed, full)
-    return full
+    return native_snap
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +158,31 @@ class TestNativeRestoreProperty:
     def test_native_equals_replay_equals_uninterrupted(self, spec, fraction):
         full = execute_spec(spec)
         _three_way_identity(spec, int(full.events_processed * fraction))
+
+
+# ---------------------------------------------------------------------------
+# Restore shape: native restore does not grow with the cut depth
+# ---------------------------------------------------------------------------
+#: A 17,626-event run, cut at 10%, 50% and 90% of its events.
+RESTORE_SHAPE_SPEC = _tight(iterations=100, num_cores=16, seed=7)
+RESTORE_SHAPE_CUTS = (1_762, 8_813, 15_863)
+
+
+def test_native_restore_shape_is_flat_across_cuts():
+    """The restore shape, pinned without a clock.
+
+    At each cut native restore replays nothing and forced replay replays the
+    whole prefix (both checked by ``_three_way_identity``), and the native
+    payload keeps one size, so a payload that grows with history fails.
+    """
+    total = execute_spec(RESTORE_SHAPE_SPEC).events_processed
+    assert total == 17_626
+    assert RESTORE_SHAPE_CUTS == tuple(int(total * f) for f in (0.1, 0.5, 0.9))
+    sizes = [
+        len(json.dumps(snapshot_document(_three_way_identity(RESTORE_SHAPE_SPEC, cut))))
+        for cut in RESTORE_SHAPE_CUTS
+    ]
+    assert max(sizes) < 1.05 * min(sizes), sizes
 
 
 # ---------------------------------------------------------------------------
