@@ -7,10 +7,12 @@ collision-resolution policy.
 
 from dataclasses import replace
 
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.isa.operations import Compute
 from repro.machine.configs import wisync, wisync_not
 from repro.machine.manycore import Manycore
 from repro.sync.api import SyncFactory
+from repro.sync.frames import barrier_wait, channel_consume, channel_produce
 from repro.sync.producer_consumer import ProducerConsumerChannel
 
 
@@ -18,15 +20,23 @@ def _barrier_time(config, iterations=4, cores=32):
     machine = Manycore(config)
     program = machine.new_program("ablation")
     sync = SyncFactory(program)
-    barrier = sync.create_barrier(cores)
+    barrier_sid = sync.create_barrier(cores).sync_id
 
-    def body(ctx):
-        for _ in range(iterations):
-            yield Compute(100)
-            yield from barrier.wait(ctx)
+    def body(frame, value, env):
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            return barrier_wait(barrier_sid, "crossed")
+        if label == START:
+            L["iteration"] = 0
+        else:  # label == "crossed"
+            L["iteration"] += 1
+        if L["iteration"] == iterations:
+            return Ret(None)
+        return Op(Compute(100), "computed")
 
+    machine.register_frame_routine("ablation.body", body)
     for _ in range(cores):
-        program.add_thread(body)
+        program.add_thread(FrameBody("ablation.body"))
     return machine.run().total_cycles / iterations
 
 
@@ -61,17 +71,22 @@ def test_ablation_bulk_messages(benchmark):
         data = program.alloc_broadcast(4)
         flag = program.alloc_broadcast(1)
         channel = ProducerConsumerChannel(data, flag, wireless=True)
+        channel_sid = machine.register_sync(channel)
 
-        def producer(ctx):
-            for i in range(6):
-                yield from channel.produce(ctx, (i, i, i, i))
+        def endpoint(frame, value, env):
+            # Six payloads: thread 0 produces them, thread 1 consumes them.
+            L, label = frame.locals, frame.label
+            L["count"] = 0 if label == START else L["count"] + 1
+            if L["count"] == 6:
+                return Ret(None)
+            if env.ctx.thread_id == 0:
+                i = L["count"]
+                return channel_produce(channel_sid, (i, i, i, i), "moved")
+            return channel_consume(channel_sid, "moved")
 
-        def consumer(ctx):
-            for _ in range(6):
-                yield from channel.consume(ctx)
-
-        program.add_thread(producer, core_id=0)
-        program.add_thread(consumer, core_id=1)
+        machine.register_frame_routine("bulk.endpoint", endpoint)
+        program.add_thread(FrameBody("bulk.endpoint"), core_id=0)
+        program.add_thread(FrameBody("bulk.endpoint"), core_id=1)
         return machine.run().total_cycles
 
     cycles = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -11,7 +11,9 @@ amount of computation between updates.
 
 from repro import Manycore, SyncFactory, baseline, wisync
 from repro.analysis.tables import format_table
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.isa.operations import Compute
+from repro.sync.frames import cell_fetch_add
 
 CORES = 16
 ADDS_PER_THREAD = 12
@@ -21,15 +23,24 @@ def run_reduction(config, think_cycles):
     machine = Manycore(config)
     program = machine.new_program("reduction")
     sync = SyncFactory(program)
-    reducer = sync.create_reducer()
+    accumulator_sid = sync.create_cell().sync_id
 
-    def body(ctx):
-        for _ in range(ADDS_PER_THREAD):
-            yield Compute(ctx.rng.jitter(think_cycles))
-            yield from reducer.add(ctx, 1)
+    def body(frame, value, env):
+        # Per add: compute, then fetch&add 1 into the shared accumulator.
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            return cell_fetch_add(accumulator_sid, 1, "added")
+        if label == START:
+            L["adds"] = 0
+        else:  # label == "added"
+            L["adds"] += 1
+        if L["adds"] == ADDS_PER_THREAD:
+            return Ret(None)
+        return Op(Compute(env.ctx.rng.jitter(think_cycles)), "computed")
 
+    machine.register_frame_routine("reduction.body", body)
     for _ in range(CORES):
-        program.add_thread(body)
+        program.add_thread(FrameBody("reduction.body"))
     result = machine.run()
     total_adds = CORES * ADDS_PER_THREAD
     return result.total_cycles, 1000.0 * total_adds / result.total_cycles

@@ -11,8 +11,10 @@ migration restriction (Section 5.2).
 
 from repro import Manycore, SyncFactory, wisync
 from repro.analysis.tables import format_table
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.errors import ProtectionError, ToneBarrierError
-from repro.isa.operations import Compute
+from repro.isa.operations import Compute, Read, Write
+from repro.sync.frames import barrier_wait, lock_acquire, lock_release
 
 CORES = 16
 
@@ -25,13 +27,22 @@ def main():
     sync_a = SyncFactory(program_a)
     barrier = sync_a.create_barrier(8, participants=list(range(8)))
 
-    def body_a(ctx):
-        for _ in range(6):
-            yield Compute(ctx.rng.jitter(120))
-            yield from barrier.wait(ctx)
+    def body_a(frame, value, env):
+        # Six rounds of compute, then the tone barrier.
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            return barrier_wait(barrier.sync_id, "crossed")
+        if label == START:
+            L["round"] = 0
+        else:  # label == "crossed"
+            L["round"] += 1
+        if L["round"] == 6:
+            return Ret(None)
+        return Op(Compute(env.ctx.rng.jitter(120)), "computed")
 
+    machine.register_frame_routine("barrier-app.body", body_a)
     for core in range(8):
-        program_a.add_thread(body_a, core_id=core)
+        program_a.add_thread(FrameBody("barrier-app.body"), core_id=core)
 
     # Program B: 8 threads on cores 8-15 hammering a wireless lock.
     program_b = machine.new_program("lock-app")
@@ -39,17 +50,28 @@ def main():
     lock = sync_b.create_lock()
     counter = program_b.alloc_shared()
 
-    def body_b(ctx):
-        from repro.isa.operations import Read, Write
-        for _ in range(5):
-            yield from lock.acquire(ctx)
-            value = yield Read(counter)
-            yield Write(counter, value + 1)
-            yield from lock.release(ctx)
-            yield Compute(ctx.rng.jitter(80))
+    def body_b(frame, value, env):
+        # Five rounds of: lock, increment the shared counter, unlock, compute.
+        L, label = frame.locals, frame.label
+        if label == "acquired":
+            return Op(Read(counter), "read")
+        if label == "read":
+            return Op(Write(counter, value + 1), "wrote")
+        if label == "wrote":
+            return lock_release(lock.sync_id, "released")
+        if label == "released":
+            return Op(Compute(env.ctx.rng.jitter(80)), "computed")
+        if label == START:
+            L["round"] = 0
+        else:  # label == "computed"
+            L["round"] += 1
+        if L["round"] == 5:
+            return Ret(None)
+        return lock_acquire(lock.sync_id, "acquired")
 
+    machine.register_frame_routine("lock-app.body", body_b)
     for core in range(8, 16):
-        program_b.add_thread(body_b, core_id=core)
+        program_b.add_thread(FrameBody("lock-app.body"), core_id=core)
 
     result = machine.run()
 

@@ -10,7 +10,9 @@ cycles per payload hand-off for both machines.
 
 from repro import Manycore, SyncFactory, baseline, wisync
 from repro.analysis.tables import format_table
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.isa.operations import Compute
+from repro.sync.frames import channel_consume, channel_produce
 
 PAYLOADS = 16
 
@@ -19,22 +21,42 @@ def run_pipeline(config):
     machine = Manycore(config)
     program = machine.new_program("pipeline")
     sync = SyncFactory(program)
-    channel = sync.create_channel()
+    channel_sid = sync.create_channel().sync_id
     received = []
 
-    def producer(ctx):
-        for index in range(PAYLOADS):
-            yield Compute(ctx.rng.jitter(40))
-            yield from channel.produce(ctx, (index, index * 2, index * 3, index * 4))
+    def producer(frame, value, env):
+        # Per payload: compute, then publish it on the channel.
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            index = L["index"]
+            payload = (index, index * 2, index * 3, index * 4)
+            return channel_produce(channel_sid, payload, "produced")
+        if label == START:
+            L["index"] = 0
+        else:  # label == "produced"
+            L["index"] += 1
+        if L["index"] == PAYLOADS:
+            return Ret(None)
+        return Op(Compute(env.ctx.rng.jitter(40)), "computed")
 
-    def consumer(ctx):
-        for _ in range(PAYLOADS):
-            values = yield from channel.consume(ctx)
-            received.append(values)
-            yield Compute(ctx.rng.jitter(40))
+    def consumer(frame, value, env):
+        # Per payload: take it off the channel, then compute.
+        L, label = frame.locals, frame.label
+        if label == "consumed":
+            received.append(value)
+            return Op(Compute(env.ctx.rng.jitter(40)), "computed")
+        if label == START:
+            L["count"] = 0
+        else:  # label == "computed"
+            L["count"] += 1
+        if L["count"] == PAYLOADS:
+            return Ret(None)
+        return channel_consume(channel_sid, "consumed")
 
-    program.add_thread(producer, core_id=0)
-    program.add_thread(consumer, core_id=machine.config.num_cores - 1)
+    machine.register_frame_routine("pipeline.producer", producer)
+    machine.register_frame_routine("pipeline.consumer", consumer)
+    program.add_thread(FrameBody("pipeline.producer"), core_id=0)
+    program.add_thread(FrameBody("pipeline.consumer"), core_id=machine.config.num_cores - 1)
     result = machine.run()
     assert received == [(i, i * 2, i * 3, i * 4) for i in range(PAYLOADS)]
     return result

@@ -9,7 +9,9 @@ speedup over Baseline.
 
 from repro import Manycore, SyncFactory, baseline, baseline_plus, wisync, wisync_not
 from repro.analysis.tables import format_table
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.isa.operations import Compute
+from repro.sync.frames import barrier_wait, cell_fetch_add
 
 CORES = 16
 ITERATIONS = 8
@@ -19,17 +21,28 @@ def build_and_run(config):
     machine = Manycore(config)
     program = machine.new_program("quickstart")
     sync = SyncFactory(program)
-    barrier = sync.create_barrier(CORES)
-    reducer = sync.create_reducer()
+    barrier_sid = sync.create_barrier(CORES).sync_id
+    total_sid = sync.create_cell().sync_id
 
-    def body(ctx):
-        for _ in range(ITERATIONS):
-            yield Compute(ctx.rng.jitter(150))
-            yield from reducer.add(ctx, 1)
-            yield from barrier.wait(ctx)
+    def body(frame, value, env):
+        # A frame routine: each label is a point where the thread resumes.
+        # Per iteration: compute, add 1 to the shared total, cross the barrier.
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            return cell_fetch_add(total_sid, 1, "added")
+        if label == "added":
+            return barrier_wait(barrier_sid, "crossed")
+        if label == START:
+            L["iteration"] = 0
+        else:  # label == "crossed"
+            L["iteration"] += 1
+        if L["iteration"] == ITERATIONS:
+            return Ret(None)
+        return Op(Compute(env.ctx.rng.jitter(150)), "computed")
 
+    machine.register_frame_routine("quickstart.body", body)
     for _ in range(CORES):
-        program.add_thread(body)
+        program.add_thread(FrameBody("quickstart.body"))
     return machine.run()
 
 

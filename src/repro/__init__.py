@@ -11,19 +11,26 @@ evaluation.
 Typical use::
 
     from repro import Manycore, SyncFactory, wisync
+    from repro.cpu.frames import START, FrameBody, Op, Ret
     from repro.isa.operations import Compute
+    from repro.sync.frames import barrier_wait
 
     machine = Manycore(wisync(num_cores=16))
     program = machine.new_program("demo")
     sync = SyncFactory(program)
     barrier = sync.create_barrier(num_threads=16)
 
-    def body(ctx):
-        yield Compute(100)
-        yield from barrier.wait(ctx)
+    def body(frame, value, env):
+        # A frame routine: compute, cross the barrier, finish.
+        if frame.label == START:
+            return Op(Compute(100), "computed")
+        if frame.label == "computed":
+            return barrier_wait(barrier.sync_id, "crossed")
+        return Ret(None)
 
+    machine.register_frame_routine("demo.body", body)
     for _ in range(16):
-        program.add_thread(body)
+        program.add_thread(FrameBody("demo.body"))
     result = machine.run()
     print(result.summary())
 """

@@ -1,12 +1,11 @@
 """Resumable thread frames: thread bodies as explicit, serializable stacks.
 
-A generator thread body keeps its progress in a live CPython frame —
-instruction pointer, locals, the whole ``yield from`` chain — which is
-exactly the state a checkpoint cannot capture.  This module provides the
-alternative representation: a thread is an explicit stack of
-:class:`Frame` records, each naming a *routine* (a pure step function
-registered on the machine), a *label* (which suspension point inside the
-routine to resume at), and a dict of plain-data *locals*.
+A thread is an explicit stack of :class:`Frame` records, each naming a
+*routine* (a pure step function registered on the machine), a *label*
+(which suspension point inside the routine to resume at), and a dict of
+plain-data *locals*.  Because all of a thread's progress is data, a
+checkpoint captures it exactly and a restore rebuilds it without re-running
+a single event.
 
 A routine is a function ``step(frame, value, env) -> Op | Call | Ret``:
 
@@ -18,18 +17,18 @@ A routine is a function ``step(frame, value, env) -> Op | Call | Ret``:
 * ``Ret(value)`` — pop this frame, returning ``value`` to the caller (or
   finishing the thread if this was the root frame).
 
-The trampoline (:meth:`repro.cpu.thread.SimThread.send`) drives the stack
-with exactly the generator protocol — it returns the next operation or
-raises ``StopIteration(result)`` — so the machine's dispatch loop cannot
-tell the two representations apart and unported workloads keep the
-generator path untouched.
+The trampoline (:meth:`repro.cpu.thread.SimThread.send`) drives the stack:
+it returns the next operation, or raises ``StopIteration(result)`` when the
+root frame returns.  A step that returns anything else, or a frame naming
+an unregistered routine, is a :class:`~repro.errors.WorkloadError` naming
+the thread, routine and label.
 
 The serializability contract (enforced by lint rule SNAP002 and checked at
 capture time): everything stored in ``Frame.locals`` must be plain data —
 ints, strings, bools, None, or :class:`~repro.isa.predicates.Predicate`
-records.  Operation results that are tuples (``AtomicOp``, ``cas``) exist
-only *inside* a trampoline step; routines must unpack them into scalars
-before suspending.
+records, and tuples/lists of those.  Operation results that are tuples
+(``AtomicOp``, ``cas``) exist only *inside* a trampoline step; routines
+must unpack them before suspending.
 """
 
 from __future__ import annotations
@@ -103,13 +102,11 @@ class Frame:
 
 
 class FrameBody:
-    """A frames-mode thread body: the root routine plus its initial locals.
+    """A thread body: the root routine plus its initial locals.
 
-    Passed to ``Program.add_thread`` in place of a generator function; the
-    machine detects the type and runs the thread on the trampoline.  The
-    ``locals`` template is copied per thread, so one ``FrameBody`` serves
-    every thread of a workload (per-thread variation comes from
-    ``env.ctx``).
+    Passed to ``Program.add_thread``.  The ``locals`` template is copied per
+    thread, so one ``FrameBody`` serves every thread of a workload
+    (per-thread variation comes from ``env.ctx``).
     """
 
     __slots__ = ("routine", "locals")

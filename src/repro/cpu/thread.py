@@ -1,22 +1,20 @@
 """Simulated software threads.
 
-A thread's body is either a Python generator — every ``yield`` hands an
-operation from :mod:`repro.isa.operations` to the machine and the result
-comes back as the value of the ``yield`` expression — or a
-:class:`~repro.cpu.frames.FrameBody`, in which case the thread runs as an
-explicit stack of resumable frames driven by a trampoline speaking the
-same send/StopIteration protocol.  The machine drives both through
-:meth:`SimThread.send` and cannot tell them apart; only the frame
-representation is natively checkpointable.
+A thread's body is a :class:`~repro.cpu.frames.FrameBody`: the thread runs
+as an explicit stack of resumable frames, driven by a trampoline that hands
+each operation from :mod:`repro.isa.operations` to the machine and resumes
+the stack with the operation's result.  The machine drives every thread
+through :meth:`SimThread.send`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.cpu.frames import Call, Frame, FrameBody, FrameEnv, Op
+from repro.cpu.frames import Call, Frame, FrameBody, FrameEnv, Op, Ret
+from repro.errors import WorkloadError
 from repro.sim.rng import DeterministicRng
 
 
@@ -31,11 +29,10 @@ class ThreadState(enum.Enum):
 
 @dataclass
 class ThreadContext:
-    """Read-only view handed to workload thread bodies.
+    """Read-only view of a thread for its frame routines.
 
-    Thread bodies receive this object as their only argument; it tells them
-    who they are and gives them a private deterministic random stream for
-    think-time jitter.
+    Routines reach it as ``env.ctx``; it tells them who they are and gives
+    them a private deterministic random stream for think-time jitter.
     """
 
     thread_id: int
@@ -77,12 +74,18 @@ class ThreadResumeNone(ThreadResume):
 class SimThread:
     """One simulated thread bound to a core."""
 
+    #: Always None: threads run only on frames.  Kept, with :meth:`start` and
+    #: :meth:`_frame_send`, because the benchmark's layer tracer
+    #: (``perfbench/layers.py``) patches those two methods by name and reads
+    #: this attribute.
+    generator = None
+
     def __init__(
         self,
         thread_id: int,
         core_id: int,
         pid: int,
-        body: Callable[[ThreadContext], Generator],
+        body: FrameBody,
         context: ThreadContext,
     ) -> None:
         self.thread_id = thread_id
@@ -90,7 +93,6 @@ class SimThread:
         self.pid = pid
         self.body = body
         self.context = context
-        self.generator: Optional[Generator] = None
         self.frames: Optional[List[Frame]] = None
         self.frame_env: Optional[FrameEnv] = None
         self.state = ThreadState.READY
@@ -101,8 +103,8 @@ class SimThread:
         #: Set by the machine when the thread is registered (bind_resume).
         self.resume: Optional[ThreadResume] = None
         self.resume_none: Optional[ThreadResumeNone] = None
-        #: Bound per representation in :meth:`start`; the machine's dispatch
-        #: loop calls ``thread.send(value)`` without knowing which it is.
+        #: The trampoline, bound in :meth:`start` (and by native restore); the
+        #: machine's dispatch loop calls ``thread.send(value)``.
         self.send: Optional[Callable[[Any], Any]] = None
 
     def bind_resume(self, advance: Callable[["SimThread", Any], None]) -> None:
@@ -110,34 +112,28 @@ class SimThread:
         self.resume = ThreadResume(advance, self)
         self.resume_none = ThreadResumeNone(advance, self)
 
-    @property
-    def uses_frames(self) -> bool:
-        """True when the body runs on the resumable-frame trampoline."""
-        return isinstance(self.body, FrameBody)
-
     def start(self) -> None:
-        """Instantiate the body (called by the machine when scheduling)."""
-        if isinstance(self.body, FrameBody):
-            self.frames = self.body.spawn_stack()
-            self.send = self._frame_send
-        else:
-            self.generator = self.body(self.context)
-            self.send = self.generator.send
+        """Spawn the body's root frame (called by the machine when scheduling)."""
+        self.frames = self.body.spawn_stack()
+        self.send = self._frame_send
         self.state = ThreadState.RUNNING
 
     def _frame_send(self, value: Any) -> Any:
         """Trampoline: drive the frame stack until it suspends or finishes.
 
-        Speaks the generator protocol — returns the next operation, raises
-        ``StopIteration(result)`` when the root frame returns — so the
-        machine's ``except StopIteration`` path works unchanged.
+        Returns the next operation, or raises ``StopIteration(result)`` when
+        the root frame returns.
         """
         stack = self.frames
         env = self.frame_env
         routines = env.machine.frame_routines
         while True:
             frame = stack[-1]
-            action = routines[frame.routine](frame, value, env)
+            try:
+                step = routines[frame.routine]
+            except KeyError:
+                raise self._malformed(frame, "names an unregistered routine") from None
+            action = step(frame, value, env)
             cls = action.__class__
             if cls is Op:
                 frame.label = action.label
@@ -147,10 +143,20 @@ class SimThread:
                 stack.append(Frame(action.routine, locals=action.locals))
                 value = None
                 continue
+            if cls is not Ret:
+                raise self._malformed(
+                    frame, f"returned {action!r}; a step returns Op(...), Call(...) or Ret(...)"
+                )
             stack.pop()
             if not stack:
                 raise StopIteration(action.value)
             value = action.value
+
+    def _malformed(self, frame: Frame, problem: str) -> WorkloadError:
+        return WorkloadError(
+            f"thread {self.thread_id}: frame routine {frame.routine!r} at label "
+            f"{frame.label!r} {problem}"
+        )
 
     @property
     def finished(self) -> bool:

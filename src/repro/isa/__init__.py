@@ -1,9 +1,10 @@
 """Abstract operations that simulated threads issue.
 
-Workloads are plain Python generators.  Each ``yield`` hands the machine an
-operation object from :mod:`repro.isa.operations`; the machine executes it on
-the timing models (caches, NoC, wireless network, broadcast memory) and sends
-back the architectural result (loaded value, CAS success flag, ...).
+A thread's frame routines (:mod:`repro.cpu.frames`) issue operation objects
+from :mod:`repro.isa.operations` one at a time, each as ``Op(operation,
+label)``; the machine executes it on the timing models (caches, NoC, wireless
+network, broadcast memory) and resumes the routine at ``label`` with the
+architectural result (loaded value, CAS success flag, ...).
 """
 
 from repro._lazy import lazy_exports

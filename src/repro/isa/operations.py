@@ -1,4 +1,4 @@
-"""Operation objects yielded by simulated threads.
+"""Operation objects issued by simulated threads.
 
 Two address spaces exist, mirroring the paper:
 
@@ -51,7 +51,7 @@ class Fence:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class Read:
-    """Load from cached memory.  Result of the yield is the loaded value."""
+    """Load from cached memory.  The result is the loaded value."""
 
     addr: int
     size: int = 8
@@ -70,7 +70,7 @@ class Write:
 class AtomicOp:
     """Atomic read-modify-write on cached memory.
 
-    The yield result is a tuple ``(old_value, success)``.  For CAS,
+    The result is a tuple ``(old_value, success)``.  For CAS,
     ``success`` indicates whether the swap happened; for the other kinds it
     is always True.
     """
@@ -88,7 +88,7 @@ class WaitUntil:
     The machine models the spin as coherence-based waiting: the core holds
     the line in shared state and is re-notified (invalidate + refill latency,
     plus serialization if many spinners refill at once) whenever a writer
-    updates it.  The yield result is the value that satisfied the predicate.
+    updates it.  The result is the value that satisfied the predicate.
     """
 
     addr: int
@@ -101,7 +101,7 @@ class WaitUntil:
 # --------------------------------------------------------------------------
 @dataclass(frozen=True)
 class BmAlloc:
-    """Allocate ``words`` consecutive BM entries; yields the base BM address."""
+    """Allocate ``words`` consecutive BM entries; the result is the base BM address."""
 
     words: int = 1
     tone_capable: bool = False
@@ -133,7 +133,7 @@ class BmStore:
 
 @dataclass(frozen=True)
 class BmBulkLoad:
-    """Bulk load of four consecutive BM entries; yields a tuple of 4 values."""
+    """Bulk load of four consecutive BM entries; the result is a tuple of 4 values."""
 
     addr: int
 
@@ -150,7 +150,7 @@ class BmBulkStore:
 class BmRmw:
     """Atomic RMW on a BM location.
 
-    The yield result is a :class:`repro.core.bm_controller.RmwResult` whose
+    The result is a :class:`repro.core.bm_controller.RmwResult` whose
     ``afb`` field is the Atomicity Failure Bit: if it is set the instruction
     did *not* perform its write and software must retry (paper
     Section 4.2.1 / Figure 4a-b).  For a CAS whose comparison fails,

@@ -11,8 +11,8 @@ callable exactly like the closures they replace.
 The comparison vocabulary is closed on purpose: everything the library's
 synchronization primitives spin on is a comparison against a constant.
 Workload code may still pass an arbitrary callable where a predicate is
-expected — it keeps working, but such a run can only checkpoint by
-deterministic replay, never natively.
+expected — it runs, but a checkpoint taken while a thread waits on it fails
+with :class:`~repro.errors.SnapshotError`.
 """
 
 from __future__ import annotations
@@ -109,8 +109,8 @@ def predicate_from_payload(payload: Dict[str, int]) -> Predicate:
 def describe_predicate(predicate: Union[Predicate, Callable[[int], bool]]) -> Dict[str, int]:
     """Describe a predicate, or raise :class:`SnapshotError` for raw callables.
 
-    The raising path is how native checkpointing detects a workload that
-    still parks closures: the capture falls back to replay.
+    The raising path is how checkpointing detects a workload that parks
+    closures: the capture fails instead of writing an unrestorable file.
     """
     if isinstance(predicate, Predicate):
         return predicate.describe()

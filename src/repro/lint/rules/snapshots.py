@@ -52,8 +52,8 @@ class Snap001SnapshotCompleteness(ProjectRule):
 
     #: Simulator.__init__ attributes deliberately not in checkpoint_state():
     ENGINE_EXEMPT: Dict[str, str] = {
-        "_queue": "live callbacks (bound methods, generator frames); restore "
-        "reconstructs the queue by deterministic replay",
+        "_queue": "captured by the native machine payload as describable "
+        "callback records (snapshot/native.py:_capture_events)",
         "_running": "transient run-loop flag, always False between slices",
         "_stop": "transient stop request, always False between slices",
         "_cancelled": "covered indirectly: pending_events captures "
@@ -65,18 +65,21 @@ class Snap001SnapshotCompleteness(ProjectRule):
         "config": "validated immutable configuration; recorded in the spec",
         "tracer": "side-channel event log, not simulation state",
         "topology": "pure function of config.num_cores",
-        "mesh": "rebuilt by replay; externally visible state lands in stats",
-        "memory": "rebuilt by replay; externally visible state lands in stats",
-        "cores": "rebuilt by replay; externally visible state lands in stats",
-        "fabric": "rebuilt by replay; externally visible state lands in stats "
-        "and the rng tree",
-        "process_table": "rebuilt deterministically when programs respawn "
-        "during replay",
-        "scheduler": "rebuilt deterministically during replay",
+        "mesh": "captured by the native machine payload; externally visible "
+        "state lands in stats",
+        "memory": "captured by the native machine payload; externally "
+        "visible state lands in stats",
+        "cores": "captured by the native machine payload; externally visible "
+        "state lands in stats",
+        "fabric": "captured by the native machine payload; externally "
+        "visible state lands in stats and the rng tree",
+        "process_table": "rebuilt deterministically by the workload build "
+        "that precedes every restore",
+        "scheduler": "captured by the native machine payload",
         "programs": "workload definitions; recorded in the spec",
-        "_soft_bm_next": "derived deterministically during replay",
-        "_ran": "one-shot guard flag, re-armed by replay",
-        "_events_start": "derived from the engine counters during replay",
+        "_soft_bm_next": "captured by the native machine payload",
+        "_ran": "one-shot guard flag, set by begin() on the rebuilt machine",
+        "_events_start": "captured by the native machine payload",
         "_bm_spill_base": "pure function of config",
         "_schedule": "hot-path bound method, not state",
         "_dispatch_table": "hot-path dispatch table, not state",

@@ -1,22 +1,23 @@
 """The simulated manycore: dispatches thread operations to the timing models.
 
 ``Manycore`` owns one :class:`~repro.sim.engine.Simulator` and all subsystem
-models.  Workload threads are generators; every yielded operation from
-:mod:`repro.isa.operations` is executed here against the cached-memory
-hierarchy (regular variables) or the WiSync broadcast fabric (broadcast
-variables), and the thread resumes when the operation completes.
+models.  Workload threads run on resumable frame stacks
+(:mod:`repro.cpu.frames`); every operation from :mod:`repro.isa.operations`
+a thread issues is executed here against the cached-memory hierarchy
+(regular variables) or the WiSync broadcast fabric (broadcast variables),
+and the thread resumes when the operation completes.
 """
 
 from __future__ import annotations
 
 import gc
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.config import MachineConfig
 from repro.core.bm_controller import RmwResult
 from repro.core.fabric import BroadcastFabric
 from repro.cpu.core import Core
-from repro.cpu.frames import FrameEnv
+from repro.cpu.frames import FrameBody, FrameEnv
 from repro.cpu.thread import SimThread, ThreadContext, ThreadState
 from repro.errors import DeadlockError, WorkloadError
 from repro.isa import operations as ops
@@ -102,12 +103,13 @@ class Program:
         return PRIVATE_MEMORY_BASE + thread_id * PRIVATE_REGION_BYTES + offset_words * 8
 
     # --------------------------------------------------------------- threads
-    def add_thread(
-        self,
-        body: Callable[[ThreadContext], Generator],
-        core_id: Optional[int] = None,
-    ) -> SimThread:
+    def add_thread(self, body: FrameBody, core_id: Optional[int] = None) -> SimThread:
         """Register a thread; by default thread ``i`` runs on core ``i % N``."""
+        if not isinstance(body, FrameBody):
+            raise WorkloadError(
+                f"thread bodies are FrameBody records naming a registered frame "
+                f"routine (see repro.cpu.frames), got {body!r}"
+            )
         return self.machine._add_thread(self, body, core_id)
 
     @property
@@ -139,7 +141,7 @@ class Manycore:
         self.scheduler = Scheduler(config.num_cores)
         self.threads: List[SimThread] = []
         self.programs: List[Program] = []
-        # Frames-mode support: synchronization objects registered by creation
+        # Frame support: synchronization objects registered by creation
         # order (frames reference them by stable ``sync_id``) and the routine
         # table the trampoline resolves step functions from.  Both are
         # rebuilt identically by a deterministic workload build, which is
@@ -210,10 +212,7 @@ class Manycore:
         return program
 
     def _add_thread(
-        self,
-        program: Program,
-        body: Callable[[ThreadContext], Generator],
-        core_id: Optional[int],
+        self, program: Program, body: FrameBody, core_id: Optional[int]
     ) -> SimThread:
         thread_id = len(self.threads)
         if core_id is None:
@@ -370,7 +369,7 @@ class Manycore:
             if isinstance(op, op_type):
                 self._dispatch_table[op.__class__] = handler
                 return handler
-        raise WorkloadError(f"thread {thread.thread_id} yielded unsupported operation {op!r}")
+        raise WorkloadError(f"thread {thread.thread_id} issued unsupported operation {op!r}")
 
     # The hottest handlers inline _resume and Core.add_memory_stall: one
     # schedule call and two attribute updates instead of three method calls

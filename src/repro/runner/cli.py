@@ -59,9 +59,8 @@ from its last checkpoint.  ``snapshot save/restore/inspect`` exposes single-
 simulation checkpoints directly; restores are verified bit-for-bit against
 the snapshot's captured engine/rng/stats state.  ``debug`` opens a
 time-travel session on one spec: stepping forward banks an auto-snapshot
-ring, stepping backward restores the nearest banked moment — O(1) for
-frame-ported workloads via the native strategy, deterministic replay
-otherwise.  ``run --auto-snapshot K`` leaves the same ring files behind in
+ring, stepping backward restores the nearest banked moment in O(state).
+``run --auto-snapshot K`` leaves the same ring files behind in
 the run's ``checkpoints/`` directory for post-hoc ``debug --from``.
 """
 
@@ -604,8 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
     debug_parser = subparsers.add_parser(
         "debug",
         help="time-travel debugger: step a simulation forward and backward "
-             "on an auto-snapshot ring (O(1) backward for frame-ported "
-             "workloads)",
+             "on an auto-snapshot ring (each backward hop is an O(state) "
+             "restore)",
     )
     add_spec_arguments(debug_parser, workload_required=False)
     debug_parser.add_argument(
@@ -1176,12 +1175,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         print(json.dumps(snapshot.describe(), indent=2, sort_keys=True))
         return 0
     result = resume_to_completion(snapshot)
-    replayed = int(result.extra.get("events_replayed", 0.0))
     print(
         f"restored [{snapshot.spec.label()}] from {snapshot.events_processed} "
-        f"events via {snapshot.strategy} restore ({replayed} events "
-        f"replayed); finished at {result.total_cycles} cycles, "
-        f"{result.events_processed} events, completed={result.completed}",
+        f"events via {snapshot.strategy} restore; finished at "
+        f"{result.total_cycles} cycles, {result.events_processed} events, "
+        f"completed={result.completed}",
         file=sys.stderr,
     )
     if args.json:

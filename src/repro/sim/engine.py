@@ -51,10 +51,10 @@ class Simulator:
     def checkpoint_state(self) -> dict:
         """The engine's enumerable counters, as a JSON-safe dict.
 
-        This is the *native* half of a checkpoint: the event queue itself
-        holds live callbacks (bound methods, generator frames) that cannot be
-        serialized, so restore reconstructs it by deterministic replay and
-        then verifies these counters match bit-for-bit.
+        These go into a checkpoint's verification sections; the event queue
+        itself (live callbacks) is captured separately by the native codec
+        (:mod:`repro.snapshot.native`), and a restore verifies these
+        counters match bit-for-bit.
         """
         return {
             "now": self.now,

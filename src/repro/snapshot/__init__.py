@@ -1,20 +1,14 @@
 """Checkpoint/restore for simulations and sweeps (simics-style).
 
-Two cooperating strategies sit behind one :class:`Snapshot` API:
-
-* **Native state capture** — everything enumerable about a running machine
-  (engine clock / sequence counter / event count, the full
-  :class:`~repro.sim.rng.DeterministicRng` derivation tree, the stats
-  flyweights, per-thread progress) is serialized into a versioned,
-  integrity-hashed JSON document.
-* **Deterministic replay fast-forward** — the universal restore path for
-  workloads whose live generator-based thread frames cannot be serialized:
-  the snapshot records ``(spec, events_processed)`` and restore re-runs the
-  spec to exactly that event count, which is exact because every source of
-  randomness flows through seeded :class:`~repro.sim.rng.DeterministicRng`
-  streams.  After the fast-forward the captured native state is compared
-  bit-for-bit, so a snapshot written by drifted code can never silently
-  produce a wrong continuation.
+A :class:`Snapshot` is a versioned, integrity-hashed JSON document holding
+the complete runtime state of a running machine — thread frame stacks, the
+event queue, caches, the wireless fabric, the full
+:class:`~repro.sim.rng.DeterministicRng` derivation tree, the stats
+flyweights (:mod:`repro.snapshot.native`).  Restore rebuilds the machine for
+the spec and applies that state in O(state), re-running no events, then
+compares the restored machine bit-for-bit against the captured native
+sections, so a snapshot written by drifted code can never silently produce
+a wrong continuation.
 
 The package also provides :class:`RunManifest` — the on-disk record behind
 ``repro run --resume <run-id>`` grid-level resumability — the
@@ -31,7 +25,6 @@ __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
     "STRATEGY_NATIVE",
-    "STRATEGY_REPLAY",
     "Snapshot",
     "SnapshotWarning",
     "snapshot_document",
@@ -70,7 +63,6 @@ _EXPORTS = {
     "SNAPSHOT_FORMAT": "repro.snapshot.format",
     "SNAPSHOT_VERSION": "repro.snapshot.format",
     "STRATEGY_NATIVE": "repro.snapshot.format",
-    "STRATEGY_REPLAY": "repro.snapshot.format",
     "Snapshot": "repro.snapshot.format",
     "SnapshotWarning": "repro.snapshot.format",
     "checkpoint_path": "repro.snapshot.format",

@@ -4,12 +4,9 @@
 SpecExecution` forward in event steps, banking an auto-snapshot into a
 :class:`~repro.snapshot.ring.CheckpointRing` at every interval boundary.
 Travelling backward (``back``/``goto``) restores the newest banked snapshot
-at or before the target and advances the remainder — for frame-ported
-workloads the restore is :data:`~repro.snapshot.format.STRATEGY_NATIVE`,
+at or before the target and advances the remainder.  The restore is native,
 i.e. O(machine state), so stepping 2 events back out of 2 million costs
-about as much as stepping 2 events forward.  Generator workloads ride the
-same interface through :data:`~repro.snapshot.format.STRATEGY_REPLAY`
-restores (correct, but O(events) back to the ring entry).
+about as much as stepping 2 events forward.
 
 Determinism makes revisiting exact: a restored-and-re-advanced machine is
 bit-identical to the one originally observed (the restore itself is
@@ -122,7 +119,7 @@ class TimeTravelDebugger:
             self.execution = SpecExecution.from_snapshot(
                 candidate, max_events=self.max_events
             )
-            restored = self.execution.restore_strategy
+            restored = candidate.strategy
             self.last_restore = restored
             launch = candidate.events_processed
         self._advance_to(target)
@@ -174,14 +171,12 @@ class TimeTravelDebugger:
         }
 
     def threads(self) -> List[Dict[str, Any]]:
-        """Per-thread progress: state, frame stack (or generator), ops."""
+        """Per-thread progress: state, frame stack, ops."""
         rows: List[Dict[str, Any]] = []
         for thread in self.execution.machine.threads:
             if thread.frames is not None:
                 stack = [f"{frame.routine}@{frame.label}" for frame in thread.frames]
                 body = " > ".join(stack) if stack else "(empty stack)"
-            elif thread.generator is not None:
-                body = "(generator)"
             else:
                 body = "(finished)"
             rows.append(
@@ -224,7 +219,7 @@ _HELP = """\
 commands (unique prefixes work, e.g. 's 100', 'b', 'g 2000'):
   step [N]      advance N events (default: one auto-snapshot interval)
   continue      run to completion, auto-snapshotting along the way
-  back [K]      hop K banked checkpoints into the past (O(1) for native)
+  back [K]      hop K banked checkpoints into the past (O(state) restore)
   goto EVENTS   travel to an exact event count, forward or backward
   inspect       position, thread-state census, reachable past
   threads       per-thread state and frame stack

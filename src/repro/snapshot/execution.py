@@ -8,19 +8,16 @@ captured between slices (:meth:`capture`), preempted cooperatively
 a pure function of its queue state, so a sliced run produces bit-identical
 results to an uninterrupted one.
 
-Restore comes in two strategies.  Workloads whose threads run on
-serializable frame stacks capture the complete machine state
-(:func:`repro.snapshot.native.capture_machine`) and restore in O(state)
-without replaying a single event (:data:`STRATEGY_NATIVE`).  Everything
-else falls back to deterministic-replay fast-forward: rebuild the machine
-from the spec and advance it exactly ``snapshot.events_processed`` events
-(:data:`STRATEGY_REPLAY`).  Both paths land on the same machine because
-every source of randomness flows through seeded
-:class:`~repro.sim.rng.DeterministicRng` streams — and :meth:`_verify_native`
-proves it by comparing engine counters, the whole rng tree state, stats,
-thread frame stacks, sync-object fingerprints, and per-thread progress
-against the snapshot's native payload, raising :class:`SnapshotError` on any
-divergence (e.g. the simulator code changed between save and restore).
+A capture holds the complete machine state
+(:func:`repro.snapshot.native.capture_machine`), so a restore rebuilds the
+machine for the spec and applies it in O(state), without re-running a
+single event.  :meth:`_verify_native` then compares engine counters, the
+whole rng tree state, stats, thread frame stacks, sync-object fingerprints,
+and per-thread progress against the snapshot's native sections, raising
+:class:`SnapshotError` on any divergence (e.g. the simulator code changed
+between save and restore).  A live state the codec cannot describe (a
+thread parked on an opaque callable) makes :meth:`SpecExecution.capture`
+raise :class:`SnapshotError`.
 """
 
 from __future__ import annotations
@@ -36,8 +33,6 @@ from repro.machine.results import SimResult
 from repro.runner.executor import build_config_for
 from repro.runner.spec import RunSpec
 from repro.snapshot.format import (
-    STRATEGY_NATIVE,
-    STRATEGY_REPLAY,
     Snapshot,
     SnapshotWarning,
     checkpoint_path,
@@ -82,11 +77,6 @@ class SpecExecution:
         self.machine = Manycore(build_config_for(spec))
         self.handle = REGISTRY.build(self.machine, spec.workload, spec.params_dict())
         self.machine.begin()
-        #: How this execution came to life: ``None`` for a fresh run, the
-        #: snapshot strategy for a restored one (stamped into result.extra).
-        self.restore_strategy: Optional[str] = None
-        #: Events re-fired to reach the snapshot point (0 for native restores).
-        self.events_replayed: int = 0
 
     # ------------------------------------------------------------- stepping
     @property
@@ -125,12 +115,6 @@ class SpecExecution:
         operations = self.handle.metadata.get("operations")
         if operations is not None and result.completed:
             result.extra.setdefault("operations", float(operations))
-        if self.restore_strategy is not None:
-            result.extra.setdefault(
-                "native_restore",
-                1.0 if self.restore_strategy == STRATEGY_NATIVE else 0.0,
-            )
-            result.extra.setdefault("events_replayed", float(self.events_replayed))
         return result
 
     # -------------------------------------------------------------- capture
@@ -154,29 +138,20 @@ class SpecExecution:
     def capture(self) -> Snapshot:
         """Snapshot the live run at the current slice boundary.
 
-        Tries the native strategy first (full machine payload, O(state)
-        restore); workloads whose live state is not natively serializable —
-        generator-based thread bodies, opaque callbacks — fall back to the
-        universal replay strategy transparently.
+        Raises :class:`SnapshotError` when the run already ended or its live
+        state holds something the codec cannot describe.
         """
         if self.complete():
             raise SnapshotError(
                 "nothing to checkpoint: the run already ended "
                 f"(after {self.events_processed} events)"
             )
-        try:
-            machine_payload: Optional[Dict[str, Any]] = capture_machine(self.machine)
-            strategy = STRATEGY_NATIVE
-        except SnapshotError:
-            machine_payload = None
-            strategy = STRATEGY_REPLAY
         return Snapshot(
             spec=self.spec,
             events_processed=self.events_processed,
             clock=self.clock,
-            strategy=strategy,
             native=self._native_state(),
-            machine=machine_payload,
+            machine=capture_machine(self.machine),
         )
 
     # -------------------------------------------------------------- restore
@@ -187,58 +162,29 @@ class SpecExecution:
         """Rebuild a live execution from a snapshot and verify it.
 
         Raises :class:`SnapshotError` when the snapshot cannot be honoured
-        (unknown strategy, replay divergence, native-state mismatch); the
-        caller should fall back to from-scratch execution.
+        (no or malformed machine payload, native-state mismatch); the caller
+        should fall back to from-scratch execution.
         """
+        if not snapshot.machine:
+            raise SnapshotError(
+                f"snapshot for [{snapshot.spec.label()}] carries no machine "
+                f"payload; re-create the checkpoint"
+            )
         execution = cls(snapshot.spec, max_events=max_events)
-        if snapshot.strategy == STRATEGY_REPLAY:
-            execution._replay_to(snapshot)
-            execution.events_replayed = snapshot.events_processed
-        elif snapshot.strategy == STRATEGY_NATIVE:
-            if not snapshot.machine:
-                raise SnapshotError(
-                    f"snapshot for [{snapshot.spec.label()}] declares "
-                    f"native-state restore but carries no machine payload; "
-                    f"re-create the checkpoint"
-                )
-            try:
-                restore_machine(execution.machine, snapshot.machine)
-            except SnapshotError:
-                raise
-            except (KeyError, TypeError, ValueError, IndexError) as error:
-                raise SnapshotError(
-                    f"malformed native machine payload for "
-                    f"[{snapshot.spec.label()}]: {error}"
-                )
-        else:  # unreachable: Snapshot.__post_init__ validates the strategy
-            raise SnapshotError(f"unknown snapshot strategy {snapshot.strategy!r}")
-        execution.restore_strategy = snapshot.strategy
+        try:
+            restore_machine(execution.machine, snapshot.machine)
+        except SnapshotError:
+            raise
+        except (KeyError, TypeError, ValueError, IndexError) as error:
+            raise SnapshotError(
+                f"malformed native machine payload for "
+                f"[{snapshot.spec.label()}]: {error}"
+            )
         execution._verify_native(snapshot)
         return execution
 
-    def _replay_to(self, snapshot: Snapshot) -> None:
-        """Deterministically fast-forward a fresh machine to the snapshot."""
-        target = snapshot.events_processed
-        while self.events_processed < target:
-            if self.complete():
-                raise SnapshotError(
-                    f"replay diverged for [{self.spec.label()}]: the run ended "
-                    f"after {self.events_processed} events but the snapshot "
-                    f"was captured at {target}; the simulation code has "
-                    f"changed since the checkpoint was written"
-                )
-            fired = self.advance(target - self.events_processed)
-            if fired == 0:
-                raise SnapshotError(
-                    f"replay stalled for [{self.spec.label()}] at "
-                    f"{self.events_processed} of {target} events "
-                    f"(event budget exhausted)"
-                )
-
     def _verify_native(self, snapshot: Snapshot) -> None:
-        """Compare the fast-forwarded machine against the captured state."""
-        if not snapshot.native:
-            return  # a bare replay cursor has nothing to cross-check
+        """Compare the restored machine against the captured state."""
         observed = self._native_state()
         diverged = sorted(
             section

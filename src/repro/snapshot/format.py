@@ -23,7 +23,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, ClassVar, Dict, Optional, Tuple, Union
 
 from repro.errors import SnapshotError
 from repro.runner.spec import RunSpec
@@ -31,21 +31,16 @@ from repro.runner.spec import RunSpec
 #: Document format marker; anything else is not a snapshot file.
 SNAPSHOT_FORMAT = "wisync-snapshot"
 #: Bump when the body layout changes; older/newer versions are rejected.
-#: Version 2 added the ``machine`` payload (full native machine state for
-#: frame-based workloads) and the thread-frame/sync sections of ``native``.
+#: Version 2 added the ``machine`` payload (full native machine state) and
+#: the thread-frame/sync sections of ``native``.
 SNAPSHOT_VERSION = 2
 
-#: Restore by re-running the spec to the recorded event count.  Universal:
-#: works for every workload because all randomness is seeded, and verified
-#: against the captured native state after the fast-forward.
-STRATEGY_REPLAY = "replay"
-#: Restore by rebuilding machine state directly from the captured ``machine``
-#: payload — O(state) instead of O(events).  Available for workloads whose
-#: threads run on serializable frame stacks; the restored machine is checked
-#: against the ``native`` sections exactly like a replayed one.
+#: The one restore strategy, recorded in every body: rebuild the machine
+#: directly from the captured ``machine`` payload, O(state), then check it
+#: against the ``native`` sections.  A body naming any other strategy (the
+#: ``replay`` checkpoints of earlier builds, which carry no machine payload)
+#: is rejected on read.
 STRATEGY_NATIVE = "native"
-
-_STRATEGIES = (STRATEGY_REPLAY, STRATEGY_NATIVE)
 
 
 class SnapshotWarning(UserWarning):
@@ -65,33 +60,27 @@ def body_hash(body: Dict[str, Any]) -> str:
 class Snapshot:
     """A point-in-time capture of one running :class:`RunSpec` simulation.
 
-    ``events_processed`` is the replay cursor: re-running ``spec`` for
-    exactly that many events reproduces the machine bit-for-bit.  ``native``
-    carries everything enumerable about the captured machine (engine
-    counters, the rng derivation tree, stats, per-thread progress) and is
-    compared against the fast-forwarded machine on restore, so drift between
-    the code that saved and the code that restores is detected instead of
-    silently producing a wrong continuation.
-
-    ``machine`` is the full native-restore payload produced by
-    :func:`repro.snapshot.native.capture_machine`; it is present exactly when
-    ``strategy`` is :data:`STRATEGY_NATIVE` and lets a restore rebuild the
-    machine in O(state) without replaying a single event.
+    ``events_processed`` and ``clock`` say where in the run the capture was
+    taken.  ``machine`` is the full native-restore payload produced by
+    :func:`repro.snapshot.native.capture_machine`; a restore rebuilds the
+    machine from it in O(state) without re-running a single event.
+    ``native`` carries everything enumerable about the captured machine
+    (engine counters, the rng derivation tree, stats, per-thread progress)
+    and is compared against the restored machine, so drift between the code
+    that saved and the code that restores is detected instead of silently
+    producing a wrong continuation.
     """
+
+    #: Written into every body and checked on read (see STRATEGY_NATIVE).
+    strategy: ClassVar[str] = STRATEGY_NATIVE
 
     spec: RunSpec
     events_processed: int
     clock: int
-    strategy: str = STRATEGY_REPLAY
     native: Dict[str, Any] = field(default_factory=dict)
     machine: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
-        if self.strategy not in _STRATEGIES:
-            raise SnapshotError(
-                f"unknown snapshot strategy {self.strategy!r}; "
-                f"expected one of {_STRATEGIES}"
-            )
         if self.events_processed < 0:
             raise SnapshotError("snapshot events_processed cannot be negative")
 
@@ -109,13 +98,18 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Snapshot":
+        strategy = payload.get("strategy")
+        if strategy != STRATEGY_NATIVE:
+            raise SnapshotError(
+                f"unknown snapshot strategy {strategy!r}: this build restores "
+                f"only {STRATEGY_NATIVE!r} snapshots; re-create the checkpoint"
+            )
         try:
             spec = RunSpec.from_dict(payload["spec"])
             snapshot = cls(
                 spec=spec,
                 events_processed=int(payload["events_processed"]),
                 clock=int(payload["clock"]),
-                strategy=payload.get("strategy", STRATEGY_REPLAY),
                 native=dict(payload.get("native") or {}),
                 machine=payload.get("machine"),
             )

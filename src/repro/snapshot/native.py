@@ -1,4 +1,4 @@
-"""Native machine-state codec: O(1) checkpoint restore without replay.
+"""Native machine-state codec: checkpoint restore in O(state), no events re-run.
 
 ``capture_machine`` walks a live :class:`~repro.machine.manycore.Manycore`
 and produces a JSON-canonical payload describing every piece of runtime
@@ -24,8 +24,8 @@ Design rules the codec lives by:
 * **No opaque callables.**  Every callback that can be live at a
   checkpoint is either a describable record (:class:`BmOpCallback`,
   :class:`ThreadResume`, ...) or a bound method of a singleton subsystem.
-  Anything else raises :class:`SnapshotError`, which the execution layer
-  turns into a transparent fall back to the replay strategy.
+  Anything else — a thread parked on a raw lambda predicate, say — raises
+  :class:`SnapshotError`, and the capture fails.
 """
 
 from __future__ import annotations
@@ -191,11 +191,6 @@ class _RestoreCtx:
 
 # -------------------------------------------------------------------- threads
 def _capture_thread(thread: SimThread) -> Dict[str, Any]:
-    if thread.generator is not None and thread.state is not ThreadState.FINISHED:
-        raise SnapshotError(
-            f"thread {thread.thread_id} runs on a live generator frame; "
-            "only frame-based workloads capture natively"
-        )
     frames_payload: Optional[List[Dict[str, Any]]] = None
     if thread.frames is not None:
         frames_payload = []
@@ -774,22 +769,23 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
         send_id = int(attempt_payload["sid"])
         pending = ctx.pendings.get((node_id, send_id))
         transceiver = fabric.nodes[node_id].transceiver
-        if pending is not None:
-            on_complete = _SendComplete(transceiver, pending)
-        elif attempt_payload["canc"]:
+        message = _decode_message(attempt_payload["msg"])
+        if pending is None and attempt_payload["canc"]:
             # The pending send was cancelled and dropped; the attempt only
             # survives until its arbitration cycle filters it out, so its
-            # completion hook can never fire.
-            on_complete = None
-        else:
+            # completion hook can never fire.  A detached record keeps the
+            # (node, send id) link, so the restored machine captures again.
+            pending = _PendingSend(send_id, message, on_complete=None)
+            pending.done = True
+        elif pending is None:
             raise SnapshotError(
                 f"channel attempt {attempt_payload['id']} references unknown "
                 f"pending send ({node_id}, {send_id})"
             )
         attempt = _Attempt(
             attempt_id=int(attempt_payload["id"]),
-            message=_decode_message(attempt_payload["msg"]),
-            on_complete=on_complete,
+            message=message,
+            on_complete=_SendComplete(transceiver, pending),
             on_collision=transceiver._on_collision,
             enqueued_at=int(attempt_payload["enq"]),
         )
@@ -837,9 +833,15 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
             op.settled = bool(op_payload["settled"])
             op.token = None if op_payload["token"] is None else int(op_payload["token"])
             if op_payload["ticket"] is not None:
-                pending = ctx.pendings.get((node.node_id, int(op_payload["ticket"])))
-                if pending is not None:
-                    op.ticket = SendTicket(node.transceiver, pending)
+                send_id = int(op_payload["ticket"])
+                pending = ctx.pendings.get((node.node_id, send_id))
+                if pending is None:
+                    # The send already completed or was cancelled, so the
+                    # ticket can no longer cancel anything; a detached, done
+                    # record keeps its send id for the next capture.
+                    pending = _PendingSend(send_id, None, on_complete=None)
+                    pending.done = True
+                op.ticket = SendTicket(node.transceiver, pending)
             controller._pending_ops[op.op_id] = op
         _restore_tone_controller(node.tone_controller, node_payload["tone_controller"])
 
@@ -952,8 +954,7 @@ def capture_machine(machine) -> Dict[str, Any]:
     """Serialize the complete runtime state of a live machine.
 
     Raises :class:`SnapshotError` if any live state is not natively
-    capturable (generator-based threads, opaque callbacks, non-plain frame
-    locals); callers fall back to the replay strategy in that case.
+    capturable (opaque callbacks or predicates, non-plain frame locals).
     """
     sim = machine.sim
     payload: Dict[str, Any] = {

@@ -9,8 +9,7 @@ spec, in memory, on disk, or both.  Two consumers share it:
   finished (or crashed) run leaves a trail of restorable moments behind
   instead of a single overwritten cursor.
 * ``repro debug`` — the time-travel debugger feeds an in-memory ring while
-  stepping forward and restores from it to travel backward in O(1) via
-  :data:`~repro.snapshot.format.STRATEGY_NATIVE`.
+  stepping forward and restores from it to travel backward in O(state).
 
 Ring files are ordinary snapshot documents named
 ``<spec key>.ring-<events, zero-padded>.ckpt.json`` — any of them feeds
@@ -49,19 +48,17 @@ def ring_paths(directory: Union[str, Path], spec: RunSpec) -> List[Path]:
 class RingEntry:
     """One banked moment: where it is in simulated time and where it lives."""
 
-    __slots__ = ("events", "clock", "strategy", "snapshot", "path")
+    __slots__ = ("events", "clock", "snapshot", "path")
 
     def __init__(
         self,
         events: int,
         clock: int,
-        strategy: str,
         snapshot: Optional[Snapshot],
         path: Optional[Path],
     ) -> None:
         self.events = events
         self.clock = clock
-        self.strategy = strategy
         self.snapshot = snapshot
         self.path = path
 
@@ -113,7 +110,6 @@ class CheckpointRing:
         entry = RingEntry(
             events=snapshot.events_processed,
             clock=snapshot.clock,
-            strategy=snapshot.strategy,
             snapshot=snapshot if self.keep_in_memory else None,
             path=path,
         )

@@ -1,11 +1,14 @@
 """Software synchronization algorithms for every architecture configuration.
 
-Each primitive is expressed as generator methods that yield abstract
+Each primitive is a data class (its addresses and per-thread state) plus
+frame routines in :mod:`repro.sync.frames` that issue its abstract
 operations, so the same workload code runs on all four Table 2
 configurations: the :class:`~repro.sync.api.SyncFactory` picks CAS spin
 locks / centralized barriers (Baseline), MCS locks / tournament barriers
 (Baseline+), or the wireless and tone-channel algorithms of Section 4.3
-(WiSyncNoT / WiSync).
+(WiSyncNoT / WiSync).  Workload routines name a primitive by its
+``sync_id`` and reach it through helpers such as
+:func:`~repro.sync.frames.barrier_wait`.
 """
 
 from repro._lazy import lazy_exports
@@ -25,7 +28,6 @@ __all__ = [
     "CachedCell",
     "BroadcastCell",
     "OrBarrier",
-    "Reducer",
     "ProducerConsumerChannel",
     "ReadersWriterLock",
 ]
@@ -46,7 +48,6 @@ _EXPORTS = {
     "McsLock": "repro.sync.locks",
     "WirelessLock": "repro.sync.locks",
     "ProducerConsumerChannel": "repro.sync.producer_consumer",
-    "Reducer": "repro.sync.reduction",
     "ReadersWriterLock": "repro.sync.rwlock",
 }
 

@@ -3,7 +3,7 @@
 Workloads never hard-code a lock or barrier algorithm.  They ask the
 :class:`SyncFactory` — constructed from a :class:`~repro.machine.manycore.Program`
 and the machine's :class:`~repro.config.SyncConfig` — for locks, barriers,
-cells, reducers, and channels; the factory returns the Baseline, Baseline+,
+cells, channels, readers-writer locks, and eurekas; the factory returns the Baseline, Baseline+,
 or WiSync implementation according to Table 2.
 """
 
@@ -24,7 +24,6 @@ from repro.sync.cells import AtomicCell, BroadcastCell, CachedCell
 from repro.sync.eureka import OrBarrier
 from repro.sync.locks import CasSpinLock, Lock, McsLock, WirelessLock
 from repro.sync.producer_consumer import ProducerConsumerChannel
-from repro.sync.reduction import Reducer
 from repro.sync.rwlock import ReadersWriterLock
 
 
@@ -39,7 +38,7 @@ class SyncFactory:
     def _register(self, obj):
         """Give the primitive a stable creation-order ``sync_id``.
 
-        Frames-mode workloads refer to primitives by this id; because the
+        Frame routines refer to primitives by this id; because the
         factory is driven by a deterministic build, ids are identical across
         rebuilds, which native snapshot restore relies on.
         """
@@ -111,7 +110,12 @@ class SyncFactory:
 
     # ----------------------------------------------------------------- cells
     def create_cell(self) -> AtomicCell:
-        """A shared atomic word in the fastest memory this machine offers."""
+        """A shared atomic word in the fastest memory this machine offers.
+
+        Reductions (Section 4.3.5) are fetch&add on such a cell
+        (``sync.cell.fetch_add``): WiSync updates a BM entry directly, the
+        conventional configurations use their atomics on cached memory.
+        """
         if self.config.reduction_kind == "wireless":
             return self._register(BroadcastCell(self.program.alloc_broadcast()))
         return self._register(CachedCell(self.program.alloc_shared()))
@@ -120,15 +124,12 @@ class SyncFactory:
         """A shared atomic word explicitly in cached memory (for baselines)."""
         return self._register(CachedCell(self.program.alloc_shared()))
 
-    def create_reducer(self) -> Reducer:
-        return Reducer(self.create_cell())
-
     def create_rwlock(self) -> ReadersWriterLock:
         """A readers-writer lock in the fastest memory this machine offers."""
-        return ReadersWriterLock(self.create_cell())
+        return self._register(ReadersWriterLock(self.create_cell()))
 
     def create_or_barrier(self) -> OrBarrier:
-        return OrBarrier(self.create_cell())
+        return self._register(OrBarrier(self.create_cell()))
 
     def create_channel(self) -> ProducerConsumerChannel:
         """A single-producer/single-consumer slot (Section 4.3.4)."""
@@ -139,4 +140,4 @@ class SyncFactory:
         else:
             data_addr = self.program.alloc_shared(4)
             flag_addr = self.program.alloc_shared(1)
-        return ProducerConsumerChannel(data_addr, flag_addr, wireless)
+        return self._register(ProducerConsumerChannel(data_addr, flag_addr, wireless))

@@ -11,31 +11,20 @@
 * :class:`ToneBarrier` — WiSync Tone-channel barrier (Section 4.3.3):
   ``tone_st`` on arrival, spin locally with ``tone_ld`` until the hardware
   toggles the location when the channel falls silent.
+
+These classes hold each barrier's addresses and per-thread sense; the
+``sync.barrier.wait`` routine in :mod:`repro.sync.frames` runs the
+algorithms.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Dict, Generator, List
+from typing import Dict, List
 
-from repro.cpu.thread import ThreadContext
-from repro.errors import SimulationError, WorkloadError
-from repro.isa.predicates import Eq
-from repro.isa.operations import (
-    AtomicOp,
-    BmRmw,
-    BmStore,
-    BmWaitUntil,
-    Read,
-    RmwKind,
-    ToneStore,
-    ToneWait,
-    WaitUntil,
-    Write,
-)
+from repro.errors import WorkloadError
 
 
-class Barrier(ABC):
+class Barrier:
     """AND-barrier: every participant waits for all the others."""
 
     def __init__(self, num_threads: int) -> None:
@@ -49,10 +38,6 @@ class Barrier(ABC):
         self._sense[thread_id] = sense
         return sense
 
-    @abstractmethod
-    def wait(self, ctx: ThreadContext) -> Generator:
-        """Yield ops until every participating thread has arrived."""
-
 
 class CentralizedBarrier(Barrier):
     """Baseline sense-reversing barrier on cached memory, CAS-only hardware."""
@@ -61,22 +46,6 @@ class CentralizedBarrier(Barrier):
         super().__init__(num_threads)
         self.count_addr = count_addr
         self.release_addr = release_addr
-
-    def wait(self, ctx: ThreadContext) -> Generator:
-        sense = self._toggle_sense(ctx.thread_id)
-        # fetch&increment emulated with a CAS retry loop.
-        while True:
-            count = yield Read(self.count_addr)
-            old, success = yield AtomicOp(
-                self.count_addr, RmwKind.COMPARE_AND_SWAP, operand=count + 1, expected=count
-            )
-            if success:
-                break
-        if old == self.num_threads - 1:
-            yield Write(self.count_addr, 0)
-            yield Write(self.release_addr, sense)
-        else:
-            yield WaitUntil(self.release_addr, Eq(sense))
 
 
 class TournamentBarrier(Barrier):
@@ -101,17 +70,6 @@ class TournamentBarrier(Barrier):
                 children.append(child)
         return children
 
-    def wait(self, ctx: ThreadContext) -> Generator:
-        sense = self._toggle_sense(ctx.thread_id)
-        tid = ctx.thread_id
-        for child in self._children(tid):
-            yield WaitUntil(self.arrival_addrs[child], Eq(sense))
-        if tid != 0:
-            yield Write(self.arrival_addrs[tid], sense)
-            yield WaitUntil(self.wakeup_addrs[tid], Eq(sense))
-        for child in self._children(tid):
-            yield Write(self.wakeup_addrs[child], sense)
-
 
 class WirelessBarrier(Barrier):
     """WiSync Data-channel barrier: BM fetch&inc plus a broadcast release.
@@ -128,22 +86,6 @@ class WirelessBarrier(Barrier):
         self.count_addr = count_addr
         self.release_addr = release_addr
 
-    def wait(self, ctx: ThreadContext) -> Generator:
-        sense = self._toggle_sense(ctx.thread_id)
-        old = None
-        for _ in range(self.MAX_RETRIES):
-            result = yield BmRmw(self.count_addr, RmwKind.FETCH_AND_INC)
-            if not result.afb:
-                old = result.old_value
-                break
-        if old is None:
-            raise SimulationError("wireless barrier fetch&inc exceeded retry bound")
-        if old == self.num_threads - 1:
-            yield BmStore(self.count_addr, 0)
-            yield BmStore(self.release_addr, sense)
-        else:
-            yield BmWaitUntil(self.release_addr, Eq(sense))
-
 
 class ToneBarrier(Barrier):
     """WiSync Tone-channel barrier (Figure 4c).
@@ -156,8 +98,3 @@ class ToneBarrier(Barrier):
     def __init__(self, num_threads: int, bm_addr: int) -> None:
         super().__init__(num_threads)
         self.bm_addr = bm_addr
-
-    def wait(self, ctx: ThreadContext) -> Generator:
-        sense = self._toggle_sense(ctx.thread_id)
-        yield ToneStore(self.bm_addr)
-        yield ToneWait(self.bm_addr, local_sense=sense)

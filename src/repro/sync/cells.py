@@ -3,28 +3,20 @@
 Workloads that only need "a shared word with atomic operations" (the CAS
 kernels, reductions, eureka flags) use an :class:`AtomicCell` so the same
 kernel code runs against cached memory (Baseline/Baseline+) and against the
-Broadcast Memory (WiSync).  All methods are generators to be driven with
-``yield from`` inside a thread body.
+Broadcast Memory (WiSync).  A cell builds the operation for each single-op
+access (:meth:`~AtomicCell.read_op`, :meth:`~AtomicCell.write_op`,
+:meth:`~AtomicCell.wait_op`), which frame routines issue directly; the
+atomic read-modify-writes run as the ``sync.cell.cas`` and
+``sync.cell.fetch_add`` routines of :mod:`repro.sync.frames`, which own the
+Broadcast Memory's AFB retry loop.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Generator, Tuple
+from typing import Any, Callable
 
-from repro.cpu.thread import ThreadContext
-from repro.errors import SimulationError
-from repro.isa.operations import (
-    AtomicOp,
-    BmLoad,
-    BmRmw,
-    BmStore,
-    BmWaitUntil,
-    Read,
-    RmwKind,
-    WaitUntil,
-    Write,
-)
+from repro.isa.operations import BmLoad, BmStore, BmWaitUntil, Read, WaitUntil, Write
 
 
 class AtomicCell(ABC):
@@ -34,49 +26,30 @@ class AtomicCell(ABC):
         self.addr = addr
 
     @abstractmethod
-    def read(self, ctx: ThreadContext) -> Generator:
-        """Yield ops to load the value; returns it."""
+    def read_op(self) -> Any:
+        """The operation that loads the value."""
 
     @abstractmethod
-    def write(self, ctx: ThreadContext, value: int) -> Generator:
-        """Yield ops to store ``value``."""
+    def write_op(self, value: int) -> Any:
+        """The operation that stores ``value``."""
 
     @abstractmethod
-    def cas(self, ctx: ThreadContext, expected: int, new: int) -> Generator:
-        """Atomic compare-and-swap; returns ``(success, old_value)``."""
-
-    @abstractmethod
-    def fetch_add(self, ctx: ThreadContext, delta: int = 1) -> Generator:
-        """Atomic fetch-and-add; returns the old value."""
-
-    @abstractmethod
-    def wait_until(self, ctx: ThreadContext, predicate: Callable[[int], bool]) -> Generator:
-        """Spin until ``predicate(value)``; returns the satisfying value."""
+    def wait_op(self, predicate: Callable[[int], bool]) -> Any:
+        """The operation that spins until ``predicate(value)``; its result is
+        the satisfying value."""
 
 
 class CachedCell(AtomicCell):
     """A cell held in regular cached memory, kept coherent by the directory."""
 
-    def read(self, ctx: ThreadContext) -> Generator:
-        value = yield Read(self.addr)
-        return value
+    def read_op(self) -> Read:
+        return Read(self.addr)
 
-    def write(self, ctx: ThreadContext, value: int) -> Generator:
-        yield Write(self.addr, value)
+    def write_op(self, value: int) -> Write:
+        return Write(self.addr, value)
 
-    def cas(self, ctx: ThreadContext, expected: int, new: int) -> Generator:
-        old, success = yield AtomicOp(
-            self.addr, RmwKind.COMPARE_AND_SWAP, operand=new, expected=expected
-        )
-        return success, old
-
-    def fetch_add(self, ctx: ThreadContext, delta: int = 1) -> Generator:
-        old, _ = yield AtomicOp(self.addr, RmwKind.FETCH_AND_ADD, operand=delta)
-        return old
-
-    def wait_until(self, ctx: ThreadContext, predicate: Callable[[int], bool]) -> Generator:
-        value = yield WaitUntil(self.addr, predicate)
-        return value
+    def wait_op(self, predicate: Callable[[int], bool]) -> WaitUntil:
+        return WaitUntil(self.addr, predicate)
 
 
 class BroadcastCell(AtomicCell):
@@ -90,31 +63,11 @@ class BroadcastCell(AtomicCell):
     #: Safety bound on AFB retries; contention never realistically needs this.
     MAX_RETRIES = 10_000
 
-    def read(self, ctx: ThreadContext) -> Generator:
-        value = yield BmLoad(self.addr)
-        return value
+    def read_op(self) -> BmLoad:
+        return BmLoad(self.addr)
 
-    def write(self, ctx: ThreadContext, value: int) -> Generator:
-        yield BmStore(self.addr, value)
+    def write_op(self, value: int) -> BmStore:
+        return BmStore(self.addr, value)
 
-    def cas(self, ctx: ThreadContext, expected: int, new: int) -> Generator:
-        for _ in range(self.MAX_RETRIES):
-            result = yield BmRmw(
-                self.addr, RmwKind.COMPARE_AND_SWAP, operand=new, expected=expected
-            )
-            if result.afb:
-                continue
-            return result.success, result.old_value
-        raise SimulationError(f"BM CAS on address {self.addr} exceeded retry bound")
-
-    def fetch_add(self, ctx: ThreadContext, delta: int = 1) -> Generator:
-        for _ in range(self.MAX_RETRIES):
-            result = yield BmRmw(self.addr, RmwKind.FETCH_AND_ADD, operand=delta)
-            if result.afb:
-                continue
-            return result.old_value
-        raise SimulationError(f"BM fetch&add on address {self.addr} exceeded retry bound")
-
-    def wait_until(self, ctx: ThreadContext, predicate: Callable[[int], bool]) -> Generator:
-        value = yield BmWaitUntil(self.addr, predicate)
-        return value
+    def wait_op(self, predicate: Callable[[int], bool]) -> BmWaitUntil:
+        return BmWaitUntil(self.addr, predicate)

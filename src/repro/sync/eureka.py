@@ -2,16 +2,15 @@
 
 An OR-barrier fires as soon as *one* participant detects a condition
 (search success, overflow, exception).  It is a sense-reversing boolean
-flag: posters toggle it, and the other threads either poll it cheaply or
-block on it.
+flag: posters toggle it, and the other threads block on it.  The
+``sync.eureka.post`` and ``sync.eureka.wait`` routines in
+:mod:`repro.sync.frames` run the protocol.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Generator
+from typing import Dict
 
-from repro.cpu.thread import ThreadContext
-from repro.isa.predicates import Eq
 from repro.sync.cells import AtomicCell
 
 
@@ -22,29 +21,7 @@ class OrBarrier:
         self.cell = cell
         self._sense: Dict[int, int] = {}
 
-    def _current_sense(self, thread_id: int) -> int:
-        return self._sense.get(thread_id, 0)
-
     def _advance_sense(self, thread_id: int) -> int:
         sense = self._sense.get(thread_id, 0) ^ 1
         self._sense[thread_id] = sense
         return sense
-
-    def post(self, ctx: ThreadContext) -> Generator:
-        """Signal the condition: toggles the flag for this episode."""
-        sense = self._advance_sense(ctx.thread_id)
-        yield from self.cell.write(ctx, sense)
-
-    def poll(self, ctx: ThreadContext) -> Generator:
-        """Cheap check: returns True if someone posted this episode."""
-        sense = self._current_sense(ctx.thread_id) ^ 1
-        value = yield from self.cell.read(ctx)
-        if value == sense:
-            self._sense[ctx.thread_id] = sense
-            return True
-        return False
-
-    def wait(self, ctx: ThreadContext) -> Generator:
-        """Block until someone posts this episode."""
-        sense = self._advance_sense(ctx.thread_id)
-        yield from self.cell.wait_until(ctx, Eq(sense))

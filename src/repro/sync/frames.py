@@ -1,12 +1,11 @@
 """Frame routines for the synchronization primitives.
 
-Each routine here is the resumable-frame port of one generator method from
-:mod:`repro.sync` — same operations, in the same order, with the same
-results consumed the same way, so a frames-mode workload produces a
-bit-identical event stream to its generator twin (the golden suite pins
-this).  The difference is purely representational: progress lives in a
-frame's ``label`` + plain-data ``locals`` instead of a live generator
-frame, which is what makes it natively checkpointable.
+Every primitive of :mod:`repro.sync` runs through the routines here: a step
+issues the primitive's operations one at a time and keeps its progress in
+the frame's ``label`` plus plain-data ``locals``, which is what makes every
+thread natively checkpointable.  :data:`SYNC_ROUTINES` is the table every
+machine starts from; native snapshots store these routine names, so a name
+never changes once it has shipped.
 
 Conventions:
 
@@ -16,19 +15,26 @@ Conventions:
 * Methods that exist on several primitive types (``barrier.wait``,
   ``lock.acquire``) are one routine dispatching on the primitive's type,
   so workload code does not need to know which Table 2 variant it got.
+* A single-op cell access (load, store, wait) is a direct ``Op`` in the
+  primitive's own step, built by the cell (``cell.read_op()``, ...).
+  ``Call`` is kept for the multi-step operations: ``sync.cell.cas`` and
+  ``sync.cell.fetch_add``, which own the AFB retry loop.
 * Tuple-valued operation results (``AtomicOp`` → ``(old, success)``) are
-  unpacked inside the step; only scalars ever land in locals.
+  unpacked inside the step; only plain data ever lands in locals.
+* The helpers at the bottom (:func:`barrier_wait`, ...) build the ``Call``
+  a workload routine returns to run one of these routines.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.cpu.frames import START, Call, Frame, FrameEnv, Op, Ret
 from repro.errors import SimulationError, WorkloadError
 from repro.isa.operations import (
     AtomicOp,
-    BmLoad,
+    BmBulkLoad,
+    BmBulkStore,
     BmRmw,
     BmStore,
     BmWaitUntil,
@@ -39,15 +45,16 @@ from repro.isa.operations import (
     WaitUntil,
     Write,
 )
-from repro.isa.predicates import Eq, Ne
+from repro.isa.predicates import Eq, Lt, Ne
 from repro.sync.barriers import (
     CentralizedBarrier,
     ToneBarrier,
     TournamentBarrier,
     WirelessBarrier,
 )
-from repro.sync.cells import BroadcastCell, CachedCell
+from repro.sync.cells import BroadcastCell
 from repro.sync.locks import CasSpinLock, McsLock, WirelessLock
+from repro.sync.rwlock import WRITER_HELD
 
 
 # ---------------------------------------------------------------- barriers
@@ -230,30 +237,25 @@ def _mcs_release(frame: Frame, value: Any, env: FrameEnv, lock: McsLock):
     return Ret(None)
 
 
-def _wireless_rmw_retry(L: Dict[str, Any], operation: BmRmw, max_retries: int, what: str):
-    """Issue one AFB-bounded RMW attempt, tracking the retry budget."""
+def _afb_retry(L: Dict[str, Any], operation: BmRmw, max_retries: int, what: str):
+    """(Re-)issue one AFB-bounded BM RMW, counting it against the retry bound."""
     if L["retries"] >= max_retries:
-        raise SimulationError(f"{what} exceeded retry bound")
+        raise SimulationError(f"{what} on BM address {operation.addr} exceeded retry bound")
     L["retries"] += 1
     return Op(operation, "rmw")
 
 
 def _wireless_acquire(frame: Frame, value: Any, env: FrameEnv, lock: WirelessLock):
     L, label = frame.locals, frame.label
-    operation = BmRmw(lock.bm_addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0)
-    what = f"wireless lock at BM address {lock.bm_addr}"
-    if label == START:
-        L["retries"] = 0
-        return _wireless_rmw_retry(L, operation, lock.MAX_RETRIES, what)
-    if label == "rmw":
-        if value.afb:
-            return _wireless_rmw_retry(L, operation, lock.MAX_RETRIES, what)
+    if label == "rmw" and not value.afb:
         if value.success:
             return Ret(None)
         return Op(BmWaitUntil(lock.bm_addr, Eq(0)), "freed")
-    if label == "freed":
-        return _wireless_rmw_retry(L, operation, lock.MAX_RETRIES, what)
-    return Ret(None)
+    if label == START:
+        L["retries"] = 0
+    # START, "freed", or an AFB failure: (re-)issue the CAS.
+    operation = BmRmw(lock.bm_addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0)
+    return _afb_retry(L, operation, lock.MAX_RETRIES, "wireless lock CAS")
 
 
 def _wireless_release(frame: Frame, value: Any, env: FrameEnv, lock: WirelessLock):
@@ -291,42 +293,31 @@ _lock_release = _lock_method(_LOCK_RELEASE, "lock.release")
 
 # ------------------------------------------------------------------- cells
 def _cell_read(frame: Frame, value: Any, env: FrameEnv):
-    cell = env.sync(frame.locals["sid"])
     if frame.label == START:
-        if isinstance(cell, BroadcastCell):
-            return Op(BmLoad(cell.addr), "done")
-        return Op(Read(cell.addr), "done")
+        return Op(env.sync(frame.locals["sid"]).read_op(), "done")
     return Ret(value)
 
 
 def _cell_write(frame: Frame, value: Any, env: FrameEnv):
-    cell = env.sync(frame.locals["sid"])
     if frame.label == START:
-        stored = frame.locals["value"]
-        if isinstance(cell, BroadcastCell):
-            return Op(BmStore(cell.addr, stored), "done")
-        return Op(Write(cell.addr, stored), "done")
+        L = frame.locals
+        return Op(env.sync(L["sid"]).write_op(L["value"]), "done")
     return Ret(None)
 
 
 def _cell_cas(frame: Frame, value: Any, env: FrameEnv):
-    """CAS on a cell; returns ``(success, old_value)`` like ``AtomicCell.cas``."""
+    """CAS on a cell; returns ``(success, old_value)``."""
     L, label = frame.locals, frame.label
     cell = env.sync(L["sid"])
     if isinstance(cell, BroadcastCell):
+        if label == START:
+            L["retries"] = 0
+        elif not value.afb:
+            return Ret((value.success, value.old_value))
         operation = BmRmw(
             cell.addr, RmwKind.COMPARE_AND_SWAP, operand=L["new"], expected=L["expected"]
         )
-        if label == START:
-            L["retries"] = 0
-            return _wireless_rmw_retry(
-                L, operation, cell.MAX_RETRIES, f"BM CAS on address {cell.addr}"
-            )
-        if value.afb:
-            return _wireless_rmw_retry(
-                L, operation, cell.MAX_RETRIES, f"BM CAS on address {cell.addr}"
-            )
-        return Ret((value.success, value.old_value))
+        return _afb_retry(L, operation, cell.MAX_RETRIES, "CAS")
     if label == START:
         return Op(
             AtomicOp(
@@ -339,25 +330,121 @@ def _cell_cas(frame: Frame, value: Any, env: FrameEnv):
 
 
 def _cell_fetch_add(frame: Frame, value: Any, env: FrameEnv):
-    """Fetch&add on a cell; returns the old value like ``AtomicCell.fetch_add``."""
+    """Fetch&add on a cell; returns the old value."""
     L, label = frame.locals, frame.label
     cell = env.sync(L["sid"])
     if isinstance(cell, BroadcastCell):
-        operation = BmRmw(cell.addr, RmwKind.FETCH_AND_ADD, operand=L["delta"])
         if label == START:
             L["retries"] = 0
-            return _wireless_rmw_retry(
-                L, operation, cell.MAX_RETRIES, f"BM fetch&add on address {cell.addr}"
-            )
-        if value.afb:
-            return _wireless_rmw_retry(
-                L, operation, cell.MAX_RETRIES, f"BM fetch&add on address {cell.addr}"
-            )
-        return Ret(value.old_value)
+        elif not value.afb:
+            return Ret(value.old_value)
+        operation = BmRmw(cell.addr, RmwKind.FETCH_AND_ADD, operand=L["delta"])
+        return _afb_retry(L, operation, cell.MAX_RETRIES, "fetch&add")
     if label == START:
         return Op(AtomicOp(cell.addr, RmwKind.FETCH_AND_ADD, operand=L["delta"]), "done")
     old, _ = value
     return Ret(old)
+
+
+# ----------------------------------------------------- readers-writer lock
+def _rwlock_acquire_read(frame: Frame, value: Any, env: FrameEnv):
+    L, label = frame.locals, frame.label
+    cell = env.sync(L["sid"]).cell
+    if label == "read":
+        if value >= WRITER_HELD:
+            # Writer inside: spin until it leaves, then race again.
+            return Op(cell.wait_op(Lt(WRITER_HELD)), "reread")
+        return cell_cas(cell.sync_id, value, value + 1, "cas")
+    if label == "cas" and value[0]:
+        return Ret(None)
+    # START, the writer gone, or a lost CAS: read the lock word (again).
+    return Op(cell.read_op(), "read")
+
+
+def _rwlock_release_read(frame: Frame, value: Any, env: FrameEnv):
+    if frame.label == START:
+        return cell_fetch_add(env.sync(frame.locals["sid"]).cell.sync_id, -1, "done")
+    return Ret(None)
+
+
+def _rwlock_acquire_write(frame: Frame, value: Any, env: FrameEnv):
+    cell = env.sync(frame.locals["sid"]).cell
+    if frame.label == "cas":
+        if value[0]:
+            return Ret(None)
+        # Readers draining or another writer inside: wait for idle.
+        return Op(cell.wait_op(Eq(0)), "idle")
+    return cell_cas(cell.sync_id, 0, WRITER_HELD, "cas")
+
+
+def _rwlock_release_write(frame: Frame, value: Any, env: FrameEnv):
+    if frame.label == START:
+        return Op(env.sync(frame.locals["sid"]).cell.write_op(0), "done")
+    return Ret(None)
+
+
+# ----------------------------------------------------------------- eurekas
+def _eureka_post(frame: Frame, value: Any, env: FrameEnv):
+    """Signal the condition: toggles the flag for this episode."""
+    if frame.label == START:
+        eureka = env.sync(frame.locals["sid"])
+        sense = eureka._advance_sense(env.ctx.thread_id)
+        return Op(eureka.cell.write_op(sense), "done")
+    return Ret(None)
+
+
+def _eureka_wait(frame: Frame, value: Any, env: FrameEnv):
+    """Block until someone posts this episode."""
+    if frame.label == START:
+        eureka = env.sync(frame.locals["sid"])
+        sense = eureka._advance_sense(env.ctx.thread_id)
+        return Op(eureka.cell.wait_op(Eq(sense)), "done")
+    return Ret(None)
+
+
+# ------------------------------------------------ producer/consumer channels
+def _channel_produce(frame: Frame, value: Any, env: FrameEnv):
+    """Publish four words; waits until the previous payload was consumed."""
+    L, label = frame.locals, frame.label
+    channel = env.sync(L["sid"])
+    if label == START:
+        L["values"] = channel._payload(L["values"])
+        wait = BmWaitUntil if channel.wireless else WaitUntil
+        return Op(wait(channel.flag_addr, Eq(0)), "empty")
+    if label == "empty" and channel.wireless:
+        return Op(BmBulkStore(channel.data_addr, L["values"]), "stored")
+    if label == "stored":
+        return Op(BmStore(channel.flag_addr, 1), "done")
+    if label == "done":
+        return Ret(None)
+    # Cached slot: one store per word, then the flag.
+    word = 0 if label == "empty" else L["word"] + 1
+    if word < 4:
+        L["word"] = word
+        return Op(Write(channel.data_addr + word * 8, L["values"][word]), "wrote")
+    return Op(Write(channel.flag_addr, 1), "done")
+
+
+def _channel_consume(frame: Frame, value: Any, env: FrameEnv):
+    """Wait for a payload, read it, and mark the slot empty; returns it."""
+    L, label = frame.locals, frame.label
+    channel = env.sync(L["sid"])
+    if label == START:
+        wait = BmWaitUntil if channel.wireless else WaitUntil
+        return Op(wait(channel.flag_addr, Eq(1)), "full")
+    if label == "full" and channel.wireless:
+        return Op(BmBulkLoad(channel.data_addr), "loaded")
+    if label == "loaded":
+        L["values"] = tuple(value)
+        return Op(BmStore(channel.flag_addr, 0), "done")
+    if label == "done":
+        return Ret(L["values"])
+    # Cached slot: one load per word, then clear the flag.
+    L["values"] = () if label == "full" else L["values"] + (value,)
+    word = len(L["values"])
+    if word < 4:
+        return Op(Read(channel.data_addr + word * 8), "read")
+    return Op(Write(channel.flag_addr, 0), "done")
 
 
 #: Static routine table copied into every machine's ``frame_routines``.
@@ -369,6 +456,14 @@ SYNC_ROUTINES: Dict[str, Callable] = {
     "sync.cell.write": _cell_write,
     "sync.cell.cas": _cell_cas,
     "sync.cell.fetch_add": _cell_fetch_add,
+    "sync.rwlock.acquire_read": _rwlock_acquire_read,
+    "sync.rwlock.release_read": _rwlock_release_read,
+    "sync.rwlock.acquire_write": _rwlock_acquire_write,
+    "sync.rwlock.release_write": _rwlock_release_write,
+    "sync.eureka.post": _eureka_post,
+    "sync.eureka.wait": _eureka_wait,
+    "sync.channel.produce": _channel_produce,
+    "sync.channel.consume": _channel_consume,
 }
 
 
@@ -385,5 +480,45 @@ def lock_release(sid: int, label: str) -> Call:
     return Call("sync.lock.release", {"sid": sid}, label)
 
 
+def cell_cas(sid: int, expected: int, new: int, label: str) -> Call:
+    """Resume at ``label`` with ``(success, old_value)``."""
+    return Call("sync.cell.cas", {"sid": sid, "expected": expected, "new": new}, label)
+
+
 def cell_fetch_add(sid: int, delta: int, label: str) -> Call:
+    """Resume at ``label`` with the old value."""
     return Call("sync.cell.fetch_add", {"sid": sid, "delta": delta}, label)
+
+
+def rwlock_acquire_read(sid: int, label: str) -> Call:
+    return Call("sync.rwlock.acquire_read", {"sid": sid}, label)
+
+
+def rwlock_release_read(sid: int, label: str) -> Call:
+    return Call("sync.rwlock.release_read", {"sid": sid}, label)
+
+
+def rwlock_acquire_write(sid: int, label: str) -> Call:
+    return Call("sync.rwlock.acquire_write", {"sid": sid}, label)
+
+
+def rwlock_release_write(sid: int, label: str) -> Call:
+    return Call("sync.rwlock.release_write", {"sid": sid}, label)
+
+
+def eureka_post(sid: int, label: str) -> Call:
+    return Call("sync.eureka.post", {"sid": sid}, label)
+
+
+def eureka_wait(sid: int, label: str) -> Call:
+    return Call("sync.eureka.wait", {"sid": sid}, label)
+
+
+def channel_produce(sid: int, values: Tuple[int, ...], label: str) -> Call:
+    """Publish the four words ``values`` on the channel."""
+    return Call("sync.channel.produce", {"sid": sid, "values": values}, label)
+
+
+def channel_consume(sid: int, label: str) -> Call:
+    """Resume at ``label`` with the four-word payload as a tuple."""
+    return Call("sync.channel.consume", {"sid": sid}, label)

@@ -8,38 +8,19 @@
 * :class:`WirelessLock` — WiSync: CAS on a Broadcast-Memory location with
   AFB-based retry (Figure 4b); waiters spin on their local BM replica, so
   spinning generates no network traffic at all.
+
+These classes hold each lock's addresses (and the MCS queue nodes); the
+``sync.lock.acquire`` and ``sync.lock.release`` routines in
+:mod:`repro.sync.frames` run the algorithms.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Callable, Dict, Generator, Tuple
-
-from repro.cpu.thread import ThreadContext
-from repro.errors import SimulationError
-from repro.isa.predicates import Eq, Ne
-from repro.isa.operations import (
-    AtomicOp,
-    BmRmw,
-    BmStore,
-    BmWaitUntil,
-    Read,
-    RmwKind,
-    WaitUntil,
-    Write,
-)
+from typing import Callable, Dict, Tuple
 
 
-class Lock(ABC):
+class Lock:
     """Mutual exclusion over one logical lock variable."""
-
-    @abstractmethod
-    def acquire(self, ctx: ThreadContext) -> Generator:
-        """Yield ops until the lock is held by the calling thread."""
-
-    @abstractmethod
-    def release(self, ctx: ThreadContext) -> Generator:
-        """Yield ops to release the lock."""
 
 
 class CasSpinLock(Lock):
@@ -47,20 +28,6 @@ class CasSpinLock(Lock):
 
     def __init__(self, addr: int) -> None:
         self.addr = addr
-
-    def acquire(self, ctx: ThreadContext) -> Generator:
-        while True:
-            old, success = yield AtomicOp(
-                self.addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0
-            )
-            if success:
-                return
-            # Lock is held: spin locally on the cached copy until it is free,
-            # then race again with CAS.
-            yield WaitUntil(self.addr, Eq(0))
-
-    def release(self, ctx: ThreadContext) -> Generator:
-        yield Write(self.addr, 0)
 
 
 class McsLock(Lock):
@@ -83,34 +50,6 @@ class McsLock(Lock):
             self._qnodes[thread_id] = (locked_addr, next_addr)
         return self._qnodes[thread_id]
 
-    def acquire(self, ctx: ThreadContext) -> Generator:
-        locked_addr, next_addr = self._qnode(ctx.thread_id)
-        my_handle = ctx.thread_id + 1
-        yield Write(next_addr, 0)
-        yield Write(locked_addr, 1)
-        predecessor, _ = yield AtomicOp(self.tail_addr, RmwKind.SWAP, operand=my_handle)
-        if predecessor == 0:
-            return
-        pred_locked, pred_next = self._qnode(predecessor - 1)
-        yield Write(pred_next, my_handle)
-        yield WaitUntil(locked_addr, Eq(0))
-
-    def release(self, ctx: ThreadContext) -> Generator:
-        locked_addr, next_addr = self._qnode(ctx.thread_id)
-        my_handle = ctx.thread_id + 1
-        old, success = yield AtomicOp(
-            self.tail_addr, RmwKind.COMPARE_AND_SWAP, operand=0, expected=my_handle
-        )
-        if success:
-            return
-        # A successor exists (or is arriving): wait for it to link itself,
-        # then hand the lock over by clearing its locked flag.
-        successor = yield Read(next_addr)
-        if successor == 0:
-            successor = yield WaitUntil(next_addr, Ne(0))
-        succ_locked, _ = self._qnode(successor - 1)
-        yield Write(succ_locked, 0)
-
 
 class WirelessLock(Lock):
     """WiSync lock: CAS on a BM entry, retried while the AFB is set."""
@@ -119,19 +58,3 @@ class WirelessLock(Lock):
 
     def __init__(self, bm_addr: int) -> None:
         self.bm_addr = bm_addr
-
-    def acquire(self, ctx: ThreadContext) -> Generator:
-        for _ in range(self.MAX_RETRIES):
-            result = yield BmRmw(
-                self.bm_addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0
-            )
-            if result.afb:
-                continue
-            if result.success:
-                return
-            # Lock held: spin on the local BM replica (no wireless traffic).
-            yield BmWaitUntil(self.bm_addr, Eq(0))
-        raise SimulationError(f"wireless lock at BM address {self.bm_addr} exceeded retry bound")
-
-    def release(self, ctx: ThreadContext) -> Generator:
-        yield BmStore(self.bm_addr, 0)

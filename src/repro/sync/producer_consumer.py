@@ -4,26 +4,16 @@ The producer writes a 4-word payload and sets a full/empty flag; the
 consumer waits for the flag, reads the payload, and clears the flag.  On
 WiSync both sides use Bulk stores/loads so the payload moves in a single
 15-cycle wireless message; on conventional machines the payload moves as
-ordinary cached stores and loads.
+ordinary cached stores and loads.  The ``sync.channel.produce`` and
+``sync.channel.consume`` routines in :mod:`repro.sync.frames` run the
+protocol.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from repro.cpu.thread import ThreadContext
 from repro.errors import WorkloadError
-from repro.isa.predicates import Eq
-from repro.isa.operations import (
-    BmBulkLoad,
-    BmBulkStore,
-    BmLoad,
-    BmStore,
-    BmWaitUntil,
-    Read,
-    WaitUntil,
-    Write,
-)
 
 
 class ProducerConsumerChannel:
@@ -34,37 +24,6 @@ class ProducerConsumerChannel:
         self.flag_addr = flag_addr
         self.wireless = wireless
 
-    # -------------------------------------------------------------- producer
-    def produce(self, ctx: ThreadContext, values: Sequence[int]) -> Generator:
-        """Publish four words; waits until the previous payload was consumed."""
-        payload: Tuple[int, int, int, int] = self._payload(values)
-        if self.wireless:
-            yield BmWaitUntil(self.flag_addr, Eq(0))
-            yield BmBulkStore(self.data_addr, payload)
-            yield BmStore(self.flag_addr, 1)
-        else:
-            yield WaitUntil(self.flag_addr, Eq(0))
-            for offset, value in enumerate(payload):
-                yield Write(self.data_addr + offset * 8, value)
-            yield Write(self.flag_addr, 1)
-
-    # -------------------------------------------------------------- consumer
-    def consume(self, ctx: ThreadContext) -> Generator:
-        """Wait for a payload, read it, and mark the slot empty; returns it."""
-        if self.wireless:
-            yield BmWaitUntil(self.flag_addr, Eq(1))
-            values = yield BmBulkLoad(self.data_addr)
-            yield BmStore(self.flag_addr, 0)
-            return tuple(values)
-        yield WaitUntil(self.flag_addr, Eq(1))
-        values: List[int] = []
-        for offset in range(4):
-            value = yield Read(self.data_addr + offset * 8)
-            values.append(value)
-        yield Write(self.flag_addr, 0)
-        return tuple(values)
-
-    # ------------------------------------------------------------- internals
     @staticmethod
     def _payload(values: Sequence[int]) -> Tuple[int, int, int, int]:
         values = tuple(values)

@@ -8,18 +8,15 @@ readers, and exactly :data:`WRITER_HELD` means a writer holds the lock.
 
 Readers enter with a CAS incrementing the count (retrying while a writer is
 in), writers CAS ``0 -> WRITER_HELD`` (waiting for drain on failure); both
-sides spin with ``wait_until``, which is local-replica polling on WiSync and
-coherence-based spinning on the baselines.  Readers are preferred: a stream
-of overlapping readers can starve a writer, which is exactly the contended
-regime the ``rwlock`` scenario measures.
+sides spin on the cell's wait operation, which is local-replica polling on
+WiSync and coherence-based spinning on the baselines.  Readers are
+preferred: a stream of overlapping readers can starve a writer, which is
+exactly the contended regime the ``rwlock`` scenario measures.  The
+``sync.rwlock.*`` routines in :mod:`repro.sync.frames` run the protocol.
 """
 
 from __future__ import annotations
 
-from typing import Generator
-
-from repro.cpu.thread import ThreadContext
-from repro.isa.predicates import Eq, Lt
 from repro.sync.cells import AtomicCell
 
 #: Lock-word value while a writer is inside (far above any reader count).
@@ -31,30 +28,3 @@ class ReadersWriterLock:
 
     def __init__(self, cell: AtomicCell) -> None:
         self.cell = cell
-
-    # ---------------------------------------------------------------- readers
-    def acquire_read(self, ctx: ThreadContext) -> Generator:
-        while True:
-            value = yield from self.cell.read(ctx)
-            if value >= WRITER_HELD:
-                # Writer inside: spin until it leaves, then race again.
-                yield from self.cell.wait_until(ctx, Lt(WRITER_HELD))
-                continue
-            success, _ = yield from self.cell.cas(ctx, expected=value, new=value + 1)
-            if success:
-                return
-
-    def release_read(self, ctx: ThreadContext) -> Generator:
-        yield from self.cell.fetch_add(ctx, -1)
-
-    # ---------------------------------------------------------------- writers
-    def acquire_write(self, ctx: ThreadContext) -> Generator:
-        while True:
-            success, _ = yield from self.cell.cas(ctx, expected=0, new=WRITER_HELD)
-            if success:
-                return
-            # Readers draining or another writer inside: wait for idle.
-            yield from self.cell.wait_until(ctx, Eq(0))
-
-    def release_write(self, ctx: ThreadContext) -> Generator:
-        yield from self.cell.write(ctx, 0)

@@ -25,6 +25,7 @@ from repro.isa.operations import Compute, Read, Write
 from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
+from repro.sync.frames import cell_cas
 from repro.workloads.base import WorkloadHandle
 
 
@@ -53,11 +54,7 @@ def _cas_insert(frame, value, env):
         return Call("sync.cell.read", {"sid": L["sid"]}, "read")
     if label == "read":
         L["attempts"] += 1
-        return Call(
-            "sync.cell.cas",
-            {"sid": L["sid"], "expected": value, "new": L["node_value"]},
-            "cas",
-        )
+        return cell_cas(L["sid"], value, L["node_value"], "cas")
     # label == "cas"
     success, _ = value
     if success:

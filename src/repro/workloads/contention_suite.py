@@ -19,6 +19,10 @@ so the scenarios are sweepable over cores x Table 2 config x contention level
 x backoff policy through :mod:`repro.experiments.scenarios` and the
 ``python -m repro run scenarios`` CLI.  :data:`SCENARIOS` is the catalog the
 ``python -m repro scenarios`` listing renders.
+
+Every thread body is a frame routine (:mod:`repro.cpu.frames`) that reaches
+the primitives through the :mod:`repro.sync.frames` helpers, so a scenario
+run checkpoints and restores natively at any event.
 """
 
 from __future__ import annotations
@@ -26,11 +30,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.cpu.frames import START, FrameBody, Op, Ret
 from repro.errors import WorkloadError
 from repro.isa.operations import Compute, Read, Write
 from repro.machine.manycore import Manycore
 from repro.runner.registry import register_workload
 from repro.sync.api import SyncFactory
+from repro.sync.frames import (
+    barrier_wait,
+    cell_cas,
+    cell_fetch_add,
+    channel_consume,
+    channel_produce,
+    eureka_post,
+    eureka_wait,
+    lock_acquire,
+    lock_release,
+    rwlock_acquire_read,
+    rwlock_acquire_write,
+    rwlock_release_read,
+    rwlock_release_write,
+)
 from repro.workloads.base import WorkloadHandle
 
 
@@ -109,25 +129,33 @@ def build_pc_ring(
         num_threads = machine.config.num_cores
     program = machine.new_program("pc_ring")
     sync = SyncFactory(program)
-    channels = [sync.create_channel() for _ in range(num_threads)]
-    counter = sync.create_cell()
+    channel_sids = [sync.create_channel().sync_id for _ in range(num_threads)]
+    counter_sid = sync.create_cell().sync_id
 
-    def body(ctx):
-        me = ctx.thread_id
-        downstream = channels[me]
-        upstream = channels[(me - 1) % num_threads]
-        checksum = 0
-        for item in range(items):
-            if think_cycles:
-                yield Compute(ctx.rng.jitter(think_cycles, fraction=0.2))
-            yield from downstream.produce(ctx, (me, item, me ^ item, item + 1))
-            values = yield from upstream.consume(ctx)
-            checksum += values[3]
-            yield from counter.fetch_add(ctx, 1)
-        return checksum
+    def body(frame, value, env):
+        # Per item: think, produce downstream, consume upstream, count it.
+        L, label = frame.locals, frame.label
+        me = env.ctx.thread_id
+        if label == "produced":
+            return channel_consume(channel_sids[(me - 1) % num_threads], "consumed")
+        if label == "consumed":
+            L["checksum"] += value[3]
+            return cell_fetch_add(counter_sid, 1, "counted")
+        if label == START:
+            L["item"] = 0
+            L["checksum"] = 0
+        elif label == "counted":
+            L["item"] += 1
+        item = L["item"]
+        if item == items:
+            return Ret(L["checksum"])
+        if think_cycles and label != "thought":
+            return Op(Compute(env.ctx.rng.jitter(think_cycles, fraction=0.2)), "thought")
+        return channel_produce(channel_sids[me], (me, item, me ^ item, item + 1), "produced")
 
+    machine.register_frame_routine("pc_ring.body", body)
     for _ in range(num_threads):
-        program.add_thread(body)
+        program.add_thread(FrameBody("pc_ring.body"))
     return WorkloadHandle(
         name="pc_ring",
         machine=machine,
@@ -179,30 +207,41 @@ def build_rwlock(
         num_threads = machine.config.num_cores
     program = machine.new_program("rwlock")
     sync = SyncFactory(program)
-    rwlock = sync.create_rwlock()
+    rwlock_sid = sync.create_rwlock().sync_id
     table = [program.alloc_shared() for _ in range(8)]
 
-    def body(ctx):
-        reads = writes = 0
-        for op in range(operations):
-            if think_cycles:
-                yield Compute(ctx.rng.jitter(think_cycles, fraction=0.2))
-            if ctx.rng.random() < write_fraction:
-                yield from rwlock.acquire_write(ctx)
-                yield Write(table[(ctx.thread_id + op) % len(table)], op)
-                yield Compute(write_cycles)
-                yield from rwlock.release_write(ctx)
-                writes += 1
-            else:
-                yield from rwlock.acquire_read(ctx)
-                yield Read(table[(ctx.thread_id + op) % len(table)])
-                yield Compute(read_cycles)
-                yield from rwlock.release_read(ctx)
-                reads += 1
-        return reads, writes
+    def body(frame, value, env):
+        # Per operation: think, draw read or write, then lock, touch the
+        # table, hold, unlock.
+        L, label = frame.locals, frame.label
+        ctx = env.ctx
+        op = L["op"] if label != START else 0
+        if label == "acquired":
+            addr = table[(ctx.thread_id + op) % len(table)]
+            return Op(Write(addr, op) if L["write"] else Read(addr), "accessed")
+        if label == "accessed":
+            return Op(Compute(write_cycles if L["write"] else read_cycles), "held")
+        if label == "held":
+            if L["write"]:
+                return rwlock_release_write(rwlock_sid, "released")
+            return rwlock_release_read(rwlock_sid, "released")
+        if label == START:
+            L["op"] = L["reads"] = L["writes"] = 0
+        elif label == "released":
+            L["writes" if L["write"] else "reads"] += 1
+            op = L["op"] = op + 1
+        if op == operations:
+            return Ret((L["reads"], L["writes"]))
+        if think_cycles and label != "thought":
+            return Op(Compute(ctx.rng.jitter(think_cycles, fraction=0.2)), "thought")
+        L["write"] = ctx.rng.random() < write_fraction
+        if L["write"]:
+            return rwlock_acquire_write(rwlock_sid, "acquired")
+        return rwlock_acquire_read(rwlock_sid, "acquired")
 
+    machine.register_frame_routine("rwlock.body", body)
     for _ in range(num_threads):
-        program.add_thread(body)
+        program.add_thread(FrameBody("rwlock.body"))
     return WorkloadHandle(
         name="rwlock",
         machine=machine,
@@ -266,52 +305,60 @@ def build_work_steal(
     ]
     total_tasks = sum(seeds)
     pools = [sync.create_cell() for _ in range(num_threads)]
-    done = sync.create_cell()
-    eureka = sync.create_or_barrier()
-    barrier = sync.create_barrier(num_threads)
+    done_sid = sync.create_cell().sync_id
+    eureka_sid = sync.create_or_barrier().sync_id
+    barrier_sid = sync.create_barrier(num_threads).sync_id
 
-    def try_pop(ctx, pool):
-        """CAS one task out of ``pool``; returns True when a task was claimed."""
-        while True:
-            value = yield from pool.read(ctx)
+    def scan(L, me, offset):
+        """Try the pools from ``me + offset`` on; wait for the eureka when
+        every seeded pool has been found empty."""
+        while offset < num_threads:
+            victim = (me + offset) % num_threads
+            if seeds[victim]:  # an unseeded pool never holds work
+                L["offset"] = offset
+                return Op(pools[victim].read_op(), "pool_read")
+            offset += 1
+        # Every pool is drained; wait for the last in-flight task.
+        return eureka_wait(eureka_sid, "finished")
+
+    def body(frame, value, env):
+        # Seed the local pool, rendezvous so nobody steals from an unseeded
+        # pool, then CAS-pop tasks (own pool first) until all are retired.
+        L, label = frame.locals, frame.label
+        me = env.ctx.thread_id
+        if label == START:
+            L["processed"] = 0
+            return Op(pools[me].write_op(seeds[me]), "seeded")
+        if label == "seeded":
+            return barrier_wait(barrier_sid, "scan")
+        if label == "scan":
+            return scan(L, me, 0)
+        if label == "finished":
+            return Ret(L["processed"])
+        victim = (me + L["offset"]) % num_threads
+        if label == "pool_read":
             if value == 0:
-                return False
-            success, _ = yield from pool.cas(ctx, expected=value, new=value - 1)
-            if success:
-                return True
-            # Lost the race; the winner made progress, so re-read and retry.
+                return scan(L, me, L["offset"] + 1)
+            return cell_cas(pools[victim].sync_id, value, value - 1, "popped")
+        if label == "popped":
+            if not value[0]:
+                # Lost the race; the winner made progress, so re-read.
+                return Op(pools[victim].read_op(), "pool_read")
+            return Op(Compute(env.ctx.rng.jitter(task_cycles, fraction=0.1)), "worked")
+        if label == "worked":
+            addr = program.private_addr(me, L["processed"] % 64)
+            return Op(Write(addr, victim + 1), "recorded")
+        if label == "recorded":
+            L["processed"] += 1
+            return cell_fetch_add(done_sid, 1, "retired")
+        # label == "retired"
+        if value + 1 == total_tasks:
+            return eureka_post(eureka_sid, "finished")
+        return scan(L, me, 0)
 
-    def body(ctx):
-        me = ctx.thread_id
-        # Seed the local pool, then rendezvous so nobody steals from an
-        # unseeded pool.
-        yield from pools[me].write(ctx, seeds[me])
-        yield from barrier.wait(ctx)
-        processed = 0
-        while True:
-            claimed = False
-            for offset in range(num_threads):
-                victim = (me + offset) % num_threads
-                if seeds[victim] == 0:
-                    continue  # never seeded, nothing to steal
-                popped = yield from try_pop(ctx, pools[victim])
-                if popped:
-                    claimed = True
-                    yield Compute(ctx.rng.jitter(task_cycles, fraction=0.1))
-                    yield Write(program.private_addr(me, processed % 64), victim + 1)
-                    processed += 1
-                    retired = yield from done.fetch_add(ctx, 1)
-                    if retired + 1 == total_tasks:
-                        yield from eureka.post(ctx)
-                        return processed
-                    break
-            if not claimed:
-                # Every pool is drained; wait for the last in-flight task.
-                yield from eureka.wait(ctx)
-                return processed
-
+    machine.register_frame_routine("work_steal.body", body)
     for _ in range(num_threads):
-        program.add_thread(body)
+        program.add_thread(FrameBody("work_steal.body"))
     return WorkloadHandle(
         name="work_steal",
         machine=machine,
@@ -365,19 +412,31 @@ def build_barrier_storm(
         num_threads = machine.config.num_cores
     program = machine.new_program("barrier_storm")
     sync = SyncFactory(program)
-    barrier = sync.create_barrier(num_threads)
+    barrier_sid = sync.create_barrier(num_threads).sync_id
     spread = max(1, num_threads - 1)
 
-    def body(ctx):
-        slowdown = 1.0 + skew * ctx.thread_id / spread
-        for _ in range(phases):
-            yield Compute(ctx.rng.jitter(int(compute_cycles * slowdown), fraction=0.1))
-            for _ in range(storms_per_phase):
-                yield from barrier.wait(ctx)
-        return phases
+    def body(frame, value, env):
+        # Per phase: skewed compute, then storms_per_phase barriers.
+        L, label = frame.locals, frame.label
+        if label == "computed":
+            L["storm"] = 1
+            return barrier_wait(barrier_sid, "crossed")
+        if label == START:
+            L["phase"] = 0
+        elif L["storm"] < storms_per_phase:  # label == "crossed"
+            L["storm"] += 1
+            return barrier_wait(barrier_sid, "crossed")
+        else:
+            L["phase"] += 1
+        if L["phase"] == phases:
+            return Ret(phases)
+        slowdown = 1.0 + skew * env.ctx.thread_id / spread
+        cycles = env.ctx.rng.jitter(int(compute_cycles * slowdown), fraction=0.1)
+        return Op(Compute(cycles), "computed")
 
+    machine.register_frame_routine("barrier_storm.body", body)
     for _ in range(num_threads):
-        program.add_thread(body)
+        program.add_thread(FrameBody("barrier_storm.body"))
     return WorkloadHandle(
         name="barrier_storm",
         machine=machine,
@@ -431,38 +490,53 @@ def build_mixed_phases(
         num_threads = machine.config.num_cores
     program = machine.new_program("mixed_phases")
     sync = SyncFactory(program)
-    barrier = sync.create_barrier(num_threads)
-    locks = sync.create_locks(num_locks)
-    reducer = sync.create_reducer()
+    barrier_sid = sync.create_barrier(num_threads).sync_id
+    lock_sids = [lock.sync_id for lock in sync.create_locks(num_locks)]
+    reduction_sid = sync.create_cell().sync_id
     # One SPSC channel per full (producer, consumer) pair; with an odd thread
     # count the last thread sits pipeline phases out instead of producing
     # into a channel nobody drains.
-    channels = [sync.create_channel() for _ in range(num_threads // 2)]
+    channel_sids = [sync.create_channel().sync_id for _ in range(num_threads // 2)]
 
-    def body(ctx):
-        me = ctx.thread_id
-        for phase in range(phases):
-            yield Compute(ctx.rng.jitter(compute_cycles, fraction=0.1))
+    def body(frame, value, env):
+        # Per phase: compute, run the phase's synchronization style, barrier.
+        L, label = frame.locals, frame.label
+        me = env.ctx.thread_id
+        phase = L["phase"] if label != START else 0
+        if label == "computed":
             style = phase % 3
             if style == 0:
-                for acquisition in range(2):
-                    lock = locks[(me + phase + acquisition) % num_locks]
-                    yield from lock.acquire(ctx)
-                    yield Compute(critical_cycles)
-                    yield from lock.release(ctx)
-            elif style == 1:
-                yield from reducer.add(ctx, me + 1)
-            elif me // 2 < len(channels):
-                channel = channels[me // 2]
+                L["acquisition"] = 0
+                return lock_acquire(lock_sids[(me + phase) % num_locks], "acquired")
+            if style == 1:
+                return cell_fetch_add(reduction_sid, me + 1, "synced")
+            if me // 2 < len(channel_sids):
+                sid = channel_sids[me // 2]
                 if me % 2 == 0:
-                    yield from channel.produce(ctx, (me, phase, me + phase, 1))
-                else:
-                    yield from channel.consume(ctx)
-            yield from barrier.wait(ctx)
-        return phases
+                    return channel_produce(sid, (me, phase, me + phase, 1), "synced")
+                return channel_consume(sid, "synced")
+            return barrier_wait(barrier_sid, "joined")
+        if label == "acquired":
+            return Op(Compute(critical_cycles), "critical")
+        if label == "critical":
+            lock = lock_sids[(me + phase + L["acquisition"]) % num_locks]
+            return lock_release(lock, "released")
+        if label == "released" and L["acquisition"] == 0:
+            L["acquisition"] = 1
+            return lock_acquire(lock_sids[(me + phase + 1) % num_locks], "acquired")
+        if label in ("released", "synced"):
+            return barrier_wait(barrier_sid, "joined")
+        if label == START:
+            L["phase"] = 0
+        else:  # label == "joined"
+            phase = L["phase"] = phase + 1
+        if phase == phases:
+            return Ret(phases)
+        return Op(Compute(env.ctx.rng.jitter(compute_cycles, fraction=0.1)), "computed")
 
+    machine.register_frame_routine("mixed_phases.body", body)
     for _ in range(num_threads):
-        program.add_thread(body)
+        program.add_thread(FrameBody("mixed_phases.body"))
     return WorkloadHandle(
         name="mixed_phases",
         machine=machine,

@@ -63,9 +63,9 @@ def build_livermore_loop(
     program = machine.new_program(f"livermore{int(loop)}")
     sync = SyncFactory(program)
     barrier = sync.create_barrier(num_threads)
-    reducer = sync.create_reducer()
+    accumulator = sync.create_cell()
     barrier_sid = barrier.sync_id
-    reducer_sid = reducer.cell.sync_id
+    accumulator_sid = accumulator.sync_id
     line_bytes = machine.config.cache.line_bytes
     per_element = CYCLES_PER_ELEMENT[int(loop)]
 
@@ -131,7 +131,7 @@ def build_livermore_loop(
             L["rep"] = 0
             return _chunk(vector_length, "chunked")
         if label == "chunked":
-            return cell_fetch_add(reducer_sid, 1, "reduced")
+            return cell_fetch_add(accumulator_sid, 1, "reduced")
         if label == "reduced":
             return barrier_wait(barrier_sid, "joined")
         # label == "joined"

@@ -139,12 +139,12 @@ def build_application(
     sync = SyncFactory(program)
     barrier = sync.create_barrier(num_threads) if profile.barriers_per_phase else None
     locks = sync.create_locks(profile.num_locks) if profile.locks_per_phase else []
-    reducer = sync.create_reducer() if profile.reductions_per_phase else None
+    accumulator = sync.create_cell() if profile.reductions_per_phase else None
     shared_lines = [program.alloc_shared() for _ in range(32)]
     line_bytes = machine.config.cache.line_bytes
     barrier_sid = barrier.sync_id if barrier is not None else None
     lock_sids = [lock.sync_id for lock in locks]
-    reducer_sid = reducer.cell.sync_id if reducer is not None else None
+    accumulator_sid = accumulator.sync_id if accumulator is not None else None
 
     def _lock_sid(tid: int, phase: int, acquisition: int) -> int:
         return lock_sids[(tid + phase + acquisition) % len(lock_sids)]
@@ -155,13 +155,10 @@ def build_application(
 
         # The phase runs compute -> shared touches -> critical sections ->
         # reductions -> barriers; each helper advances to the next stage
-        # when its counter is exhausted, mirroring the sequential loops of
-        # the generator version.
+        # when its counter is exhausted.
         def begin_phase():
             # Compute portion of the phase, with a little per-thread jitter
-            # so that arrivals are not perfectly synchronized.  (Called at
-            # the same point per phase as the generator did, keeping the
-            # rng stream identical.)
+            # so that arrivals are not perfectly synchronized.
             compute = env.ctx.rng.jitter(profile.compute_per_phase, fraction=0.05)
             return Op(Compute(compute), "computed")
 
@@ -180,7 +177,7 @@ def build_application(
 
         def reductions():
             if L["red"] < profile.reductions_per_phase:
-                return cell_fetch_add(reducer_sid, 1, "reduced")
+                return cell_fetch_add(accumulator_sid, 1, "reduced")
             return barriers()
 
         def barriers():

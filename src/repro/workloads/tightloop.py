@@ -7,7 +7,7 @@ behind Figure 7.
 
 The body runs on the resumable-frame runtime (:mod:`repro.cpu.frames`):
 thread progress is a label plus integer locals, so a checkpoint of a fig7
-run restores natively in O(1) instead of replaying the event history.
+run restores natively in O(state).
 """
 
 from __future__ import annotations

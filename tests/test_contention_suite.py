@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from frame_bodies import frame_body, rounds
+from repro.cpu.frames import START, Op, Ret
 from repro.errors import ConfigurationError, WorkloadError
 from repro.experiments.scenarios import (
     CONTENTION_LEVELS,
@@ -20,8 +22,15 @@ from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
 from repro.machine.manycore import Manycore
 from repro.runner.executor import backoff_variant, build_config_for, execute_spec
 from repro.runner.registry import REGISTRY
+from repro.isa.operations import Compute
 from repro.runner.spec import RunSpec
 from repro.sync.api import SyncFactory
+from repro.sync.frames import (
+    rwlock_acquire_read,
+    rwlock_acquire_write,
+    rwlock_release_read,
+    rwlock_release_write,
+)
 from repro.sync.rwlock import WRITER_HELD
 from repro.workloads.contention_suite import SCENARIOS, scenario_info, scenario_names
 
@@ -144,27 +153,29 @@ class TestReadersWriterLock:
         sync = SyncFactory(program)
         rwlock = sync.create_rwlock()
         trace = []
+        body = frame_body(machine, "rwlock.test", body_factory(rwlock.sync_id, trace))
         for _ in range(num_threads):
-            program.add_thread(body_factory(rwlock, trace))
+            program.add_thread(body)
         result = machine.run()
         assert result.completed
         return trace
 
     @pytest.mark.parametrize("config", [baseline, wisync])
     def test_writers_are_mutually_exclusive(self, config):
-        from repro.isa.operations import Compute
-
         depth = {"value": 0}
 
-        def factory(rwlock, trace):
-            def body(ctx):
-                for _ in range(3):
-                    yield from rwlock.acquire_write(ctx)
+        def factory(sid, trace):
+            def body(frame, value, env):
+                if frame.label == "acquired":
                     depth["value"] += 1
                     trace.append(depth["value"])
-                    yield Compute(20)
+                    return Op(Compute(20), "held")
+                if frame.label == "held":
                     depth["value"] -= 1
-                    yield from rwlock.release_write(ctx)
+                    return rwlock_release_write(sid, "released")
+                if not rounds(frame, 3):
+                    return Ret(None)
+                return rwlock_acquire_write(sid, "acquired")
             return body
 
         trace = self._run_threads(config, factory, 4)
@@ -173,29 +184,33 @@ class TestReadersWriterLock:
 
     @pytest.mark.parametrize("config", [baseline, wisync])
     def test_readers_overlap_but_exclude_writers(self, config):
-        from repro.isa.operations import Compute
-
         state = {"readers": 0, "writers": 0, "max_readers": 0}
 
-        def factory(rwlock, trace):
-            def body(ctx):
-                if ctx.thread_id == 0:
-                    yield from rwlock.acquire_write(ctx)
+        def factory(sid, trace):
+            def body(frame, value, env):
+                writer = env.ctx.thread_id == 0
+                if frame.label == START:
+                    if writer:
+                        return rwlock_acquire_write(sid, "acquired")
+                    return rwlock_acquire_read(sid, "acquired")
+                if frame.label == "acquired" and writer:
                     state["writers"] += 1
                     trace.append(("w", state["readers"], state["writers"]))
-                    yield Compute(30)
-                    state["writers"] -= 1
-                    yield from rwlock.release_write(ctx)
-                else:
-                    yield from rwlock.acquire_read(ctx)
+                    return Op(Compute(30), "held")
+                if frame.label == "acquired":
                     state["readers"] += 1
                     state["max_readers"] = max(state["max_readers"], state["readers"])
                     trace.append(("r", state["readers"], state["writers"]))
                     # Hold long enough that reader sections overlap even with
                     # the Baseline's coherence-serialized CAS acquisitions.
-                    yield Compute(500)
+                    return Op(Compute(500), "held")
+                if frame.label == "held" and writer:
+                    state["writers"] -= 1
+                    return rwlock_release_write(sid, "released")
+                if frame.label == "held":
                     state["readers"] -= 1
-                    yield from rwlock.release_read(ctx)
+                    return rwlock_release_read(sid, "released")
+                return Ret(None)
             return body
 
         trace = self._run_threads(config, factory, 6)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from frame_bodies import frame_body, op_sequence
+from repro.cpu.frames import START, Call, FrameBody, Op, Ret
 from repro.errors import DeadlockError, WorkloadError
 from repro.isa.operations import (
     BmAlloc,
@@ -12,7 +14,7 @@ from repro.isa.operations import (
     Fence,
     Read,
     ToneStore,
-    ToneWait,
+    WaitUntil,
     Write,
 )
 from repro.machine.configs import baseline, wisync
@@ -21,14 +23,15 @@ from repro.machine.results import SimResult
 from repro.sim.stats import StatsRegistry
 
 
-def _noop_thread(ctx):
-    yield Compute(1)
+def _noop_thread(machine):
+    return op_sequence(machine, "noop", Compute(1))
 
 
 class TestProgramAndThreads:
     def test_threads_placed_round_robin_by_default(self, wisync_machine):
         program = wisync_machine.new_program("p")
-        threads = [program.add_thread(_noop_thread) for _ in range(10)]
+        body = _noop_thread(wisync_machine)
+        threads = [program.add_thread(body) for _ in range(10)]
         assert [t.core_id for t in threads] == [i % 8 for i in range(10)]
 
     def test_alloc_shared_pads_to_cache_lines(self, wisync_machine):
@@ -66,12 +69,7 @@ class TestProgramAndThreads:
 class TestRunSemantics:
     def test_compute_advances_time(self, any_machine):
         program = any_machine.new_program("p")
-
-        def body(ctx):
-            yield Compute(100)
-            yield Fence()
-
-        program.add_thread(body)
+        program.add_thread(op_sequence(any_machine, "body", Compute(100), Fence()))
         result = any_machine.run()
         assert result.total_cycles >= 101
         assert result.completed
@@ -79,10 +77,12 @@ class TestRunSemantics:
     def test_thread_results_collected(self, wisync_machine):
         program = wisync_machine.new_program("p")
 
-        def body(ctx):
-            yield Compute(1)
-            return ctx.thread_id * 10
+        def step(frame, value, env):
+            if frame.label == START:
+                return Op(Compute(1), "computed")
+            return Ret(env.ctx.thread_id * 10)
 
+        body = frame_body(wisync_machine, "body", step)
         for _ in range(4):
             program.add_thread(body)
         result = wisync_machine.run()
@@ -94,40 +94,30 @@ class TestRunSemantics:
 
     def test_machine_cannot_run_twice(self, wisync_machine):
         program = wisync_machine.new_program("p")
-        program.add_thread(_noop_thread)
+        program.add_thread(_noop_thread(wisync_machine))
         wisync_machine.run()
         with pytest.raises(WorkloadError):
             wisync_machine.run()
 
     def test_unsupported_operation_rejected(self, wisync_machine):
         program = wisync_machine.new_program("p")
-
-        def body(ctx):
-            yield "not an op"
-
-        program.add_thread(body)
-        with pytest.raises(WorkloadError):
+        program.add_thread(op_sequence(wisync_machine, "body", "not an op"))
+        with pytest.raises(WorkloadError, match="unsupported operation"):
             wisync_machine.run()
 
     def test_deadlock_detection(self, baseline_machine):
         program = baseline_machine.new_program("p")
         flag = program.alloc_shared()
-
-        def body(ctx):
-            from repro.isa.operations import WaitUntil
-            yield WaitUntil(flag, lambda v: v == 1)  # nobody ever writes it
-
-        program.add_thread(body)
+        # Nobody ever writes the flag.
+        program.add_thread(
+            op_sequence(baseline_machine, "body", WaitUntil(flag, lambda v: v == 1))
+        )
         with pytest.raises(DeadlockError):
             baseline_machine.run()
 
     def test_tone_ops_rejected_without_tone_channel(self, baseline_machine):
         program = baseline_machine.new_program("p")
-
-        def body(ctx):
-            yield ToneStore(0)
-
-        program.add_thread(body)
+        program.add_thread(op_sequence(baseline_machine, "body", ToneStore(0)))
         with pytest.raises(WorkloadError):
             baseline_machine.run()
 
@@ -135,14 +125,20 @@ class TestRunSemantics:
         program = wisync_machine.new_program("p")
         observed = []
 
-        def writer(ctx):
-            addr = yield BmAlloc(words=1)
-            observed.append(("addr", addr))
-            yield BmStore(addr, 42)
-            value = yield BmLoad(addr)
+        def writer(frame, value, env):
+            L, label = frame.locals, frame.label
+            if label == START:
+                return Op(BmAlloc(words=1), "allocated")
+            if label == "allocated":
+                L["addr"] = value
+                observed.append(("addr", value))
+                return Op(BmStore(value, 42), "stored")
+            if label == "stored":
+                return Op(BmLoad(L["addr"]), "loaded")
             observed.append(("load", value))
+            return Ret(None)
 
-        program.add_thread(writer)
+        program.add_thread(frame_body(wisync_machine, "writer", writer))
         result = wisync_machine.run()
         assert result.completed
         assert ("load", 42) in observed
@@ -152,17 +148,22 @@ class TestRunSemantics:
         addr = program.alloc_broadcast()
         order = []
 
-        def waiter(ctx):
-            value = yield BmWaitUntil(addr, lambda v: v == 7)
+        def waiter(frame, value, env):
+            if frame.label == START:
+                return Op(BmWaitUntil(addr, lambda v: v == 7), "woke")
             order.append(("woke", value))
+            return Ret(None)
 
-        def writer(ctx):
-            yield Compute(50)
-            yield BmStore(addr, 7)
+        def writer(frame, value, env):
+            if frame.label == START:
+                return Op(Compute(50), "computed")
+            if frame.label == "computed":
+                return Op(BmStore(addr, 7), "stored")
             order.append(("wrote", 7))
+            return Ret(None)
 
-        program.add_thread(waiter, core_id=0)
-        program.add_thread(writer, core_id=1)
+        program.add_thread(frame_body(wisync_machine, "waiter", waiter), core_id=0)
+        program.add_thread(frame_body(wisync_machine, "writer", writer), core_id=1)
         result = wisync_machine.run()
         assert result.completed
         assert ("woke", 7) in order
@@ -171,18 +172,62 @@ class TestRunSemantics:
         program = baseline_machine.new_program("p")
         addr = program.alloc_shared()
 
-        def writer(ctx):
-            yield Write(addr, 9)
+        def reader(frame, value, env):
+            if frame.label == START:
+                return Op(Compute(500), "computed")
+            if frame.label == "computed":
+                return Op(Read(addr), "read")
+            return Ret(value)
 
-        def reader(ctx):
-            yield Compute(500)
-            value = yield Read(addr)
-            return value
-
+        writer = op_sequence(baseline_machine, "writer", Write(addr, 9))
         program.add_thread(writer, core_id=0)
-        program.add_thread(reader, core_id=1)
+        program.add_thread(frame_body(baseline_machine, "reader", reader), core_id=1)
         result = baseline_machine.run()
         assert result.thread_results[1] == 9
+
+
+def _falls_off_its_end(frame, value, env):
+    if frame.label == START:
+        return Op(Compute(1), "computed")
+
+
+def _returns_a_bare_operation(frame, value, env):
+    return Compute(1)
+
+
+def _calls_an_unregistered_routine(frame, value, env):
+    return Call("t.nosuch", {}, "back")
+
+
+def _generator_body(ctx):
+    yield Compute(1)
+
+
+@pytest.mark.parametrize(
+    "step, body, match",
+    [
+        (_falls_off_its_end, "t.body",
+         r"thread 0: frame routine 't.body' at label 'computed' returned None"),
+        (_returns_a_bare_operation, "t.body",
+         r"thread 0: frame routine 't.body' at label 'start' returned .*Compute"),
+        (None, "t.nosuch",
+         r"thread 0: frame routine 't.nosuch' at label 'start' names an unregistered"),
+        (_calls_an_unregistered_routine, "t.body",
+         r"thread 0: frame routine 't.nosuch' at label 'start' names an unregistered"),
+        (None, _generator_body, r"thread bodies are FrameBody records"),
+    ],
+    ids=["falls-off-end", "bare-operation", "unregistered-body", "unregistered-call",
+         "generator-function"],
+)
+def test_malformed_frame_programs_raise_workload_errors(step, body, match):
+    """A broken thread body is a WorkloadError naming thread, routine and label."""
+    machine = Manycore(wisync(num_cores=4))
+    program = machine.new_program("p")
+    if step is not None:
+        machine.register_frame_routine("t.body", step)
+    with pytest.raises(WorkloadError, match=match):
+        program.add_thread(FrameBody(body) if isinstance(body, str) else body)
+        machine.run()
 
 
 class TestSimResult:

@@ -1,21 +1,23 @@
-"""Property tests for the native O(1) restore strategy (PR 10).
+"""Property tests for native O(state) restore.
 
-For every frame-ported workload family — tightloop (fig7), the CAS kernels
-(fig9), the Livermore loops (fig8), and the application proxies (fig10) —
-three executions of the same spec must be bit-identical:
+For every workload family — tightloop (fig7), the CAS kernels (fig9), the
+Livermore loops (fig8), the application proxies (fig10), and the five
+contention scenarios — a mid-run capture must restore without re-running
+an event, and two oracles must agree with it:
 
-* the uninterrupted run,
-* a native O(state) restore from a mid-run capture, and
-* a deterministic replay restore forced from the very same capture (the
-  strategy downgraded to ``replay`` and the machine payload dropped, which
-  is exactly what a v2 snapshot written by a frame-less build looks like).
+* replay as the oracle: a fresh run of the spec to the same cut holds the
+  same machine state as the restored machine, field for field
+  (``capture_machine`` of both);
+* the restored run, finished, is bit-identical to the uninterrupted run.
 
 The second half pins the fallback contract: checkpoint files that are
-corrupt or carry a stale envelope version are discarded with a structured
+corrupt, carry a stale envelope version, or were written by the replay
+strategy of earlier builds are discarded with a structured
 :class:`SnapshotWarning` and the run silently starts from scratch.
 """
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,19 +26,24 @@ from hypothesis import strategies as st
 from repro.experiments.fig8_livermore import fig8_sweep
 from repro.experiments.fig9_cas import fig9_sweep
 from repro.experiments.fig10_applications import fig10_sweep
+from repro.experiments.scenarios import scenario_sweep
+from repro.machine.manycore import Manycore
 from repro.runner import RunSpec
 from repro.runner.executor import execute_spec
 from repro.snapshot import (
-    STRATEGY_NATIVE,
-    STRATEGY_REPLAY,
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
     Snapshot,
     SnapshotWarning,
+    SpecExecution,
     checkpoint_path,
     execute_with_checkpoints,
-    resume_to_completion,
+    run_prefix,
     snapshot_after,
     snapshot_document,
 )
+from repro.snapshot.format import body_hash
+from repro.snapshot.native import capture_machine
 from repro.workloads.cas_kernels import CasKernelKind
 from repro.workloads.livermore import LivermoreLoop
 from test_snapshot import assert_identical
@@ -71,6 +78,16 @@ def _application(app):
     return [spec for spec in sweep if spec.config == "WiSync"][0]
 
 
+SCENARIOS = ["barrier_storm", "mixed_phases", "pc_ring", "rwlock", "work_steal"]
+
+
+def _scenario(scenario, config="WiSync", level="high"):
+    sweep = scenario_sweep(
+        scenarios=[scenario], core_counts=[8], configs=[config], contention=[level],
+    )
+    return sweep.specs[0]
+
+
 #: One representative per ported family; the deterministic sweep below walks
 #: every member, the hypothesis property samples random corners.
 PORTED_SPECS = st.one_of(
@@ -91,39 +108,33 @@ PORTED_SPECS = st.one_of(
         length=st.sampled_from([16, 32]),
     ),
     st.builds(_application, app=st.sampled_from(["blackscholes", "bodytrack"])),
+    st.builds(
+        _scenario,
+        scenario=st.sampled_from(SCENARIOS),
+        config=st.sampled_from(["WiSync", "Baseline"]),
+        level=st.sampled_from(["low", "high"]),
+    ),
 )
 
 
 def _three_way_identity(spec, cut):
-    """native restore == forced replay restore == uninterrupted, at ``cut``.
-
-    Returns the native snapshot taken at ``cut``.
-    """
+    """restored == fresh prefix at ``cut``, and restored-then-finished ==
+    uninterrupted.  Returns the snapshot taken at ``cut``."""
     full = execute_spec(spec)
     cut = min(max(1, cut), full.events_processed - 1)
 
-    native_snap = snapshot_after(spec, cut)
-    assert native_snap.strategy == STRATEGY_NATIVE
-    assert native_snap.machine is not None
-    assert native_snap.events_processed == cut
+    snapshot = snapshot_after(spec, cut)
+    assert snapshot.machine is not None
+    assert snapshot.events_processed == cut
 
-    restored = resume_to_completion(native_snap)
-    assert restored.extra.get("native_restore") == 1.0
-    assert restored.extra.get("events_replayed") == 0.0
-    assert_identical(restored, full)
+    # Restore re-runs no event: the machine is rebuilt from the payload.
+    with mock.patch.object(Manycore, "advance", side_effect=AssertionError("restore ran events")):
+        restored = SpecExecution.from_snapshot(snapshot)
+    oracle = run_prefix(spec, cut)
+    assert capture_machine(restored.machine) == capture_machine(oracle.machine)
 
-    replay_snap = Snapshot(
-        spec=native_snap.spec,
-        events_processed=native_snap.events_processed,
-        clock=native_snap.clock,
-        strategy=STRATEGY_REPLAY,
-        native=native_snap.native,
-    )
-    replayed = resume_to_completion(replay_snap)
-    assert replayed.extra.get("native_restore") == 0.0
-    assert replayed.extra.get("events_replayed") == float(cut)
-    assert_identical(replayed, full)
-    return native_snap
+    assert_identical(restored.run_to_completion(), full)
+    return snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +145,7 @@ EVERY_PORTED = (
     + [_cas(kind) for kind in CasKernelKind]
     + [_livermore(loop) for loop in LivermoreLoop]
     + [_application(app) for app in ("blackscholes", "bodytrack")]
+    + [_scenario(name, config) for name in SCENARIOS for config in ("WiSync", "Baseline")]
 )
 
 
@@ -141,6 +153,25 @@ EVERY_PORTED = (
 def test_every_ported_workload_restores_natively(spec):
     full = execute_spec(spec)
     _three_way_identity(spec, full.events_processed // 2)
+
+
+#: 488 of the run's 498 events: the eureka is posted (its cell reads 1) while
+#: the poster's write is still completing, some waiters have woken, and two
+#: threads have not yet reached the eureka at all, so their sense flags still
+#: live only in the OrBarrier's captured per-thread state.
+EUREKA_SPEC = _scenario("work_steal", "Baseline")
+EUREKA_CUT = 488
+
+
+def test_work_steal_restores_after_the_eureka_post():
+    prefix = run_prefix(EUREKA_SPEC, EUREKA_CUT)
+    machine = prefix.machine
+    eureka = next(o for o in machine.sync_objects if type(o).__name__ == "OrBarrier")
+    assert machine.memory.peek(eureka.cell.addr) == 1  # posted
+    unfinished = [t.thread_id for t in machine.threads if not t.finished]
+    assert unfinished and len(unfinished) < len(machine.threads)
+    assert set(eureka._sense) < {t.thread_id for t in machine.threads}
+    _three_way_identity(EUREKA_SPEC, EUREKA_CUT)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +186,7 @@ class TestNativeRestoreProperty:
         spec=PORTED_SPECS,
         fraction=st.floats(min_value=0.05, max_value=0.95),
     )
-    def test_native_equals_replay_equals_uninterrupted(self, spec, fraction):
+    def test_restore_equals_fresh_prefix_and_uninterrupted(self, spec, fraction):
         full = execute_spec(spec)
         _three_way_identity(spec, int(full.events_processed * fraction))
 
@@ -171,9 +202,9 @@ RESTORE_SHAPE_CUTS = (1_762, 8_813, 15_863)
 def test_native_restore_shape_is_flat_across_cuts():
     """The restore shape, pinned without a clock.
 
-    At each cut native restore replays nothing and forced replay replays the
-    whole prefix (both checked by ``_three_way_identity``), and the native
-    payload keeps one size, so a payload that grows with history fails.
+    At each cut restore runs no event and lands on the fresh-prefix state
+    (both checked by ``_three_way_identity``), and the native payload keeps
+    one size, so a payload that grows with history fails.
     """
     total = execute_spec(RESTORE_SHAPE_SPEC).events_processed
     assert total == 17_626
@@ -218,8 +249,7 @@ class TestCheckpointFallback:
         snap = snapshot_after(spec, max(1, full.events_processed // 2))
         stripped = Snapshot(
             spec=snap.spec, events_processed=snap.events_processed,
-            clock=snap.clock, strategy=STRATEGY_NATIVE, native=snap.native,
-            machine=None,
+            clock=snap.clock, native=snap.native, machine=None,
         )
         path = checkpoint_path(tmp_path, spec)
         path.write_text(
@@ -228,3 +258,29 @@ class TestCheckpointFallback:
         with pytest.warns(SnapshotWarning, match="no machine payload"):
             result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
         assert_identical(result, full)
+
+    def test_replay_checkpoint_from_earlier_builds_falls_back_with_one_warning(
+        self, tmp_path
+    ):
+        # Earlier builds wrote this v2 body for every checkpoint of a workload
+        # they could not capture natively (the contention scenarios):
+        # strategy "replay" and no machine payload.
+        spec = _scenario("barrier_storm", level="low")
+        full = execute_spec(spec)
+        body = dict(
+            snapshot_after(spec, full.events_processed // 2).to_dict(),
+            strategy="replay", machine=None,
+        )
+        document = {
+            "format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
+            "sha256": body_hash(body), "snapshot": body,
+        }
+        path = checkpoint_path(tmp_path, spec)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.warns(SnapshotWarning) as warned:
+            result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
+        assert len(warned) == 1
+        assert "unknown snapshot strategy 'replay'" in str(warned[0].message)
+        assert_identical(result, full)
+        assert result.thread_results == full.thread_results
+        assert not path.exists()

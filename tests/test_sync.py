@@ -1,17 +1,30 @@
 """Integration tests: synchronization primitives running on full machines.
 
-Every test builds a small machine, runs real thread generators through the
-simulator, and checks functional correctness (mutual exclusion, barrier
+Every test builds a small machine, runs frame-routine thread bodies through
+the simulator, and checks functional correctness (mutual exclusion, barrier
 semantics, reduction totals) plus the qualitative timing properties the paper
 relies on.
 """
 
 import pytest
 
+from frame_bodies import frame_body, rounds
+from repro.cpu.frames import START, Op, Ret
 from repro.isa.operations import Compute, Read, Write
 from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
 from repro.machine.manycore import Manycore
 from repro.sync.api import SyncFactory
+from repro.sync.frames import (
+    barrier_wait,
+    cell_cas,
+    cell_fetch_add,
+    channel_consume,
+    channel_produce,
+    eureka_post,
+    eureka_wait,
+    lock_acquire,
+    lock_release,
+)
 
 ALL_CONFIGS = [baseline, baseline_plus, wisync_not, wisync]
 CONFIG_IDS = ["baseline", "baseline+", "wisync-not", "wisync"]
@@ -22,8 +35,9 @@ def run_machine(config_fn, body_factory, num_threads=8, cores=8):
     program = machine.new_program("test")
     sync = SyncFactory(program)
     shared = body_factory(machine, program, sync)
+    body = frame_body(machine, "test.body", shared["body"])
     for _ in range(num_threads):
-        program.add_thread(shared["body"])
+        program.add_thread(body)
     result = machine.run()
     return machine, result, shared
 
@@ -38,14 +52,22 @@ class TestLocks:
             lock = sync.create_lock()
             counter_addr = program.alloc_shared()
 
-            def body(ctx):
-                for _ in range(increments):
-                    yield from lock.acquire(ctx)
-                    value = yield Read(counter_addr)
-                    yield Compute(5)
-                    yield Write(counter_addr, value + 1)
-                    yield from lock.release(ctx)
-                    yield Compute(ctx.rng.jitter(20))
+            def body(frame, value, env):
+                L, label = frame.locals, frame.label
+                if label == "acquired":
+                    return Op(Read(counter_addr), "read")
+                if label == "read":
+                    L["value"] = value
+                    return Op(Compute(5), "computed")
+                if label == "computed":
+                    return Op(Write(counter_addr, L["value"] + 1), "wrote")
+                if label == "wrote":
+                    return lock_release(lock.sync_id, "released")
+                if label == "released":
+                    return Op(Compute(env.ctx.rng.jitter(20)), "rested")
+                if not rounds(frame, increments):
+                    return Ret(None)
+                return lock_acquire(lock.sync_id, "acquired")
 
             return {"body": body, "counter": counter_addr}
 
@@ -58,10 +80,15 @@ class TestLocks:
         def factory(machine, program, sync):
             lock = sync.create_lock()
 
-            def body(ctx):
-                yield from lock.acquire(ctx)
-                yield Compute(3)
-                yield from lock.release(ctx)
+            def body(frame, value, env):
+                label = frame.label
+                if label == START:
+                    return lock_acquire(lock.sync_id, "acquired")
+                if label == "acquired":
+                    return Op(Compute(3), "computed")
+                if label == "computed":
+                    return lock_release(lock.sync_id, "released")
+                return Ret(None)
 
             return {"body": body, "lock": lock}
 
@@ -72,12 +99,17 @@ class TestLocks:
         def factory(machine, program, sync):
             lock = sync.create_lock()
 
-            def body(ctx):
-                for _ in range(3):
-                    yield from lock.acquire(ctx)
-                    yield Compute(10)
-                    yield from lock.release(ctx)
-                    yield Compute(50)
+            def body(frame, value, env):
+                label = frame.label
+                if label == "acquired":
+                    return Op(Compute(10), "computed")
+                if label == "computed":
+                    return lock_release(lock.sync_id, "released")
+                if label == "released":
+                    return Op(Compute(50), "rested")
+                if not rounds(frame, 3):
+                    return Ret(None)
+                return lock_acquire(lock.sync_id, "acquired")
 
             return {"body": body}
 
@@ -97,17 +129,30 @@ class TestBarriers:
             phase_flags = [program.alloc_shared() for _ in range(8)]
             violations = []
 
-            def body(ctx):
-                for phase in range(1, phases + 1):
-                    yield Write(phase_flags[ctx.thread_id], phase)
-                    yield Compute(ctx.rng.jitter(50))
-                    yield from barrier.wait(ctx)
+            def body(frame, value, env):
+                L, label = frame.locals, frame.label
+                tid = env.ctx.thread_id
+                phase = L["round"] + 1 if label != START else 1
+                if label == "wrote":
+                    # Skewed arrival: without a working barrier the early
+                    # threads would read flags the late ones have not written.
+                    return Op(Compute(env.ctx.rng.jitter(50) + 200 * tid), "computed")
+                if label == "computed":
+                    return barrier_wait(barrier.sync_id, "arrived")
+                if label == "arrived":
                     # After the barrier, every thread must have reached this phase.
-                    for flag in phase_flags:
-                        value = yield Read(flag)
-                        if value < phase:
-                            violations.append((ctx.thread_id, phase, value))
-                    yield from barrier.wait(ctx)
+                    L["flag"] = 0
+                    return Op(Read(phase_flags[0]), "checked")
+                if label == "checked":
+                    if value < phase:
+                        violations.append((tid, phase, value))
+                    L["flag"] += 1
+                    if L["flag"] < len(phase_flags):
+                        return Op(Read(phase_flags[L["flag"]]), "checked")
+                    return barrier_wait(barrier.sync_id, "left")
+                if not rounds(frame, phases):
+                    return Ret(None)
+                return Op(Write(phase_flags[tid], L["round"] + 1), "wrote")
 
             return {"body": body, "violations": violations}
 
@@ -120,10 +165,12 @@ class TestBarriers:
         def factory(machine, program, sync):
             barrier = sync.create_barrier(4)
 
-            def body(ctx):
-                for _ in range(6):
-                    yield Compute(ctx.rng.jitter(30))
-                    yield from barrier.wait(ctx)
+            def body(frame, value, env):
+                if frame.label == "computed":
+                    return barrier_wait(barrier.sync_id, "crossed")
+                if not rounds(frame, 6):
+                    return Ret(None)
+                return Op(Compute(env.ctx.rng.jitter(30)), "computed")
 
             return {"body": body}
 
@@ -134,9 +181,10 @@ class TestBarriers:
         def factory(machine, program, sync):
             barrier = sync.create_barrier(1)
 
-            def body(ctx):
-                yield from barrier.wait(ctx)
-                yield from barrier.wait(ctx)
+            def body(frame, value, env):
+                if not rounds(frame, 2):
+                    return Ret(None)
+                return barrier_wait(barrier.sync_id, "crossed")
 
             return {"body": body}
 
@@ -147,10 +195,12 @@ class TestBarriers:
         def factory(machine, program, sync):
             barrier = sync.create_barrier(16)
 
-            def body(ctx):
-                for _ in range(4):
-                    yield Compute(30)
-                    yield from barrier.wait(ctx)
+            def body(frame, value, env):
+                if frame.label == "computed":
+                    return barrier_wait(barrier.sync_id, "crossed")
+                if not rounds(frame, 4):
+                    return Ret(None)
+                return Op(Compute(30), "computed")
 
             return {"body": body}
 
@@ -162,10 +212,12 @@ class TestBarriers:
         def factory(machine, program, sync):
             barrier = sync.create_barrier(16)
 
-            def body(ctx):
-                for _ in range(3):
-                    yield Compute(50)
-                    yield from barrier.wait(ctx)
+            def body(frame, value, env):
+                if frame.label == "computed":
+                    return barrier_wait(barrier.sync_id, "crossed")
+                if not rounds(frame, 3):
+                    return Ret(None)
+                return Op(Compute(50), "computed")
 
             return {"body": body}
 
@@ -181,18 +233,20 @@ class TestCellsAndReductions:
         adds = 5
 
         def factory(machine, program, sync):
-            reducer = sync.create_reducer()
+            total = sync.create_cell()
 
-            def body(ctx):
-                for i in range(adds):
-                    yield from reducer.add(ctx, ctx.thread_id + 1)
-                    yield Compute(ctx.rng.jitter(10))
+            def body(frame, value, env):
+                if frame.label == "added":
+                    return Op(Compute(env.ctx.rng.jitter(10)), "rested")
+                if not rounds(frame, adds):
+                    return Ret(None)
+                return cell_fetch_add(total.sync_id, env.ctx.thread_id + 1, "added")
 
-            return {"body": body, "reducer": reducer}
+            return {"body": body, "total": total}
 
         machine, result, shared = run_machine(config_fn, factory, num_threads=6, cores=8)
         expected = adds * sum(range(1, 7))
-        cell_addr = shared["reducer"].cell.addr
+        cell_addr = shared["total"].addr
         if machine.fabric is not None and not machine.fabric.is_spilled(cell_addr):
             assert machine.fabric.memory.read(cell_addr) == expected
         else:
@@ -204,10 +258,13 @@ class TestCellsAndReductions:
             cell = sync.create_cell()
             wins = []
 
-            def body(ctx):
-                success, old = yield from cell.cas(ctx, expected=0, new=ctx.thread_id + 1)
+            def body(frame, value, env):
+                if frame.label == START:
+                    return cell_cas(cell.sync_id, 0, env.ctx.thread_id + 1, "swapped")
+                success, _ = value
                 if success:
-                    wins.append(ctx.thread_id)
+                    wins.append(env.ctx.thread_id)
+                return Ret(None)
 
             return {"body": body, "wins": wins}
 
@@ -225,14 +282,18 @@ class TestProducerConsumerAndEureka:
             channel = sync.create_channel()
             received = []
 
-            def producer(ctx):
-                for i in range(payload_count):
-                    yield from channel.produce(ctx, (i, i + 1, i + 2, i + 3))
+            def producer(frame, value, env):
+                if not rounds(frame, payload_count):
+                    return Ret(None)
+                i = frame.locals["round"]
+                return channel_produce(channel.sync_id, (i, i + 1, i + 2, i + 3), "sent")
 
-            def consumer(ctx):
-                for _ in range(payload_count):
-                    values = yield from channel.consume(ctx)
-                    received.append(values)
+            def consumer(frame, value, env):
+                if frame.label == "received":
+                    received.append(value)
+                if not rounds(frame, payload_count):
+                    return Ret(None)
+                return channel_consume(channel.sync_id, "received")
 
             return {"producer": producer, "consumer": consumer, "received": received}
 
@@ -240,8 +301,8 @@ class TestProducerConsumerAndEureka:
         program = machine.new_program("pc")
         sync = SyncFactory(program)
         shared = factory(machine, program, sync)
-        program.add_thread(shared["producer"], core_id=0)
-        program.add_thread(shared["consumer"], core_id=1)
+        program.add_thread(frame_body(machine, "pc.producer", shared["producer"]), core_id=0)
+        program.add_thread(frame_body(machine, "pc.consumer", shared["consumer"]), core_id=1)
         result = machine.run()
         assert result.completed
         assert shared["received"] == [(i, i + 1, i + 2, i + 3) for i in range(payload_count)]
@@ -252,13 +313,18 @@ class TestProducerConsumerAndEureka:
             eureka = sync.create_or_barrier()
             released = []
 
-            def finder(ctx):
-                yield Compute(200)
-                yield from eureka.post(ctx)
+            def finder(frame, value, env):
+                if frame.label == START:
+                    return Op(Compute(200), "found")
+                if frame.label == "found":
+                    return eureka_post(eureka.sync_id, "posted")
+                return Ret(None)
 
-            def waiter(ctx):
-                yield from eureka.wait(ctx)
-                released.append(ctx.thread_id)
+            def waiter(frame, value, env):
+                if frame.label == START:
+                    return eureka_wait(eureka.sync_id, "released")
+                released.append(env.ctx.thread_id)
+                return Ret(None)
 
             return {"finder": finder, "waiter": waiter, "released": released}
 
@@ -266,9 +332,10 @@ class TestProducerConsumerAndEureka:
         program = machine.new_program("eureka")
         sync = SyncFactory(program)
         shared = factory(machine, program, sync)
-        program.add_thread(shared["finder"], core_id=0)
+        program.add_thread(frame_body(machine, "eureka.finder", shared["finder"]), core_id=0)
+        waiter = frame_body(machine, "eureka.waiter", shared["waiter"])
         for core in (1, 2, 3):
-            program.add_thread(shared["waiter"], core_id=core)
+            program.add_thread(waiter, core_id=core)
         result = machine.run()
         assert result.completed
         assert sorted(shared["released"]) == [1, 2, 3]
