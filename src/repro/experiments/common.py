@@ -7,7 +7,6 @@ table as a :class:`~repro.analysis.report.Report`, and the ``repro run`` /
 through a :class:`~repro.runner.runner.Runner` (serial by default; pass a
 runner with a :class:`~repro.runner.executor.ParallelExecutor` and/or a
 :class:`~repro.runner.cache.ResultCache` to fan it out and memoize it).
-``run_workload_on_configs`` remains for ad-hoc, non-serializable builders.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional
 from repro.config import MachineConfig
 from repro.errors import ConfigurationError
 from repro.machine.configs import baseline, baseline_plus, wisync, wisync_not
-from repro.machine.results import SimResult
 from repro.runner.runner import Runner, default_runner
 from repro.runner.spec import RunSpec, SweepSpec
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; build_machine imports it
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.frame import MetricFrame
     from repro.analysis.report import Report
-    from repro.machine.manycore import Manycore
 
 #: The Table 2 configurations in the paper's presentation order.
 CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
@@ -34,33 +31,6 @@ CONFIG_BUILDERS: Dict[str, Callable[..., MachineConfig]] = {
     "WiSyncNoT": wisync_not,
     "WiSync": wisync,
 }
-
-
-def build_machine(config_label: str, num_cores: int, seed: int = 2016) -> Manycore:
-    """Build a fresh machine for one Table 2 configuration."""
-    from repro.machine.manycore import Manycore
-
-    config = CONFIG_BUILDERS[config_label](num_cores=num_cores, seed=seed)
-    return Manycore(config)
-
-
-def run_workload_on_configs(
-    builder: Callable[[Manycore], object],
-    num_cores: int,
-    configs: Optional[List[str]] = None,
-    seed: int = 2016,
-) -> Dict[str, SimResult]:
-    """Run one workload builder on each requested configuration.
-
-    Legacy serial helper for ad-hoc (closure-based) builders; the experiment
-    modules themselves now run registered workloads through the Runner.
-    """
-    results: Dict[str, SimResult] = {}
-    for label in configs if configs is not None else list(CONFIG_BUILDERS):
-        machine = build_machine(label, num_cores, seed)
-        handle = builder(machine)
-        results[label] = handle.run()
-    return results
 
 
 def specs_over_configs(

@@ -19,8 +19,8 @@ Two drills share the schedule format:
 * :func:`run_subprocess_drill` — the full ``repro chaos`` path: the sweep
   host is a real ``repro run --bind --journal`` process that gets SIGKILL'd
   and relaunched with ``--resume``, workers are real ``repro worker
-  --redial`` processes, and verification diffs the run's ``--json`` table
-  against a serial baseline's.
+  --redial`` processes under the same supervisor, and verification diffs
+  the run's ``--json`` table against a serial baseline's.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ from repro.runner.supervisor import WorkerSupervisor, repro_env
 
 #: Recognized kill targets.
 KILL_TARGETS = ("broker", "worker")
+
+#: Both drills' worker respawn policy.  Drill kills are deliberate, not a
+#: sick host: the breaker stays wide open so every scheduled kill gets its
+#: respawn, after a short backoff.
+_DRILL_RESPAWN: Dict[str, Any] = dict(
+    max_rapid_failures=100, backoff_base=0.1, backoff_cap=1.0
+)
 
 
 @dataclass(frozen=True)
@@ -205,13 +212,8 @@ def run_embedded_drill(
     port = broker.port
     supervisor = WorkerSupervisor(
         connect_host(broker.host), port, pool,
-        heartbeat=min(0.5, lease_seconds / 4.0),
-        redial=redial,
-        # Drill kills are deliberate, not a sick host: keep the breaker wide
-        # open so every scheduled kill gets its respawn.
-        max_rapid_failures=100,
-        backoff_base=0.1,
-        backoff_cap=1.0,
+        heartbeat=min(0.5, lease_seconds / 4.0), redial=redial,
+        **_DRILL_RESPAWN,
     )
     started = time.monotonic()
     try:
@@ -277,15 +279,6 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def _spawn_worker(port: int, env: Dict[str, str]) -> subprocess.Popen:
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"127.0.0.1:{port}",
-         "--heartbeat", "0.2", "--redial", "30"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-
-
 def run_subprocess_drill(
     experiment: str = "fig7",
     seed: int = 0,
@@ -300,10 +293,11 @@ def run_subprocess_drill(
     1. Serial baseline: ``repro run <experiment> --quick --json`` in a
        subprocess (no manifest, no broker).
     2. Chaos run: ``repro run --quick --distributed 0 --bind --journal``
-       sweep host plus ``workers`` redialing worker subprocesses.
+       sweep host plus a :class:`WorkerSupervisor` of ``workers`` redialing
+       worker subprocesses.
     3. Execute the seeded schedule: broker kills SIGKILL the sweep host and
        relaunch it with ``--resume <run-id> --bind <same port> --journal``;
-       worker kills SIGKILL one worker and spawn a replacement.
+       worker kills SIGKILL one worker, which the supervisor respawns.
     4. Verify the chaos run's ``--json`` table is byte-identical to the
        serial baseline's.
 
@@ -355,11 +349,16 @@ def run_subprocess_drill(
             "--distributed", "0", "--bind", f"127.0.0.1:{port}", "--journal",
             "--quiet", "--json", str(chaos_json),
         ]
+        # Workers first: a bad pool size fails before the host exists, and
+        # each worker's first dial waits out the host's startup.
+        supervisor = WorkerSupervisor(
+            "127.0.0.1", port, workers, heartbeat=0.2, redial=30.0,
+            **_DRILL_RESPAWN,
+        )
         host = subprocess.Popen(
             host_command, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        fleet = [_spawn_worker(port, env) for _ in range(workers)]
         deadline = time.monotonic() + timeout
         # The fault clock starts when the broker is actually up: a SIGKILL
         # during interpreter startup would land before the manifest and
@@ -394,12 +393,10 @@ def run_subprocess_drill(
                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                     )
                 else:
-                    victim = kill.index % len(fleet)
-                    fleet[victim].send_signal(signal.SIGKILL)
-                    fleet[victim].wait()
+                    victim = kill.index % workers
+                    supervisor.kill(victim)
                     say(f"SIGKILL'd worker {victim} at t={kill.at:.2f}s; "
                         f"spawning replacement")
-                    fleet[victim] = _spawn_worker(port, env)
             while host.poll() is None:
                 if time.monotonic() > deadline:
                     host.kill()
@@ -412,15 +409,7 @@ def run_subprocess_drill(
         finally:
             if host.poll() is None:
                 host.kill()
-            for proc in fleet:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in fleet:
-                try:
-                    proc.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+            supervisor.close()
         try:
             expected = json.loads(baseline_json.read_text(encoding="utf-8"))
             got = json.loads(chaos_json.read_text(encoding="utf-8"))

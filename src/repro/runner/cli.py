@@ -71,7 +71,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ReproError
 from repro.runner.cache import ResultCache
@@ -79,22 +80,6 @@ from repro.runner.executor import ParallelExecutor, SerialExecutor
 from repro.runner.registry import workload_names
 from repro.runner.runner import Runner, SpecProgress
 from repro.runner.supervisor import WORKER_FAULTS
-
-
-class _CountingExecutor:
-    """Wrap an executor to count how many specs were actually simulated."""
-
-    def __init__(self, inner: Any) -> None:
-        self.inner = inner
-        self.simulated = 0
-
-    def run_iter(self, specs: Sequence[Any]) -> Iterator[Tuple[int, Any]]:
-        self.simulated += len(specs)
-        return self.inner.run_iter(specs)
-
-    def run(self, specs: Sequence[Any], progress: Optional[Any] = None) -> List[Any]:
-        self.simulated += len(specs)
-        return self.inner.run(specs, progress)
 
 
 def _comma_ints(text: str) -> List[int]:
@@ -844,35 +829,31 @@ def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
                 "drop --no-manifest"
             )
         journal_dir = str(manifest.journal_dir)
-    counting = _CountingExecutor(
-        _build_executor(
-            args, checkpoint_every, checkpoint_dir, journal_dir, auto_snapshot
-        )
+    executor = _build_executor(
+        args, checkpoint_every, checkpoint_dir, journal_dir, auto_snapshot
     )
     cache = ResultCache(args.cache) if args.cache else None
-    hooks: List[Callable[[SpecProgress], None]] = []
-    if args.progress:
-        hooks.append(lambda event: _stderr_line(event.describe()))
-    if manifest is not None:
-        hooks.append(
-            lambda event: manifest.record_result(event.spec, event.cached)
-        )
-    progress = None
-    if hooks:
-        def progress(event: SpecProgress) -> None:
-            for hook in hooks:
-                hook(event)
-    return Runner(executor=counting, cache=cache, progress=progress), counting, cache
+    tally: Counter = Counter()  # grid points by event.cached, for the summary
+
+    def progress(event: SpecProgress) -> None:
+        tally[event.cached] += 1
+        if args.progress:
+            _stderr_line(event.describe())
+        if manifest is not None:
+            manifest.record_result(event.spec, event.cached)
+
+    return Runner(executor=executor, cache=cache, progress=progress), tally
 
 
-def _print_run_summary(args: argparse.Namespace, counting, cache, elapsed: float) -> None:
-    cached = cache.hits if cache is not None else 0
+def _print_run_summary(
+    args: argparse.Namespace, runner: Runner, tally: Counter, elapsed: float
+) -> None:
     if getattr(args, "submit", None):
         mode = " (service)"
-        inner = getattr(counting.inner, "last_job", None)
-        if inner and inner.get("short_circuited"):
+        job = getattr(runner.executor, "last_job", None)
+        if job and job.get("short_circuited"):
             mode = (
-                f" (service, {inner['short_circuited']} answered from the "
+                f" (service, {job['short_circuited']} answered from the "
                 f"service cache)"
             )
     elif args.distributed > 0 or args.bind:
@@ -882,7 +863,7 @@ def _print_run_summary(args: argparse.Namespace, counting, cache, elapsed: float
     else:
         mode = " (serial)"
     print(
-        f"{args.experiment}: {counting.simulated} simulated, {cached} cached, "
+        f"{args.experiment}: {tally[False]} simulated, {tally[True]} cached, "
         f"{elapsed:.1f}s{mode}",
         file=sys.stderr,
     )
@@ -1106,7 +1087,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.experiment is None and not args.resume:
         raise ReproError("an experiment is required (or --resume RUN_ID)")
     manifest = _prepare_manifest(args)
-    runner, counting, cache = _build_runner(args, manifest)
+    runner, tally = _build_runner(args, manifest)
     started = time.perf_counter()
     try:
         record, frame = _experiment_frame(args, runner)
@@ -1121,7 +1102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     if not args.quiet:
         print(report.render_table(table))
-    _print_run_summary(args, counting, cache, elapsed)
+    _print_run_summary(args, runner, tally, elapsed)
     if args.json:
         _write_text(json.dumps(_json_safe(table), indent=2, sort_keys=True), args.json)
     return 0
@@ -1231,7 +1212,7 @@ def _cmd_debug(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    runner, counting, cache = _build_runner(args)
+    runner, tally = _build_runner(args)
     started = time.perf_counter()
     record, frame = _experiment_frame(args, runner)
     report = record.report
@@ -1243,7 +1224,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - started
     if not args.quiet:
         print(report.render(frame, prepared=True))
-    _print_run_summary(args, counting, cache, elapsed)
+    _print_run_summary(args, runner, tally, elapsed)
     if args.json:
         _write_text(frame.to_json(), args.json)
     if args.csv:

@@ -86,6 +86,7 @@ from repro.machine.results import SimResult
 from repro.runner.executor import (
     _ExecutorBase,
     describe_error,
+    execute_spec,
     failures_error,
     partial_sweep_error,
 )
@@ -382,18 +383,16 @@ def _execute_task(
 ) -> Dict[str, Any]:
     """Execute one assigned spec: sliced, resumable, checkpoint-shipping.
 
-    The checkpointed sibling of :func:`~repro.runner.executor._execute_payload`
-    — spec dict in, result dict out — plus mid-spec resume from a shipped
-    checkpoint, periodic ``checkpoint`` messages back to the broker, and
-    cooperative preemption (:class:`~repro.snapshot.ExecutionPreempted`
-    propagates to the caller, which turns it into a ``release``).
+    Spec dict in, result dict out through
+    :func:`~repro.runner.executor.execute_spec`, like the process pool's
+    :func:`~repro.runner.executor._execute_payload`, with mid-spec resume
+    from a shipped checkpoint, periodic ``checkpoint`` messages back to the
+    broker, and cooperative preemption
+    (:class:`~repro.snapshot.ExecutionPreempted` propagates to the caller,
+    which turns it into a ``release``).
     """
     from repro.errors import SnapshotError
-    from repro.snapshot import (
-        execute_with_checkpoints,
-        parse_document,
-        snapshot_document,
-    )
+    from repro.snapshot import parse_document, snapshot_document
 
     spec = RunSpec.from_dict(payload)
     resume_from = None
@@ -411,7 +410,7 @@ def _execute_task(
             "snapshot": snapshot_document(snapshot),
         })
 
-    result = execute_with_checkpoints(
+    result = execute_spec(
         spec,
         checkpoint_every=checkpoint_every,
         resume_from=resume_from,

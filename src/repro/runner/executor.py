@@ -1,9 +1,10 @@
 """Executors: run a batch of RunSpecs serially or on a process pool.
 
-Each :class:`~repro.runner.spec.RunSpec` builds its *own*
-:class:`~repro.machine.manycore.Manycore` inside :func:`execute_spec`, so
-sweep points share no state and are embarrassingly parallel.  The parallel
-executor ships specs to workers as JSON dicts and receives
+Every result comes from :func:`execute_spec`, which builds (or restores)
+the spec's *own* :class:`~repro.machine.manycore.Manycore` and drives it
+through a :class:`~repro.snapshot.execution.SpecExecution`, so sweep points
+share no state and are embarrassingly parallel.  The parallel executor ships
+specs to workers as JSON dicts and receives
 :class:`~repro.machine.results.SimResult` dicts back, exercising exactly the
 serialization path the result cache uses; simulation determinism comes from
 the sha256-derived RNG streams, so a worker process reproduces the serial
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
@@ -59,8 +61,6 @@ def build_config_for(spec: RunSpec):
             ).validate()
         variants = sensitivity_variants(config)
         if spec.variant not in variants:
-            from repro.errors import ConfigurationError
-
             raise ConfigurationError(
                 f"unknown sensitivity variant {spec.variant!r}; choices: {sorted(variants)}"
             )
@@ -71,41 +71,90 @@ def build_config_for(spec: RunSpec):
 def execute_spec(
     spec: RunSpec,
     checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[str] = None,
+    checkpoint_dir: Optional[Any] = None,
+    resume_from: Optional[Any] = None,
+    should_stop: Optional[Callable[[], bool]] = None,
+    on_checkpoint: Optional[Callable[[Any], None]] = None,
     auto_snapshot: Optional[int] = None,
 ) -> SimResult:
     """Run one spec end-to-end: config -> machine -> workload -> SimResult.
 
-    The simulation's wall-clock time lands in ``result.extra["wall_seconds"]``
-    so a :class:`~repro.analysis.frame.MetricFrame` can derive events/sec per
-    grid point (cached results carry the timing of the run that produced
-    them; their ``cached`` flag says so).
+    The one way a spec becomes a result: every executor and the distributed
+    worker call it, and it always drives a
+    :class:`~repro.snapshot.execution.SpecExecution`.  The host seconds the
+    simulation ran, after the machine was built or restored, land in
+    ``result.extra["wall_seconds"]`` so a
+    :class:`~repro.analysis.frame.MetricFrame` can derive events/sec per grid
+    point (cached results carry the timing of the run that produced them;
+    their ``cached`` flag says so).  Every option below leaves the simulated
+    result bit-identical to a plain run:
 
-    With ``checkpoint_every``/``checkpoint_dir`` set, execution routes
-    through :func:`repro.snapshot.execute_with_checkpoints`: a snapshot is
-    written every N events, an existing checkpoint for the spec is resumed
-    from, and the result stays bit-identical to an uncheckpointed run.
+    * resume — ``resume_from`` (an in-memory snapshot, e.g. shipped by the
+      broker) or an existing ``<checkpoint_dir>/<spec key>.ckpt.json`` is
+      restored first; an unusable or mismatched checkpoint is discarded with
+      a :class:`~repro.snapshot.format.SnapshotWarning` and the run starts
+      from scratch;
+    * periodic capture — every ``checkpoint_every`` events the snapshot is
+      written to ``checkpoint_dir`` and/or passed to ``on_checkpoint``;
+    * auto-snapshot ring — with ``auto_snapshot=K`` each periodic snapshot
+      is *also* banked as a ring file in ``checkpoint_dir`` (pruned to the
+      last K), leaving a time-travel trail for ``repro debug --from`` that
+      survives the spec's completion;
+    * cooperative preemption — ``should_stop`` is polled between event
+      slices; when it returns True the final snapshot is written to
+      ``checkpoint_dir`` (and the ring) once and
+      :class:`~repro.snapshot.execution.ExecutionPreempted` propagates.
+
+    A checkpoint write that fails with ``OSError`` is skipped: disk trouble
+    costs resume granularity, not the spec.  The checkpoint file is deleted
+    once the spec completes, so a later run of the same spec starts clean.
     """
-    import time
+    from repro.errors import SnapshotError
+    from repro.snapshot.execution import ExecutionPreempted, SpecExecution
+    from repro.snapshot.format import checkpoint_path, save_snapshot
 
-    if checkpoint_every is not None or checkpoint_dir is not None:
-        from repro.snapshot import execute_with_checkpoints
+    path = checkpoint_path(checkpoint_dir, spec) if checkpoint_dir is not None else None
+    ring = None
+    if auto_snapshot is not None:
+        if checkpoint_dir is None:
+            raise SnapshotError(
+                "auto_snapshot banks ring files into the checkpoint "
+                "directory; none was given"
+            )
+        from repro.snapshot.ring import CheckpointRing
 
-        return execute_with_checkpoints(
-            spec,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            auto_snapshot=auto_snapshot,
+        ring = CheckpointRing(
+            auto_snapshot, directory=checkpoint_dir, keep_in_memory=False
         )
 
-    from repro.machine.manycore import Manycore
-    from repro.runner.registry import REGISTRY
+    def bank(snapshot: Any) -> None:
+        """Keep a capture on disk: the spec's checkpoint file and the ring."""
+        if path is not None:
+            try:
+                save_snapshot(snapshot, path)
+            except OSError:
+                pass  # disk trouble costs resume granularity only
+        if ring is not None:
+            ring.push(snapshot)
 
-    machine = Manycore(build_config_for(spec))
-    handle = REGISTRY.build(machine, spec.workload, spec.params_dict())
-    started = time.perf_counter()
-    result = handle.run(max_cycles=spec.max_cycles)
-    result.extra.setdefault("wall_seconds", round(time.perf_counter() - started, 6))
+    def checkpoint(snapshot: Any) -> None:
+        bank(snapshot)
+        if on_checkpoint is not None:
+            on_checkpoint(snapshot)
+
+    # Capture between slices only when something keeps the snapshot.
+    wanted = path is not None or ring is not None or on_checkpoint is not None
+    execution = SpecExecution.resume(spec, resume_from, path)
+    try:
+        result = execution.run_to_completion(
+            checkpoint_every=checkpoint_every, should_stop=should_stop,
+            on_checkpoint=checkpoint if wanted else None,
+        )
+    except ExecutionPreempted as preempted:
+        bank(preempted.snapshot)
+        raise
+    if path is not None:
+        path.unlink(missing_ok=True)
     return result
 
 
@@ -124,15 +173,21 @@ def describe_error(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
 
 
+def _shown(pairs: Sequence[Tuple[RunSpec, str]]) -> str:
+    """The first three ``[label] reason`` pairs, and a count of the rest."""
+    shown = "; ".join(f"[{spec.label()}] {reason}" for spec, reason in pairs[:3])
+    if len(pairs) > 3:
+        shown += f"; ... and {len(pairs) - 3} more"
+    return shown
+
+
 def failures_error(
     failures: Sequence[Tuple[RunSpec, str]], total: int
 ) -> ExecutionError:
     """Build the :class:`ExecutionError` summarizing a sweep's failed points."""
-    shown = "; ".join(f"[{spec.label()}] {reason}" for spec, reason in failures[:3])
-    if len(failures) > 3:
-        shown += f"; ... and {len(failures) - 3} more"
     return ExecutionError(
-        f"{len(failures)} of {total} grid points failed after retries: {shown}",
+        f"{len(failures)} of {total} grid points failed after retries: "
+        f"{_shown(failures)}",
         failures=failures,
     )
 
@@ -148,14 +203,9 @@ def partial_sweep_error(
     has been yielded: the sweep *degraded*, it did not fail wholesale, and
     the caller keeps (and caches) everything that finished in time.
     """
-    shown = "; ".join(
-        f"[{spec.label()}] {reason}" for spec, reason in timed_out[:3]
-    )
-    if len(timed_out) > 3:
-        shown += f"; ... and {len(timed_out) - 3} more"
     message = (
         f"sweep degraded gracefully: {len(timed_out)} of {total} grid points "
-        f"timed out: {shown}"
+        f"timed out: {_shown(timed_out)}"
     )
     if failures:
         message += f" ({len(failures)} more failed for other reasons)"
@@ -260,70 +310,40 @@ class SerialExecutor(_ExecutorBase):
     def run_iter(
         self, specs: Sequence[RunSpec]
     ) -> Iterator[Tuple[int, SimResult]]:
-        import time
+        from repro.snapshot.execution import ExecutionPreempted
 
-        if self.spec_deadline is None and self.sweep_deadline is None:
-            for index, spec in enumerate(specs):
-                yield index, execute_spec(
-                    spec,
-                    checkpoint_every=self.checkpoint_every,
-                    checkpoint_dir=self.checkpoint_dir,
-                    auto_snapshot=self.auto_snapshot,
-                )
-            return
-        from repro.snapshot import ExecutionPreempted, execute_with_checkpoints
-
-        started = time.monotonic()
-        sweep_deadline = (
-            started + self.sweep_deadline
+        sweep_budget = f"sweep budget exhausted ({self.sweep_deadline}s)"
+        spec_budget = f"spec deadline exceeded ({self.spec_deadline}s)"
+        sweep_end = (
+            time.monotonic() + self.sweep_deadline
             if self.sweep_deadline is not None else None
         )
         timed_out: List[Tuple[RunSpec, str]] = []
         for index, spec in enumerate(specs):
             now = time.monotonic()
-            if sweep_deadline is not None and now >= sweep_deadline:
-                timed_out.append((
-                    spec,
-                    f"sweep budget exhausted ({self.sweep_deadline}s)",
-                ))
+            if sweep_end is not None and now >= sweep_end:
+                timed_out.append((spec, sweep_budget))
                 continue
-            deadline = now + self.spec_deadline if self.spec_deadline else None
-            if sweep_deadline is not None:
-                deadline = (
-                    sweep_deadline if deadline is None
-                    else min(deadline, sweep_deadline)
-                )
+            deadline = sweep_end
+            if self.spec_deadline is not None:
+                spec_end = now + self.spec_deadline
+                deadline = spec_end if deadline is None else min(deadline, spec_end)
             try:
-                result = execute_with_checkpoints(
+                result = execute_spec(
                     spec,
                     checkpoint_every=self.checkpoint_every,
                     checkpoint_dir=self.checkpoint_dir,
                     auto_snapshot=self.auto_snapshot,
-                    should_stop=lambda: time.monotonic() >= deadline,
+                    should_stop=(
+                        None if deadline is None
+                        else lambda: time.monotonic() >= deadline
+                    ),
                 )
-            except ExecutionPreempted as preempted:
-                if self.checkpoint_dir is not None:
-                    # The partial run is not wasted: persist the preemption
-                    # snapshot so a rerun with more budget resumes mid-spec.
-                    from repro.snapshot import checkpoint_path, save_snapshot
-
-                    try:
-                        save_snapshot(
-                            preempted.snapshot,
-                            checkpoint_path(self.checkpoint_dir, spec),
-                        )
-                    except OSError:
-                        pass  # disk trouble costs resume granularity only
-                if (
-                    sweep_deadline is not None
-                    and time.monotonic() >= sweep_deadline
-                ):
-                    reason = f"sweep budget exhausted ({self.sweep_deadline}s)"
-                else:
-                    reason = (
-                        f"spec deadline exceeded ({self.spec_deadline}s)"
-                    )
-                timed_out.append((spec, reason))
+            except ExecutionPreempted:
+                # execute_spec already wrote the partial run's snapshot (with
+                # a checkpoint_dir), so a rerun with more budget resumes it.
+                swept = sweep_end is not None and time.monotonic() >= sweep_end
+                timed_out.append((spec, sweep_budget if swept else spec_budget))
                 continue
             yield index, result
         if timed_out:
@@ -340,17 +360,15 @@ class ParallelExecutor(_ExecutorBase):
     A failing grid point no longer aborts the sweep: failures are captured
     and retried, and only after every successful result has been yielded does
     the executor raise an :class:`~repro.errors.ExecutionError` naming the
-    specs that still failed.  A spec that *crashes* its worker process breaks
-    the whole pool, taking innocent in-flight specs down with it — so
-    failures first get one shared fresh-pool retry (cheap, parallel, and
-    enough for all the collateral victims), and anything that fails again
-    gets a final attempt in its own single-spec pool, where a crasher can
-    only break itself.
+    specs that still failed.  Each spec gets three attempts, always in worker
+    processes (one-worker and one-spec batches included, so a spec that
+    crashes its interpreter can never take the caller down).  A crashing
+    spec breaks the whole pool, taking innocent in-flight specs down with
+    it — so failures first get one shared fresh-pool retry (cheap, parallel,
+    and enough for all the collateral victims), and anything that fails
+    again gets a final attempt in its own single-spec pool, where a crasher
+    can only break itself.
     """
-
-    #: Per-spec execution attempts on both paths: the initial run, the
-    #: shared-pool retry, and the isolated last attempt.
-    MAX_ATTEMPTS = 3
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
@@ -361,9 +379,6 @@ class ParallelExecutor(_ExecutorBase):
         self, specs: Sequence[RunSpec]
     ) -> Iterator[Tuple[int, SimResult]]:
         if not specs:
-            return
-        if len(specs) <= 1 or self.max_workers == 1:
-            yield from self._run_iter_inline(specs)
             return
         payloads = [spec.to_dict() for spec in specs]
         first_failed: Dict[int, str] = {}
@@ -413,24 +428,3 @@ class ParallelExecutor(_ExecutorBase):
                     failed[position] = describe_error(error)
                     continue
                 yield position, SimResult.from_dict(payload)
-
-    def _run_iter_inline(
-        self, specs: Sequence[RunSpec]
-    ) -> Iterator[Tuple[int, SimResult]]:
-        """In-process path for trivial batches, with the same retry semantics."""
-        failures: List[Tuple[RunSpec, str]] = []
-        for index, spec in enumerate(specs):
-            last_error: Optional[str] = None
-            for _ in range(self.MAX_ATTEMPTS):
-                try:
-                    result = execute_spec(spec)
-                except Exception as error:  # noqa: BLE001 - captured per spec
-                    last_error = describe_error(error)
-                    continue
-                yield index, result
-                last_error = None
-                break
-            if last_error is not None:
-                failures.append((spec, last_error))
-        if failures:
-            raise failures_error(failures, len(specs))

@@ -109,6 +109,10 @@ class SweepResult:
 class Runner:
     """Execute sweeps through an executor, with an optional result cache.
 
+    The executor is anything with a ``run_iter(specs)`` generator of
+    ``(position, result)`` pairs, like the executors in
+    :mod:`repro.runner.executor` (serial by default).
+
     ``progress`` (a :data:`SweepProgressHook`) is called for every grid point
     of every sweep this runner executes — including cache hits — so callers
     that build sweeps indirectly (the experiment modules, the CLI) still get
@@ -127,7 +131,7 @@ class Runner:
 
     # ------------------------------------------------------------------ run
     def run_spec(self, spec: RunSpec) -> SimResult:
-        """Run one spec (through the cache, but not the executor pool)."""
+        """Run one spec as a one-point sweep: through the cache and the executor."""
         outcome = self.run(SweepSpec(name=spec.workload, specs=(spec,)))
         return outcome.result_for(spec)
 
@@ -181,8 +185,8 @@ class Runner:
             yield SpecProgress(index, total, spec, result, cached=False)
             index += 1
         if simulated != len(missing):
-            # run_iter-style executors that yield too few positions
-            # (duplicates and out-of-range are caught in _execute_iter).
+            # Executors that yield too few positions (duplicates and
+            # out-of-range ones are caught in _execute_iter).
             raise WorkloadError(
                 f"executor produced {simulated} results for {len(missing)} specs"
             )
@@ -197,20 +201,9 @@ class Runner:
     def _execute_iter(
         self, missing: List[RunSpec]
     ) -> Iterator[Tuple[int, SimResult]]:
-        """Stream ``(position, result)`` pairs from whatever executor we hold."""
-        if not missing:
-            return
-        run_iter = getattr(self.executor, "run_iter", None)
-        if run_iter is not None:
-            yield from validated_positions(run_iter(missing), missing)
-        else:
-            # Executors predating run_iter (user-supplied): one batched call.
-            fresh = self.executor.run(missing)
-            if len(fresh) != len(missing):
-                raise WorkloadError(
-                    f"executor returned {len(fresh)} results for {len(missing)} specs"
-                )
-            yield from enumerate(fresh)
+        """Stream validated ``(position, result)`` pairs from the executor."""
+        if missing:
+            yield from validated_positions(self.executor.run_iter(missing), missing)
 
 
 def default_runner(runner: Optional[Runner] = None) -> Runner:

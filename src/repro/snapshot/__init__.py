@@ -10,13 +10,15 @@ compares the restored machine bit-for-bit against the captured native
 sections, so a snapshot written by drifted code can never silently produce
 a wrong continuation.
 
-The package also provides :class:`RunManifest` — the on-disk record behind
-``repro run --resume <run-id>`` grid-level resumability — the
-checkpoint-file helpers used by ``execute_spec(checkpoint_every=...)``, the
-distributed worker's checkpoint shipping, and the ``repro snapshot`` CLI,
-plus :class:`CheckpointRing` (the bounded auto-snapshot buffer behind
-``repro run --auto-snapshot`` and the ``repro debug`` time-travel
-debugger in :mod:`repro.snapshot.debugger`).
+:class:`SpecExecution` is the sliced run every spec goes through
+(:func:`repro.runner.executor.execute_spec` drives one per spec, with its
+checkpoint, resume and preemption options).  The package also provides
+:class:`RunManifest` — the on-disk record behind ``repro run --resume
+<run-id>`` grid-level resumability — the checkpoint-file helpers, the
+document codec behind the distributed worker's checkpoint shipping and the
+``repro snapshot`` CLI, plus :class:`CheckpointRing` (the bounded
+auto-snapshot buffer behind ``repro run --auto-snapshot`` and the ``repro
+debug`` time-travel debugger in :mod:`repro.snapshot.debugger`).
 """
 
 from repro._lazy import lazy_exports
@@ -36,7 +38,6 @@ __all__ = [
     "DEFAULT_MAX_EVENTS",
     "SpecExecution",
     "ExecutionPreempted",
-    "execute_with_checkpoints",
     "run_prefix",
     "snapshot_after",
     "resume_to_completion",
@@ -56,7 +57,6 @@ _EXPORTS = {
     "DEFAULT_MAX_EVENTS": "repro.snapshot.execution",
     "ExecutionPreempted": "repro.snapshot.execution",
     "SpecExecution": "repro.snapshot.execution",
-    "execute_with_checkpoints": "repro.snapshot.execution",
     "resume_to_completion": "repro.snapshot.execution",
     "run_prefix": "repro.snapshot.execution",
     "snapshot_after": "repro.snapshot.execution",

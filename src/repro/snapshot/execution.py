@@ -6,7 +6,8 @@ captured between slices (:meth:`capture`), preempted cooperatively
 (:class:`ExecutionPreempted`), or rebuilt from a snapshot
 (:meth:`from_snapshot`).  Slicing is behaviour-preserving: the event loop is
 a pure function of its queue state, so a sliced run produces bit-identical
-results to an uninterrupted one.
+results to an uninterrupted one.  :func:`repro.runner.executor.execute_spec`
+runs every spec through one, sliced or not.
 
 A capture holds the complete machine state
 (:func:`repro.snapshot.native.capture_machine`), so a restore rebuilds the
@@ -25,20 +26,14 @@ from __future__ import annotations
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.errors import SnapshotError
 from repro.machine.manycore import Manycore
 from repro.machine.results import SimResult
 from repro.runner.executor import build_config_for
 from repro.runner.spec import RunSpec
-from repro.snapshot.format import (
-    Snapshot,
-    SnapshotWarning,
-    checkpoint_path,
-    save_snapshot,
-    try_load_snapshot,
-)
+from repro.snapshot.format import Snapshot, SnapshotWarning, try_load_snapshot
 from repro.snapshot.native import capture_machine, restore_machine, sync_fingerprint
 
 #: Default event budget, shared with :meth:`Manycore.run`.
@@ -103,19 +98,13 @@ class SpecExecution:
         )
 
     def result(self) -> SimResult:
-        """Finish the run (truncation/deadlock checks) and build the result.
-
-        Mirrors :meth:`WorkloadHandle.run`: workloads that declare an
-        ``operations`` metadata count get it stamped into ``result.extra``
-        for completed runs, so resumed results match direct ones key-for-key.
-        """
-        result = self.machine.finish(
-            max_cycles=self.spec.max_cycles, max_events=self.max_events
+        """Finish the run (truncation/deadlock checks) and build the result,
+        stamped by :meth:`WorkloadHandle.stamp_operations` like a direct run."""
+        return self.handle.stamp_operations(
+            self.machine.finish(
+                max_cycles=self.spec.max_cycles, max_events=self.max_events
+            )
         )
-        operations = self.handle.metadata.get("operations")
-        if operations is not None and result.completed:
-            result.extra.setdefault("operations", float(operations))
-        return result
 
     # -------------------------------------------------------------- capture
     def _native_state(self) -> Dict[str, Any]:
@@ -173,8 +162,6 @@ class SpecExecution:
         execution = cls(snapshot.spec, max_events=max_events)
         try:
             restore_machine(execution.machine, snapshot.machine)
-        except SnapshotError:
-            raise
         except (KeyError, TypeError, ValueError, IndexError) as error:
             raise SnapshotError(
                 f"malformed native machine payload for "
@@ -182,6 +169,44 @@ class SpecExecution:
             )
         execution._verify_native(snapshot)
         return execution
+
+    @classmethod
+    def resume(
+        cls,
+        spec: RunSpec,
+        snapshot: Optional[Snapshot] = None,
+        path: Optional[Union[str, Path]] = None,
+    ) -> "SpecExecution":
+        """The live run for ``spec``: restored from ``snapshot`` (else from
+        the checkpoint file at ``path``, if one exists), or a fresh build.
+
+        An unusable or mismatched checkpoint is discarded with a structured
+        :class:`SnapshotWarning`, its file deleted, and the run starts from
+        scratch (mirroring ResultCache's eviction of corrupt entries).
+        """
+        reason: Optional[str] = None
+        if snapshot is None and path is not None:
+            snapshot, reason = try_load_snapshot(path)
+        if snapshot is not None and snapshot.spec != spec:
+            reason = (
+                f"checkpoint was written for a different spec "
+                f"[{snapshot.spec.label()}]"
+            )
+        elif snapshot is not None:
+            try:
+                return cls.from_snapshot(snapshot)
+            except SnapshotError as error:
+                reason = str(error)
+        if reason is not None:
+            warnings.warn(
+                f"discarding unusable checkpoint for [{spec.label()}], "
+                f"running from scratch: {reason}",
+                SnapshotWarning,
+                stacklevel=3,
+            )
+            if path is not None:
+                Path(path).unlink(missing_ok=True)
+        return cls(spec)
 
     def _verify_native(self, snapshot: Snapshot) -> None:
         """Compare the restored machine against the captured state."""
@@ -212,136 +237,32 @@ class SpecExecution:
         slices; when it returns True the run stops cooperatively and
         :class:`ExecutionPreempted` (carrying a final snapshot) is raised.
         With neither configured this is exactly :meth:`Manycore.run`.
+
+        The host seconds this call takes, from the built or restored machine
+        to the result, land in ``result.extra["wall_seconds"]``: the one
+        timing rule for every result, whatever executor ran it.
         """
         if checkpoint_every is not None and checkpoint_every < 1:
             raise SnapshotError("checkpoint_every must be a positive event count")
+        started = time.perf_counter()
         if checkpoint_every is None and should_stop is None:
             self.advance()
-            return self.result()
-        interval = checkpoint_every or STOP_CHECK_EVENTS
-        while not self.complete():
-            if should_stop is not None and should_stop():
-                raise ExecutionPreempted(self.capture())  # repro: noqa[ERR001] -- not an error: a control-flow signal carrying the final snapshot (see class docstring)
-            fired = self.advance(interval)
-            if fired == 0:
-                break  # event budget exhausted; result() reports the deadlock
-            if (
-                checkpoint_every is not None
-                and on_checkpoint is not None
-                and not self.complete()
-            ):
-                on_checkpoint(self.capture())
-        return self.result()
-
-
-# ------------------------------------------------------------------- drivers
-def execute_with_checkpoints(
-    spec: RunSpec,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_dir: Optional[Any] = None,
-    resume_from: Optional[Snapshot] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-    on_checkpoint: Optional[Callable[[Snapshot], None]] = None,
-    auto_snapshot: Optional[int] = None,
-) -> SimResult:
-    """Run one spec with checkpointing, resuming from prior state if any.
-
-    The checkpointed sibling of :func:`repro.runner.executor.execute_spec`:
-    same contract (spec in, wall-clock-stamped :class:`SimResult` out), plus
-
-    * resume — ``resume_from`` (an in-memory snapshot, e.g. shipped by the
-      broker) or an existing ``<checkpoint_dir>/<spec key>.ckpt.json`` is
-      restored first; an unusable or mismatched checkpoint is discarded with
-      a structured :class:`SnapshotWarning` and the run starts from scratch
-      (mirroring ResultCache's eviction of corrupt entries);
-    * periodic capture — every ``checkpoint_every`` events the snapshot is
-      written to ``checkpoint_dir`` and/or passed to ``on_checkpoint``;
-    * auto-snapshot ring — with ``auto_snapshot=K`` each periodic snapshot
-      is *also* banked as a ring file in ``checkpoint_dir`` (pruned to the
-      last K), leaving a time-travel trail for ``repro debug --from`` that
-      survives the spec's completion;
-    * cooperative preemption — ``should_stop`` ends the run between slices
-      with :class:`ExecutionPreempted`; the final snapshot is persisted to
-      ``checkpoint_dir`` before the exception propagates.
-
-    The checkpoint file is deleted once the spec completes, so a later run
-    of the same spec starts clean.
-    """
-    started = time.perf_counter()
-    path = (
-        checkpoint_path(checkpoint_dir, spec) if checkpoint_dir is not None else None
-    )
-    ring = None
-    if auto_snapshot is not None:
-        if checkpoint_dir is None:
-            raise SnapshotError(
-                "auto_snapshot banks ring files into the checkpoint "
-                "directory; none was given"
-            )
-        from repro.snapshot.ring import CheckpointRing
-
-        ring = CheckpointRing(
-            auto_snapshot, directory=checkpoint_dir, keep_in_memory=False
-        )
-
-    snapshot = resume_from
-    reason: Optional[str] = None
-    if snapshot is None and path is not None:
-        snapshot, reason = try_load_snapshot(path)
-    if snapshot is not None and snapshot.spec != spec:
-        reason = (
-            f"checkpoint was written for a different spec "
-            f"[{snapshot.spec.label()}]"
-        )
-        snapshot = None
-
-    execution: Optional[SpecExecution] = None
-    if snapshot is not None:
-        try:
-            execution = SpecExecution.from_snapshot(snapshot)
-        except SnapshotError as error:
-            reason = str(error)
-    if execution is None:
-        if reason is not None:
-            warnings.warn(
-                f"discarding unusable checkpoint for [{spec.label()}], "
-                f"running from scratch: {reason}",
-                SnapshotWarning,
-                stacklevel=2,
-            )
-            if path is not None:
-                Path(path).unlink(missing_ok=True)
-        execution = SpecExecution(spec)
-
-    def _sink(snap: Snapshot) -> None:
-        if path is not None:
-            save_snapshot(snap, path)
-        if ring is not None:
-            ring.push(snap)
-        if on_checkpoint is not None:
-            on_checkpoint(snap)
-
-    sink = (
-        _sink
-        if (path is not None or ring is not None or on_checkpoint is not None)
-        else None
-    )
-    try:
-        result = execution.run_to_completion(
-            checkpoint_every=checkpoint_every,
-            on_checkpoint=sink,
-            should_stop=should_stop,
-        )
-    except ExecutionPreempted as preempted:
-        if path is not None:
-            save_snapshot(preempted.snapshot, path)
-        if ring is not None:
-            ring.push(preempted.snapshot)
-        raise
-    if path is not None:
-        Path(path).unlink(missing_ok=True)
-    result.extra.setdefault("wall_seconds", round(time.perf_counter() - started, 6))
-    return result
+        else:
+            interval = checkpoint_every or STOP_CHECK_EVENTS
+            while not self.complete():
+                if should_stop is not None and should_stop():
+                    raise ExecutionPreempted(self.capture())  # repro: noqa[ERR001] -- not an error: a control-flow signal carrying the final snapshot (see class docstring)
+                if self.advance(interval) == 0:
+                    break  # event budget exhausted; result() reports the deadlock
+                if (
+                    checkpoint_every is not None
+                    and on_checkpoint is not None
+                    and not self.complete()
+                ):
+                    on_checkpoint(self.capture())
+        result = self.result()
+        result.extra["wall_seconds"] = round(time.perf_counter() - started, 6)
+        return result
 
 
 def run_prefix(
@@ -368,9 +289,11 @@ def snapshot_after(
 def resume_to_completion(
     snapshot: Snapshot, max_events: int = DEFAULT_MAX_EVENTS
 ) -> SimResult:
-    """Restore a snapshot and run it to its end (``repro snapshot restore``)."""
-    started = time.perf_counter()
-    execution = SpecExecution.from_snapshot(snapshot, max_events=max_events)
-    result = execution.run_to_completion()
-    result.extra.setdefault("wall_seconds", round(time.perf_counter() - started, 6))
-    return result
+    """Restore a snapshot and run it to its end (``repro snapshot restore``).
+
+    Unlike ``execute_spec(spec, resume_from=snapshot)``, an unusable snapshot
+    raises :class:`SnapshotError` instead of running the spec from scratch.
+    """
+    return SpecExecution.from_snapshot(
+        snapshot, max_events=max_events
+    ).run_to_completion()

@@ -24,7 +24,11 @@ class WorkloadHandle:
     metadata: Dict[str, float] = field(default_factory=dict)
 
     def run(self, max_cycles: Optional[int] = None) -> SimResult:
-        """Run the machine and return its result.
+        """Run the machine and return its :meth:`stamp_operations` result."""
+        return self.stamp_operations(self.machine.run(max_cycles=max_cycles))
+
+    def stamp_operations(self, result: SimResult) -> SimResult:
+        """Record the workload's operation count in a finished run's result.
 
         A workload that declares ``metadata["operations"]`` — its total count
         of completed synchronization operations — gets that count recorded in
@@ -32,9 +36,10 @@ class WorkloadHandle:
         (cycles/op across contention levels) pick it up.  The count is the
         *completed* total, so a ``max_cycles``-truncated run gets no stamp
         (the planned count would make the cut-off run look spuriously cheap
-        per operation).
+        per operation).  Sliced and restored runs
+        (:class:`~repro.snapshot.execution.SpecExecution`) stamp through here
+        too, so their results match a direct run's key for key.
         """
-        result = self.machine.run(max_cycles=max_cycles)
         operations = self.metadata.get("operations")
         if operations is not None and result.completed:
             result.extra.setdefault("operations", float(operations))

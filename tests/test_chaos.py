@@ -273,6 +273,39 @@ class TestDeadlines:
             list(executor.run_iter([slow]))
         assert Path(checkpoint_path(str(tmp_path), slow)).exists()
 
+    @pytest.mark.parametrize("disk_full", [False, True])
+    def test_serial_preemption_writes_its_snapshot_once(
+        self, tmp_path, monkeypatch, disk_full
+    ):
+        # One write per preemption; a failing one costs resume granularity
+        # only, so the sweep still degrades into a PartialSweepError that
+        # names the spec instead of dying on the raw OSError.
+        import repro.snapshot
+        import repro.snapshot.execution
+        import repro.snapshot.format
+        from repro.snapshot import checkpoint_path
+
+        real_save = repro.snapshot.format.save_snapshot
+        writes = []
+
+        def save(snapshot, path):
+            writes.append(Path(path))
+            if disk_full:
+                raise OSError(28, "No space left on device")
+            return real_save(snapshot, path)
+
+        for module in (repro.snapshot, repro.snapshot.execution, repro.snapshot.format):
+            monkeypatch.setattr(module, "save_snapshot", save, raising=False)
+        slow = tightloop_spec(16, iterations=4000)
+        executor = SerialExecutor(checkpoint_dir=str(tmp_path), spec_deadline=0.05)
+        with pytest.raises(PartialSweepError) as excinfo:
+            list(executor.run_iter([slow]))
+        assert [spec for spec, _ in excinfo.value.timed_out] == [slow]
+        assert slow.label() in str(excinfo.value)
+        path = checkpoint_path(str(tmp_path), slow)
+        assert writes == [path]
+        assert path.exists() != disk_full
+
     def test_serial_rejects_non_positive_deadlines(self):
         with pytest.raises(ConfigurationError, match="spec_deadline"):
             SerialExecutor(spec_deadline=0.0)

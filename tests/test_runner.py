@@ -181,6 +181,28 @@ class TestExecutors:
                 result.finished_threads == result.total_threads
             )
 
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_wall_seconds_times_the_simulation_not_the_build(
+        self, tmp_path, monkeypatch, checkpointed
+    ):
+        # One timing rule with or without checkpoints: the clock starts at
+        # the built machine, so a slow build stays out of wall_seconds.
+        import time
+
+        real_build = REGISTRY.build
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.3)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(REGISTRY, "build", slow_build)
+        options = (
+            {"checkpoint_every": 1000, "checkpoint_dir": str(tmp_path)}
+            if checkpointed else {}
+        )
+        result = execute_spec(tightloop_spec(), **options)
+        assert 0 < result.extra["wall_seconds"] < 0.3
+
 
 def fault_spec(**params):
     return RunSpec(workload="fault_probe", params=params, config="WiSync", num_cores=4)
@@ -238,10 +260,31 @@ class TestExecutorFaults:
         assert [spec for spec, _ in failures] == [specs[1]]
 
     def test_inline_path_has_the_same_failure_semantics(self):
-        # max_workers=1 (and single-spec batches) run in-process but must
-        # still capture, retry, and raise ExecutionError — not the raw error.
+        # max_workers=1 (and single-spec batches) take the pool's path too:
+        # capture, retry, and raise ExecutionError — not the raw error.
         with pytest.raises(ExecutionError, match="1 of 1 grid points"):
             ParallelExecutor(max_workers=1).run([fault_spec(mode="raise")])
+
+    def test_one_worker_pool_isolates_a_crashing_spec(self):
+        # A spec that kills its interpreter fails its grid point, even with
+        # one worker; run in a child so a regression cannot kill the suite.
+        code = "\n".join([
+            "from repro.errors import ExecutionError",
+            "from repro.runner import ParallelExecutor, RunSpec",
+            "spec = RunSpec(workload='fault_probe', params={'mode': 'exit'},",
+            "               config='WiSync', num_cores=4)",
+            "try:",
+            "    ParallelExecutor(max_workers=1).run([spec])",
+            "except ExecutionError as error:",
+            "    print(f'ExecutionError: {error}')",
+        ])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={"PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "ExecutionError: 1 of 1 grid points failed" in proc.stdout
 
     def test_inline_retry_then_succeed(self, tmp_path):
         marker = str(tmp_path / "flaky-inline")
@@ -250,8 +293,8 @@ class TestExecutorFaults:
 
     def test_inline_and_pool_paths_share_the_attempt_budget(self, tmp_path):
         # A spec failing twice and succeeding on the third attempt completes
-        # on both paths — the inline path is not allowed fewer attempts
-        # (initial + shared retry + isolated retry) than the pool path.
+        # with one worker and with two: both get every attempt (initial +
+        # shared retry + isolated retry).
         inline_marker = str(tmp_path / "inline-twice")
         results = ParallelExecutor(max_workers=1).run(
             [fault_spec(marker=inline_marker, fail_count=2)]
@@ -539,18 +582,6 @@ class TestStreamedProgress:
         )
         with pytest.raises(WorkloadError, match="produced 1 results for 2 specs"):
             Runner(executor=Short()).run(sweep)
-
-    def test_legacy_executor_result_count_mismatch_raises(self):
-        # A user-supplied executor without run_iter that returns the wrong
-        # number of results must fail with the diagnostic, not an IndexError.
-        class Overeager:
-            def run(self, specs, progress=None):
-                return [execute_spec(spec) for spec in specs] * 2
-
-        with pytest.raises(WorkloadError, match="returned 2 results for 1 specs"):
-            Runner(executor=Overeager()).run(
-                SweepSpec(name="s", specs=(tightloop_spec(),))
-            )
 
     def test_describe_mentions_progress_and_source(self):
         from repro.runner.runner import SpecProgress

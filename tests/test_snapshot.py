@@ -51,7 +51,6 @@ from repro.snapshot import (
     SpecExecution,
     available_runs,
     checkpoint_path,
-    execute_with_checkpoints,
     load_snapshot,
     parse_document,
     resume_to_completion,
@@ -410,7 +409,7 @@ class TestCheckpointedExecution:
     def test_checkpointed_run_writes_then_cleans_up(self, tmp_path):
         spec = tight()
         seen = []
-        result = execute_with_checkpoints(
+        result = execute_spec(
             spec, checkpoint_every=1500, checkpoint_dir=tmp_path,
             on_checkpoint=lambda snap: seen.append(
                 checkpoint_path(tmp_path, spec).exists()
@@ -507,7 +506,7 @@ class TestCheckpointedExecution:
             return bool(execution_events) and execution_events[-1] >= 3000
 
         with pytest.raises(ExecutionPreempted) as preempted:
-            execute_with_checkpoints(
+            execute_spec(
                 spec, checkpoint_every=1000, checkpoint_dir=tmp_path,
                 should_stop=should_stop,
                 on_checkpoint=lambda s: execution_events.append(s.events_processed),

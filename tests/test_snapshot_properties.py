@@ -37,7 +37,6 @@ from repro.snapshot import (
     SnapshotWarning,
     SpecExecution,
     checkpoint_path,
-    execute_with_checkpoints,
     run_prefix,
     snapshot_after,
     snapshot_document,
@@ -226,7 +225,7 @@ class TestCheckpointFallback:
         path = checkpoint_path(tmp_path, spec)
         path.write_text("{ this is not a snapshot", encoding="utf-8")
         with pytest.warns(SnapshotWarning, match="running from scratch"):
-            result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
+            result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert_identical(result, full)
         assert not path.exists()  # the unusable file is evicted
 
@@ -239,7 +238,7 @@ class TestCheckpointFallback:
         path = checkpoint_path(tmp_path, spec)
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.warns(SnapshotWarning, match="unsupported snapshot version 1"):
-            result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
+            result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert_identical(result, full)
         assert not path.exists()
 
@@ -256,7 +255,7 @@ class TestCheckpointFallback:
             json.dumps(snapshot_document(stripped)), encoding="utf-8"
         )
         with pytest.warns(SnapshotWarning, match="no machine payload"):
-            result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
+            result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert_identical(result, full)
 
     def test_replay_checkpoint_from_earlier_builds_falls_back_with_one_warning(
@@ -278,7 +277,7 @@ class TestCheckpointFallback:
         path = checkpoint_path(tmp_path, spec)
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.warns(SnapshotWarning) as warned:
-            result = execute_with_checkpoints(spec, checkpoint_dir=tmp_path)
+            result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert len(warned) == 1
         assert "unknown snapshot strategy 'replay'" in str(warned[0].message)
         assert_identical(result, full)

@@ -6,19 +6,19 @@ from repro.analysis.area_power import area_power_table
 from repro.analysis.metrics import speedup, throughput_per_kcycle, utilization_percent
 from repro.analysis.tables import format_table
 from repro.errors import WorkloadError
-from repro.experiments.common import build_machine, run_workload_on_configs
+from repro.experiments.common import specs_over_configs
 from repro.experiments.fig7_tightloop import FIG7_REPORT, fig7_sweep
 from repro.experiments.fig9_cas import FIG9_REPORT, fig9_sweep
 from repro.experiments.table4_area_power import TABLE4_REPORT, table4_frame
-from repro.machine.configs import baseline, wisync
+from repro.machine.configs import baseline, config_by_name, wisync
 from repro.machine.manycore import Manycore
 from repro.runner.runner import Runner
+from repro.runner.spec import SweepSpec
 from repro.workloads.cas_kernels import CasKernelKind, build_cas_kernel
 from repro.workloads.livermore import LivermoreLoop, build_livermore_loop
 from repro.workloads.synthetic_apps import (
     APPLICATION_PROFILES,
     application_names,
-    build_application,
     profile_by_name,
 )
 from repro.workloads.tightloop import build_tightloop
@@ -111,23 +111,22 @@ class TestApplicationProxies:
         with pytest.raises(WorkloadError):
             profile_by_name("doom3")
 
-    def test_application_runs_on_all_configs(self):
-        profile = profile_by_name("streamcluster")
-        results = run_workload_on_configs(
-            lambda machine: build_application(machine, profile, phase_scale=0.2),
-            num_cores=8,
+    @staticmethod
+    def run_app(app, num_cores, configs=None):
+        specs = specs_over_configs(
+            "application", {"app": app, "phase_scale": 0.2}, num_cores, configs
         )
-        assert set(results) == {"Baseline", "Baseline+", "WiSyncNoT", "WiSync"}
+        outcome = Runner().run(SweepSpec(name=app, specs=tuple(specs)))
+        return {spec.config: result for spec, result in outcome}
+
+    def test_application_runs_on_all_configs(self):
+        results = self.run_app("streamcluster", num_cores=8)
+        assert list(results) == ["Baseline", "Baseline+", "WiSyncNoT", "WiSync"]
         assert all(result.completed for result in results.values())
 
     def test_barrier_heavy_app_speeds_up_more_than_compute_bound(self):
         def speedup_for(name):
-            profile = profile_by_name(name)
-            results = run_workload_on_configs(
-                lambda machine: build_application(machine, profile, phase_scale=0.2),
-                num_cores=16,
-                configs=["Baseline", "WiSync"],
-            )
+            results = self.run_app(name, num_cores=16, configs=["Baseline", "WiSync"])
             return speedup(results["Baseline"].total_cycles, results["WiSync"].total_cycles)
 
         assert speedup_for("streamcluster") > speedup_for("blackscholes")
@@ -161,10 +160,10 @@ class TestExperimentsAndAnalysis:
         assert point["WiSync"] > point["Baseline"]
         assert "kernel" in FIG9_REPORT.render_table(series)
 
-    def test_build_machine_labels(self):
-        machine = build_machine("WiSync", num_cores=4)
-        assert machine.config.name == "wisync"
-        assert machine.config.num_cores == 4
+    def test_config_by_name_labels(self):
+        config = config_by_name("WiSync", num_cores=4)
+        assert config.name == "wisync"
+        assert config.num_cores == 4
 
     def test_metric_helpers(self):
         assert speedup(200, 100) == 2.0
