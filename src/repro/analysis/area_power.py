@@ -35,13 +35,14 @@ CORE_REFERENCES: List[CoreReference] = [
 ]
 
 
-def area_power_table(technology_nm: int = 22) -> Dict[str, Dict[str, float]]:
+def area_power_table() -> Dict[str, Dict[str, float]]:
     """Regenerate Table 4: T+2A cost and its percentage of each core.
 
     Returns a mapping from row name to a dictionary with the transceiver
-    area/power and the percentages relative to each reference core.
+    area/power and the percentages relative to each reference core.  The
+    RF front end is costed at 22 nm, the node of :data:`CORE_REFERENCES`.
     """
-    rf = wisync_rf_budget(technology_nm)
+    rf = wisync_rf_budget(22)
     table: Dict[str, Dict[str, float]] = {
         "transceiver+2antennas": {
             "area_mm2": rf.area_mm2,

@@ -22,7 +22,7 @@ NON_BASELINE = tuple(label for label in CONFIG_BUILDERS if label != "Baseline")
 #: Declarative presentation: per-app speedups plus mean/geoMean rows.
 FIG10_REPORT = Report(
     name="fig10",
-    title="Figure 10: speedup over Baseline (64 cores)",
+    title="Figure 10: speedup over Baseline",
     index=("app",),
     index_headers=("application",),
     series="config",

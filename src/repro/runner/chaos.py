@@ -9,18 +9,19 @@ schedule against a live sweep and assert the one invariant that matters —
 sha256-derived RNG streams make any divergence (lost task, double count,
 stale checkpoint) show up as a cycle-count mismatch.
 
-Two drills share the schedule format:
+Two drills share the schedule format, and both recover a killed sweep host
+the way ``repro run --resume`` does:
 
 * :func:`run_embedded_drill` — the sweep as the one job of an in-process
-  journaled :class:`~repro.service.jobstore.JobStore` behind the worker
-  plane, rebuilt on the same port from the journal after each broker kill,
-  plus a :class:`~repro.runner.supervisor.WorkerSupervisor` of real worker
+  :class:`~repro.service.jobstore.JobStore` behind the worker plane,
+  replaced by a fresh store on the same port after each broker kill, plus a
+  :class:`~repro.runner.supervisor.WorkerSupervisor` of real worker
   subprocesses.  Fast enough for property tests to sweep many seeds.
 * :func:`run_subprocess_drill` — the full ``repro chaos`` path: the sweep
-  host is a real ``repro run --bind --journal`` process that gets SIGKILL'd
-  and relaunched with ``--resume``, workers are real ``repro worker
-  --redial`` processes under the same supervisor, and verification diffs
-  the run's ``--json`` table against a serial baseline's.
+  host is a real ``repro run --bind`` process that gets SIGKILL'd and
+  relaunched with ``--resume``, workers are real ``repro worker --redial``
+  processes under the same supervisor, and verification diffs the run's
+  ``--json`` table against a serial baseline's.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def results_identical(mine: SimResult, theirs: SimResult) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Embedded drill: an in-process journaled store, supervised worker subprocesses
+# Embedded drill: an in-process store, supervised worker subprocesses
 # ---------------------------------------------------------------------------
 @dataclass
 class DrillReport:
@@ -142,7 +143,6 @@ class DrillReport:
     failed: Dict[int, str]
     broker_restarts: int = 0
     worker_kills: int = 0
-    replayed: int = 0
 
     def all_completed(self, total: int) -> bool:
         return not self.failed and len(self.results) == total
@@ -151,37 +151,38 @@ class DrillReport:
 def run_embedded_drill(
     specs: Sequence[RunSpec],
     schedule: ChaosSchedule,
-    journal_dir: Union[str, Path],
+    checkpoint_dir: Union[str, Path],
     pool: int = 2,
     lease_seconds: float = 10.0,
     checkpoint_every: Optional[int] = None,
     redial: float = 30.0,
     timeout: float = 180.0,
 ) -> DrillReport:
-    """Execute ``schedule`` against a journaled in-process sweep fabric.
+    """Execute ``schedule`` against an in-process sweep fabric.
 
-    Broker kills close the live worker plane and its store (the sockets
-    drop exactly as a SIGKILL's would; the fsync'd journal is the only
-    survivor) and rebuild both on the *same* port from the same journal.
-    Worker kills SIGKILL a supervised worker subprocess — the supervisor
-    respawns it.  Completed positions are collected into a dict, so the
-    re-emitted results of a journal replay deduplicate naturally; the
-    caller compares against serial with :func:`results_identical`.
+    A broker kill shuts the live store down, then closes its worker plane:
+    the sockets drop exactly as a SIGKILL's would, and a store that is shut
+    down charges no attempt for them.  A fresh store on the *same* port then
+    runs the grid points that have no result yet, adopting their checkpoint
+    files from ``checkpoint_dir`` — the way ``repro run --resume`` recovers a
+    killed sweep host.  Worker kills SIGKILL a supervised worker subprocess
+    — the supervisor respawns it.  The caller compares the collected results
+    against serial with :func:`results_identical`.
     """
-    from repro.runner.journal import ServiceJournal
     from repro.service import JobStore, ServiceBroker
 
     report = DrillReport(schedule=schedule, results={}, failed={})
     lock = threading.Lock()
 
     def open_fabric(port: int) -> Tuple[Any, Any, str, threading.Thread]:
+        positions = [i for i in range(len(specs)) if i not in report.results]
         store = JobStore(
-            journal=ServiceJournal(journal_dir),
             lease_seconds=lease_seconds,
             checkpoint_every=checkpoint_every,
+            checkpoint_dir=str(checkpoint_dir),
             drain=True,
         )
-        job = store.submit_sweep(specs)
+        job = store.submit_sweep([specs[i] for i in positions])
         broker = ServiceBroker(store, "127.0.0.1", port).start()
 
         def pump() -> None:
@@ -191,21 +192,20 @@ def run_embedded_drill(
                 runs, settled = store.wait_for_landed(job, landed, 1.0)
                 landed += len(runs)
                 with lock:
-                    for position, result in runs:
-                        report.results[position] = result
-                        report.failed.pop(position, None)
+                    for index, result in runs:
+                        report.results[positions[index]] = result
+                        report.failed.pop(positions[index], None)
             with lock:
-                for position, reason, _ in store.job_failures(job):
-                    report.failed[position] = reason
+                for index, reason, _ in store.job_failures(job):
+                    report.failed[positions[index]] = reason
 
         thread = threading.Thread(target=pump, daemon=True)
         thread.start()
         return store, broker, job, thread
 
     def kill_fabric() -> None:
-        broker.close()
         store.shutdown()
-        store.close_journal()
+        broker.close()
         pump.join(timeout=5.0)
 
     store, broker, job, pump = open_fabric(0)
@@ -224,9 +224,10 @@ def run_embedded_drill(
                 break  # sweep finished before this kill; remaining are no-ops
             if kill.target == "broker":
                 kill_fabric()
-                store, broker, job, pump = open_fabric(port)
                 report.broker_restarts += 1
-                report.replayed += store.stats["replayed"]
+                if len(report.results) == len(specs):
+                    break  # the last result landed during the kill
+                store, broker, job, pump = open_fabric(port)
             else:
                 supervisor.kill(kill.index % pool)
                 report.worker_kills += 1
@@ -269,7 +270,7 @@ def verify_against_serial(
 
 
 # ---------------------------------------------------------------------------
-# Subprocess drill: real SIGKILLs against a real `repro run --bind --journal`
+# Subprocess drill: real SIGKILLs against a real `repro run --bind`
 # ---------------------------------------------------------------------------
 def _free_port() -> int:
     import socket
@@ -292,12 +293,12 @@ def run_subprocess_drill(
 
     1. Serial baseline: ``repro run <experiment> --quick --json`` in a
        subprocess (no manifest, no broker).
-    2. Chaos run: ``repro run --quick --distributed 0 --bind --journal``
-       sweep host plus a :class:`WorkerSupervisor` of ``workers`` redialing
-       worker subprocesses.
+    2. Chaos run: ``repro run --quick --distributed 0 --bind`` sweep host
+       plus a :class:`WorkerSupervisor` of ``workers`` redialing worker
+       subprocesses.
     3. Execute the seeded schedule: broker kills SIGKILL the sweep host and
-       relaunch it with ``--resume <run-id> --bind <same port> --journal``;
-       worker kills SIGKILL one worker, which the supervisor respawns.
+       relaunch it with ``--resume <run-id> --bind <same port>``; worker
+       kills SIGKILL one worker, which the supervisor respawns.
     4. Verify the chaos run's ``--json`` table is byte-identical to the
        serial baseline's.
 
@@ -339,14 +340,14 @@ def run_subprocess_drill(
         chaos_json = scratch_path / "chaos.json"
         host_command = [
             sys.executable, "-m", "repro", "run", experiment, "--quick",
-            "--distributed", "0", "--bind", f"127.0.0.1:{port}", "--journal",
+            "--distributed", "0", "--bind", f"127.0.0.1:{port}",
             "--run-id", run_id, "--runs-dir", str(runs_dir),
             "--quiet", "--json", str(chaos_json),
         ]
         resume_command = [
             sys.executable, "-m", "repro", "run",
             "--resume", run_id, "--runs-dir", str(runs_dir),
-            "--distributed", "0", "--bind", f"127.0.0.1:{port}", "--journal",
+            "--distributed", "0", "--bind", f"127.0.0.1:{port}",
             "--quiet", "--json", str(chaos_json),
         ]
         # Workers first: a bad pool size fails before the host exists, and
@@ -361,8 +362,8 @@ def run_subprocess_drill(
         )
         deadline = time.monotonic() + timeout
         # The fault clock starts when the broker is actually up: a SIGKILL
-        # during interpreter startup would land before the manifest and
-        # journal even exist, leaving nothing to --resume.
+        # during interpreter startup would land before the manifest even
+        # exists, leaving nothing to --resume.
         import socket as socket_module
 
         while time.monotonic() < deadline and host.poll() is None:

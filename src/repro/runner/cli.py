@@ -16,8 +16,8 @@
     python -m repro scenarios
     python -m repro run fig7 --checkpoint-every 200000 --run-id nightly
     python -m repro run --resume nightly
-    python -m repro run fig7 --quick --bind 0.0.0.0:7787 --journal --run-id nightly
-    python -m repro run --resume nightly --bind 0.0.0.0:7787 --journal
+    python -m repro run fig7 --quick --bind 0.0.0.0:7787 --checkpoint-every 200000 --run-id nightly
+    python -m repro run --resume nightly --bind 0.0.0.0:7787
     python -m repro workers --connect sweephost:7787 --pool 4
     python -m repro chaos --seed 0 --kills broker,worker
     python -m repro snapshot save --workload tightloop --param iterations=100 --events 100000
@@ -53,11 +53,12 @@ axis the invocation did not set explicitly down to a CI-sized smoke grid.
 
 Every ``run`` records a resumable manifest under ``.wisync-runs/<run-id>/``
 (disable with ``--no-manifest``); ``run --resume RUN_ID`` rebuilds the same
-grid, skips grid points the manifest already recorded, and — when the run
+grid, skips grid points its result cache already holds, and — when the run
 used ``--checkpoint-every N`` — fast-forwards the spec that was mid-flight
-from its last checkpoint.  ``snapshot save/restore/inspect`` exposes single-
-simulation checkpoints directly; restores are verified bit-for-bit against
-the snapshot's captured engine/rng/stats state.  ``debug`` opens a
+from its last checkpoint, serial or ``--distributed``/``--bind`` alike.
+``snapshot save/restore/inspect`` exposes single-simulation checkpoints
+directly; restores are verified bit-for-bit against the snapshot's captured
+engine/rng/stats state.  ``debug`` opens a
 time-travel session on one spec: stepping forward banks an auto-snapshot
 ring, stepping backward restores the nearest banked moment in O(state).
 ``run --auto-snapshot K`` leaves the same ring files behind in
@@ -212,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--variants", type=_comma_strs, default=None, metavar="A,B,...",
             help="fig11: Table 6 sensitivity variants",
         )
-        parser.add_argument("--technology-nm", type=int, default=22, help="table4: tech node")
         parser.add_argument(
             "--scenarios", type=_comma_strs, default=None, metavar="A,B,...",
             help="scenarios: contention-scenario subset (default: all; see 'repro scenarios')",
@@ -244,13 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
              "checkpoints/ directory, pruned to the last K per grid point "
              "(needs --checkpoint-every; serial sweeps), so 'repro debug "
              "--from <ring file>' can time-travel a finished or crashed run",
-    )
-    run_parser.add_argument(
-        "--journal", action="store_true",
-        help="write-ahead journal the broker's task state into the run "
-             "directory (--distributed/--bind sweeps), so a SIGKILL'd sweep "
-             "host restarted with --resume --journal on the same port "
-             "replays the log and continues the same grid",
     )
     run_parser.add_argument(
         "--spec-deadline", type=float, default=None, metavar="SECONDS",
@@ -378,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--redial", type=float, default=None, metavar="SECONDS",
         help="ride out broker outages: redial a lost (idle-phase) broker "
              "with jittered backoff for up to SECONDS before draining "
-             "(default: drain immediately; use with journaled brokers)",
+             "(default: drain immediately; use with brokers that come "
+             "back: a resumed --bind sweep host or a journaled daemon)",
     )
     worker_parser.add_argument(
         "--token", default=os.environ.get("REPRO_SERVICE_TOKEN"),
@@ -447,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--journal", default=None, metavar="DIR",
         help="write-ahead journal directory: a SIGKILL'd daemon restarted "
-             "on the same directory replays it and resumes every live job",
+             "on the same directory replays it and resumes every live job "
+             "(shipped checkpoints are kept in DIR/checkpoints/)",
     )
     serve_parser.add_argument(
         "--cache", default=None, metavar="DIR",
@@ -510,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_parser = subparsers.add_parser(
         "chaos",
         help="seeded chaos drill: SIGKILL broker/workers mid-sweep, resume "
-             "with the journal, verify results bit-identical to serial",
+             "with --resume, verify results bit-identical to serial",
     )
     chaos_parser.add_argument(
         "experiment", nargs="?", default="fig7", type=_experiment_name,
@@ -721,7 +716,6 @@ def _build_executor(
     args: argparse.Namespace,
     checkpoint_every: Optional[int] = None,
     checkpoint_dir: Optional[str] = None,
-    journal_dir: Optional[str] = None,
     auto_snapshot: Optional[int] = None,
 ):
     spec_deadline = getattr(args, "spec_deadline", None)
@@ -737,10 +731,10 @@ def _build_executor(
                 "--submit hands the sweep to a remote service; it is "
                 "mutually exclusive with --parallel/--distributed/--bind"
             )
-        if checkpoint_every is not None or getattr(args, "journal", False):
+        if checkpoint_every is not None:
             raise ReproError(
-                "--checkpoint-every/--journal configure a local broker; the "
-                "'repro serve' daemon owns those knobs for submitted sweeps"
+                "--checkpoint-every configures a local broker; the "
+                "'repro serve' daemon owns that knob for submitted sweeps"
             )
         if spec_deadline or sweep_deadline:
             raise ReproError(
@@ -778,7 +772,6 @@ def _build_executor(
             workers=args.distributed, host=host, port=port,
             external=bool(args.bind),
             checkpoint_every=checkpoint_every, checkpoint_dir=checkpoint_dir,
-            journal_dir=journal_dir,
             spec_deadline=spec_deadline, sweep_deadline=sweep_deadline,
         )
     if args.parallel > 0:
@@ -816,22 +809,7 @@ def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
                 "--auto-snapshot rings are written by the sweep process "
                 "itself; run serially (no --distributed/--bind/--submit)"
             )
-    journal_dir = None
-    if getattr(args, "journal", False):
-        if not (args.distributed > 0 or args.bind):
-            raise ReproError(
-                "--journal journals the broker; it needs --distributed N "
-                "or --bind"
-            )
-        if manifest is None:
-            raise ReproError(
-                "--journal stores the broker journal in the run directory; "
-                "drop --no-manifest"
-            )
-        journal_dir = str(manifest.journal_dir)
-    executor = _build_executor(
-        args, checkpoint_every, checkpoint_dir, journal_dir, auto_snapshot
-    )
+    executor = _build_executor(args, checkpoint_every, checkpoint_dir, auto_snapshot)
     cache = ResultCache(args.cache) if args.cache else None
     tally: Counter = Counter()  # grid points by event.cached, for the summary
 
@@ -839,8 +817,6 @@ def _build_runner(args: argparse.Namespace, manifest: Optional[Any] = None):
         tally[event.cached] += 1
         if args.progress:
             _stderr_line(event.describe())
-        if manifest is not None:
-            manifest.record_result(event.spec, event.cached)
 
     return Runner(executor=executor, cache=cache, progress=progress), tally
 
@@ -935,8 +911,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_service(
         bind=args.bind,
         http=args.http,
-        journal_dir=args.journal,
-        cache_dir=args.cache,
+        journal=args.journal,
+        cache=args.cache,
         token=args.token,
         lease_seconds=(
             args.lease_seconds if args.lease_seconds is not None
@@ -1022,8 +998,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 #: deliberately absent: the resuming invocation chooses those anew.
 _MANIFEST_AXES = (
     "cores", "configs", "iterations", "repetitions", "crit", "apps",
-    "phase_scale", "variants", "technology_nm", "scenarios", "contention",
-    "backoffs", "quick",
+    "phase_scale", "variants", "scenarios", "contention", "backoffs", "quick",
 )
 
 
@@ -1033,7 +1008,7 @@ def _prepare_manifest(args: argparse.Namespace):
     Must run before :func:`_build_runner`: resume restores the recorded
     sweep-shaping axes onto ``args`` (the current invocation's execution
     flags still win), and both paths may point ``--cache`` at the manifest's
-    own results directory so completed grid points are skippable.
+    own results directory, where finished grid points are found on resume.
     """
     from repro.snapshot import RunManifest
 
@@ -1054,8 +1029,7 @@ def _prepare_manifest(args: argparse.Namespace):
             args.cache = manifest.cache_dir()
         manifest.mark_status("running")
         print(
-            f"resuming run {manifest.run_id}: {manifest.experiment}, "
-            f"{len(manifest.completed)} grid points already recorded",
+            f"resuming run {manifest.run_id}: {manifest.experiment}",
             file=sys.stderr,
         )
         return manifest

@@ -329,7 +329,7 @@ def _redial(
     stop: threading.Event,
     token: Optional[str] = None,
 ) -> Optional[Tuple[socket.socket, Any, threading.Lock, float, str]]:
-    """Try to rejoin a (journaled, restarting) broker after losing it idle.
+    """Try to rejoin a restarting broker after losing it idle.
 
     Jittered-backoff attempts until ``redial_seconds`` elapse; returns a
     fresh handshake tuple, or None when the deadline expires, redial is
@@ -453,9 +453,9 @@ def run_worker(
     seconds (rejoining under the same worker name, so exclusions stick)
     before treating the loss as a drain.  The default (None/0) keeps the
     historical behavior — an idle worker whose broker vanishes exits 0
-    immediately, which is correct for non-journaled brokers that can never
-    come back.  Losing the broker *while holding a task* stays a nonzero
-    exit either way: completed work was lost and a supervisor should know.
+    immediately, which is correct for a broker that will not come back.
+    Losing the broker *while holding a task* stays a nonzero exit either
+    way: completed work was lost and a supervisor should know.
     """
     import signal
 
@@ -503,10 +503,11 @@ def run_worker(
             if reply is None:
                 # Broker gone (EOF or error) while we hold no task — a
                 # SIGKILL'd broker usually reads as a clean EOF, exactly like
-                # a drained sweep host closing up.  With redial enabled
-                # (journaled brokers restart), try to rejoin first; only a
-                # failed redial — or none configured — is treated as the
-                # drain it is indistinguishable from, and nothing is lost.
+                # a drained sweep host closing up.  With redial enabled (a
+                # resumed sweep host or a restarted daemon comes back on the
+                # same port), try to rejoin first; only a failed redial — or
+                # none configured — is treated as the drain it is
+                # indistinguishable from, and nothing is lost.
                 rejoined = _redial(
                     host, port, name, redial, stop_requested, token=token
                 )
@@ -643,6 +644,8 @@ class DistributedExecutor(_ExecutorBase):
     :class:`~repro.errors.ExecutionError` *after* every successful result has
     been yielded.  ``last_stats`` holds the final store counters of the most
     recent sweep (assigned/completed/failed/requeued/expired/timed_out/...).
+    ``checkpoint_dir`` (a run's ``checkpoints/``) fast-forwards the spec a
+    killed sweep host had in flight when ``repro run --resume`` restarts it.
     """
 
     def __init__(
@@ -658,7 +661,6 @@ class DistributedExecutor(_ExecutorBase):
         external: Optional[bool] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_dir: Optional[str] = None,
-        journal_dir: Optional[str] = None,
         spec_deadline: Optional[float] = None,
         sweep_deadline: Optional[float] = None,
         redial: Optional[float] = None,
@@ -670,7 +672,6 @@ class DistributedExecutor(_ExecutorBase):
         self.workers = workers
         self.checkpoint_every = checkpoint_every
         self.checkpoint_dir = checkpoint_dir
-        self.journal_dir = journal_dir
         self.spec_deadline = spec_deadline
         self.sweep_deadline = sweep_deadline
         self.redial = redial
@@ -697,14 +698,9 @@ class DistributedExecutor(_ExecutorBase):
             return
         # Imported here: serial, --parallel and --submit runs never load the
         # service package.
-        from repro.runner.journal import ServiceJournal
         from repro.service import JobStore, ServiceBroker
 
         store = JobStore(
-            journal=(
-                ServiceJournal(self.journal_dir)
-                if self.journal_dir is not None else None
-            ),
             lease_seconds=self.lease_seconds,
             max_attempts=self.max_attempts,
             checkpoint_every=self.checkpoint_every,
@@ -761,7 +757,6 @@ class DistributedExecutor(_ExecutorBase):
             if cluster is not None:
                 cluster.close()
             broker.close()
-            store.close_journal()
             self.last_stats = dict(store.stats)
         plain: List[Tuple[RunSpec, str]] = []
         timed_out: List[Tuple[RunSpec, str]] = []

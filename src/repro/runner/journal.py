@@ -1,26 +1,26 @@
-"""Write-ahead journal of the sweep fabric's task transitions.
+"""Write-ahead journal of the ``repro serve`` daemon's job and task transitions.
 
-:class:`~repro.service.jobstore.JobStore` keeps all lease/attempt/checkpoint
-state in memory; without a journal, killing its process forfeits every
-in-flight attempt and every shipped checkpoint.  :class:`ServiceJournal`
-closes that hole: every job submission and task transition —
-``assigned`` / ``checkpointed`` / ``released`` / ``excluded`` /
-``completed`` / ``failed`` — is appended as one JSON line and fsync'd before
-the transition is acted on.  A store constructed on the same journal after a
-SIGKILL replays it: a ``repro serve`` daemon resumes every live job, and a
-``--bind --journal`` sweep host restarted with ``--resume`` resumes its one
-job.  Finished specs are re-emitted (not re-run), shipped checkpoints are
-re-adopted, burned attempts and worker exclusions stick, and the attempts
-in flight at the kill are refunded (that death is not the workers' fault —
-mirroring the ``release`` semantics).
+:class:`~repro.service.jobstore.JobStore` keeps all lease/attempt state in
+memory; without a journal, killing the daemon forfeits every live job.
+:class:`ServiceJournal` closes that hole: every job submission and task
+transition — ``assigned`` / ``released`` / ``excluded`` / ``completed`` /
+``failed`` — is appended as one JSON line and fsync'd before the transition
+is acted on.  A daemon restarted on the same ``--journal`` directory replays
+it (:meth:`~repro.service.jobstore.JobStore.recover`): finished specs are
+re-emitted (not re-run), burned attempts and worker exclusions stick, and
+the attempts in flight at the kill are refunded (that death is not the
+workers' fault — mirroring the ``release`` semantics).
+
+The journal holds no snapshots: shipped mid-spec checkpoints live as
+``<spec key>.ckpt.json`` files in ``<journal dir>/checkpoints/``, which the
+restarted store adopts at submission.  A ``checkpointed`` record written
+before that split is skipped with a :class:`JournalWarning`.
 
 Task records carry the ``job`` they belong to and the spec's sha256
-:meth:`~repro.runner.spec.RunSpec.key` rather than a queue position, so a
-restarted sweep whose grid shrank (some specs now served by the result
-cache) still maps every surviving record onto the right task.  A journal
-written by the old single-sweep broker has no ``job`` field: replay warns
-(:class:`JournalWarning`) and skips each such record, so a run resumed on
-it re-executes its unfinished specs.
+:meth:`~repro.runner.spec.RunSpec.key` rather than a queue position, so
+every record maps onto the right task of its job.  A journal written by
+the old single-sweep broker has no ``job`` field: replay warns
+(:class:`JournalWarning`) and skips each such record.
 
 Durability contract: ``fsync`` per record means the journal never lies about
 the past — but the *last* record may be torn (the process died mid-write).
@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional, Set, TextIO, Union
 
 from repro.errors import JournalError
 
-#: File name inside ``journal_dir`` (one journal per sweep/run directory).
+#: File name inside the ``repro serve --journal`` directory.
 JOURNAL_NAME = "journal.jsonl"
 #: Header record identifying the file; first line of every journal.
 JOURNAL_FORMAT = "wisync-broker-journal"
@@ -48,7 +48,6 @@ JOURNAL_VERSION = 1
 
 #: Task-transition record kinds (the ``kind`` field of every record).
 KIND_ASSIGNED = "assigned"
-KIND_CHECKPOINTED = "checkpointed"
 KIND_RELEASED = "released"
 KIND_EXCLUDED = "excluded"
 KIND_COMPLETED = "completed"
@@ -59,8 +58,7 @@ KIND_JOB_SUBMITTED = "job-submitted"
 KIND_JOB_CANCELLED = "job-cancelled"
 
 _KNOWN_KINDS = frozenset({
-    KIND_ASSIGNED, KIND_CHECKPOINTED, KIND_RELEASED,
-    KIND_EXCLUDED, KIND_COMPLETED, KIND_FAILED,
+    KIND_ASSIGNED, KIND_RELEASED, KIND_EXCLUDED, KIND_COMPLETED, KIND_FAILED,
 })
 
 
@@ -81,8 +79,6 @@ class TaskReplay:
     leased: bool = False
     excluded: Set[str] = field(default_factory=set)
     errors: List[str] = field(default_factory=list)
-    #: Latest shipped snapshot *document* (parsed lazily by the adopter).
-    checkpoint: Optional[Dict[str, Any]] = None
     #: SimResult dict of a finished task (terminal; wins over everything).
     result: Optional[Dict[str, Any]] = None
     failed: bool = False
@@ -273,7 +269,7 @@ class ServiceJournal:
             if kind not in _KNOWN_KINDS or not isinstance(key, str):
                 warnings.warn(
                     f"skipping unrecognized journal record {kind!r} in "
-                    f"{self.path} (written by a newer build?)",
+                    f"{self.path} (written by another build)",
                     JournalWarning,
                     stacklevel=3,
                 )
@@ -296,16 +292,11 @@ class ServiceJournal:
                 if isinstance(reason, str):
                     state.errors.append(reason)
                 state.leased = False
-            elif kind == KIND_CHECKPOINTED:
-                snapshot = record.get("snapshot")
-                if isinstance(snapshot, dict):
-                    state.checkpoint = snapshot
             elif kind == KIND_COMPLETED:
                 result = record.get("result")
                 if isinstance(result, dict):
                     state.result = result
                     state.leased = False
-                    state.checkpoint = None
             elif kind == KIND_FAILED:
                 state.failed = True
                 state.leased = False

@@ -14,11 +14,13 @@ any one job, so idle workers keep polling (pools should run ``--redial``).
 
 :class:`SweepService` composes the store, both planes, and the
 write-ahead journal; constructing it on the journal/cache directories of
-a SIGKILL'd daemon replays every live job before the listeners open.
+a killed daemon replays every live job before the listeners open, and
+adopts the mid-spec checkpoints kept in ``<journal dir>/checkpoints/``.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -189,15 +191,17 @@ class SweepService:
         checkpoint_every: Optional[int] = None,
     ) -> None:
         cache = ResultCache(cache_dir) if cache_dir is not None else None
-        journal = (
-            ServiceJournal(journal_dir) if journal_dir is not None else None
-        )
+        journal, checkpoint_dir = None, None
+        if journal_dir is not None:
+            journal = ServiceJournal(journal_dir)
+            checkpoint_dir = os.path.join(journal_dir, "checkpoints")
         self.store = JobStore(
             cache=cache,
             journal=journal,
             lease_seconds=lease_seconds,
             max_attempts=max_attempts,
             checkpoint_every=checkpoint_every,
+            checkpoint_dir=checkpoint_dir,
         )
         self.recovered_jobs = self.store.recover()
         self.broker = ServiceBroker(
@@ -219,8 +223,8 @@ class SweepService:
         return self
 
     def close(self) -> None:
-        # Answer held long-polls first, so the HTTP plane's handler threads
-        # finish at once instead of sitting out their ``wait``.
+        # Shut the store down first: held long-polls answer at once, and the
+        # workers the closing plane severs are dropped without any charge.
         self.store.shutdown()
         self.http.close()
         self.broker.close()
@@ -250,8 +254,8 @@ class SweepService:
 def run_service(
     bind: str = "127.0.0.1:0",
     http: str = "127.0.0.1:0",
-    journal_dir: Optional[str] = None,
-    cache_dir: Optional[str] = None,
+    journal: Optional[str] = None,
+    cache: Optional[str] = None,
     token: Optional[str] = None,
     lease_seconds: float = DEFAULT_LEASE_SECONDS,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
@@ -272,8 +276,8 @@ def run_service(
         worker_port=worker_port,
         http_host=http_host,
         http_port=http_port,
-        journal_dir=journal_dir,
-        cache_dir=cache_dir,
+        journal_dir=journal,
+        cache_dir=cache,
         token=token,
         lease_seconds=lease_seconds,
         max_attempts=max_attempts,
@@ -288,14 +292,14 @@ def run_service(
         file=sys.stderr, flush=True,
     )
     print(f"serve: http api on {service.http_url}", file=sys.stderr, flush=True)
-    if journal_dir is not None:
+    if journal is not None:
         print(
-            f"serve: journal in {journal_dir} "
+            f"serve: journal in {journal} "
             f"(recovered {service.recovered_jobs} job(s))",
             file=sys.stderr, flush=True,
         )
-    if cache_dir is not None:
-        print(f"serve: result cache in {cache_dir}", file=sys.stderr, flush=True)
+    if cache is not None:
+        print(f"serve: result cache in {cache}", file=sys.stderr, flush=True)
     stop = threading.Event()
     if threading.current_thread() is threading.main_thread():
         for signum in (signal.SIGTERM, signal.SIGINT):

@@ -36,13 +36,13 @@ Per job it provides:
   and a sweep budget (counted from submission) terminally fail wedged
   specs (``stats["timed_out"]``); a late result is dropped;
 * **checkpoint persistence** — with ``checkpoint_dir`` (a run's
-  ``checkpoints/`` directory), shipped snapshots are saved there,
-  preloaded from it at submission, and deleted on completion;
-* **durability** — every transition is written ahead to a
+  ``checkpoints/``, or the daemon's ``<journal dir>/checkpoints/``), shipped
+  snapshots are saved there, adopted from it at submission, and deleted on
+  completion: the one home of mid-spec state;
+* **durability** — every job and task transition is written ahead to a
   :class:`~repro.runner.journal.ServiceJournal`, so a SIGKILL'd daemon
   restarted on the same ``--journal``/``--cache`` directories resumes
-  every live job (see :meth:`JobStore.recover`), and a sweep host
-  restarted with ``--resume --journal`` resumes its sweep;
+  every live job (see :meth:`JobStore.recover`);
 * **long-polled results** — a condition over the store lock wakes
   :meth:`JobStore.wait_for_results` the moment a task goes terminal, so
   clients receive each result as it lands, exactly once.
@@ -80,8 +80,7 @@ _READY, _LEASED, _DONE, _FAILED, _CANCELLED = (
 _TERMINAL_TASK_STATES = (_DONE, _FAILED, _CANCELLED)
 TERMINAL_JOB_STATES = (JOB_COMPLETED, JOB_FAILED, JOB_CANCELLED)
 
-#: Job id of the sweep an embedded store runs.  Fixed, so a sweep host
-#: restarted on the same journal finds its predecessor's records.
+#: Job id of the sweep an embedded store runs.
 SWEEP_JOB = "sweep"
 
 
@@ -117,8 +116,8 @@ class _Task:
         #: Latest shipped :class:`~repro.snapshot.Snapshot`, if any; attached
         #: to the next assignment so a replacement worker resumes mid-spec.
         self.checkpoint: Optional[Any] = None
-        #: Spec content key (sha256): journal records and coalescing chains
-        #: are keyed by it, so they survive grid renumbering.
+        #: Spec content key (sha256): journal records, checkpoint files and
+        #: coalescing chains are keyed by it, so they survive grid renumbering.
         self.key = spec.key()
         #: Monotonic time of the *first* assignment — the spec deadline
         #: measures total time-in-flight, not per-attempt time.
@@ -353,7 +352,8 @@ class JobStore:
 
         Runs before the listeners start.  Jobs come back in submission
         order with their replayed task states — finished specs re-emit,
-        attempts/exclusions stick, in-flight leases are refunded — and
+        attempts/exclusions stick, in-flight leases are refunded, and
+        shipped checkpoints are adopted from ``checkpoint_dir`` — and
         cancelled jobs are re-cancelled so their queued specs stay dropped.
         Nothing is re-journaled: the journal already holds these records.
         """
@@ -381,24 +381,8 @@ class JobStore:
         return recovered
 
     def submit_sweep(self, specs: Sequence[RunSpec]) -> str:
-        """Submit a sweep host's grid as the job :data:`SWEEP_JOB`.
-
-        The journal's records for that job, if any, are adopted: a sweep
-        host restarted with ``--resume --journal`` re-emits its finished
-        specs, keeps burned attempts, exclusions and shipped checkpoints,
-        and refunds the leases that were in flight when it died.  Records
-        are keyed by spec sha256, so the grid may have shrunk meanwhile
-        (specs now answered by the result cache never re-enter).
-        """
-        replay = (
-            self._journal.replay_jobs().get(SWEEP_JOB)
-            if self._journal is not None else None
-        )
-        self.submit(
-            SweepSpec(name=SWEEP_JOB, specs=tuple(specs)),
-            job_id=SWEEP_JOB,
-            replay=replay.tasks if replay is not None else None,
-        )
+        """Submit a sweep host's grid as the job :data:`SWEEP_JOB`."""
+        self.submit(SweepSpec(name=SWEEP_JOB, specs=tuple(specs)), job_id=SWEEP_JOB)
         return SWEEP_JOB
 
     # ------------------------------------------------------------- workers
@@ -422,10 +406,17 @@ class JobStore:
             return worker
 
     def drop_worker(self, worker: str) -> None:
-        """Forget a disconnected worker and requeue everything it leased."""
+        """Forget a disconnected worker and requeue everything it leased.
+
+        After :meth:`shutdown` the worker is only forgotten: the closing
+        plane severed it through no fault of its own, so a graceful stop
+        journals what a SIGKILL would.
+        """
         with self._lock:
             self._workers.discard(worker)
             self._changed.notify_all()  # wake wait_for_drain
+            if self._shut_down:
+                return
             for job in self._jobs.values():
                 for task in job.tasks:
                     if task.state == _LEASED and task.worker == worker:
@@ -525,11 +516,6 @@ class JobStore:
                 task.attempts = state.settled_attempts()
                 task.excluded = set(state.excluded)
                 task.errors = list(state.errors)
-                if state.checkpoint is not None:
-                    snapshot = self._parse_checkpoint(spec, state.checkpoint)
-                    if snapshot is not None:
-                        task.checkpoint = snapshot
-                        self.stats["replayed"] += 1
         if self.cache is not None and self.cache.contains(task.key):
             cached = self.cache.get(spec)  # corrupt/stale entries evict here
             if cached is not None:
@@ -548,9 +534,8 @@ class JobStore:
             job.coalesced += 1
             self.stats["coalesced"] += 1
             return  # follower: stays ready but never queued itself
-        if task.checkpoint is None and self.checkpoint_dir is not None:
-            # Adopt a checkpoint a killed sweep host left on disk; a
-            # journal-replayed one wins (every persisted one was journaled).
+        if self.checkpoint_dir is not None:
+            # Adopt a checkpoint a killed sweep host or daemon left on disk.
             from repro.snapshot import checkpoint_path, try_load_snapshot
 
             snapshot, _ = try_load_snapshot(
@@ -719,10 +704,6 @@ class JobStore:
             # A checkpoint proves liveness as well as any heartbeat.
             task.deadline = time.monotonic() + self.lease_seconds
             self.stats["checkpoints"] += 1
-            self._journal_append({
-                "kind": "checkpointed", "job": job_id, "key": task.key,
-                "snapshot": document,
-            })
         self._persist_checkpoint(snapshot)
 
     def release(
@@ -743,10 +724,6 @@ class JobStore:
                 return
             if snapshot is not None:
                 task.checkpoint = snapshot
-                self._journal_append({
-                    "kind": "checkpointed", "job": job_id, "key": task.key,
-                    "snapshot": document,
-                })
             task.attempts -= 1
             task.state = _READY
             task.worker = None

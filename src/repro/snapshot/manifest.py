@@ -5,16 +5,16 @@ Every manifest-tracked sweep owns a directory under the runs root
 ``REPRO_RUNS_DIR`` environment variable)::
 
     .wisync-runs/<run-id>/
-        manifest.json      # sweep-shaping CLI args, status, per-spec progress
+        manifest.json      # sweep-shaping CLI args and status
         checkpoints/       # mid-spec snapshots (<spec key>.ckpt.json)
         results/           # per-spec results; doubles as the ResultCache dir
-        journal.jsonl      # broker write-ahead journal (--bind --journal runs)
 
-The manifest records the arguments that shaped the grid, so ``repro run
---resume <run-id>`` can rebuild the *same* sweep without the user repeating
-them, and the per-spec completion map plus the results/ cache let the
-resumed run skip every finished grid point; ``checkpoints/`` then fast-
-forwards the spec that was mid-flight when the run died.
+Each piece of recovery state has one home.  The manifest records the
+arguments that shaped the grid, so ``repro run --resume <run-id>`` can
+rebuild the *same* sweep without the user repeating them; the result cache
+(``results/``, or the ``--cache`` the run was given) lets the resumed run
+skip every finished grid point; ``checkpoints/`` then fast-forwards the spec
+that was mid-flight when the run died, serial or ``--distributed``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import SnapshotError
-from repro.runner.spec import RunSpec
 
 MANIFEST_FORMAT = "wisync-run-manifest"
 MANIFEST_VERSION = 1
@@ -106,7 +105,6 @@ class RunManifest:
             "cache_dir": cache_dir,
             "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "status": STATUS_RUNNING,
-            "completed": {},
         }
         manifest = cls(root, payload)
         manifest._save()
@@ -154,11 +152,6 @@ class RunManifest:
         return self.payload.get("status", STATUS_RUNNING)
 
     @property
-    def completed(self) -> Dict[str, Any]:
-        """Per-spec progress map: ``spec key -> {label, cached}``."""
-        return self.payload.setdefault("completed", {})
-
-    @property
     def path(self) -> Path:
         return self.root / MANIFEST_NAME
 
@@ -174,19 +167,6 @@ class RunManifest:
         path.mkdir(parents=True, exist_ok=True)
         return path
 
-    @property
-    def journal_dir(self) -> Path:
-        """Where a journaled broker (``repro run --bind --journal``) logs.
-
-        The run directory itself: the journal is one ``journal.jsonl`` file
-        (see :data:`repro.runner.journal.JOURNAL_NAME`) next to
-        ``manifest.json``, so restarting the sweep host with ``--resume
-        --journal`` finds the previous broker's task-state log exactly where
-        the manifest lives.
-        """
-        self.root.mkdir(parents=True, exist_ok=True)
-        return self.root
-
     def cache_dir(self) -> str:
         """The result-cache directory this run records into.
 
@@ -197,11 +177,6 @@ class RunManifest:
         return self.payload.get("cache_dir") or str(self.results_dir)
 
     # ------------------------------------------------------------- mutation
-    def record_result(self, spec: RunSpec, cached: bool) -> None:
-        """Mark one grid point finished (written through immediately)."""
-        self.completed[spec.key()] = {"label": spec.label(), "cached": cached}
-        self._save()
-
     def mark_status(self, status: str) -> None:
         self.payload["status"] = status
         self._save()

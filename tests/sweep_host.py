@@ -33,12 +33,12 @@ def sweep_task(store, position=0):
     return store._jobs[SWEEP_JOB].tasks[position]
 
 
-def collect(store, timeout=60.0):
-    """``{position: result}`` of the sweep job, once the job has settled."""
+def collect(store, job=SWEEP_JOB, timeout=60.0):
+    """``{position: result}`` of one job (the sweep's), once it has settled."""
     deadline = time.monotonic() + timeout
     results, settled = {}, False
     while not settled:
         assert time.monotonic() < deadline, "the sweep never settled"
-        runs, settled = store.wait_for_landed(SWEEP_JOB, len(results), 1.0)
+        runs, settled = store.wait_for_landed(job, len(results), 1.0)
         results.update(runs)
     return results

@@ -8,11 +8,13 @@ Three layers:
 * property level — hypothesis sweeps over random record sequences and random
   truncation points (replay is a pure function of the file; a torn tail
   costs exactly the last record);
-* sweep-host level — a journaled one-job store killed mid-sweep and rebuilt
-  from the same journal resumes the *same* sweep: completed specs are
-  re-emitted without re-running, and the recovered results are bit-identical
-  to a serial run (the acceptance bar, also swept by hypothesis over random
-  grids and kill points via the embedded chaos drill).
+* restart level — a journaled daemon store killed mid-job and rebuilt with
+  :meth:`~repro.service.jobstore.JobStore.recover` resumes the *same* job:
+  completed specs are re-emitted without re-running, and the recovered
+  results are bit-identical to a serial run.  A killed sweep host keeps no
+  journal; hypothesis sweeps its recovery (a fresh store given the specs
+  that have no result yet) over random grids and kill points via the
+  embedded chaos drill.
 """
 
 import subprocess
@@ -26,11 +28,11 @@ from hypothesis import strategies as st
 
 from repro.errors import JournalError
 from repro.runner import (
-    DistributedExecutor,
     JournalWarning,
     RunSpec,
     SerialExecutor,
     ServiceJournal,
+    SweepSpec,
     TaskReplay,
 )
 from repro.runner.chaos import (
@@ -39,8 +41,8 @@ from repro.runner.chaos import (
     run_embedded_drill,
     verify_against_serial,
 )
-from repro.service.jobstore import SWEEP_JOB
-from sweep_host import collect, serve, sweep_store
+from repro.service import JobStore
+from sweep_host import collect, serve
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -130,21 +132,20 @@ class TestJournalFile:
         assert not state.leased
         assert state.settled_attempts() == 1
 
-    def test_checkpoint_adopted_then_cleared_by_completion(self, tmp_path):
+    def test_old_checkpointed_records_warn_and_are_skipped(self, tmp_path):
+        # Journals once carried each shipped snapshot a second time; the
+        # checkpoint files are its one home now, so replay skips the copy.
         _write(
             tmp_path,
             {"kind": "assigned", "key": "k", "worker": "w"},
             {"kind": "checkpointed", "key": "k",
              "snapshot": {"events_processed": 500}},
-        )
-        state = _replay(tmp_path)["k"]
-        assert state.checkpoint == {"events_processed": 500}
-        _write(
-            tmp_path,
             {"kind": "completed", "key": "k", "result": {"total_cycles": 1}},
         )
-        state = _replay(tmp_path)["k"]
-        assert state.checkpoint is None  # a finished spec needs no resume point
+        with pytest.warns(JournalWarning, match="'checkpointed'"):
+            state = _replay(tmp_path)["k"]
+        assert state.result == {"total_cycles": 1}
+        assert not state.leased
 
     def test_terminal_state_wins_over_late_records(self, tmp_path):
         # A completed record followed by stale transitions (late heartbeat
@@ -223,7 +224,6 @@ _RECORDS = st.sampled_from(_KEYS).flatmap(lambda key: st.one_of(
     st.just({"kind": "assigned", "key": key, "worker": "w2"}),
     st.just({"kind": "released", "key": key}),
     st.just({"kind": "excluded", "key": key, "worker": "w1", "reason": "boom"}),
-    st.just({"kind": "checkpointed", "key": key, "snapshot": {"events": 10}}),
     st.just({"kind": "completed", "key": key, "result": {"total_cycles": 1}}),
     st.just({"kind": "failed", "key": key, "reasons": ["x"]}),
 ))
@@ -269,7 +269,9 @@ class TestReplayProperties:
         assert got == expected
 
 
-class TestBrokerRestartRecovery:
+class TestDaemonRestartRecovery:
+    """A SIGKILL'd ``repro serve`` store rebuilt from its journal."""
+
     def _worker(self, port, *extra):
         return subprocess.Popen(
             [sys.executable, "-m", "repro", "worker",
@@ -278,37 +280,40 @@ class TestBrokerRestartRecovery:
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
 
-    def _store(self, specs, journal_dir):
-        return sweep_store(specs, journal=ServiceJournal(journal_dir))
+    def _recovered(self, journal_dir):
+        store = JobStore(journal=ServiceJournal(journal_dir))
+        assert store.recover() == 1
+        return store
 
     def _complete_one(self, specs, journal_dir):
         """Phase 1: a --max-tasks 1 worker completes exactly one spec, then
-        the sweep host "dies" (its sockets drop; the journal is what
-        survives, exactly as under SIGKILL — fsync'd per record)."""
-        store = self._store(specs, journal_dir)
+        the daemon "dies" (its sockets drop; the journal is what survives,
+        exactly as under SIGKILL — fsync'd per record)."""
+        store = JobStore(journal=ServiceJournal(journal_dir))
+        job = store.submit(SweepSpec(name="night", specs=tuple(specs)))["job"]
         broker = serve(store)
         try:
             proc = self._worker(broker.port, "--max-tasks", "1")
-            [(position, result)], _ = store.wait_for_landed(SWEEP_JOB, 0, 30.0)
+            [(position, result)], _ = store.wait_for_landed(job, 0, 30.0)
             proc.wait(timeout=30)
         finally:
             broker.close()
             store.close_journal()
-        return position, result
+        return job, position, result
 
     def test_restart_reemits_completed_specs_without_rerunning(self, tmp_path):
         specs = [tightloop_spec(8), tightloop_spec(16), tightloop_spec(4, 50)]
-        done_position, done_result = self._complete_one(specs, tmp_path)
+        job, done_position, done_result = self._complete_one(specs, tmp_path)
 
         # Phase 2: a fresh store on the same journal replays the completed
         # spec (re-emitted, not re-run) and serves only the remaining two.
-        second = self._store(specs, tmp_path)
+        second = self._recovered(tmp_path)
         assert second.stats["replayed"] == 1
-        assert second.job_summary(SWEEP_JOB)["pending"] == 2
+        assert second.job_summary(job)["pending"] == 2
         broker = serve(second)
         try:
-            drainer = self._worker(broker.port)
-            collected = collect(second)
+            drainer = self._worker(broker.port, "--max-tasks", "2")
+            collected = collect(second, job)
             drainer.wait(timeout=30)
         finally:
             broker.close()
@@ -326,36 +331,27 @@ class TestBrokerRestartRecovery:
 
     def test_restart_tolerates_a_torn_tail(self, tmp_path):
         specs = [tightloop_spec(8), tightloop_spec(16)]
-        self._complete_one(specs, tmp_path)
+        job, _, _ = self._complete_one(specs, tmp_path)
         with open(ServiceJournal(tmp_path).path, "a", encoding="utf-8") as handle:
             handle.write('{"kind": "assigned", "key": ')  # died mid-append
         with pytest.warns(JournalWarning, match="torn tail"):
-            second = self._store(specs, tmp_path)
+            second = self._recovered(tmp_path)
         second.close_journal()
         assert second.stats["replayed"] == 1
-        assert second.job_summary(SWEEP_JOB)["pending"] == 1
+        assert second.job_summary(job)["pending"] == 1
 
     def test_replaying_twice_is_idempotent_at_the_broker_too(self, tmp_path):
         specs = [tightloop_spec(8)]
-        store = self._store(specs, tmp_path)
-        broker = serve(store)
-        try:
-            proc = self._worker(broker.port)
-            assert list(collect(store)) == [0]
-            proc.wait(timeout=30)
-        finally:
-            broker.close()
-            store.close_journal()
-        for _ in range(2):  # construct-from-journal twice: same state
-            store = self._store(specs, tmp_path)
+        job, _, _ = self._complete_one(specs, tmp_path)
+        for _ in range(2):  # recover from the journal twice: same state
+            store = self._recovered(tmp_path)
             assert store.stats["replayed"] == 1
-            assert store.job_summary(SWEEP_JOB)["state"] == "completed"
+            assert store.job_summary(job)["state"] == "completed"
             store.close_journal()
 
-    def test_old_job_less_journal_warns_and_its_specs_rerun(self, tmp_path):
+    def test_old_job_less_journal_warns_and_recovers_nothing(self, tmp_path):
         # A journal the old single-sweep broker left behind has no ``job``
-        # field: its records are reported and skipped, so the resumed sweep
-        # re-runs the spec (a finished one would come from the manifest).
+        # field: its records are reported and skipped, and no job comes back.
         spec = tightloop_spec(8)
         with ServiceJournal(tmp_path) as journal:
             journal.append({"kind": "assigned", "key": spec.key(), "worker": "w"})
@@ -363,14 +359,10 @@ class TestBrokerRestartRecovery:
                 "kind": "completed", "key": spec.key(),
                 "result": SerialExecutor().run([spec])[0].to_dict(),
             })
-        executor = DistributedExecutor(
-            workers=1, lease_seconds=10.0, journal_dir=str(tmp_path)
-        )
+        store = JobStore(journal=ServiceJournal(tmp_path))
         with pytest.warns(JournalWarning, match="job-less"):
-            [result] = executor.run([spec])
-        assert result.completed
-        assert executor.last_stats["replayed"] == 0
-        assert executor.last_stats["assigned"] == 1
+            assert store.recover() == 0
+        assert store.list_jobs() == []
 
 
 class TestRestartRecoveryProperty:
@@ -380,10 +372,9 @@ class TestRestartRecoveryProperty:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
     def test_random_grid_random_kill_point_recovers_bit_identical(self, data):
-        # The satellite's acceptance property: for a random tightloop grid
-        # and a random kill point, kill-broker -> restart-with-journal ->
-        # rejoin yields results bit-identical to serial, and the surviving
-        # journal replays idempotently.
+        # For a random tightloop grid and a random kill point, kill the
+        # sweep host -> resume it on the specs without a result -> rejoin
+        # yields results bit-identical to serial.
         grid = data.draw(st.lists(
             st.tuples(st.sampled_from([20, 60, 120]), st.sampled_from([8, 16])),
             min_size=2, max_size=4, unique=True,
@@ -396,13 +387,10 @@ class TestRestartRecoveryProperty:
         schedule = ChaosSchedule(
             seed=0, kills=(KillEvent(target="broker", at=kill_at),)
         )
-        with tempfile.TemporaryDirectory() as journal_dir:
+        with tempfile.TemporaryDirectory() as checkpoint_dir:
             report = run_embedded_drill(
-                specs, schedule, journal_dir,
+                specs, schedule, checkpoint_dir,
                 pool=2, lease_seconds=10.0, timeout=120.0,
             )
-            journal = ServiceJournal(journal_dir)
-            if journal.exists():
-                assert journal.replay_jobs() == journal.replay_jobs()
         problems = verify_against_serial(specs, report)
         assert problems == [], f"kill@{kill_at:.2f}s: {problems}"

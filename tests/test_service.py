@@ -305,6 +305,75 @@ class TestRecovery:
         restarted.recover()
         assert path.read_text() == before
 
+    def test_graceful_stop_charges_no_attempt(self, tmp_path):
+        # Closing the service severs a worker that holds a lease, through
+        # no fault of the worker's: the journal a restart replays must be
+        # the one a SIGKILL leaves, with no attempt charged and nobody
+        # excluded.
+        journal_dir = str(tmp_path / "journal")
+        svc = SweepService(journal_dir=journal_dir).start()
+        try:
+            job = svc.store.submit(small_sweep(cores=(4,)))["job"]
+            sock = socket.create_connection(svc.worker_address)
+            reader = sock.makefile("r", encoding="utf-8")
+            sock.sendall(b'{"type": "hello", "worker": "w1"}\n')
+            assert json.loads(reader.readline())["type"] == "welcome"
+            sock.sendall(b'{"type": "next"}\n')
+            assert json.loads(reader.readline())["type"] == "task"
+        finally:
+            svc.close()
+        sock.close()
+        restarted = JobStore(journal=ServiceJournal(journal_dir))
+        assert restarted.recover() == 1
+        task = restarted._jobs[job].tasks[0]
+        assert task.attempts == 0
+        assert task.excluded == set()
+        assert restarted.job_summary(job)["pending"] == 1
+
+    def test_recovered_job_resumes_from_its_checkpoint_file(self, tmp_path):
+        # Shipped snapshots live in <journal dir>/checkpoints/, never in the
+        # journal: a SIGKILL'd daemon's recovered job resumes the spec from
+        # the file, bit-identical to serial.
+        from repro.snapshot import (
+            checkpoint_path,
+            parse_document,
+            snapshot_after,
+            snapshot_document,
+        )
+
+        journal_dir = tmp_path / "journal"
+        options = dict(journal_dir=str(journal_dir), checkpoint_every=2000)
+        spec = tightloop_spec(16, iterations=60)
+        store = SweepService(**options).store
+        job = store.submit(SweepSpec(name="night", specs=(spec,)))["job"]
+        store.claim_worker("w1")
+        assert store.assign("w1")["checkpoint_every"] == 2000
+        store.checkpoint(
+            job, 0, "w1", snapshot_document(snapshot_after(spec, 2000))
+        )
+        path = checkpoint_path(str(journal_dir / "checkpoints"), spec)
+        assert path.is_file()
+        # SIGKILL: the store is replaced without being closed.
+        restarted = SweepService(**options)
+        assert restarted.recovered_jobs == 1
+        restarted.store.claim_worker("w2")
+        message = restarted.store.assign("w2")
+        assert restarted.store.stats["resumed"] == 1
+        snapshot = parse_document(message["checkpoint"])
+        assert snapshot.events_processed == 2000
+        result = execute_spec(spec, resume_from=snapshot)
+        assert results_identical(result, SerialExecutor().run([spec])[0])
+        restarted.store.complete(job, 0, "w2", result.to_dict())
+        assert restarted.store.job_summary(job)["state"] == JOB_COMPLETED
+        assert not path.exists()
+        records = [
+            json.loads(line)
+            for line in (journal_dir / "journal.jsonl").read_text().splitlines()
+        ]
+        assert not any("snapshot" in record for record in records)
+        store.close_journal()
+        restarted.store.close_journal()
+
 
 class TestServiceBrokerSocket:
     def _hello(self, port, payload):
