@@ -23,7 +23,7 @@ from repro.config import BroadcastMemoryConfig
 from repro.errors import MemoryError_
 from repro.isa.operations import RmwKind
 from repro.mem.hierarchy import apply_rmw
-from repro.wireless.transceiver import SendTicket, Transceiver
+from repro.wireless.transceiver import Transceiver, _PendingSend
 
 
 class RmwResult(NamedTuple):
@@ -80,7 +80,7 @@ class PendingBmOp:
         self.new = new
         self.settled = False
         self.token: Optional[int] = None
-        self.ticket: Optional[SendTicket] = None
+        self.ticket: Optional[_PendingSend] = None
         self.on_done = on_done
 
 
@@ -100,6 +100,9 @@ class BmOpCallback:
         self.method = method
 
     def __call__(self, *args) -> None:
+        # Looked up per call, not at construction: about a third of these
+        # callbacks never fire (a broadcast aborted by an atomicity failure
+        # never completes), so binding early costs more lookups than it saves.
         getattr(self.controller, self.method)(self.op_id, *args)
 
 
@@ -139,14 +142,21 @@ class BmController:
         return values, self.config.round_trip
 
     # ------------------------------------------------------------ op registry
-    def _new_op(self, kind: str, addr: int, on_done: Callable, pid: Optional[int], **fields) -> PendingBmOp:
-        op = PendingBmOp(self._next_op_id, kind, addr, on_done, pid, **fields)
+    def _new_op(
+        self,
+        kind: str,
+        addr: int,
+        on_done: Callable,
+        pid: Optional[int],
+        value: int = 0,
+        values: Tuple[int, ...] = (),
+        old: int = 0,
+        new: int = 0,
+    ) -> PendingBmOp:
+        op = PendingBmOp(self._next_op_id, kind, addr, on_done, pid, value, values, old, new)
         self._next_op_id += 1
         self._pending_ops[op.op_id] = op
         return op
-
-    def _op_callback(self, op_id: int, method: str) -> BmOpCallback:
-        return BmOpCallback(self, op_id, method)
 
     # ---------------------------------------------------------------- stores
     def store(
@@ -161,7 +171,7 @@ class BmController:
         self.stores_issued += 1
         op = self._new_op("store", addr, on_done, pid, value=value)
         op.ticket = self.transceiver.send_store(
-            addr, value, self._op_callback(op.op_id, "_store_performed")
+            addr, value, BmOpCallback(self, op.op_id, "_store_performed")
         )
 
     def bulk_store(
@@ -178,7 +188,7 @@ class BmController:
         self.stores_issued += 1
         op = self._new_op("bulk", addr, on_done, pid, values=tuple(values))
         op.ticket = self.transceiver.send_bulk_store(
-            addr, tuple(values), self._op_callback(op.op_id, "_store_performed")
+            addr, tuple(values), BmOpCallback(self, op.op_id, "_store_performed")
         )
 
     def _store_performed(self, op_id: int, message, cycle: int) -> None:
@@ -226,10 +236,10 @@ class BmController:
             return
         op = self._new_op("rmw", addr, on_done, pid, old=old, new=new)
         op.token = self.fabric.register_pending_rmw(
-            self.node_id, addr, self._op_callback(op.op_id, "_rmw_atomicity_failed")
+            self.node_id, addr, BmOpCallback(self, op.op_id, "_rmw_atomicity_failed")
         )
         op.ticket = self.transceiver.send_store(
-            addr, new, self._op_callback(op.op_id, "_rmw_performed")
+            addr, new, BmOpCallback(self, op.op_id, "_rmw_performed")
         )
 
     def _rmw_finish(self, op_id: int, failed: bool, cycle: int) -> None:
@@ -266,7 +276,7 @@ class BmController:
             cycle = self.fabric.sim.now + self.config.round_trip
             self.fabric.sim.schedule(
                 self.config.round_trip,
-                self._op_callback(op_id, "_rmw_finish"),
+                BmOpCallback(self, op_id, "_rmw_finish"),
                 True,
                 cycle,
             )

@@ -56,8 +56,6 @@ class Snap001SnapshotCompleteness(ProjectRule):
         "callback records (snapshot/native.py:_capture_events)",
         "_running": "transient run-loop flag, always False between slices",
         "_stop": "transient stop request, always False between slices",
-        "_cancelled": "covered indirectly: pending_events captures "
-        "len(_queue) - _cancelled",
     }
 
     #: Manycore.__init__ attributes deliberately not in _native_state():

@@ -11,7 +11,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "Simulator",
-    "Event",
     "DeterministicRng",
     "Counter",
     "Histogram",
@@ -21,7 +20,6 @@ __all__ = [
 
 _EXPORTS = {
     "Simulator": "repro.sim.engine",
-    "Event": "repro.sim.events",
     "DeterministicRng": "repro.sim.rng",
     "Counter": "repro.sim.stats",
     "Histogram": "repro.sim.stats",

@@ -6,27 +6,24 @@ scheduling callbacks.  Time is measured in integer processor cycles at the
 paper's 1 GHz clock, so one cycle is also one nanosecond.
 
 The event queue is engineered for the hot path: heap entries are plain
-``(time, priority, seq, event)`` tuples (compared in C — ``seq`` is unique,
-so the trailing :class:`~repro.sim.events.Event` record is never compared),
-events are ``__slots__`` records rather than dataclasses, ``run``/``step``/
-``drain`` all share one loop, and cancelled events are counted and lazily
-compacted out of the heap instead of accumulating until popped.
+``(time, priority, seq, callback, args)`` tuples (compared in C — ``seq`` is
+unique, so a comparison never reaches the callback), and ``run``/``step``/
+``drain`` all share one loop.  The engine has no event cancellation: a
+component that abandons work flags its own record (a cancelled wireless
+attempt, a settled BM operation) and its callback skips it when the event
+fires, so ``schedule`` returns nothing and every queued entry is live.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim.events import Event
 
 
 class Simulator:
     """A deterministic event-driven simulator with integer cycle time."""
-
-    #: Cancelled entries tolerated before the queue is compacted in place.
-    COMPACT_THRESHOLD = 512
 
     def __init__(self) -> None:
         #: Current simulation time in cycles.  Plain attributes (not
@@ -34,19 +31,18 @@ class Simulator:
         #: a property descriptor call per read is measurable overhead.
         #: Treat both as read-only from outside the engine.
         self.now: int = 0
-        #: Number of events fired so far (cancelled events excluded).
+        #: Number of events fired so far.
         self.events_processed: int = 0
         self._queue: list = []
         self._seq: int = 0
         self._running: bool = False
-        self._cancelled: int = 0
         self._stop: bool = False
 
     # ------------------------------------------------------------------ time
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still in the queue."""
-        return len(self._queue) - self._cancelled
+        """Number of events still in the queue."""
+        return len(self._queue)
 
     def checkpoint_state(self) -> dict:
         """The engine's enumerable counters, as a JSON-safe dict.
@@ -70,16 +66,13 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        time = self.now + int(delay)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return event
+        heappush(self._queue, (self.now + int(delay), priority, seq, callback, args))
 
     def schedule_at(
         self,
@@ -87,7 +80,7 @@ class Simulator:
         callback: Callable[..., None],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute cycle ``time``."""
         time = int(time)
         if time < self.now:
@@ -96,37 +89,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time, priority, seq, callback, args, self)
-        heapq.heappush(self._queue, (time, priority, seq, event))
-        return event
-
-    # -------------------------------------------------------- cancellation
-    def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` for events still in the queue."""
-        self._cancelled += 1
-        if (
-            self._cancelled >= self.COMPACT_THRESHOLD
-            and self._cancelled * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify, preserving pop order.
-
-        In-place (slice assignment) so a loop holding a reference to the
-        queue list keeps seeing the live heap.  Entries keep their unique
-        ``(time, priority, seq)`` keys, so the heap pops in exactly the same
-        order after compaction.
-        """
-        queue = self._queue
-        live = [entry for entry in queue if not entry[3].cancelled]
-        for entry in queue:
-            event = entry[3]
-            if event.cancelled:
-                event._sim = None
-        queue[:] = live
-        heapq.heapify(queue)
-        self._cancelled = 0
+        heappush(self._queue, (time, priority, seq, callback, args))
 
     # --------------------------------------------------------------- running
     def stop(self) -> None:
@@ -152,27 +115,17 @@ class Simulator:
         truncation semantics of ``Manycore.run(max_cycles=...)``.
         """
         queue = self._queue
-        heappop = heapq.heappop
         fired = 0
         while queue:
             if max_events is not None and fired >= max_events:
                 return fired
-            entry = queue[0]
-            event = entry[3]
-            if event.cancelled:
-                heappop(queue)
-                self._cancelled -= 1
-                event._sim = None
-                continue
-            time = entry[0]
-            if until is not None and time > until:
+            if until is not None and queue[0][0] > until:
                 self.now = until
                 return fired
-            heappop(queue)
-            event._sim = None
+            time, _priority, _seq, callback, args = heappop(queue)
             self.now = time
             self.events_processed += 1
-            event.callback(*event.args)
+            callback(*args)
             fired += 1
             if self._stop:
                 self._stop = False
@@ -184,7 +137,7 @@ class Simulator:
         return fired
 
     def step(self) -> bool:
-        """Fire the next non-cancelled event.  Returns False if queue empty."""
+        """Fire the next event.  Returns False if the queue is empty."""
         return self._loop(None, 1) > 0
 
     def run(
@@ -226,7 +179,7 @@ class Simulator:
                 before = self.events_processed
                 self._loop(None, remaining)
                 remaining -= self.events_processed - before
-                if self.pending_events == 0:
+                if not self._queue:
                     return self.now
                 if remaining <= 0:
                     raise SimulationError(

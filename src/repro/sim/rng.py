@@ -19,7 +19,7 @@ import hashlib
 import random
 from typing import Any, Dict, Iterator, List, Sequence, TypeVar
 
-from repro.errors import SnapshotError
+from repro.errors import SimulationError, SnapshotError
 
 T = TypeVar("T")
 
@@ -53,8 +53,21 @@ class DeterministicRng:
 
     # ----------------------------------------------------------- primitives
     def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high], inclusive."""
-        return self._random.randint(low, high)
+        """Uniform integer in [low, high], inclusive.
+
+        Draws exactly as ``random.Random.randint`` does (CPython's rejection
+        loop over ``getrandbits``), without its three Python-level frames:
+        this is the backoff MAC's per-collision draw.
+        """
+        width = high - low + 1
+        if width <= 0:
+            raise SimulationError(f"empty range for randint({low}, {high})")
+        getrandbits = self._random.getrandbits
+        bits = width.bit_length()
+        draw = getrandbits(bits)
+        while draw >= width:
+            draw = getrandbits(bits)
+        return low + draw
 
     def random(self) -> float:
         return self._random.random()
@@ -79,7 +92,7 @@ class DeterministicRng:
         if mean <= 0:
             return 0
         spread = max(1, int(mean * fraction))
-        return max(0, mean + self._random.randint(-spread, spread))
+        return max(0, mean + self.randint(-spread, spread))
 
     # -------------------------------------------------------- state capture
     def getstate(self) -> Dict[str, Any]:

@@ -46,12 +46,11 @@ from repro.isa.predicates import Predicate, describe_predicate, predicate_from_p
 from repro.mem.directory import DirectoryEntry, LineState
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.hierarchy import _Waiter as _MemWaiter
-from repro.sim.events import Event
 from repro.sim.stats import StatsRegistry
 from repro.wireless.backoff import BroadcastAwareBackoff, ExponentialBackoff, FixedBackoff
-from repro.wireless.channel import DataChannel, TransmissionHandle, WirelessMessage, _Attempt
+from repro.wireless.channel import DataChannel, WirelessMessage, _Attempt
 from repro.wireless.tone import ToneChannel, _ActiveBarrier
-from repro.wireless.transceiver import SendTicket, Transceiver, _PendingSend, _SendComplete
+from repro.wireless.transceiver import Transceiver, _PendingSend
 
 
 # --------------------------------------------------------------------- values
@@ -122,12 +121,6 @@ def _describe_callback(cb: Any, machine) -> Dict[str, Any]:
         }
     if isinstance(cb, _ActivationSent):
         return {"k": "activation", "n": cb.controller.node_id, "addr": cb.bm_addr}
-    if isinstance(cb, _SendComplete):
-        return {
-            "k": "send_complete",
-            "n": cb.transceiver.node_id,
-            "sid": cb.pending.send_id,
-        }
     bound_self = getattr(cb, "__self__", None)
     name = getattr(cb, "__name__", "")
     if bound_self is machine:
@@ -165,10 +158,6 @@ def _decode_callback(desc: Dict[str, Any], ctx: "_RestoreCtx") -> Any:
     if kind == "activation":
         controller = machine.fabric.nodes[int(desc["n"])].tone_controller
         return _ActivationSent(controller, int(desc["addr"]))
-    if kind == "send_complete":
-        pending = ctx.pendings[(int(desc["n"]), int(desc["sid"]))]
-        transceiver = machine.fabric.nodes[int(desc["n"])].transceiver
-        return _SendComplete(transceiver, pending)
     if kind == "chan_arbitrate":
         return machine.fabric.data_channel._arbitrate
     if kind == "chan_complete":
@@ -444,8 +433,8 @@ def _decode_message(payload: List[Any]) -> WirelessMessage:
 
 def _capture_pending_send(pending: _PendingSend, machine) -> Dict[str, Any]:
     attempt_id: Optional[int] = None
-    if pending.handle is not None and not pending.done:
-        attempt_id = pending.handle._attempt.attempt_id
+    if pending.attempt is not None and not pending.done:
+        attempt_id = pending.attempt.attempt_id
     return {
         "sid": pending.send_id,
         "msg": _encode_message(pending.message),
@@ -456,10 +445,10 @@ def _capture_pending_send(pending: _PendingSend, machine) -> Dict[str, Any]:
 
 def _capture_attempt(attempt: _Attempt) -> Dict[str, Any]:
     on_complete = attempt.on_complete
-    if not isinstance(on_complete, _SendComplete):
+    if not isinstance(on_complete, _PendingSend):
         raise SnapshotError(
             f"channel attempt {attempt.attempt_id} completion is not a "
-            "transceiver send (native capture requires _SendComplete hooks)"
+            "transceiver send (native capture requires _PendingSend hooks)"
         )
     transceiver = on_complete.transceiver
     on_collision_self = getattr(attempt.on_collision, "__self__", None)
@@ -473,7 +462,7 @@ def _capture_attempt(attempt: _Attempt) -> Dict[str, Any]:
     return {
         "id": attempt.attempt_id,
         "n": transceiver.node_id,
-        "sid": on_complete.pending.send_id,
+        "sid": on_complete.send_id,
         "msg": _encode_message(attempt.message),
         "enq": attempt.enqueued_at,
         "canc": bool(attempt.cancelled),
@@ -487,20 +476,18 @@ def _live_attempts(channel: DataChannel, sim) -> Dict[int, _Attempt]:
     for cycle_attempts in channel._attempts_by_cycle.values():
         for attempt in cycle_attempts:
             attempts[attempt.attempt_id] = attempt
-    for _time, _priority, _seq, event in sim._queue:
-        if event.cancelled:
-            continue
-        if getattr(event.callback, "__self__", None) is channel and getattr(
-            event.callback, "__name__", ""
+    for _time, _priority, _seq, callback, args in sim._queue:
+        if getattr(callback, "__self__", None) is channel and getattr(
+            callback, "__name__", ""
         ) == "_complete":
-            attempts[event.args[0].attempt_id] = event.args[0]
+            attempts[args[0].attempt_id] = args[0]
     return attempts
 
 
 def _capture_pending_op(op: PendingBmOp, machine) -> Dict[str, Any]:
     ticket_sid: Optional[int] = None
     if op.ticket is not None:
-        ticket_sid = op.ticket._pending.send_id
+        ticket_sid = op.ticket.send_id
     return {
         "id": op.op_id,
         "kind": op.kind,
@@ -518,6 +505,10 @@ def _capture_pending_op(op: PendingBmOp, machine) -> Dict[str, Any]:
 
 
 def _capture_transceiver(transceiver: Transceiver, machine) -> Dict[str, Any]:
+    # Fold the successes the MAC has heard but not yet applied.  The fold is
+    # exact, so it changes no later draw, and the captured backoff holds
+    # them; a restore then starts every transceiver level with the channel.
+    transceiver._observe()
     return {
         "queue": [_capture_pending_send(p, machine) for p in transceiver._queue],
         "in_flight": (
@@ -679,7 +670,6 @@ def _capture_fabric(fabric: BroadcastFabric, machine) -> Dict[str, Any]:
                 [cycle, [a.attempt_id for a in cycle_attempts]]
                 for cycle, cycle_attempts in channel._attempts_by_cycle.items()
             ],
-            "arb_pending": sorted(channel._arbitration_pending),
             "messages": channel.total_messages,
             "collisions": channel.total_collisions,
         },
@@ -698,14 +688,15 @@ def _capture_fabric(fabric: BroadcastFabric, machine) -> Dict[str, Any]:
 
 
 def _restore_pending_send(
-    payload: Dict[str, Any], node_id: int, ctx: "_RestoreCtx"
+    payload: Dict[str, Any], transceiver: Transceiver, ctx: "_RestoreCtx"
 ) -> _PendingSend:
     pending = _PendingSend(
+        transceiver,
         send_id=int(payload["sid"]),
         message=_decode_message(payload["msg"]),
         on_complete=_decode_callback(payload["cb"], ctx),
     )
-    ctx.pendings[(node_id, pending.send_id)] = pending
+    ctx.pendings[(transceiver.node_id, pending.send_id)] = pending
     return pending
 
 
@@ -744,18 +735,20 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
         tx_payload = node_payload["transceiver"]
         transceiver = node.transceiver
         transceiver._queue = deque(
-            _restore_pending_send(p, node.node_id, ctx) for p in tx_payload["queue"]
+            _restore_pending_send(p, transceiver, ctx) for p in tx_payload["queue"]
         )
         if tx_payload["in_flight"] is None:
             transceiver._in_flight = None
         else:
             transceiver._in_flight = _restore_pending_send(
-                tx_payload["in_flight"], node.node_id, ctx
+                tx_payload["in_flight"], transceiver, ctx
             )
         transceiver._next_send_id = int(tx_payload["next_send_id"])
         transceiver.sent_messages = int(tx_payload["sent"])
         transceiver.collisions_seen = int(tx_payload["collisions"])
         _restore_backoff(transceiver.backoff, tx_payload["backoff"])
+        # Capture folded every observed success into the backoff.
+        transceiver._seen = fabric.data_channel.completed
 
     # Channel attempts next, re-linked to their pending sends.
     channel = fabric.data_channel
@@ -775,7 +768,7 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
             # survives until its arbitration cycle filters it out, so its
             # completion hook can never fire.  A detached record keeps the
             # (node, send id) link, so the restored machine captures again.
-            pending = _PendingSend(send_id, message, on_complete=None)
+            pending = _PendingSend(transceiver, send_id, message, on_complete=None)
             pending.done = True
         elif pending is None:
             raise SnapshotError(
@@ -785,7 +778,7 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
         attempt = _Attempt(
             attempt_id=int(attempt_payload["id"]),
             message=message,
-            on_complete=_SendComplete(transceiver, pending),
+            on_complete=pending,
             on_collision=transceiver._on_collision,
             enqueued_at=int(attempt_payload["enq"]),
         )
@@ -796,7 +789,6 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
         int(cycle): [ctx.attempts[int(aid)] for aid in attempt_ids]
         for cycle, attempt_ids in channel_payload["by_cycle"]
     }
-    channel._arbitration_pending = set(int(c) for c in channel_payload["arb_pending"])
     for node, node_payload in zip(fabric.nodes, payload["nodes"]):
         tx_payload = node_payload["transceiver"]
         sends = list(tx_payload["queue"])
@@ -805,7 +797,7 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
         for send_payload in sends:
             if send_payload["attempt"] is not None:
                 pending = ctx.pendings[(node.node_id, int(send_payload["sid"]))]
-                pending.handle = TransmissionHandle(ctx.attempts[int(send_payload["attempt"])])
+                pending.attempt = ctx.attempts[int(send_payload["attempt"])]
 
     # BM controllers: pending ops re-link to transceiver sends via tickets.
     for node, node_payload in zip(fabric.nodes, payload["nodes"]):
@@ -839,9 +831,9 @@ def _restore_fabric(fabric: BroadcastFabric, payload: Dict[str, Any], ctx: "_Res
                     # The send already completed or was cancelled, so the
                     # ticket can no longer cancel anything; a detached, done
                     # record keeps its send id for the next capture.
-                    pending = _PendingSend(send_id, None, on_complete=None)
+                    pending = _PendingSend(node.transceiver, send_id, None, on_complete=None)
                     pending.done = True
-                op.ticket = SendTicket(node.transceiver, pending)
+                op.ticket = pending
             controller._pending_ops[op.op_id] = op
         _restore_tone_controller(node.tone_controller, node_payload["tone_controller"])
 
@@ -909,23 +901,18 @@ def _restore_stats(stats: StatsRegistry, payload: Dict[str, Any]) -> None:
 
 # --------------------------------------------------------------------- events
 def _capture_events(machine) -> List[Dict[str, Any]]:
-    entries = []
-    for time, priority, seq, event in sorted(machine.sim._queue, key=lambda e: e[:3]):
-        if event.cancelled:
-            # Cancelled entries are dead weight the engine pops and skips;
-            # dropping them here keeps ``pending_events`` identical because
-            # the restored queue starts with ``_cancelled == 0``.
-            continue
-        entries.append(
-            {
-                "t": time,
-                "p": priority,
-                "s": seq,
-                "cb": _describe_callback(event.callback, machine),
-                "args": [_encode_value(arg) for arg in event.args],
-            }
+    return [
+        {
+            "t": time,
+            "p": priority,
+            "s": seq,
+            "cb": _describe_callback(callback, machine),
+            "args": [_encode_value(arg) for arg in args],
+        }
+        for time, priority, seq, callback, args in sorted(
+            machine.sim._queue, key=lambda e: e[:3]
         )
-    return entries
+    ]
 
 
 def _restore_events(machine, engine_payload: Dict[str, Any], events: List[Dict[str, Any]], ctx: "_RestoreCtx") -> None:
@@ -933,17 +920,17 @@ def _restore_events(machine, engine_payload: Dict[str, Any], events: List[Dict[s
     sim.now = int(engine_payload["now"])
     sim._seq = int(engine_payload["seq"])
     sim.events_processed = int(engine_payload["events_processed"])
-    sim._cancelled = 0
     sim._stop = False
-    entries = []
-    for event_payload in events:
-        time = int(event_payload["t"])
-        priority = int(event_payload["p"])
-        seq = int(event_payload["s"])
-        callback = _decode_callback(event_payload["cb"], ctx)
-        args = tuple(_decode_value(arg, ctx) for arg in event_payload["args"])
-        event = Event(time, priority, seq, callback, args, sim)
-        entries.append((time, priority, seq, event))
+    entries = [
+        (
+            int(event_payload["t"]),
+            int(event_payload["p"]),
+            int(event_payload["s"]),
+            _decode_callback(event_payload["cb"], ctx),
+            tuple(_decode_value(arg, ctx) for arg in event_payload["args"]),
+        )
+        for event_payload in events
+    ]
     queue = sim._queue
     queue[:] = entries
     heapq.heapify(queue)

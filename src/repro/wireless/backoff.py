@@ -43,13 +43,16 @@ class BackoffPolicy(ABC):
         """
         return 0
 
-    def on_observed_success(self) -> None:
-        """Another node's transmission succeeded.
+    def on_observed_success(self, count: int = 1) -> None:
+        """Other nodes' transmissions succeeded ``count`` times.
 
         All antennas hear every transfer (Section 3.1), so the MAC can relax
         its contention window whenever the channel drains a message, not only
         on its own successes — the paper's "decremented at every successful
-        transmission" rule applied to the broadcast medium.
+        transmission" rule applied to the broadcast medium.  The transceiver
+        applies observed successes lazily, as one call with the count heard
+        since its last backoff read or update, so a policy must leave exactly
+        the state that ``count`` single calls would.
         """
         return None
 
@@ -93,8 +96,8 @@ class ExponentialBackoff(BackoffPolicy):
         window = (1 << self.exponent) - 1
         return self.rng.randint(0, window)
 
-    def on_observed_success(self) -> None:
-        self.exponent = max(0, self.exponent - 1)
+    def on_observed_success(self, count: int = 1) -> None:
+        self.exponent = max(0, self.exponent - count)
 
 
 class BroadcastAwareBackoff(BackoffPolicy):
@@ -133,8 +136,12 @@ class BroadcastAwareBackoff(BackoffPolicy):
         self.successes += 1
         self.estimate = max(1.0, self.estimate / 2.0)
 
-    def on_observed_success(self) -> None:
-        self.estimate = max(1.0, self.estimate - 1.0)
+    def on_observed_success(self, count: int = 1) -> None:
+        # One subtraction of ``count`` equals ``count`` steps of one, bit for
+        # bit: halving and doubling keep the estimate at M / 2**f for an
+        # integer M <= max_window, so every difference is exact until the
+        # clamp, and the clamp absorbs the rest.
+        self.estimate = max(1.0, self.estimate - count)
 
     def deferral(self) -> int:
         window = self._window()

@@ -12,7 +12,7 @@ their chip-wide total order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.config import DataChannelConfig
 from repro.errors import WirelessError
@@ -46,6 +46,15 @@ class WirelessMessage(NamedTuple):
 
 
 class _Attempt:
+    """One queued transmission, and the caller's handle to it.
+
+    ``transmit`` returns the attempt itself.  The BM controller aborts a
+    pending RMW broadcast through it when its atomicity has already failed
+    (Section 4.2.1: the instruction "neither broadcasts its value nor
+    updates the local BM"); :meth:`cancel` succeeds only while the message
+    has not yet started occupying the channel.
+    """
+
     __slots__ = (
         "attempt_id",
         "message",
@@ -74,32 +83,11 @@ class _Attempt:
         self.cancelled = False
         self.started = False
 
-
-class TransmissionHandle:
-    """Handle to a queued transmission, allowing the MAC to abort it.
-
-    The BM controller aborts a pending RMW broadcast when its atomicity has
-    already failed (Section 4.2.1: the instruction "neither broadcasts its
-    value nor updates the local BM").  Cancellation only succeeds while the
-    message has not yet started occupying the channel.
-    """
-
-    def __init__(self, attempt: _Attempt) -> None:
-        self._attempt = attempt
-
-    @property
-    def started(self) -> bool:
-        return self._attempt.started
-
-    @property
-    def cancelled(self) -> bool:
-        return self._attempt.cancelled
-
     def cancel(self) -> bool:
         """Abort the transmission; returns True if it had not started yet."""
-        if self._attempt.started:
+        if self.started:
             return False
-        self._attempt.cancelled = True
+        self.cancelled = True
         return True
 
 
@@ -119,11 +107,13 @@ class DataChannel:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._busy_until: int = 0
         self._next_attempt_id = 0
+        #: Queued attempts per slot; a cycle is a key exactly while its
+        #: arbitration event is scheduled.
         self._attempts_by_cycle: Dict[int, List[_Attempt]] = {}
-        #: Cycles with an arbitration event already scheduled (set semantics:
-        #: a cycle is either pending or not — no per-cycle flag values).
-        self._arbitration_pending: Set[int] = set()
         self._listeners: List[Callable[[WirelessMessage, int], None]] = []
+        #: Transfers finished so far.  Each transceiver folds the ones it has
+        #: not yet seen into its backoff lazily (``Transceiver._observe``).
+        self.completed = 0
         self.total_messages = 0
         self.total_collisions = 0
         # Flyweight stat handles, bound once so the per-message hot path does
@@ -150,13 +140,13 @@ class DataChannel:
         on_complete: Callable[[WirelessMessage, int], None],
         on_collision: Callable[[WirelessMessage], int],
         earliest: Optional[int] = None,
-    ) -> TransmissionHandle:
-        """Queue a transmission attempt.
+    ) -> _Attempt:
+        """Queue a transmission attempt and return it.
 
         ``on_complete(message, completion_cycle)`` fires when the transfer
         succeeds; ``on_collision(message)`` is consulted on each collision
         and must return the sender's backoff delay in cycles.  The returned
-        handle can cancel the transmission while it has not started.
+        attempt can cancel the transmission while it has not started.
         """
         now = self.sim.now
         start = max(now, self._busy_until, earliest if earliest is not None else now)
@@ -169,7 +159,7 @@ class DataChannel:
         )
         self._next_attempt_id += 1
         self._register_attempt(start, attempt)
-        return TransmissionHandle(attempt)
+        return attempt
 
     def busy_until(self) -> int:
         """Earliest cycle the channel is currently expected to be free."""
@@ -179,14 +169,15 @@ class DataChannel:
     def _register_attempt(self, cycle: int, attempt: _Attempt) -> None:
         if cycle < self.sim.now:
             raise WirelessError("attempt registered in the past")
-        self._attempts_by_cycle.setdefault(cycle, []).append(attempt)
-        if cycle not in self._arbitration_pending:
-            self._arbitration_pending.add(cycle)
+        attempts = self._attempts_by_cycle.get(cycle)
+        if attempts is None:
+            self._attempts_by_cycle[cycle] = [attempt]
             self.sim.schedule_at(cycle, self._arbitrate, cycle, priority=ARBITRATION_PRIORITY)
+        else:
+            attempts.append(attempt)
 
     def _arbitrate(self, cycle: int) -> None:
         attempts = self._attempts_by_cycle.pop(cycle, [])
-        self._arbitration_pending.discard(cycle)
         attempts = [attempt for attempt in attempts if not attempt.cancelled]
         if not attempts:
             return
@@ -224,22 +215,21 @@ class DataChannel:
         self.sim.schedule_at(completion, self._complete, attempt, completion)
 
     def _complete(self, attempt: _Attempt, completion: int) -> None:
-        """Deliver a finished transfer to its sender and to every antenna.
+        """Deliver a finished transfer to its sender and to every listener.
 
-        All antennas are always listening, so this fans out to every
-        registered listener — O(nodes) work per delivered message (each node's
-        transceiver observes the transfer, plus the fabric's value-plane
-        listener).  That cost is inherent to modelling a broadcast medium;
-        the short-circuit below only spares listener-less channels (unit
-        tests, standalone channel studies).
+        All antennas are always listening (Section 3.1), and every MAC
+        relaxes its window on each success it hears.  That fan-out is O(1)
+        here: the channel only counts the transfer, and each transceiver
+        folds the successes it has not yet seen into its backoff before it
+        next reads or updates it.  The count goes up after the sender's hook
+        and the listeners have run, so a backoff draw made inside them sees
+        the window as it was before this transfer.
         """
-        attempt.on_complete(attempt.message, completion)
-        listeners = self._listeners
-        if not listeners:
-            return
         message = attempt.message
-        for listener in listeners:
+        attempt.on_complete(message, completion)
+        for listener in self._listeners:
             listener(message, completion)
+        self.completed += 1
 
     def _collide(self, cycle: int, attempts: Sequence[_Attempt]) -> None:
         penalty = self.config.collision_penalty_cycles

@@ -16,54 +16,42 @@ from typing import Callable, Deque, Optional, Tuple
 from repro.config import DataChannelConfig
 from repro.sim.stats import StatsRegistry
 from repro.wireless.backoff import BackoffPolicy
-from repro.wireless.channel import DataChannel, TransmissionHandle, WirelessMessage
+from repro.wireless.channel import DataChannel, WirelessMessage, _Attempt
 
 
 class _PendingSend:
-    __slots__ = ("send_id", "message", "on_complete", "handle", "done")
+    """One queued or in-flight send: the caller's ticket and the channel's hook.
+
+    ``send_*`` return it, and the BM controller aborts an RMW's broadcast
+    through :meth:`cancel` once its atomicity has failed, so the stale value
+    never occupies the Data channel.  The channel calls it when the transfer
+    lands.
+    """
+
+    __slots__ = ("transceiver", "send_id", "message", "on_complete", "attempt", "done")
 
     def __init__(
         self,
+        transceiver: "Transceiver",
         send_id: int,
         message: WirelessMessage,
         on_complete: Callable[[WirelessMessage, int], None],
     ) -> None:
+        self.transceiver = transceiver
         #: Stable per-transceiver id; the snapshot codec uses ``(node,
         #: send_id)`` to re-link channel attempts to their pending sends.
         self.send_id = send_id
         self.message = message
         self.on_complete = on_complete
-        self.handle: Optional[TransmissionHandle] = None
+        self.attempt: Optional[_Attempt] = None
         self.done = False
 
-
-class _SendComplete:
-    """Describable completion hook the channel calls when a transfer lands."""
-
-    __slots__ = ("transceiver", "pending")
-
-    def __init__(self, transceiver: "Transceiver", pending: _PendingSend) -> None:
-        self.transceiver = transceiver
-        self.pending = pending
-
     def __call__(self, message: WirelessMessage, cycle: int) -> None:
-        self.transceiver._on_complete(self.pending, message, cycle)
-
-
-class SendTicket:
-    """Handle to a queued or in-flight transceiver send, allowing aborts.
-
-    Used by the BM controller to abort an RMW's broadcast once its atomicity
-    has failed, so the stale value never occupies the Data channel.
-    """
-
-    def __init__(self, transceiver: "Transceiver", pending: _PendingSend) -> None:
-        self._transceiver = transceiver
-        self._pending = pending
+        self.transceiver._on_complete(self, message, cycle)
 
     def cancel(self) -> bool:
         """Abort the send; returns True if nothing was (or will be) transmitted."""
-        return self._transceiver._cancel(self._pending)
+        return self.transceiver._cancel(self)
 
 
 class Transceiver:
@@ -90,9 +78,8 @@ class Transceiver:
         # Per-node flyweight stat handles, bound once per transceiver.
         self._sent_counter = self.stats.counter(f"transceiver/{node_id}/sent")
         self._collision_counter = self.stats.counter(f"transceiver/{node_id}/collisions")
-        # Every antenna hears every transfer; observed successes relax the
-        # contention window (Section 5.3's decrement rule on a broadcast medium).
-        self.channel.add_listener(self._on_observed_message)
+        #: Channel transfers already folded into the backoff (``_observe``).
+        self._seen = channel.completed
 
     # ---------------------------------------------------------------- sends
     def send_store(
@@ -100,7 +87,7 @@ class Transceiver:
         bm_addr: int,
         value: int,
         on_complete: Callable[[WirelessMessage, int], None],
-    ) -> SendTicket:
+    ) -> _PendingSend:
         """Broadcast a single-word BM store."""
         message = WirelessMessage(sender=self.node_id, bm_addr=bm_addr, value=value)
         return self._enqueue(self._new_pending(message, on_complete))
@@ -110,7 +97,7 @@ class Transceiver:
         bm_addr: int,
         values: Tuple[int, int, int, int],
         on_complete: Callable[[WirelessMessage, int], None],
-    ) -> SendTicket:
+    ) -> _PendingSend:
         """Broadcast a Bulk store of four consecutive BM entries (15 cycles)."""
         message = WirelessMessage(
             sender=self.node_id,
@@ -125,7 +112,7 @@ class Transceiver:
         self,
         bm_addr: int,
         on_complete: Callable[[WirelessMessage, int], None],
-    ) -> SendTicket:
+    ) -> _PendingSend:
         """Send the Data-channel message with the Tone bit set.
 
         The first core to arrive at a tone barrier announces it this way
@@ -140,14 +127,29 @@ class Transceiver:
 
     # ------------------------------------------------------------- internals
     def _new_pending(self, message: WirelessMessage, on_complete: Callable) -> _PendingSend:
-        pending = _PendingSend(self._next_send_id, message, on_complete)
+        pending = _PendingSend(self, self._next_send_id, message, on_complete)
         self._next_send_id += 1
         return pending
 
-    def _enqueue(self, pending: _PendingSend) -> SendTicket:
+    def _enqueue(self, pending: _PendingSend) -> _PendingSend:
         self._queue.append(pending)
         self._pump()
-        return SendTicket(self, pending)
+        return pending
+
+    def _observe(self) -> None:
+        """Fold the successes heard since the last fold into the backoff.
+
+        Every antenna hears every transfer, and observed successes relax the
+        contention window (Section 5.3's decrement rule on a broadcast
+        medium).  Rather than take a listener call per message, the MAC
+        applies the channel's unseen transfers in one step before each
+        backoff read or update; ``on_observed_success(count)`` is exact, so
+        the window and the draws are those of ``count`` single steps.
+        """
+        unseen = self.channel.completed - self._seen
+        if unseen > 0:
+            self._seen += unseen
+            self.backoff.on_observed_success(unseen)
 
     def _pump(self) -> None:
         if self._in_flight is not None or not self._queue:
@@ -156,11 +158,12 @@ class Transceiver:
         self._in_flight = pending
         # Under observed contention the MAC spreads even fresh transmissions
         # over its backoff window instead of piling onto the next free slot.
+        self._observe()
         deferral = self.backoff.deferral()
         earliest = self.channel.sim.now + deferral if deferral > 0 else None
-        pending.handle = self.channel.transmit(
+        pending.attempt = self.channel.transmit(
             pending.message,
-            on_complete=_SendComplete(self, pending),
+            on_complete=pending,
             on_collision=self._on_collision,
             earliest=earliest,
         )
@@ -168,25 +171,27 @@ class Transceiver:
     def _cancel(self, pending: _PendingSend) -> bool:
         if pending.done:
             return False
-        if pending in self._queue:
-            self._queue.remove(pending)
-            pending.done = True
-            return True
         if self._in_flight is pending:
-            assert pending.handle is not None
-            if pending.handle.cancel():
-                pending.done = True
-                self._in_flight = None
-                self._pump()
-                return True
-            return False
-        return False
+            if not pending.attempt.cancel():
+                return False
+            pending.done = True
+            self._in_flight = None
+            self._pump()
+            return True
+        # A send that is neither done nor in flight is still queued.
+        self._queue.remove(pending)
+        pending.done = True
+        return True
 
     def _on_complete(self, pending: _PendingSend, message: WirelessMessage, cycle: int) -> None:
         pending.done = True
         self._in_flight = None
         self.sent_messages += 1
+        self._observe()
         self.backoff.on_success()
+        # The channel counts this transfer after its hooks return; step past
+        # it now, so the MAC never counts its own message as observed.
+        self._seen = self.channel.completed + 1
         self._sent_counter.add()
         pending.on_complete(message, cycle)
         self._pump()
@@ -194,8 +199,5 @@ class Transceiver:
     def _on_collision(self, message: WirelessMessage) -> int:
         self.collisions_seen += 1
         self._collision_counter.add()
+        self._observe()
         return self.backoff.on_collision()
-
-    def _on_observed_message(self, message: WirelessMessage, cycle: int) -> None:
-        if message.sender != self.node_id:
-            self.backoff.on_observed_success()

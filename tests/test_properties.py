@@ -144,6 +144,48 @@ def test_backoff_policies_stay_in_valid_ranges(events):
         assert 1.0 <= adaptive.estimate <= 128
 
 
+def _backoff_state(backoff):
+    window = backoff.exponent if isinstance(backoff, ExponentialBackoff) else backoff.estimate.hex()
+    return window, backoff.collisions, backoff.successes, backoff.rng._random.getstate()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.sampled_from(["collision", "success", "deferral", "observed"]),
+                min_size=1, max_size=300),
+       st.sampled_from([ExponentialBackoff, BroadcastAwareBackoff]),
+       st.integers(min_value=1, max_value=12))
+def test_folded_observed_successes_equal_single_steps(events, policy, max_exponent):
+    # The transceiver applies observed successes lazily, as one count before
+    # its next own backoff read or update.  That must leave the same state,
+    # bit for bit, and make the same draws as applying them one at a time.
+    def build():
+        rng = DeterministicRng(5, "fold")
+        if policy is ExponentialBackoff:
+            return ExponentialBackoff(rng, max_exponent=max_exponent)
+        return BroadcastAwareBackoff(rng, max_window=1 << max_exponent)
+
+    single, folded = build(), build()
+    unseen = 0
+    for event in events:
+        if event == "observed":
+            single.on_observed_success()
+            unseen += 1
+            continue
+        if unseen:
+            folded.on_observed_success(unseen)
+            unseen = 0
+        assert _backoff_state(folded) == _backoff_state(single)
+        if event == "collision":
+            assert folded.on_collision() == single.on_collision()
+        elif event == "success":
+            folded.on_success()
+            single.on_success()
+        else:
+            assert folded.deferral() == single.deferral()
+    folded.on_observed_success(unseen)
+    assert _backoff_state(folded) == _backoff_state(single)
+
+
 @COMMON_SETTINGS
 @given(st.integers(min_value=0, max_value=10 ** 6), st.text(min_size=1, max_size=10))
 def test_rng_streams_are_reproducible(seed, name):

@@ -173,6 +173,39 @@ def test_work_steal_restores_after_the_eureka_post():
     _three_way_identity(EUREKA_SPEC, EUREKA_CUT)
 
 
+#: Half-way through this contention run, seven of the eight MACs have heard
+#: a success they have not yet folded into their backoff.  That lag lives in
+#: the channel's transfer counter and the transceivers' marks, which no
+#: capture holds, so the fresh-prefix oracle alone cannot see it.
+LAG_SPEC = _scenario("rwlock", "WiSync")
+LAG_CUT = 969
+
+#: The channel and transceiver payload keys: those of earlier builds, less
+#: the arbitration-pending set, which the by-cycle attempt map already holds.
+CHANNEL_KEYS = {"busy_until", "next_attempt_id", "attempts", "by_cycle", "messages", "collisions"}
+TRANSCEIVER_KEYS = {"queue", "in_flight", "next_send_id", "sent", "collisions", "backoff"}
+
+
+def test_restore_keeps_the_successes_a_mac_has_not_folded():
+    machine = run_prefix(LAG_SPEC, LAG_CUT).machine
+    channel = machine.fabric.data_channel
+    assert any(node.transceiver._seen < channel.completed for node in machine.fabric.nodes)
+
+    snapshot = _three_way_identity(LAG_SPEC, LAG_CUT)
+    fabric = snapshot.machine["fabric"]
+    assert set(fabric["channel"]) == CHANNEL_KEYS
+    for node in fabric["nodes"]:
+        assert set(node["transceiver"]) == TRANSCEIVER_KEYS
+
+    # Checkpoints written by earlier builds also carry the arbitration-
+    # pending cycles; restore ignores them and levels every mark.
+    fabric["channel"]["arb_pending"] = sorted(cycle for cycle, _ in fabric["channel"]["by_cycle"])
+    restored = SpecExecution.from_snapshot(snapshot)
+    channel = restored.machine.fabric.data_channel
+    assert all(node.transceiver._seen == channel.completed for node in restored.machine.fabric.nodes)
+    assert_identical(restored.run_to_completion(), execute_spec(LAG_SPEC))
+
+
 # ---------------------------------------------------------------------------
 # Property: random cut fractions across random ported-grid corners
 # ---------------------------------------------------------------------------

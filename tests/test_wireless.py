@@ -8,6 +8,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
 from repro.wireless.backoff import (
+    BackoffPolicy,
     BroadcastAwareBackoff,
     ExponentialBackoff,
     FixedBackoff,
@@ -308,6 +309,69 @@ class TestTransceiver:
         ticket = transceiver.send_store(0, 1, lambda m, c: None)
         sim.run()
         assert ticket.cancel() is False
+
+    def test_cancel_in_flight_send_before_it_transmits(self, sim):
+        channel = make_channel(sim)
+        node0 = Transceiver(0, channel, ExponentialBackoff(DeterministicRng(1, "mac0")),
+                            DataChannelConfig(), StatsRegistry())
+        node1 = Transceiver(1, channel, ExponentialBackoff(DeterministicRng(1, "mac1")),
+                            DataChannelConfig(), StatsRegistry())
+        heard, done, tickets, outcome = [], [], [], []
+        channel.add_listener(lambda m, c: heard.append((m.sender, m.value, c)))
+        node1.send_store(0, 10, lambda m, c: None)  # holds the channel for cycles 0-5
+
+        def submit():
+            tickets.append(node0.send_store(0, 1, lambda m, c: done.append(m.value)))
+            tickets.append(node0.send_store(0, 2, lambda m, c: done.append(m.value)))
+
+        sim.schedule_at(1, submit)
+        # The first send is in flight, waiting for the busy channel: cancelling
+        # it must succeed and hand the channel slot to the queued second send.
+        sim.schedule_at(2, lambda: outcome.append(tickets[0].cancel()))
+        sim.run()
+        assert outcome == [True]
+        assert heard == [(1, 10, 5), (0, 2, 10)]
+        assert done == [2]
+        assert node0.sent_messages == 1 and node0.queue_depth == 0
+        assert tickets[0].cancel() is False
+
+    def test_mac_folds_heard_successes_but_never_its_own(self, sim):
+        class RecordingBackoff(BackoffPolicy):
+            def __init__(self):
+                self.log = []
+
+            def on_collision(self):
+                return 0
+
+            def on_success(self):
+                self.log.append("own")
+
+            def reset(self):
+                pass
+
+            def deferral(self):
+                self.log.append("deferral")
+                return 0
+
+            def on_observed_success(self, count=1):
+                self.log.append(count)
+
+        channel = make_channel(sim)
+        backoffs = [RecordingBackoff(), RecordingBackoff()]
+        node0, node1 = (Transceiver(node, channel, backoffs[node], DataChannelConfig(), StatsRegistry())
+                        for node in range(2))
+        for value in range(3):
+            node1.send_store(0, value, lambda m, c: None)
+        sim.run()
+        node0.send_store(0, 7, lambda m, c: None)
+        sim.run()
+        node1.send_store(0, 8, lambda m, c: None)
+        sim.run()
+        # Node 0 heard three transfers and applies them as one count before
+        # its deferral draw; node 1 never counts its own three, only node 0's.
+        assert backoffs[0].log == [3, "deferral", "own"]
+        assert backoffs[1].log == ["deferral", "own"] * 3 + [1, "deferral", "own"]
+        assert channel.completed == 5
 
 
 # ---------------------------------------------------------------------------
