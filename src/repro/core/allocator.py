@@ -40,6 +40,9 @@ class BmAllocator:
     network.
     """
 
+    STATE = ("_owner", "_free_spill_addr", "_per_pid", "spilled_allocations")
+    REBUILT = ("config",)
+
     config: BroadcastMemoryConfig
     _owner: Dict[int, int] = field(default_factory=dict)       # addr -> pid
     _free_spill_addr: int = field(default=-1)

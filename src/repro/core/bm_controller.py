@@ -10,9 +10,9 @@ remote write to the same location arrives in between.
 In-flight operations live in an explicit pending-op registry (plain-data
 records keyed by a per-controller op id) rather than in closures: every
 callback the controller hands to the transceiver, the fabric, or the event
-queue is a :class:`BmOpCallback` naming ``(node, op, method)``, which is
-what lets the snapshot codec capture and reconstruct a checkpoint taken
-mid-broadcast.
+queue is a :class:`BmOpCallback` naming ``(controller, op, method)``, a
+record the snapshot codec can capture and rebuild, so a checkpoint can be
+taken mid-broadcast.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ class BmOpCallback:
     """Describable callback: invoke ``method`` of a controller's pending op.
 
     Replaces the per-operation closures the controller used to allocate;
-    the snapshot codec serializes one as ``(node, op_id, method)`` and
-    rebuilds it against the restored registry.
+    the snapshot codec encodes one by its slots, the controller as a
+    reference to that part of the machine.
     """
 
     __slots__ = ("controller", "op_id", "method")
@@ -108,6 +108,12 @@ class BmOpCallback:
 
 class BmController:
     """Front end between one core's pipeline and the wireless fabric."""
+
+    STATE = (
+        "wcb", "afb", "stores_issued", "rmws_issued", "rmw_failures", "_pending_ops",
+        "_next_op_id",
+    )
+    REBUILT = ("node_id", "fabric", "transceiver", "config")
 
     def __init__(
         self,

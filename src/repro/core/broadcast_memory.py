@@ -34,6 +34,9 @@ class BmEntry:
 class BroadcastMemory:
     """Replicated broadcast-memory contents plus per-entry PID tags."""
 
+    STATE = ("_entries",)
+    REBUILT = ("config", "_value_mask")
+
     def __init__(self, config: BroadcastMemoryConfig) -> None:
         self.config = config
         self._entries: Dict[int, BmEntry] = {}

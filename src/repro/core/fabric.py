@@ -54,6 +54,12 @@ class _PendingRmw:
 class BroadcastFabric:
     """Chip-wide wireless synchronization fabric."""
 
+    STATE = (
+        "memory", "allocator", "tlb", "data_channel", "tone_channel", "nodes",
+        "_waiters", "_pending_rmw", "_pending_by_addr", "_next_token", "total_writes",
+    )
+    REBUILT = ("sim", "config", "stats", "tracer", "rng", "_writes_applied_counter")
+
     def __init__(
         self,
         sim: Simulator,

@@ -19,6 +19,9 @@ from repro.wireless.transceiver import Transceiver
 class WiSyncNode:
     """The wireless-synchronization hardware attached to one core."""
 
+    STATE = ("transceiver", "bm_controller", "tone_controller")
+    REBUILT = ("node_id",)
+
     node_id: int
     transceiver: Transceiver
     bm_controller: BmController

@@ -52,6 +52,12 @@ class _ActivationSent:
 class ToneController:
     """Hardware tone-barrier participation logic of one node."""
 
+    STATE = (
+        "alloc_b", "active_b", "_arrived_early", "_pending_inits",
+        "barriers_initiated", "barriers_joined",
+    )
+    REBUILT = ("node_id", "tone_channel", "transceiver", "config")
+
     def __init__(
         self,
         node_id: int,

@@ -37,6 +37,9 @@ class BmTlb:
     in :class:`~repro.core.broadcast_memory.BroadcastMemory`.
     """
 
+    STATE = ("_mappings", "hits", "misses")
+    REBUILT = ("config",)
+
     config: BroadcastMemoryConfig
     _mappings: Dict[Tuple[int, int], PageMapping] = field(default_factory=dict)
     hits: int = 0

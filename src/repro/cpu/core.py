@@ -18,6 +18,12 @@ from repro.errors import WorkloadError
 class Core:
     """One core of the manycore: occupancy and simple accounting."""
 
+    STATE = (
+        "busy_cycles", "memory_stall_cycles", "sync_stall_cycles",
+        "instructions_retired", "current_thread",
+    )
+    REBUILT = ("core_id", "config")
+
     core_id: int
     config: CoreConfig
     busy_cycles: int = 0

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.errors import SnapshotError
-
 #: Label every frame starts at.
 START = "start"
 
@@ -85,17 +83,6 @@ class Frame:
         self.routine = routine
         self.label = label
         self.locals = {} if locals is None else locals
-
-    def describe(self) -> Dict[str, Any]:
-        """Plain-data form; locals are validated by the snapshot codec."""
-        return {"routine": self.routine, "label": self.label, "locals": dict(self.locals)}
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Frame":
-        try:
-            return cls(payload["routine"], payload["label"], dict(payload["locals"]))
-        except (KeyError, TypeError) as error:
-            raise SnapshotError(f"malformed frame payload {payload!r}: {error}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Frame({self.routine}@{self.label}, {self.locals})"

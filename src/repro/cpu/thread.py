@@ -80,6 +80,15 @@ class SimThread:
     #: this attribute.
     generator = None
 
+    STATE = (
+        "frames", "state", "start_cycle", "finish_cycle", "operations_issued",
+        "result", "send",
+    )
+    REBUILT = (
+        "thread_id", "core_id", "pid", "body", "context", "frame_env", "resume",
+        "resume_none",
+    )
+
     def __init__(
         self,
         thread_id: int,

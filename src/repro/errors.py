@@ -121,12 +121,13 @@ class SnapshotError(ReproError):
     """A checkpoint could not be captured, validated, or restored.
 
     Raised for unreadable or corrupt snapshot files (bad integrity hash,
-    unknown format version or strategy), for snapshots whose spec no longer
-    matches the code being restored into, and for restored machines that
-    diverge from the captured native state — each of which means the
-    checkpoint cannot be trusted and the caller should fall back to
-    from-scratch execution.  Capturing a machine whose live state cannot be
-    described (a thread parked on an opaque callable) raises it too.
+    unknown format version), for snapshots whose spec no longer matches the
+    code being restored into, and for machine payloads whose schema differs
+    from the running code's state declarations or whose parts do not
+    resolve in the rebuilt machine — each of which means the checkpoint
+    cannot be trusted and the caller should fall back to from-scratch
+    execution.  Capturing a machine whose live state cannot be described (a
+    thread parked on an opaque callable) raises it too.
     """
 
 

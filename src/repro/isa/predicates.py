@@ -4,9 +4,10 @@ Historically every suspension point allocated a fresh closure
 (``lambda v: v == sense``), which made per-thread progress impossible to
 serialize: a parked waiter's wake condition lived only in a code object.
 These records carry the same condition as plain data — a comparison kind
-plus an integer operand — so they are JSON-serializable (checkpointable),
-shared (no per-suspension allocation on the hot path), and still directly
-callable exactly like the closures they replace.
+plus an integer operand — so they are checkpointable (the snapshot codec
+encodes them by their ``operand`` slot), shared (no per-suspension
+allocation on the hot path), and still directly callable exactly like the
+closures they replace.
 
 The comparison vocabulary is closed on purpose: everything the library's
 synchronization primitives spin on is a comparison against a constant.
@@ -17,13 +18,9 @@ with :class:`~repro.errors.SnapshotError`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
-
-from repro.errors import SnapshotError
-
 
 class Predicate:
-    """A JSON-serializable wait condition: ``value <kind> operand``."""
+    """A checkpointable wait condition: ``value <kind> operand``."""
 
     __slots__ = ("operand",)
 
@@ -35,10 +32,6 @@ class Predicate:
 
     def __call__(self, value: int) -> bool:  # pragma: no cover - overridden
         raise NotImplementedError
-
-    def describe(self) -> Dict[str, int]:
-        """Plain-data form (inverse of :func:`predicate_from_payload`)."""
-        return {"kind": self.kind, "operand": self.operand}
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -92,29 +85,3 @@ class Lt(Predicate):
 
     def __call__(self, value: int) -> bool:
         return value < self.operand
-
-
-_KINDS: Dict[str, type] = {cls.kind: cls for cls in (Eq, Ne, Ge, Lt)}
-
-
-def predicate_from_payload(payload: Dict[str, int]) -> Predicate:
-    """Rebuild a predicate from :meth:`Predicate.describe` output."""
-    try:
-        cls = _KINDS[payload["kind"]]
-        return cls(int(payload["operand"]))
-    except (KeyError, TypeError, ValueError) as error:
-        raise SnapshotError(f"malformed predicate payload {payload!r}: {error}")
-
-
-def describe_predicate(predicate: Union[Predicate, Callable[[int], bool]]) -> Dict[str, int]:
-    """Describe a predicate, or raise :class:`SnapshotError` for raw callables.
-
-    The raising path is how checkpointing detects a workload that parks
-    closures: the capture fails instead of writing an unrestorable file.
-    """
-    if isinstance(predicate, Predicate):
-        return predicate.describe()
-    raise SnapshotError(
-        f"predicate {predicate!r} is an opaque callable, not a Predicate record; "
-        f"this wait cannot be captured natively"
-    )

@@ -1,7 +1,7 @@
 """Static analysis for the determinism & contract rules of the reproduction.
 
 Every guarantee the repo makes — golden-pinned figures, distributed sweeps
-bit-identical to serial, snapshot restore verified bit-for-bit, chaos
+bit-identical to serial, snapshot restore checked against declared state, chaos
 recovery identical to baseline — rests on contracts nothing used to check
 statically.  ``repro lint`` walks the AST and fails fast on:
 
@@ -10,7 +10,8 @@ DET001      ambient entropy (``random``/``os.urandom``/``uuid4``/wall
             clock) inside sim-core packages
 DET002      iteration over bare sets / dict views where order leaks into
             event order or stats
-SNAP001     machine attributes missing from the checkpoint capture lists
+SNAP001     simulator attributes missing from their class's ``STATE`` /
+            ``REBUILT`` declaration, or stale declared names
 PROTO001    broker/worker message kinds or journal record kinds that one
             side emits and the other never handles
 ERR001      ``raise`` of exception types outside the ReproError hierarchy

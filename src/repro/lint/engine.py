@@ -443,28 +443,6 @@ def module_string_env(tree: ast.Module) -> Dict[str, List[str]]:
     return env
 
 
-def init_self_attributes(class_node: ast.ClassDef) -> Dict[str, int]:
-    """``{attribute: lineno}`` for every ``self.X = ...`` in ``__init__``."""
-    attrs: Dict[str, int] = {}
-    for item in class_node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-            self_name = item.args.args[0].arg if item.args.args else "self"
-            for node in ast.walk(item):
-                targets: List[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    targets = list(node.targets)
-                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    targets = [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == self_name
-                    ):
-                        attrs.setdefault(target.attr, target.lineno)
-    return attrs
-
-
 def class_slots(class_node: ast.ClassDef) -> Optional[List[str]]:
     """The ``__slots__`` literal of a class body, or ``None`` if absent."""
     for item in class_node.body:
@@ -472,18 +450,4 @@ def class_slots(class_node: ast.ClassDef) -> Optional[List[str]]:
             for target in item.targets:
                 if isinstance(target, ast.Name) and target.id == "__slots__":
                     return str_constants(item.value)
-    return None
-
-
-def find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def find_method(class_node: ast.ClassDef, name: str) -> Optional[ast.FunctionDef]:
-    for item in class_node.body:
-        if isinstance(item, ast.FunctionDef) and item.name == name:
-            return item
     return None

@@ -1,14 +1,15 @@
-"""SNAP001/SNAP002: snapshot-completeness and frame-serializability drift.
+"""SNAP001/SNAP002: declared simulator state and frame-serializability drift.
 
-Checkpoint/restore (PR 6) verifies a restored machine bit-for-bit against a
-captured *native state*; that capture is a hand-maintained list.  A new
-mutable attribute on :class:`Simulator` or :class:`Manycore` that nobody adds
-to the capture silently weakens `_verify_native` until a restore diverges in
-production.  SNAP001 turns that drift into a lint failure at the moment the
-attribute is introduced: every ``__init__`` attribute must either be captured
-or appear in the rule's exemption table with a reason.  It also checks the v2
-thread-frame fields: every slot of :class:`~repro.cpu.frames.Frame` must be
-read by ``snapshot/native.py:_capture_thread``.
+Checkpoints capture exactly what simulator classes declare: a class lists
+the attributes a checkpoint captures in a ``STATE`` tuple and the ones the
+deterministic build recreates in a ``REBUILT`` tuple, and the generic codec
+in :mod:`repro.snapshot.native` reads nothing else.  An attribute in neither
+list would be silently dropped by every checkpoint.  SNAP001 turns that drift
+into a lint failure where the attribute is introduced: in every sim-core
+class that declares ``STATE`` or ``REBUILT`` (with its base classes in the
+same module), each ``__init__`` attribute and dataclass field must be
+declared, and each declared name must be assigned by some ``__init__`` or be
+a dataclass field.
 
 SNAP002 enforces the frame-serializability contract documented in
 :mod:`repro.cpu.frames`: everything stored in ``Frame.locals`` must be plain
@@ -22,266 +23,105 @@ templates passed to ``Call(...)`` and ``FrameBody(...)``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.engine import (
+    SCOPE_SIM_CORE,
     Finding,
     ModuleInfo,
-    ModuleWalker,
-    ProjectRule,
     Rule,
-    class_slots,
-    find_class,
-    find_method,
-    init_self_attributes,
+    dotted_name,
+    str_constants,
 )
 
-
-def _norm(name: str) -> str:
-    return name.lstrip("_")
+_DECLARATIONS = ("STATE", "REBUILT")
 
 
-class Snap001SnapshotCompleteness(ProjectRule):
+def _declared(node: ast.ClassDef) -> Optional[List[str]]:
+    """The names a class body declares in STATE/REBUILT, or None if neither."""
+    names: Optional[List[str]] = None
+    for item in node.body:
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in _DECLARATIONS for t in item.targets
+        ):
+            names = (names or []) + str_constants(item.value)
+    return names
+
+
+def _assigned(node: ast.ClassDef) -> Dict[str, ast.AST]:
+    """``self.X`` targets of ``__init__``/``__post_init__``, and dataclass fields."""
+    found: Dict[str, ast.AST] = {}
+    decorators = [dotted_name(getattr(d, "func", d)) for d in node.decorator_list]
+    if {"dataclass", "dataclasses.dataclass"} & set(decorators):
+        for item in node.body:
+            if (
+                isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and "ClassVar" not in ast.dump(item.annotation)
+            ):
+                found.setdefault(item.target.id, item)
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__post_init__"):
+            for stmt in ast.walk(item):
+                targets = getattr(stmt, "targets", None) or [getattr(stmt, "target", None)]
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == "self"
+                    ):
+                        found.setdefault(target.attr, target)
+    return found
+
+
+class Snap001SnapshotCompleteness(Rule):
+    """Simulator attributes are declared checkpoint state or rebuilt."""
+
     id = "SNAP001"
-    title = "snapshot capture out of sync with machine state"
+    title = "simulator attribute missing from its class's state declaration"
+    scope = SCOPE_SIM_CORE
     fix_hint = (
-        "capture the new attribute in engine.checkpoint_state() / "
-        "snapshot/execution.py:_native_state(), or exempt it in "
-        "lint/rules/snapshots.py with a reason"
+        "list the attribute in the class's STATE tuple (checkpoints capture it) "
+        "or its REBUILT tuple (the deterministic build recreates it)"
     )
 
-    #: Simulator.__init__ attributes deliberately not in checkpoint_state():
-    ENGINE_EXEMPT: Dict[str, str] = {
-        "_queue": "captured by the native machine payload as describable "
-        "callback records (snapshot/native.py:_capture_events)",
-        "_running": "transient run-loop flag, always False between slices",
-        "_stop": "transient stop request, always False between slices",
-    }
-
-    #: Manycore.__init__ attributes deliberately not in _native_state():
-    MANYCORE_EXEMPT: Dict[str, str] = {
-        "config": "validated immutable configuration; recorded in the spec",
-        "tracer": "side-channel event log, not simulation state",
-        "topology": "pure function of config.num_cores",
-        "mesh": "captured by the native machine payload; externally visible "
-        "state lands in stats",
-        "memory": "captured by the native machine payload; externally "
-        "visible state lands in stats",
-        "cores": "captured by the native machine payload; externally visible "
-        "state lands in stats",
-        "fabric": "captured by the native machine payload; externally "
-        "visible state lands in stats and the rng tree",
-        "process_table": "rebuilt deterministically by the workload build "
-        "that precedes every restore",
-        "scheduler": "captured by the native machine payload",
-        "programs": "workload definitions; recorded in the spec",
-        "_soft_bm_next": "captured by the native machine payload",
-        "_ran": "one-shot guard flag, set by begin() on the rebuilt machine",
-        "_events_start": "captured by the native machine payload",
-        "_bm_spill_base": "pure function of config",
-        "_schedule": "hot-path bound method, not state",
-        "_dispatch_table": "hot-path dispatch table, not state",
-        "_dispatch_get": "hot-path bound method, not state",
-        "frame_routines": "build-time routine table (static sync routines + "
-        "workload closures), rebuilt identically by a deterministic build",
-    }
-
-    #: Flyweight slots that are not simulation state:
-    FLYWEIGHT_EXEMPT: Set[str] = {"name"}
-
-    def check_project(
-        self, modules: Sequence[ModuleInfo], walker: ModuleWalker
-    ) -> Iterable[Finding]:
+    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
+        classes = {n.name: n for n in module.tree.body if isinstance(n, ast.ClassDef)}
+        declared = {name: _declared(node) for name, node in classes.items()}
+        assigned = {name: _assigned(node) for name, node in classes.items()}
+        lineage = {name: self._lineage(name, classes) for name in classes}
         findings: List[Finding] = []
-        engine = walker.find(modules, "sim/engine.py")
-        if engine is not None:
-            findings.extend(self._check_engine(engine))
-        manycore = walker.find(modules, "machine/manycore.py")
-        if manycore is not None:
-            execution = walker.find(list(modules) + [manycore], "snapshot/execution.py")
-            findings.extend(self._check_manycore(manycore, execution))
-        stats = walker.find(modules, "sim/stats.py")
-        if stats is not None:
-            findings.extend(self._check_flyweights(stats))
-        frames = walker.find(modules, "cpu/frames.py")
-        if frames is not None:
-            native = walker.find(list(modules) + [frames], "snapshot/native.py")
-            if native is not None:
-                findings.extend(self._check_frames(frames, native))
+        for name, node in classes.items():
+            if all(declared[c] is None for c in lineage[name]):
+                continue
+            names = {n for c in lineage[name] for n in declared[c] or ()}
+            for attr, target in assigned[name].items():
+                if attr not in names:
+                    findings.append(self.finding(
+                        module, target,
+                        f"{name} assigns self.{attr}, which neither STATE nor "
+                        f"REBUILT declares; checkpoints would silently drop it",
+                    ))
+            kin = [c for c in classes if name in lineage[c]] + lineage[name]
+            for attr in declared[name] or ():
+                if not any(attr in assigned[c] for c in kin):
+                    findings.append(self.finding(
+                        module, node,
+                        f"{name} declares {attr!r}, which no __init__ assigns "
+                        f"(stale declaration)",
+                    ))
         return findings
 
-    # ------------------------------------------------------------- Simulator
-    def _check_engine(self, module: ModuleInfo) -> List[Finding]:
-        simulator = find_class(module.tree, "Simulator")
-        if simulator is None:
-            return []
-        checkpoint = find_method(simulator, "checkpoint_state")
-        attrs = init_self_attributes(simulator)
-        captured = self._dict_keys(checkpoint) if checkpoint is not None else set()
-        properties = {
-            item.name
-            for item in simulator.body
-            if isinstance(item, ast.FunctionDef)
-            and any(
-                isinstance(d, ast.Name) and d.id == "property"
-                for d in item.decorator_list
-            )
-        }
-        findings: List[Finding] = []
-        captured_norm = {_norm(key) for key in captured}
-        for attr, lineno in sorted(attrs.items()):
-            if _norm(attr) in captured_norm or attr in self.ENGINE_EXEMPT:
-                continue
-            findings.append(
-                self._at(
-                    module,
-                    lineno,
-                    f"Simulator.__init__ assigns self.{attr} but "
-                    f"checkpoint_state() does not capture it; restored "
-                    f"simulations would silently lose it",
-                )
-            )
-        known_norm = {_norm(a) for a in attrs} | {_norm(p) for p in properties}
-        for key in sorted(captured):
-            if _norm(key) not in known_norm:
-                findings.append(
-                    self._at(
-                        module,
-                        checkpoint.lineno if checkpoint is not None else 0,
-                        f"checkpoint_state() captures {key!r}, which is not an "
-                        f"attribute or property of Simulator (stale capture)",
-                    )
-                )
-        return findings
-
-    # -------------------------------------------------------------- Manycore
-    def _check_manycore(
-        self, module: ModuleInfo, execution: Optional[ModuleInfo]
-    ) -> List[Finding]:
-        manycore = find_class(module.tree, "Manycore")
-        if manycore is None or execution is None:
-            return []
-        native_state = None
-        for node in ast.walk(execution.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_native_state":
-                native_state = node
-                break
-        captured: Set[str] = set()
-        if native_state is not None:
-            for node in ast.walk(native_state):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "machine"
-                ):
-                    captured.add(node.attr)
-        findings: List[Finding] = []
-        captured_norm = {_norm(name) for name in captured}
-        for attr, lineno in sorted(init_self_attributes(manycore).items()):
-            if _norm(attr) in captured_norm or attr in self.MANYCORE_EXEMPT:
-                continue
-            findings.append(
-                self._at(
-                    module,
-                    lineno,
-                    f"Manycore.__init__ assigns self.{attr} but "
-                    f"snapshot/execution.py:_native_state() does not capture "
-                    f"it; checkpoints would silently omit it",
-                )
-            )
-        return findings
-
-    # ------------------------------------------------------------ flyweights
-    def _check_flyweights(self, module: ModuleInfo) -> List[Finding]:
-        registry = find_class(module.tree, "StatsRegistry")
-        to_dict = find_method(registry, "to_dict") if registry is not None else None
-        if to_dict is None:
-            return []
-        serialized = {
-            node.attr for node in ast.walk(to_dict) if isinstance(node, ast.Attribute)
-        }
-        findings: List[Finding] = []
-        for node in module.tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            slots = class_slots(node)
-            if not slots:
-                continue
-            for slot in slots:
-                if slot in self.FLYWEIGHT_EXEMPT or slot.startswith("_"):
-                    continue  # identity / derived caches, rebuilt on demand
-                if slot not in serialized:
-                    findings.append(
-                        self._at(
-                            module,
-                            node.lineno,
-                            f"{node.name}.__slots__ declares {slot!r} but "
-                            f"StatsRegistry.to_dict() never serializes it; "
-                            f"snapshots would silently drop it",
-                        )
-                    )
-        return findings
-
-    # --------------------------------------------------------- thread frames
-    def _check_frames(
-        self, frames: ModuleInfo, native: ModuleInfo
-    ) -> List[Finding]:
-        frame_class = find_class(frames.tree, "Frame")
-        if frame_class is None:
-            return []
-        slots = class_slots(frame_class)
-        capture = None
-        for node in ast.walk(native.tree):
-            if isinstance(node, ast.FunctionDef) and node.name == "_capture_thread":
-                capture = node
-                break
-        if capture is None:
-            return []
-        captured: Set[str] = set()
-        for node in ast.walk(capture):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "frame"
-            ):
-                captured.add(node.attr)
-        findings: List[Finding] = []
-        for slot in sorted(slots):
-            if slot in captured:
-                continue
-            findings.append(
-                self._at(
-                    frames,
-                    frame_class.lineno,
-                    f"Frame.__slots__ declares {slot!r} but "
-                    f"snapshot/native.py:_capture_thread() never reads "
-                    f"frame.{slot}; native thread captures would silently "
-                    f"drop it",
-                )
-            )
-        return findings
-
-    # --------------------------------------------------------------- helpers
-    def _dict_keys(self, function: ast.FunctionDef) -> Set[str]:
-        keys: Set[str] = set()
-        for node in ast.walk(function):
-            if isinstance(node, ast.Dict):
-                for key in node.keys:
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        keys.add(key.value)
-        return keys
-
-    def _at(self, module: ModuleInfo, lineno: int, message: str) -> Finding:
-        return Finding(
-            rule=self.id,
-            path=module.display,
-            rel=module.rel,
-            line=lineno,
-            column=1,
-            message=message,
-            severity=self.severity,
-            fix_hint=self.fix_hint,
-        )
+    def _lineage(self, name: str, classes: Dict[str, ast.ClassDef]) -> List[str]:
+        """The class and its base classes defined in the same module."""
+        chain, pending = [], [name]
+        while pending:
+            current = pending.pop(0)
+            if current in classes and current not in chain:
+                chain.append(current)
+                bases = classes[current].bases
+                pending.extend(b.id for b in bases if isinstance(b, ast.Name))
+        return chain
 
 
 class Snap002FrameLocalsPlainData(Rule):

@@ -47,6 +47,9 @@ PRIVATE_REGION_BYTES = 1 << 20
 class Program:
     """One running program: a PID, its threads, and its memory allocations."""
 
+    STATE = ("_next_shared",)
+    REBUILT = ("machine", "pid", "name", "threads")
+
     def __init__(self, machine: "Manycore", pid: int, name: str) -> None:
         self.machine = machine
         self.pid = pid
@@ -119,6 +122,19 @@ class Program:
 
 class Manycore:
     """A complete simulated chip plus the driver for workload threads."""
+
+    STATE = (
+        "sim", "threads", "programs", "cores", "memory", "mesh", "fabric",
+        "scheduler", "sync_objects", "_finished", "_soft_bm_next", "_events_start",
+    )
+    REBUILT = (
+        "config", "topology", "_bm_spill_base",  # the config and what it derives
+        "tracer",  # a side-channel event log, not simulation state
+        "process_table", "frame_routines",  # made by the workload build
+        "_schedule", "_dispatch_table", "_dispatch_get",  # hot-path bindings
+        "stats", "rng",  # restored in place from the payload's own sections
+        "_ran",  # set by begin() on the rebuilt machine
+    )
 
     def __init__(self, config: MachineConfig, trace: bool = False) -> None:
         self.config = config.validate()

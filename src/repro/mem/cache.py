@@ -16,6 +16,9 @@ from repro.errors import ConfigurationError
 class CacheArray:
     """A tag array with ``num_sets`` sets of ``associativity`` ways (LRU)."""
 
+    STATE = ("_sets", "hits", "misses", "evictions")
+    REBUILT = ("num_sets", "associativity", "line_bytes", "name")
+
     def __init__(self, num_sets: int, associativity: int, line_bytes: int, name: str = "cache") -> None:
         if num_sets <= 0 or associativity <= 0:
             raise ConfigurationError("cache geometry must be positive")

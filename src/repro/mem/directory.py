@@ -37,6 +37,8 @@ class DirectoryEntry:
 class Directory:
     """Per-line directory for the whole chip (lines are homed by address)."""
 
+    STATE = ("_entries",)
+
     def __init__(self) -> None:
         self._entries: Dict[int, DirectoryEntry] = {}
 

@@ -19,6 +19,9 @@ class DramModel:
     #: Cycles a controller is occupied per request (burst transfer of a line).
     CONTROLLER_OCCUPANCY = 4
 
+    STATE = ("_controller_free",)
+    REBUILT = ("config", "stats", "_accesses_counter")
+
     def __init__(self, config: MemoryConfig, stats: StatsRegistry) -> None:
         self.config = config
         self.stats = stats

@@ -53,6 +53,19 @@ class _Waiter:
 class MemorySystem:
     """Timing + functional model of the coherent cached memory."""
 
+    STATE = (
+        "directory", "dram", "_l1", "_values", "_l2_resident", "_line_busy_until",
+        "_waiters",
+    )
+    REBUILT = (
+        "sim", "config", "mesh", "stats", "tracer", "address_map", "_line_bytes",
+        "_l1_latency", "_l2_latency", "_num_cores", "_num_controllers",
+        "_reads_counter", "_read_misses_counter", "_writes_counter",
+        "_write_misses_counter", "_atomics_counter", "_spin_waits_counter",
+        "_spin_wakeups_counter", "_l2_fills_counter", "_owner_forwards_counter",
+        "_invalidations_counter",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -28,6 +28,13 @@ from repro.sim.stats import StatsRegistry
 class MeshNetwork:
     """Latency/occupancy model of the wired mesh."""
 
+    STATE = ("_ejection_free", "_injection_free")
+    REBUILT = (
+        "topology", "config", "stats", "tree", "_flight_cache", "_flit_cache",
+        "_unicast_cache", "_messages_counter", "_flit_cycles_counter",
+        "_broadcasts_counter",
+    )
+
     def __init__(
         self,
         topology: MeshTopology,

@@ -30,6 +30,9 @@ class ThreadPlacement:
 class Scheduler:
     """Simple placement-tracking scheduler with WiSync's migration rules."""
 
+    STATE = ("_placements", "_core_load", "migrations", "preemptions")
+    REBUILT = ("num_cores",)
+
     def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
         self._placements: Dict[int, ThreadPlacement] = {}

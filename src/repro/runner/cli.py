@@ -1132,7 +1132,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     result = resume_to_completion(snapshot)
     print(
         f"restored [{snapshot.spec.label()}] from {snapshot.events_processed} "
-        f"events via {snapshot.strategy} restore; finished at "
+        f"events via native restore; finished at "
         f"{result.total_cycles} cycles, {result.events_processed} events, "
         f"completed={result.completed}",
         file=sys.stderr,

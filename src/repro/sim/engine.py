@@ -25,6 +25,9 @@ from repro.errors import SimulationError
 class Simulator:
     """A deterministic event-driven simulator with integer cycle time."""
 
+    STATE = ("now", "events_processed", "_queue", "_seq")
+    REBUILT = ("_running", "_stop")  # run-loop flags, False between slices
+
     def __init__(self) -> None:
         #: Current simulation time in cycles.  Plain attributes (not
         #: properties): ``now`` is read on every hot path in the library and
@@ -43,21 +46,6 @@ class Simulator:
     def pending_events(self) -> int:
         """Number of events still in the queue."""
         return len(self._queue)
-
-    def checkpoint_state(self) -> dict:
-        """The engine's enumerable counters, as a JSON-safe dict.
-
-        These go into a checkpoint's verification sections; the event queue
-        itself (live callbacks) is captured separately by the native codec
-        (:mod:`repro.snapshot.native`), and a restore verifies these
-        counters match bit-for-bit.
-        """
-        return {
-            "now": self.now,
-            "seq": self._seq,
-            "events_processed": self.events_processed,
-            "pending_events": self.pending_events,
-        }
 
     # ------------------------------------------------------------ scheduling
     def schedule(

@@ -105,7 +105,7 @@ class DeterministicRng:
         return {
             "root_seed": self.root_seed,
             "name": self.name,
-            "state": [int(version), [int(word) for word in internal], gauss_next],
+            "state": [version, list(internal), gauss_next],
         }
 
     def setstate(self, payload: Dict[str, Any]) -> None:
@@ -121,9 +121,7 @@ class DeterministicRng:
             )
         try:
             version, internal, gauss_next = payload["state"]
-            self._random.setstate(
-                (int(version), tuple(int(word) for word in internal), gauss_next)
-            )
+            self._random.setstate((int(version), tuple(internal), gauss_next))
         except (KeyError, TypeError, ValueError) as error:
             raise SnapshotError(
                 f"malformed rng state for stream {self.name!r}: {error}"

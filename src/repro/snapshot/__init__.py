@@ -4,11 +4,12 @@ A :class:`Snapshot` is a versioned, integrity-hashed JSON document holding
 the complete runtime state of a running machine — thread frame stacks, the
 event queue, caches, the wireless fabric, the full
 :class:`~repro.sim.rng.DeterministicRng` derivation tree, the stats
-flyweights (:mod:`repro.snapshot.native`).  Restore rebuilds the machine for
-the spec and applies that state in O(state), re-running no events, then
-compares the restored machine bit-for-bit against the captured native
-sections, so a snapshot written by drifted code can never silently produce
-a wrong continuation.
+flyweights.  :mod:`repro.snapshot.native` captures it generically from the
+state each simulator class declares (``STATE``/``REBUILT``).  Restore
+rebuilds the machine for the spec and applies that state in O(state),
+re-running no events, after checking the capture's schema against the
+running code's declarations, so a snapshot written by drifted code can never
+silently produce a wrong continuation.
 
 :class:`SpecExecution` is the sliced run every spec goes through
 (:func:`repro.runner.executor.execute_spec` drives one per spec, with its
@@ -26,7 +27,6 @@ from repro._lazy import lazy_exports
 __all__ = [
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_VERSION",
-    "STRATEGY_NATIVE",
     "Snapshot",
     "SnapshotWarning",
     "snapshot_document",
@@ -62,7 +62,6 @@ _EXPORTS = {
     "snapshot_after": "repro.snapshot.execution",
     "SNAPSHOT_FORMAT": "repro.snapshot.format",
     "SNAPSHOT_VERSION": "repro.snapshot.format",
-    "STRATEGY_NATIVE": "repro.snapshot.format",
     "Snapshot": "repro.snapshot.format",
     "SnapshotWarning": "repro.snapshot.format",
     "checkpoint_path": "repro.snapshot.format",

@@ -9,9 +9,9 @@ i.e. O(machine state), so stepping 2 events back out of 2 million costs
 about as much as stepping 2 events forward.
 
 Determinism makes revisiting exact: a restored-and-re-advanced machine is
-bit-identical to the one originally observed (the restore itself is
-verified against the snapshot's native sections), so the debugger's
-timeline is stable no matter how many times it is traversed.
+bit-identical to the one originally observed (the restore itself checks the
+snapshot's schema against the running code's state declarations), so the
+debugger's timeline is stable no matter how many times it is traversed.
 
 :class:`DebugSession` is the ``repro debug`` command interpreter built on
 top; it is driven interactively from stdin or scripted via ``--exec``.
@@ -63,9 +63,9 @@ class TimeTravelDebugger:
         else:
             self.execution = SpecExecution(spec, max_events=max_events)
             self._genesis = self.execution.capture()
-        #: Strategy of the most recent backward/lateral restore (None while
+        #: Whether any move so far restored a banked moment (False while
         #: only ever having moved forward).
-        self.last_restore: Optional[str] = None
+        self.last_restore = False
 
     # -------------------------------------------------------------- position
     @property
@@ -100,15 +100,15 @@ class TimeTravelDebugger:
         Launches from the best banked moment at or before the target — the
         current position if it qualifies, else a ring entry, else the
         pinned genesis — and advances the difference.  Returns a summary of
-        the hop: where it launched from and which restore strategy paid for
-        the backward part (``None`` for a pure forward advance).
+        the hop: where it launched from and whether a restore paid for the
+        backward part (``False`` for a pure forward advance).
         """
         if target < self._genesis.events_processed:
             raise ReproError(
                 f"cannot travel to event {target}: this session starts at "
                 f"event {self._genesis.events_processed}"
             )
-        restored: Optional[str] = None
+        restored = False
         launch = self.events
         best = self.ring.newest_at_or_before(target)
         candidate: Optional[Snapshot] = None
@@ -119,8 +119,7 @@ class TimeTravelDebugger:
             self.execution = SpecExecution.from_snapshot(
                 candidate, max_events=self.max_events
             )
-            restored = candidate.strategy
-            self.last_restore = restored
+            restored = self.last_restore = True
             launch = candidate.events_processed
         self._advance_to(target)
         return {
@@ -333,11 +332,11 @@ class DebugSession:
         return True
 
     def _describe_hop(self, hop: Dict[str, Any]) -> str:
-        if hop["restored"] is None:
+        if not hop["restored"]:
             return f"advanced; {self._position()}"
         replayed = hop["events"] - hop["launched_from"]
         return (
-            f"travelled via {hop['restored']} restore of checkpoint "
+            f"travelled via native restore of checkpoint "
             f"@{hop['launched_from']} (+{replayed} events); {self._position()}"
         )
 
@@ -363,7 +362,7 @@ class DebugSession:
             raise ReproError("save takes exactly one path")
         snapshot = self.debugger.save(args[0])
         self.emit(
-            f"saved {snapshot.strategy} snapshot at event "
+            f"saved snapshot at event "
             f"{snapshot.events_processed} to {args[0]}"
         )
         return True

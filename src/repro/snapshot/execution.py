@@ -12,11 +12,10 @@ runs every spec through one, sliced or not.
 A capture holds the complete machine state
 (:func:`repro.snapshot.native.capture_machine`), so a restore rebuilds the
 machine for the spec and applies it in O(state), without re-running a
-single event.  :meth:`_verify_native` then compares engine counters, the
-whole rng tree state, stats, thread frame stacks, sync-object fingerprints,
-and per-thread progress against the snapshot's native sections, raising
-:class:`SnapshotError` on any divergence (e.g. the simulator code changed
-between save and restore).  A live state the codec cannot describe (a
+single event.  The restore first checks the capture's schema against the
+running code's state declarations and resolves every captured part in the
+rebuilt machine, raising :class:`SnapshotError` when the simulator code
+changed between save and restore.  A live state the codec cannot describe (a
 thread parked on an opaque callable) makes :meth:`SpecExecution.capture`
 raise :class:`SnapshotError`.
 """
@@ -26,7 +25,7 @@ from __future__ import annotations
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.errors import SnapshotError
 from repro.machine.manycore import Manycore
@@ -34,7 +33,7 @@ from repro.machine.results import SimResult
 from repro.runner.executor import build_config_for
 from repro.runner.spec import RunSpec
 from repro.snapshot.format import Snapshot, SnapshotWarning, try_load_snapshot
-from repro.snapshot.native import capture_machine, restore_machine, sync_fingerprint
+from repro.snapshot.native import capture_machine, restore_machine
 
 #: Default event budget, shared with :meth:`Manycore.run`.
 DEFAULT_MAX_EVENTS = Manycore.DEFAULT_MAX_EVENTS
@@ -107,23 +106,6 @@ class SpecExecution:
         )
 
     # -------------------------------------------------------------- capture
-    def _native_state(self) -> Dict[str, Any]:
-        machine = self.machine
-        return {
-            "engine": machine.sim.checkpoint_state(),
-            "rng": machine.rng.tree_getstate(),
-            "stats": machine.stats.to_dict(),
-            "finished_threads": machine._finished,
-            "thread_operations": [t.operations_issued for t in machine.threads],
-            "thread_frames": [
-                None
-                if thread.frames is None
-                else [[frame.routine, frame.label] for frame in thread.frames]
-                for thread in machine.threads
-            ],
-            "sync_objects": [sync_fingerprint(obj) for obj in machine.sync_objects],
-        }
-
     def capture(self) -> Snapshot:
         """Snapshot the live run at the current slice boundary.
 
@@ -139,7 +121,6 @@ class SpecExecution:
             spec=self.spec,
             events_processed=self.events_processed,
             clock=self.clock,
-            native=self._native_state(),
             machine=capture_machine(self.machine),
         )
 
@@ -148,11 +129,12 @@ class SpecExecution:
     def from_snapshot(
         cls, snapshot: Snapshot, max_events: int = DEFAULT_MAX_EVENTS
     ) -> "SpecExecution":
-        """Rebuild a live execution from a snapshot and verify it.
+        """Rebuild a live execution from a snapshot.
 
         Raises :class:`SnapshotError` when the snapshot cannot be honoured
-        (no or malformed machine payload, native-state mismatch); the caller
-        should fall back to from-scratch execution.
+        (no or malformed machine payload, or one the running code's state
+        declarations no longer match); the caller should fall back to
+        from-scratch execution.
         """
         if not snapshot.machine:
             raise SnapshotError(
@@ -162,12 +144,11 @@ class SpecExecution:
         execution = cls(snapshot.spec, max_events=max_events)
         try:
             restore_machine(execution.machine, snapshot.machine)
-        except (KeyError, TypeError, ValueError, IndexError) as error:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as error:
             raise SnapshotError(
-                f"malformed native machine payload for "
+                f"malformed machine payload for "
                 f"[{snapshot.spec.label()}]: {error}"
             )
-        execution._verify_native(snapshot)
         return execution
 
     @classmethod
@@ -207,21 +188,6 @@ class SpecExecution:
             if path is not None:
                 Path(path).unlink(missing_ok=True)
         return cls(spec)
-
-    def _verify_native(self, snapshot: Snapshot) -> None:
-        """Compare the restored machine against the captured state."""
-        observed = self._native_state()
-        diverged = sorted(
-            section
-            for section in set(observed) | set(snapshot.native)
-            if observed.get(section) != snapshot.native.get(section)
-        )
-        if diverged:
-            raise SnapshotError(
-                f"restored machine diverged from snapshot for "
-                f"[{self.spec.label()}] in: {', '.join(diverged)}; the "
-                f"simulation code has changed since the checkpoint was written"
-            )
 
     # ------------------------------------------------------------ completion
     def run_to_completion(

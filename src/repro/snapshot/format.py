@@ -2,12 +2,15 @@
 
 A snapshot file is a JSON envelope::
 
-    {"format": "wisync-snapshot", "version": 2,
+    {"format": "wisync-snapshot", "version": 3,
      "sha256": "<hash of canonical body>", "snapshot": {...body...}}
 
-The hash is computed over the canonical JSON form of the body (sorted keys,
-compact separators — the same canonicalization :meth:`RunSpec.key` uses), so
-any bit flip, truncation, or hand edit is detected at load time.  Loading is
+The body names the spec and the cut and holds the machine payload of
+:mod:`repro.snapshot.native` (``schema``, ``parts``, ``state``, ``stats``,
+``rng``).  The file is written in the canonical JSON form the hash covers
+(sorted keys, compact separators — the same canonicalization
+:meth:`RunSpec.key` uses), so any bit flip, truncation, or hand edit is
+detected at load time; ``repro snapshot inspect`` is the human view.  Loading is
 strict by default (:func:`load_snapshot` raises :class:`SnapshotError`);
 callers that want the ResultCache-style "evict and fall back to from-scratch"
 behaviour use :func:`try_load_snapshot`, which returns the failure reason
@@ -21,9 +24,9 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.errors import SnapshotError
 from repro.runner.spec import RunSpec
@@ -31,16 +34,9 @@ from repro.runner.spec import RunSpec
 #: Document format marker; anything else is not a snapshot file.
 SNAPSHOT_FORMAT = "wisync-snapshot"
 #: Bump when the body layout changes; older/newer versions are rejected.
-#: Version 2 added the ``machine`` payload (full native machine state) and
-#: the thread-frame/sync sections of ``native``.
-SNAPSHOT_VERSION = 2
-
-#: The one restore strategy, recorded in every body: rebuild the machine
-#: directly from the captured ``machine`` payload, O(state), then check it
-#: against the ``native`` sections.  A body naming any other strategy (the
-#: ``replay`` checkpoints of earlier builds, which carry no machine payload)
-#: is rejected on read.
-STRATEGY_NATIVE = "native"
+#: Version 3 encodes the machine from the classes' declared state and drops
+#: version 2's ``native`` verification sections and ``strategy`` field.
+SNAPSHOT_VERSION = 3
 
 
 class SnapshotWarning(UserWarning):
@@ -61,23 +57,17 @@ class Snapshot:
     """A point-in-time capture of one running :class:`RunSpec` simulation.
 
     ``events_processed`` and ``clock`` say where in the run the capture was
-    taken.  ``machine`` is the full native-restore payload produced by
+    taken.  ``machine`` is the full payload produced by
     :func:`repro.snapshot.native.capture_machine`; a restore rebuilds the
-    machine from it in O(state) without re-running a single event.
-    ``native`` carries everything enumerable about the captured machine
-    (engine counters, the rng derivation tree, stats, per-thread progress)
-    and is compared against the restored machine, so drift between the code
-    that saved and the code that restores is detected instead of silently
-    producing a wrong continuation.
+    machine from it in O(state) without re-running a single event, after
+    checking its schema against the running code's state declarations, so
+    drift between the code that saved and the code that restores is
+    detected instead of silently producing a wrong continuation.
     """
-
-    #: Written into every body and checked on read (see STRATEGY_NATIVE).
-    strategy: ClassVar[str] = STRATEGY_NATIVE
 
     spec: RunSpec
     events_processed: int
     clock: int
-    native: Dict[str, Any] = field(default_factory=dict)
     machine: Optional[Dict[str, Any]] = None
 
     def __post_init__(self) -> None:
@@ -91,26 +81,17 @@ class Snapshot:
             "spec_key": self.spec.key(),
             "events_processed": self.events_processed,
             "clock": self.clock,
-            "strategy": self.strategy,
-            "native": self.native,
             "machine": self.machine,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "Snapshot":
-        strategy = payload.get("strategy")
-        if strategy != STRATEGY_NATIVE:
-            raise SnapshotError(
-                f"unknown snapshot strategy {strategy!r}: this build restores "
-                f"only {STRATEGY_NATIVE!r} snapshots; re-create the checkpoint"
-            )
         try:
             spec = RunSpec.from_dict(payload["spec"])
             snapshot = cls(
                 spec=spec,
                 events_processed=int(payload["events_processed"]),
                 clock=int(payload["clock"]),
-                native=dict(payload.get("native") or {}),
                 machine=payload.get("machine"),
             )
         except SnapshotError:
@@ -127,17 +108,30 @@ class Snapshot:
 
     def describe(self) -> Dict[str, Any]:
         """Human-oriented summary for ``repro snapshot inspect``."""
-        engine = self.native.get("engine") or {}
+        machine = self.machine or {}
+        queue = _part_field(machine, "repro.sim.engine.Simulator", "_queue")
         return {
             "spec": self.spec.label(),
             "spec_key": self.spec.key(),
-            "strategy": self.strategy,
             "events_processed": self.events_processed,
             "clock": self.clock,
-            "pending_events": engine.get("pending_events"),
-            "finished_threads": self.native.get("finished_threads"),
-            "rng_streams": len(self.native.get("rng") or {}),
+            "pending_events": None if queue is None else len(queue),
+            "finished_threads": _part_field(
+                machine, "repro.machine.manycore.Manycore", "_finished"
+            ),
+            "rng_streams": len(machine.get("rng") or {}),
         }
+
+
+def _part_field(machine: Dict[str, Any], class_name: str, name: str) -> Any:
+    """The captured value of ``name`` on the first part of ``class_name``,
+    located through the payload's schema table (``None`` if absent)."""
+    schema = machine.get("schema") or []
+    for part, values in zip(machine.get("parts") or [], machine.get("state") or []):
+        recorded, fields = schema[part[0]]
+        if recorded == class_name and name in fields:
+            return values[fields.index(name)]
+    return None
 
 
 # ------------------------------------------------------------------ documents
@@ -185,7 +179,7 @@ def save_snapshot(snapshot: Snapshot, path: Union[str, Path]) -> Path:
     """Atomically write a snapshot document (temp file + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = json.dumps(snapshot_document(snapshot), indent=2, sort_keys=True)
+    data = _canonical(snapshot_document(snapshot))
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name, suffix=".tmp"
     )

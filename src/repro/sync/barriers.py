@@ -27,6 +27,9 @@ from repro.errors import WorkloadError
 class Barrier:
     """AND-barrier: every participant waits for all the others."""
 
+    STATE = ("_sense",)
+    REBUILT = ("num_threads",)
+
     def __init__(self, num_threads: int) -> None:
         if num_threads < 1:
             raise WorkloadError("a barrier needs at least one participant")
@@ -42,6 +45,8 @@ class Barrier:
 class CentralizedBarrier(Barrier):
     """Baseline sense-reversing barrier on cached memory, CAS-only hardware."""
 
+    REBUILT = ("count_addr", "release_addr")
+
     def __init__(self, num_threads: int, count_addr: int, release_addr: int) -> None:
         super().__init__(num_threads)
         self.count_addr = count_addr
@@ -55,6 +60,8 @@ class TournamentBarrier(Barrier):
     ``2i+2``.  Arrival propagates up the tree, release propagates down it;
     every flag lives on its own cache line.
     """
+
+    REBUILT = ("arrival_addrs", "wakeup_addrs")
 
     def __init__(self, num_threads: int, arrival_addrs: List[int], wakeup_addrs: List[int]) -> None:
         super().__init__(num_threads)
@@ -80,6 +87,7 @@ class WirelessBarrier(Barrier):
     """
 
     MAX_RETRIES = 10_000
+    REBUILT = ("count_addr", "release_addr")
 
     def __init__(self, num_threads: int, count_addr: int, release_addr: int) -> None:
         super().__init__(num_threads)
@@ -94,6 +102,8 @@ class ToneBarrier(Barrier):
     ``tone_ld`` on the local BM location, which the hardware toggles when the
     Tone channel falls silent.
     """
+
+    REBUILT = ("bm_addr",)
 
     def __init__(self, num_threads: int, bm_addr: int) -> None:
         super().__init__(num_threads)

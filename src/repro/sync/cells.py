@@ -22,6 +22,8 @@ from repro.isa.operations import BmLoad, BmStore, BmWaitUntil, Read, WaitUntil, 
 class AtomicCell(ABC):
     """One shared 64-bit location with atomic read-modify-write support."""
 
+    REBUILT = ("addr",)
+
     def __init__(self, addr: int) -> None:
         self.addr = addr
 

@@ -17,6 +17,9 @@ from repro.sync.cells import AtomicCell
 class OrBarrier:
     """Sense-reversing eureka flag over an :class:`AtomicCell`."""
 
+    STATE = ("_sense",)
+    REBUILT = ("cell",)
+
     def __init__(self, cell: AtomicCell) -> None:
         self.cell = cell
         self._sense: Dict[int, int] = {}

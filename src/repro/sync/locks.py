@@ -26,6 +26,8 @@ class Lock:
 class CasSpinLock(Lock):
     """Baseline lock: CAS acquire with coherence-based spinning on failure."""
 
+    REBUILT = ("addr",)
+
     def __init__(self, addr: int) -> None:
         self.addr = addr
 
@@ -37,6 +39,9 @@ class McsLock(Lock):
     Each thread's queue node (a ``locked`` flag and a ``next`` pointer) lives
     on its own cache line, allocated lazily through ``alloc_word``.
     """
+
+    STATE = ("_qnodes",)
+    REBUILT = ("tail_addr", "_alloc_word")
 
     def __init__(self, tail_addr: int, alloc_word: Callable[[], int]) -> None:
         self.tail_addr = tail_addr
@@ -55,6 +60,7 @@ class WirelessLock(Lock):
     """WiSync lock: CAS on a BM entry, retried while the AFB is set."""
 
     MAX_RETRIES = 10_000
+    REBUILT = ("bm_addr",)
 
     def __init__(self, bm_addr: int) -> None:
         self.bm_addr = bm_addr

@@ -19,6 +19,8 @@ from repro.errors import WorkloadError
 class ProducerConsumerChannel:
     """One full/empty-flag slot carrying four 64-bit words."""
 
+    REBUILT = ("data_addr", "flag_addr", "wireless")
+
     def __init__(self, data_addr: int, flag_addr: int, wireless: bool) -> None:
         self.data_addr = data_addr
         self.flag_addr = flag_addr

@@ -26,5 +26,7 @@ WRITER_HELD = 1 << 32
 class ReadersWriterLock:
     """Shared/exclusive lock encoded in a single atomic word."""
 
+    REBUILT = ("cell",)
+
     def __init__(self, cell: AtomicCell) -> None:
         self.cell = cell

@@ -64,6 +64,9 @@ class ExponentialBackoff(BackoffPolicy):
     decremented on every success, exactly as described in Section 5.3.
     """
 
+    STATE = ("exponent", "collisions", "successes")
+    REBUILT = ("rng", "max_exponent")
+
     def __init__(self, rng: DeterministicRng, max_exponent: int = 10) -> None:
         if max_exponent < 1:
             raise ConfigurationError("max_exponent must be >= 1")
@@ -115,6 +118,9 @@ class BroadcastAwareBackoff(BackoffPolicy):
     without starving the last arrivals.
     """
 
+    STATE = ("estimate", "collisions", "successes")
+    REBUILT = ("rng", "max_window")
+
     def __init__(self, rng: DeterministicRng, max_window: int = 512) -> None:
         if max_window < 2:
             raise ConfigurationError("max_window must be >= 2")
@@ -157,6 +163,9 @@ class BroadcastAwareBackoff(BackoffPolicy):
 
 class FixedBackoff(BackoffPolicy):
     """Uniform backoff over a fixed window (ablation baseline)."""
+
+    STATE = ("collisions", "successes")
+    REBUILT = ("rng", "window")
 
     def __init__(self, rng: DeterministicRng, window: int = 8) -> None:
         if window < 1:

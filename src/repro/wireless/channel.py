@@ -73,8 +73,7 @@ class _Attempt:
         on_collision: Callable[[WirelessMessage], int],
         enqueued_at: int,
     ) -> None:
-        #: Stable per-channel id so scheduled ``_complete`` events and the
-        #: per-cycle attempt lists can be snapshotted and re-linked.
+        #: Per-channel sequence number, in transmit order.
         self.attempt_id = attempt_id
         self.message = message
         self.on_complete = on_complete
@@ -93,6 +92,15 @@ class _Attempt:
 
 class DataChannel:
     """Event-accurate single-frequency-band data channel with collisions."""
+
+    STATE = (
+        "_busy_until", "_next_attempt_id", "_attempts_by_cycle", "completed",
+        "total_messages", "total_collisions",
+    )
+    REBUILT = (
+        "sim", "config", "stats", "tracer", "_listeners", "_messages_counter",
+        "_collisions_counter", "_channel_util", "_latency_hist",
+    )
 
     def __init__(
         self,

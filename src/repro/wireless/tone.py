@@ -38,6 +38,12 @@ class _ActiveBarrier:
 class ToneChannel:
     """Slot-multiplexed tone channel with silence detection."""
 
+    STATE = ("_active", "_active_order", "completed_barriers")
+    REBUILT = (
+        "sim", "config", "stats", "tracer", "_completion_listeners",
+        "_activations_counter", "_completions_counter",
+    )
+
     def __init__(
         self,
         sim: Simulator,

@@ -38,8 +38,7 @@ class _PendingSend:
         on_complete: Callable[[WirelessMessage, int], None],
     ) -> None:
         self.transceiver = transceiver
-        #: Stable per-transceiver id; the snapshot codec uses ``(node,
-        #: send_id)`` to re-link channel attempts to their pending sends.
+        #: Per-transceiver sequence number, in issue order.
         self.send_id = send_id
         self.message = message
         self.on_complete = on_complete
@@ -56,6 +55,12 @@ class _PendingSend:
 
 class Transceiver:
     """MAC front end of one node."""
+
+    STATE = (
+        "backoff", "_queue", "_in_flight", "_next_send_id", "sent_messages",
+        "collisions_seen", "_seen",
+    )
+    REBUILT = ("node_id", "channel", "config", "stats", "_sent_counter", "_collision_counter")
 
     def __init__(
         self,

@@ -17,7 +17,6 @@ from repro.runner import RunSpec
 from repro.runner.cli import main
 from repro.runner.executor import execute_spec
 from repro.snapshot import (
-    STRATEGY_NATIVE,
     CheckpointRing,
     load_snapshot,
     ring_path,
@@ -86,7 +85,7 @@ class TestCheckpointRing:
         ring.push(snapshot_after(spec, 1500))
         loaded = load_snapshot(ring_path(tmp_path, spec, 1500))
         assert loaded.events_processed == 1500
-        assert loaded.strategy == STRATEGY_NATIVE
+        assert loaded.machine is not None
 
     def test_newest_at_or_before(self):
         spec = tight()
@@ -113,7 +112,7 @@ class TestTimeTravelDebugger:
         debugger.step(3000)
         assert debugger.events == 3000
         assert debugger.inspect()["ring"] == [1000, 2000, 3000]
-        assert debugger.last_restore is None
+        assert debugger.last_restore is False
 
     def test_back_restores_natively_and_revisit_is_bit_identical(self):
         debugger = TimeTravelDebugger(spec=tight(), interval=1000, capacity=8)
@@ -123,9 +122,9 @@ class TestTimeTravelDebugger:
         hop = debugger.back()
         assert hop == {
             "target": 2000, "events": 2000, "launched_from": 2000,
-            "restored": STRATEGY_NATIVE,
+            "restored": True,
         }
-        assert debugger.last_restore == STRATEGY_NATIVE
+        assert debugger.last_restore is True
         debugger.goto(3000)
         assert debugger.clock == seen_clock
         assert debugger.stats() == seen_stats
@@ -135,7 +134,7 @@ class TestTimeTravelDebugger:
         debugger.step(4000)
         hop = debugger.goto(2500)
         assert hop["launched_from"] == 2000
-        assert hop["restored"] == STRATEGY_NATIVE
+        assert hop["restored"] is True
         assert debugger.events == 2500
 
     def test_back_past_the_ring_lands_on_genesis(self):
@@ -182,7 +181,7 @@ class TestTimeTravelDebugger:
         debugger.step(2000)
         path = tmp_path / "moment.ckpt.json"
         saved = debugger.save(str(path))
-        assert saved.strategy == STRATEGY_NATIVE
+        assert saved.machine is not None
         assert load_snapshot(path).events_processed == 2000
 
     def test_requires_exactly_one_starting_point(self):
@@ -241,7 +240,7 @@ class TestDebugSession:
         assert exit_code == 0
         text = "\n".join(lines)
         assert "travelled via native restore of checkpoint @2000" in text
-        assert '"last_restore": "native"' in text
+        assert '"last_restore": true' in text
         assert '"completed": true' in text
 
 

@@ -261,93 +261,96 @@ class TestSlot001:
 
 # --------------------------------------------------------------- SNAP001
 class TestSnap001:
-    def test_flags_attribute_missing_from_checkpoint(self, tmp_path):
+    def test_flags_undeclared_attribute(self, tmp_path):
+        write_tree(tmp_path, {
+            "wireless/channel.py": """
+                class DataChannel:
+                    STATE = ("busy_until",)
+                    REBUILT = ("config",)
+
+                    def __init__(self, config):
+                        self.config = config
+                        self.busy_until = 0
+                        self.idle_streak = 0
+            """,
+        })
+        findings = lint(tmp_path, select=["SNAP001"])
+        assert rule_ids(findings) == ["SNAP001"]
+        assert "self.idle_streak" in findings[0].message
+
+    def test_flags_stale_declaration(self, tmp_path):
         write_tree(tmp_path, {
             "sim/engine.py": """
                 class Simulator:
+                    STATE = ("now", "ghost")
+
                     def __init__(self):
                         self.now = 0
-                        self._seq = 0
-                        self.leaked = []
-
-                    def checkpoint_state(self):
-                        return {"now": self.now, "seq": self._seq}
             """,
         })
         findings = lint(tmp_path, select=["SNAP001"])
         assert rule_ids(findings) == ["SNAP001"]
-        assert "self.leaked" in findings[0].message
+        assert "'ghost'" in findings[0].message
 
-    def test_exempt_attributes_and_stale_keys(self, tmp_path):
+    def test_subclass_is_covered_by_its_base(self, tmp_path):
         write_tree(tmp_path, {
-            "sim/engine.py": """
-                class Simulator:
+            "sync/barriers.py": """
+                from dataclasses import dataclass
+
+                class Barrier:
+                    STATE = ("_sense",)
+                    REBUILT = ("num_threads",)
+
+                    def __init__(self, num_threads):
+                        self.num_threads = num_threads
+                        self._sense = {}
+
+                class ToneBarrier(Barrier):
+                    REBUILT = ("bm_addr",)
+
+                    def __init__(self, num_threads, bm_addr):
+                        super().__init__(num_threads)
+                        self.bm_addr = bm_addr
+
+                class CentralizedBarrier(Barrier):
+                    def __init__(self, num_threads):
+                        super().__init__(num_threads)
+                        self.count_addr = 0
+
+                @dataclass
+                class Core:
+                    STATE = ("busy_cycles",)
+                    REBUILT = ("core_id",)
+
+                    core_id: int
+                    busy_cycles: int = 0
+                    stalls: int = 0
+            """,
+        })
+        findings = lint(tmp_path, select=["SNAP001"])
+        assert sorted(f.message.split(",")[0] for f in findings) == [
+            "CentralizedBarrier assigns self.count_addr",
+            "Core assigns self.stalls",
+        ]
+
+    def test_class_with_no_declarations_is_ignored(self, tmp_path):
+        write_tree(tmp_path, {
+            "sim/trace.py": """
+                class Tracer:
                     def __init__(self):
-                        self.now = 0
-                        self._queue = []
-
-                    def checkpoint_state(self):
-                        return {"now": self.now, "ghost": 1}
+                        self.records = []
             """,
         })
-        findings = lint(tmp_path, select=["SNAP001"])
-        # _queue is in the documented exemption table; 'ghost' is stale.
-        assert len(findings) == 1
-        assert "ghost" in findings[0].message
+        assert lint(tmp_path, select=["SNAP001"]) == []
 
-    def test_manycore_capture_cross_file(self, tmp_path):
+    def test_only_sim_core_is_checked(self, tmp_path):
         write_tree(tmp_path, {
-            "machine/manycore.py": """
-                class Manycore:
+            "runner/host.py": """
+                class Host:
+                    STATE = ()
+
                     def __init__(self):
-                        self.sim = object()
-                        self.stats = object()
-                        self.new_cache = {}
-            """,
-            "snapshot/execution.py": """
-                def _native_state(machine):
-                    return {
-                        "engine": machine.sim,
-                        "stats": machine.stats,
-                    }
-            """,
-        })
-        findings = lint(tmp_path, select=["SNAP001"])
-        assert rule_ids(findings) == ["SNAP001"]
-        assert "self.new_cache" in findings[0].message
-
-    def test_frame_slot_missing_from_capture(self, tmp_path):
-        write_tree(tmp_path, {
-            "cpu/frames.py": """
-                class Frame:
-                    __slots__ = ("routine", "label", "locals", "widget")
-            """,
-            "snapshot/native.py": """
-                def _capture_thread(thread):
-                    return [
-                        {"routine": frame.routine, "label": frame.label,
-                         "locals": dict(frame.locals)}
-                        for frame in thread.frames
-                    ]
-            """,
-        })
-        findings = lint(tmp_path, select=["SNAP001"])
-        assert rule_ids(findings) == ["SNAP001"]
-        assert "'widget'" in findings[0].message
-
-    def test_frame_slots_all_captured(self, tmp_path):
-        write_tree(tmp_path, {
-            "cpu/frames.py": """
-                class Frame:
-                    __slots__ = ("routine", "label", "locals")
-            """,
-            "snapshot/native.py": """
-                def _capture_thread(thread):
-                    return [
-                        {"routine": frame.routine, "label": frame.label,
-                         "locals": dict(frame.locals)}
-                        for frame in thread.frames
-                    ]
+                        self.socket = None
             """,
         })
         assert lint(tmp_path, select=["SNAP001"]) == []
@@ -719,20 +722,43 @@ class TestSelfLint:
         findings = LintEngine(default_rules()).run([str(package_dir)])
         assert findings == [], "\n".join(f.format_text() for f in findings)
 
-    def test_seeded_violation_in_package_copy_is_caught(self, tmp_path):
-        """Acceptance drill: a time.time() smuggled into sim/engine.py fails lint."""
+    @pytest.mark.parametrize(
+        "rel, anchor, added, rules",
+        [
+            (
+                "sim/engine.py", "self.now: int = 0",
+                "import time\n        self.booted = time.time()", {"DET001", "SNAP001"},
+            ),
+            (
+                "wireless/channel.py", "self._busy_until: int = 0",
+                "self._idle_streak = 0", {"SNAP001"},
+            ),
+            (
+                "wireless/backoff.py", "self.max_window = max_window",
+                "self.last_draw = 0", {"SNAP001"},
+            ),
+            ("machine/manycore.py", "self._finished = 0", "self._stragglers = []", {"SNAP001"}),
+        ],
+        ids=["engine-wall-clock", "data-channel", "broadcast-aware-backoff", "manycore"],
+    )
+    def test_seeded_violation_in_package_copy_is_caught(
+        self, tmp_path, rel, anchor, added, rules
+    ):
+        """Acceptance drill: an edit to a copy of the package fails lint.
+
+        A wall-clock read is DET001; every attribute that neither ``STATE``
+        nor ``REBUILT`` declares is SNAP001, in any simulator class.
+        """
         import shutil
 
-        package_dir = Path(repro.__file__).parent
         copy = tmp_path / "repro"
-        shutil.copytree(package_dir, copy)
-        engine_py = copy / "sim" / "engine.py"
-        source = engine_py.read_text().replace(
-            "self.now: int = 0",
-            "self.now: int = 0\n        import time\n        self.booted = time.time()",
-        )
-        engine_py.write_text(source)
+        shutil.copytree(Path(repro.__file__).parent, copy)
+        path = copy / rel
+        source = path.read_text()
+        assert source.count(anchor) == 1
+        path.write_text(source.replace(anchor, f"{anchor}\n        {added}"))
         findings = LintEngine(default_rules()).run([str(copy)])
-        rules = {finding.rule for finding in findings}
-        assert "DET001" in rules  # the wall-clock read
-        assert "SNAP001" in rules  # the uncaptured attribute
+        assert {finding.rule for finding in findings} == rules
+        undeclared = [f.message for f in findings if f.rule == "SNAP001"]
+        assert len(undeclared) == 1
+        assert added.split("\n")[-1].split(" =")[0].strip() in undeclared[0]

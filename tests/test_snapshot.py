@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from frame_bodies import op_sequence
 from goldens import GOLDEN_PATH, golden_specs
+from repro.cpu.frames import Frame
 from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.scenarios import scenario_sweep
 from repro.isa.operations import Compute, WaitUntil, Write
@@ -60,6 +61,7 @@ from repro.snapshot import (
     snapshot_document,
     try_load_snapshot,
 )
+from repro.wireless.backoff import BroadcastAwareBackoff
 from repro.workloads.base import WorkloadHandle
 from sweep_host import collect, serve, sweep_store, sweep_task
 
@@ -69,6 +71,15 @@ def tight(iterations=60, num_cores=16, seed=0):
         workload="tightloop", params={"iterations": iterations},
         config="WiSync", num_cores=num_cores, seed=seed,
     )
+
+
+#: Code changes made after a capture: a part class declares one more state
+#: name, and a record class gains a field.  Either makes the capture's schema
+#: differ from the running code's declarations.
+CODE_DRIFTS = [
+    pytest.param(BroadcastAwareBackoff, "STATE", ("last_draw",), id="part-state-gains-a-name"),
+    pytest.param(Frame, "__slots__", ("widget",), id="record-fields-change"),
+]
 
 
 def assert_identical(mine, theirs):
@@ -182,6 +193,10 @@ class TestSnapshotFormat:
         path = tmp_path / "point.snapshot.json"
         save_snapshot(snapshot, path)
         assert load_snapshot(path) == snapshot
+        # The file is the canonical JSON form the integrity hash covers.
+        assert path.read_text(encoding="utf-8") == json.dumps(
+            snapshot_document(snapshot), sort_keys=True, separators=(",", ":")
+        )
 
     def test_tampered_body_fails_integrity_check(self):
         document = snapshot_document(self._snapshot())
@@ -208,10 +223,10 @@ class TestSnapshotFormat:
         with pytest.raises(SnapshotError, match="negative"):
             Snapshot(spec=tight(), events_processed=-1, clock=0)
 
-    def test_unknown_strategy_rejected(self):
-        body = dict(self._snapshot().to_dict(), strategy="psychic")
-        with pytest.raises(SnapshotError, match="unknown snapshot strategy 'psychic'"):
-            Snapshot.from_dict(body)
+    def test_body_holds_the_spec_the_cut_and_the_machine(self):
+        body = self._snapshot().to_dict()
+        assert sorted(body) == ["clock", "events_processed", "machine", "spec", "spec_key"]
+        assert sorted(body["machine"]) == ["parts", "rng", "schema", "state", "stats"]
 
     def test_spec_key_drift_detected(self):
         # A spec whose serialization no longer hashes to the recorded key
@@ -240,9 +255,12 @@ class TestSnapshotFormat:
         snapshot = self._snapshot()
         summary = snapshot.describe()
         assert summary["events_processed"] == 2000
-        assert summary["strategy"] == "native"
         assert summary["spec_key"] == snapshot.spec.key()
-        assert summary["rng_streams"] > 0
+        # Read from the payload through its schema table.
+        machine = run_prefix(tight(), 2000).machine
+        assert summary["pending_events"] == machine.sim.pending_events > 0
+        assert summary["finished_threads"] == machine._finished
+        assert summary["rng_streams"] == len(machine.rng.tree_getstate()) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -314,19 +332,12 @@ class TestCaptureRestore:
         with pytest.raises(SnapshotError, match="no machine payload"):
             SpecExecution.from_snapshot(snapshot)
 
-    def test_native_verification_catches_drift(self):
-        real = snapshot_after(tight(), 2000)
-        native = dict(real.native)
-        rng = {name: dict(state) for name, state in native["rng"].items()}
-        name = sorted(rng)[0]
-        rng[name] = dict(rng[name], state=[3, [0] * 625, None])
-        native["rng"] = rng
-        tampered = Snapshot(
-            spec=real.spec, events_processed=real.events_processed,
-            clock=real.clock, native=native, machine=real.machine,
-        )
-        with pytest.raises(SnapshotError, match="diverged.*rng"):
-            SpecExecution.from_snapshot(tampered)
+    @pytest.mark.parametrize("cls, declaration, extra", CODE_DRIFTS)
+    def test_restore_catches_code_drift(self, monkeypatch, cls, declaration, extra):
+        snapshot = snapshot_after(tight(), 2000)
+        monkeypatch.setattr(cls, declaration, vars(cls)[declaration] + extra)
+        with pytest.raises(SnapshotError, match="simulation code has changed"):
+            SpecExecution.from_snapshot(snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +433,10 @@ class TestCheckpointedExecution:
     def test_resumes_from_existing_checkpoint_file(self, tmp_path, monkeypatch):
         spec = tight()
         path = save_snapshot(snapshot_after(spec, 3000), checkpoint_path(tmp_path, spec))
-        # The native v2 body layout earlier builds wrote too, so their
-        # checkpoints keep restoring.
+        # The v3 body: the spec, the cut, and the machine payload.
         body = json.loads(path.read_text(encoding="utf-8"))["snapshot"]
-        assert sorted(body) == [
-            "clock", "events_processed", "machine", "native", "spec", "spec_key",
-            "strategy",
-        ]
-        assert body["strategy"] == "native"
+        assert sorted(body) == ["clock", "events_processed", "machine", "spec", "spec_key"]
+        assert sorted(body["machine"]) == ["parts", "rng", "schema", "state", "stats"]
 
         restored = []
         original = SpecExecution.from_snapshot.__func__
@@ -483,20 +490,18 @@ class TestCheckpointedExecution:
         assert_identical(result, execute_spec(spec))
         assert not path.exists()
 
-    def test_drifted_native_payload_warns_and_falls_back(self, tmp_path):
+    @pytest.mark.parametrize("cls, declaration, extra", CODE_DRIFTS)
+    def test_drifted_code_warns_and_falls_back(
+        self, tmp_path, monkeypatch, cls, declaration, extra
+    ):
         spec = tight()
-        real = snapshot_after(spec, 2000)
-        native = dict(real.native, finished_threads=999)
-        save_snapshot(
-            Snapshot(
-                spec=spec, events_processed=real.events_processed,
-                clock=real.clock, native=native, machine=real.machine,
-            ),
-            checkpoint_path(tmp_path, spec),
-        )
-        with pytest.warns(SnapshotWarning, match="diverged"):
+        full = execute_spec(spec)
+        path = save_snapshot(snapshot_after(spec, 2000), checkpoint_path(tmp_path, spec))
+        monkeypatch.setattr(cls, declaration, vars(cls)[declaration] + extra)
+        with pytest.warns(SnapshotWarning, match="simulation code has changed"):
             result = execute_spec(spec, checkpoint_dir=str(tmp_path))
-        assert_identical(result, execute_spec(spec))
+        assert_identical(result, full)
+        assert not path.exists()
 
     def test_preemption_persists_a_final_snapshot(self, tmp_path):
         spec = tight()
@@ -618,12 +623,13 @@ class TestSnapshotCli:
         assert main(["snapshot", "inspect", str(path)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["events_processed"] == 3000
-        assert summary["strategy"] == "native"
+        assert summary["pending_events"] > 0
 
         result_path = tmp_path / "result.json"
         assert main([
             "snapshot", "restore", str(path), "--json", str(result_path),
         ]) == 0
+        assert "via native restore" in capsys.readouterr().err
         payload = json.loads(result_path.read_text())
         baseline = execute_spec(tight(seed=2016))  # the CLI's default seed
         assert payload["total_cycles"] == baseline.total_cycles

@@ -11,9 +11,10 @@ an event, and two oracles must agree with it:
 * the restored run, finished, is bit-identical to the uninterrupted run.
 
 The second half pins the fallback contract: checkpoint files that are
-corrupt, carry a stale envelope version, or were written by the replay
-strategy of earlier builds are discarded with a structured
-:class:`SnapshotWarning` and the run silently starts from scratch.
+corrupt, carry a stale envelope version (every body earlier builds wrote),
+or hold a machine payload the rebuilt machine cannot resolve are discarded
+with a structured :class:`SnapshotWarning` and the run silently starts from
+scratch.
 """
 
 import json
@@ -32,7 +33,6 @@ from repro.runner import RunSpec
 from repro.runner.executor import execute_spec
 from repro.snapshot import (
     SNAPSHOT_FORMAT,
-    SNAPSHOT_VERSION,
     Snapshot,
     SnapshotWarning,
     SpecExecution,
@@ -42,7 +42,7 @@ from repro.snapshot import (
     snapshot_document,
 )
 from repro.snapshot.format import body_hash
-from repro.snapshot.native import capture_machine
+from repro.snapshot.native import TAGS, capture_machine
 from repro.workloads.cas_kernels import CasKernelKind
 from repro.workloads.livermore import LivermoreLoop
 from test_snapshot import assert_identical
@@ -175,35 +175,47 @@ def test_work_steal_restores_after_the_eureka_post():
 
 #: Half-way through this contention run, seven of the eight MACs have heard
 #: a success they have not yet folded into their backoff.  That lag lives in
-#: the channel's transfer counter and the transceivers' marks, which no
-#: capture holds, so the fresh-prefix oracle alone cannot see it.
+#: the channel's transfer counter and the transceivers' marks, declared state
+#: that capture must leave alone and restore must keep.
 LAG_SPEC = _scenario("rwlock", "WiSync")
 LAG_CUT = 969
 
-#: The channel and transceiver payload keys: those of earlier builds, less
-#: the arbitration-pending set, which the by-cycle attempt map already holds.
-CHANNEL_KEYS = {"busy_until", "next_attempt_id", "attempts", "by_cycle", "messages", "collisions"}
-TRANSCEIVER_KEYS = {"queue", "in_flight", "next_send_id", "sent", "collisions", "backoff"}
-
 
 def test_restore_keeps_the_successes_a_mac_has_not_folded():
-    machine = run_prefix(LAG_SPEC, LAG_CUT).machine
-    channel = machine.fabric.data_channel
-    assert any(node.transceiver._seen < channel.completed for node in machine.fabric.nodes)
+    execution = run_prefix(LAG_SPEC, LAG_CUT)
+    fabric = execution.machine.fabric
+    completed = fabric.data_channel.completed
+    marks = [node.transceiver._seen for node in fabric.nodes]
+    assert any(mark < completed for mark in marks)
 
-    snapshot = _three_way_identity(LAG_SPEC, LAG_CUT)
-    fabric = snapshot.machine["fabric"]
-    assert set(fabric["channel"]) == CHANNEL_KEYS
-    for node in fabric["nodes"]:
-        assert set(node["transceiver"]) == TRANSCEIVER_KEYS
+    # Capture is read-only: it folds no mark.
+    snapshot = execution.capture()
+    assert [node.transceiver._seen for node in fabric.nodes] == marks
+    _three_way_identity(LAG_SPEC, LAG_CUT)
 
-    # Checkpoints written by earlier builds also carry the arbitration-
-    # pending cycles; restore ignores them and levels every mark.
-    fabric["channel"]["arb_pending"] = sorted(cycle for cycle, _ in fabric["channel"]["by_cycle"])
-    restored = SpecExecution.from_snapshot(snapshot)
-    channel = restored.machine.fabric.data_channel
-    assert all(node.transceiver._seen == channel.completed for node in restored.machine.fabric.nodes)
-    assert_identical(restored.run_to_completion(), execute_spec(LAG_SPEC))
+    restored = SpecExecution.from_snapshot(snapshot).machine.fabric
+    assert [node.transceiver._seen for node in restored.nodes] == marks
+    assert restored.data_channel.completed == completed
+
+
+def test_every_value_tag_is_exercised():
+    """Restore re-checks nothing against a second capture, so the fresh-prefix
+    oracle is the codec's only symmetry check: every tag must reach it."""
+    used = set()
+
+    def walk(value):
+        if isinstance(value, list):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            ((tag, body),) = value.items()
+            used.add(tag)
+            walk(body)
+
+    for spec in EVERY_PORTED:
+        cut = execute_spec(spec).events_processed // 2
+        walk(snapshot_after(spec, cut).machine["state"])
+    assert used == set(TAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -275,36 +287,49 @@ class TestCheckpointFallback:
         assert_identical(result, full)
         assert not path.exists()
 
-    def test_tampered_machine_payload_falls_back_with_warning(self, tmp_path):
+    @pytest.mark.parametrize(
+        "tamper, reason",
+        [
+            (lambda machine: None, "no machine payload"),
+            (lambda machine: dict(machine, parts=[
+                path if path[2] != "sim" else path[:2] + ["clock"] + path[3:]
+                for path in machine["parts"]
+            ]), "does not resolve"),
+        ],
+        ids=["stripped", "unresolvable-part"],
+    )
+    def test_tampered_machine_payload_falls_back_with_warning(
+        self, tmp_path, tamper, reason
+    ):
         spec = _tight(seed=2)
         full = execute_spec(spec)
         snap = snapshot_after(spec, max(1, full.events_processed // 2))
-        stripped = Snapshot(
+        tampered = Snapshot(
             spec=snap.spec, events_processed=snap.events_processed,
-            clock=snap.clock, native=snap.native, machine=None,
+            clock=snap.clock, machine=tamper(snap.machine),
         )
         path = checkpoint_path(tmp_path, spec)
         path.write_text(
-            json.dumps(snapshot_document(stripped)), encoding="utf-8"
+            json.dumps(snapshot_document(tampered)), encoding="utf-8"
         )
-        with pytest.warns(SnapshotWarning, match="no machine payload"):
+        with pytest.warns(SnapshotWarning, match=reason):
             result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert_identical(result, full)
+        assert not path.exists()
 
-    def test_replay_checkpoint_from_earlier_builds_falls_back_with_one_warning(
-        self, tmp_path
-    ):
-        # Earlier builds wrote this v2 body for every checkpoint of a workload
-        # they could not capture natively (the contention scenarios):
-        # strategy "replay" and no machine payload.
+    @pytest.mark.parametrize("strategy", ["native", "replay"])
+    def test_version_2_checkpoint_falls_back_with_one_warning(self, tmp_path, strategy):
+        # Earlier builds wrote version 2 bodies: a strategy field, "native"
+        # verification sections, and (for "replay") no machine payload.
         spec = _scenario("barrier_storm", level="low")
         full = execute_spec(spec)
+        snap = snapshot_after(spec, full.events_processed // 2)
         body = dict(
-            snapshot_after(spec, full.events_processed // 2).to_dict(),
-            strategy="replay", machine=None,
+            snap.to_dict(), strategy=strategy, native={"finished_threads": 0},
+            machine=snap.machine if strategy == "native" else None,
         )
         document = {
-            "format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION,
+            "format": SNAPSHOT_FORMAT, "version": 2,
             "sha256": body_hash(body), "snapshot": body,
         }
         path = checkpoint_path(tmp_path, spec)
@@ -312,7 +337,7 @@ class TestCheckpointFallback:
         with pytest.warns(SnapshotWarning) as warned:
             result = execute_spec(spec, checkpoint_dir=tmp_path)
         assert len(warned) == 1
-        assert "unknown snapshot strategy 'replay'" in str(warned[0].message)
+        assert "unsupported snapshot version 2" in str(warned[0].message)
         assert_identical(result, full)
         assert result.thread_results == full.thread_results
         assert not path.exists()
