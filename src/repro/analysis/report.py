@@ -14,7 +14,7 @@ aggregate rows (mean / geomean) to append.  Each experiment module's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.frame import MetricFrame, Pivot, aggregate
@@ -141,10 +141,6 @@ class Report:
 
     def render(self, frame: MetricFrame, prepared: bool = False) -> str:
         return self.render_table(self.table(frame, prepared=prepared))
-
-    # ---------------------------------------------------------- convenience
-    def with_series_order(self, order: Sequence[str]) -> "Report":
-        return replace(self, series_order=tuple(order))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ mappings that :meth:`repro.analysis.frame.Pivot.to_dict` produces and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 _MISSING_NAN = float("nan")
 
@@ -118,13 +118,3 @@ def render_columns(
             row.append(missing if value is None else value)
         rows.append(row)
     return format_table(headers, rows, title=title)
-
-
-def rows_from_dict(mapping: Dict[str, Dict[str, Any]], key_header: str = "name") -> List[List[Any]]:
-    """Flatten a nested dict (row name -> column dict) into table rows."""
-    rows: List[List[Any]] = []
-    for name, columns in mapping.items():
-        row: List[Any] = [name]
-        row.extend(columns.values())
-        rows.append(row)
-    return rows

@@ -286,12 +286,6 @@ class MachineConfig:
     def with_cores(self, num_cores: int) -> "MachineConfig":
         return replace(self, num_cores=num_cores)
 
-    def with_name(self, name: str) -> "MachineConfig":
-        return replace(self, name=name)
-
-    def with_seed(self, seed: int) -> "MachineConfig":
-        return replace(self, seed=seed)
-
     def replace(self, **kwargs) -> "MachineConfig":
         return replace(self, **kwargs)
 

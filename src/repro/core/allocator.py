@@ -65,10 +65,6 @@ class BmAllocator:
     def allocated_count(self) -> int:
         return len(self._owner)
 
-    @property
-    def free_count(self) -> int:
-        return self.capacity - len(self._owner)
-
     def is_spilled(self, addr: int) -> bool:
         return addr >= self.spill_base
 
@@ -121,9 +117,6 @@ class BmAllocator:
                 del self._owner[addr]
                 released += 1
         return released
-
-    def allocations_of(self, pid: int) -> Set[int]:
-        return set(self._per_pid.get(pid, set()))
 
     # ------------------------------------------------------------- internals
     def _find_free_run(self, words: int) -> Optional[int]:

@@ -7,17 +7,15 @@ Completion Bit (WCB); atomic read-modify-write instructions read the local
 BM, broadcast the updated value, and fail (Atomicity Failure Bit, AFB) if a
 remote write to the same location arrives in between.
 
-In-flight operations live in an explicit pending-op registry (plain-data
-records keyed by a per-controller op id) rather than in closures: every
-callback the controller hands to the transceiver, the fabric, or the event
-queue is a :class:`BmOpCallback` naming ``(controller, op, method)``, a
-record the snapshot codec can capture and rebuild, so a checkpoint can be
-taken mid-broadcast.
+Each in-flight operation is a :class:`PendingBmOp` record, and the hooks
+the controller hands to the transceiver, the fabric and the event queue are
+that record's own bound methods, which the snapshot codec encodes like any
+other method of a record, so a checkpoint can be taken mid-broadcast.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from repro.config import BroadcastMemoryConfig
 from repro.errors import MemoryError_
@@ -41,10 +39,16 @@ class RmwResult(NamedTuple):
 
 
 class PendingBmOp:
-    """One in-flight store/bulk-store/RMW: plain data plus the completion."""
+    """One in-flight store/bulk-store/RMW: plain data plus its completion hooks.
+
+    An RMW's op holds its broadcast (``ticket``) and its fabric RMW window
+    (``window``), and each of those holds one of the op's bound methods;
+    :meth:`finish_rmw` drops both links, so a finished op leaves no cycle
+    for the (paused) collector.
+    """
 
     __slots__ = (
-        "op_id",
+        "controller",
         "kind",
         "addr",
         "value",
@@ -52,15 +56,14 @@ class PendingBmOp:
         "pid",
         "old",
         "new",
-        "settled",
-        "token",
+        "window",
         "ticket",
         "on_done",
     )
 
     def __init__(
         self,
-        op_id: int,
+        controller: "BmController",
         kind: str,
         addr: int,
         on_done: Callable,
@@ -70,7 +73,7 @@ class PendingBmOp:
         old: int = 0,
         new: int = 0,
     ) -> None:
-        self.op_id = op_id
+        self.controller = controller
         self.kind = kind  # "store" | "bulk" | "rmw"
         self.addr = addr
         self.value = value
@@ -78,41 +81,69 @@ class PendingBmOp:
         self.pid = pid
         self.old = old
         self.new = new
-        self.settled = False
-        self.token: Optional[int] = None
+        self.window: Optional["_PendingRmw"] = None
         self.ticket: Optional[_PendingSend] = None
         self.on_done = on_done
 
+    def stored(self, message, cycle: int) -> None:
+        """The store's broadcast went out: perform globally, report completion."""
+        controller = self.controller
+        fabric = controller.fabric
+        if self.kind == "bulk":
+            for offset, value in enumerate(self.values):
+                fabric.apply_store(self.addr + offset, value, controller.node_id, cycle, self.pid)
+        else:
+            fabric.apply_store(self.addr, self.value, controller.node_id, cycle, self.pid)
+        controller.wcb = True
+        self.on_done(cycle)
 
-class BmOpCallback:
-    """Describable callback: invoke ``method`` of a controller's pending op.
+    def rmw_performed(self, message, cycle: int) -> None:
+        """The RMW's broadcast went out; it fails if its window saw a remote write."""
+        failed = self.controller.fabric.consume_pending_rmw(self.window)
+        self.finish_rmw(failed, cycle)
 
-    Replaces the per-operation closures the controller used to allocate;
-    the snapshot codec encodes one by its slots, the controller as a
-    reference to that part of the machine.
-    """
+    def atomicity_failed(self) -> None:
+        """A remote write to this address arrived before our broadcast succeeded.
 
-    __slots__ = ("controller", "op_id", "method")
+        Abort the pending transmission if it has not started; the
+        instruction then terminates with AFB set without ever occupying the
+        Data channel (Section 4.2.1).  A broadcast already on the air
+        completes, and :meth:`rmw_performed` reports the failure.  The fabric
+        calls this at most once, and only while the window is open, so the
+        op has not finished.
+        """
+        if self.ticket.cancel():
+            controller = self.controller
+            controller.fabric.consume_pending_rmw(self.window)
+            round_trip = controller.config.round_trip
+            cycle = controller.fabric.sim.now + round_trip
+            controller.fabric.sim.schedule(round_trip, self.finish_rmw, True, cycle)
 
-    def __init__(self, controller: "BmController", op_id: int, method: str) -> None:
-        self.controller = controller
-        self.op_id = op_id
-        self.method = method
-
-    def __call__(self, *args) -> None:
-        # Looked up per call, not at construction: about a third of these
-        # callbacks never fire (a broadcast aborted by an atomicity failure
-        # never completes), so binding early costs more lookups than it saves.
-        getattr(self.controller, self.method)(self.op_id, *args)
+    def finish_rmw(self, failed: bool, cycle: int) -> None:
+        """Settle the RMW: set AFB/WCB, perform it if it succeeded, report."""
+        self.ticket = None
+        self.window = None
+        controller = self.controller
+        controller.afb = failed
+        controller.wcb = True
+        if failed:
+            controller.rmw_failures += 1
+        else:
+            controller.fabric.apply_store(self.addr, self.new, controller.node_id, cycle, self.pid)
+        self.on_done(
+            RmwResult(
+                old_value=self.old,
+                success=not failed,
+                afb=failed,
+                completion_cycle=cycle,
+            )
+        )
 
 
 class BmController:
     """Front end between one core's pipeline and the wireless fabric."""
 
-    STATE = (
-        "wcb", "afb", "stores_issued", "rmws_issued", "rmw_failures", "_pending_ops",
-        "_next_op_id",
-    )
+    STATE = ("wcb", "afb", "stores_issued", "rmws_issued", "rmw_failures")
     REBUILT = ("node_id", "fabric", "transceiver", "config")
 
     def __init__(
@@ -133,8 +164,6 @@ class BmController:
         self.stores_issued = 0
         self.rmws_issued = 0
         self.rmw_failures = 0
-        self._pending_ops: Dict[int, PendingBmOp] = {}
-        self._next_op_id = 0
 
     # ----------------------------------------------------------------- loads
     def load(self, addr: int, pid: Optional[int] = None) -> Tuple[int, int]:
@@ -147,23 +176,6 @@ class BmController:
         values = tuple(self.fabric.memory.read(addr + i, pid) for i in range(4))
         return values, self.config.round_trip
 
-    # ------------------------------------------------------------ op registry
-    def _new_op(
-        self,
-        kind: str,
-        addr: int,
-        on_done: Callable,
-        pid: Optional[int],
-        value: int = 0,
-        values: Tuple[int, ...] = (),
-        old: int = 0,
-        new: int = 0,
-    ) -> PendingBmOp:
-        op = PendingBmOp(self._next_op_id, kind, addr, on_done, pid, value, values, old, new)
-        self._next_op_id += 1
-        self._pending_ops[op.op_id] = op
-        return op
-
     # ---------------------------------------------------------------- stores
     def store(
         self,
@@ -175,10 +187,8 @@ class BmController:
         """Broadcast store; ``on_done(completion_cycle)`` fires when performed."""
         self.wcb = False
         self.stores_issued += 1
-        op = self._new_op("store", addr, on_done, pid, value=value)
-        op.ticket = self.transceiver.send_store(
-            addr, value, BmOpCallback(self, op.op_id, "_store_performed")
-        )
+        op = PendingBmOp(self, "store", addr, on_done, pid, value=value)
+        self.transceiver.send_store(addr, value, op.stored)
 
     def bulk_store(
         self,
@@ -192,21 +202,8 @@ class BmController:
             raise MemoryError_("bulk stores transfer exactly four 64-bit words")
         self.wcb = False
         self.stores_issued += 1
-        op = self._new_op("bulk", addr, on_done, pid, values=tuple(values))
-        op.ticket = self.transceiver.send_bulk_store(
-            addr, tuple(values), BmOpCallback(self, op.op_id, "_store_performed")
-        )
-
-    def _store_performed(self, op_id: int, message, cycle: int) -> None:
-        """The broadcast went out: perform globally and report completion."""
-        op = self._pending_ops.pop(op_id)
-        if op.kind == "bulk":
-            for offset, value in enumerate(op.values):
-                self.fabric.apply_store(op.addr + offset, value, self.node_id, cycle, op.pid)
-        else:
-            self.fabric.apply_store(op.addr, op.value, self.node_id, cycle, op.pid)
-        self.wcb = True
-        op.on_done(cycle)
+        op = PendingBmOp(self, "bulk", addr, on_done, pid, values=tuple(values))
+        self.transceiver.send_bulk_store(addr, tuple(values), op.stored)
 
     # --------------------------------------------------------------- atomics
     def rmw(
@@ -240,56 +237,6 @@ class BmController:
                 RmwResult(old_value=old, success=False, afb=False, completion_cycle=completion),
             )
             return
-        op = self._new_op("rmw", addr, on_done, pid, old=old, new=new)
-        op.token = self.fabric.register_pending_rmw(
-            self.node_id, addr, BmOpCallback(self, op.op_id, "_rmw_atomicity_failed")
-        )
-        op.ticket = self.transceiver.send_store(
-            addr, new, BmOpCallback(self, op.op_id, "_rmw_performed")
-        )
-
-    def _rmw_finish(self, op_id: int, failed: bool, cycle: int) -> None:
-        op = self._pending_ops.get(op_id)
-        if op is None or op.settled:
-            return
-        op.settled = True
-        del self._pending_ops[op_id]
-        self.afb = failed
-        self.wcb = True
-        if failed:
-            self.rmw_failures += 1
-        else:
-            self.fabric.apply_store(op.addr, op.new, self.node_id, cycle, op.pid)
-        op.on_done(
-            RmwResult(
-                old_value=op.old,
-                success=not failed,
-                afb=failed,
-                completion_cycle=cycle,
-            )
-        )
-
-    def _rmw_atomicity_failed(self, op_id: int) -> None:
-        # A remote write to this address arrived before our broadcast
-        # succeeded.  Abort the pending transmission if it has not
-        # started; the instruction then terminates with AFB set without
-        # ever occupying the Data channel (Section 4.2.1).
-        op = self._pending_ops.get(op_id)
-        if op is None or op.settled:
-            return
-        if op.ticket is not None and op.ticket.cancel():
-            self.fabric.consume_pending_rmw(op.token)
-            cycle = self.fabric.sim.now + self.config.round_trip
-            self.fabric.sim.schedule(
-                self.config.round_trip,
-                BmOpCallback(self, op_id, "_rmw_finish"),
-                True,
-                cycle,
-            )
-
-    def _rmw_performed(self, op_id: int, message, cycle: int) -> None:
-        op = self._pending_ops.get(op_id)
-        if op is None or op.settled:
-            return
-        failed = self.fabric.consume_pending_rmw(op.token)
-        self._rmw_finish(op_id, failed, cycle)
+        op = PendingBmOp(self, "rmw", addr, on_done, pid, old=old, new=new)
+        op.window = self.fabric.register_pending_rmw(self.node_id, addr, op.atomicity_failed)
+        op.ticket = self.transceiver.send_store(addr, new, op.rmw_performed)

@@ -40,7 +40,9 @@ class _Waiter:
 
 
 class _PendingRmw:
-    __slots__ = ("node", "addr", "failed", "on_fail")
+    """An open RMW window, and the issuing node's ticket for it."""
+
+    __slots__ = ("node", "addr", "failed", "consumed", "on_fail")
 
     def __init__(
         self, node: int, addr: int, on_fail: Optional[Callable[[], None]] = None
@@ -48,6 +50,7 @@ class _PendingRmw:
         self.node = node
         self.addr = addr
         self.failed = False
+        self.consumed = False
         self.on_fail = on_fail
 
 
@@ -56,7 +59,7 @@ class BroadcastFabric:
 
     STATE = (
         "memory", "allocator", "tlb", "data_channel", "tone_channel", "nodes",
-        "_waiters", "_pending_rmw", "_pending_by_addr", "_next_token", "total_writes",
+        "_waiters", "_pending_by_addr", "total_writes",
     )
     REBUILT = ("sim", "config", "stats", "tracer", "rng", "_writes_applied_counter")
 
@@ -84,11 +87,9 @@ class BroadcastFabric:
         self.data_channel.add_listener(self._on_message_delivered)
         self.nodes: List[WiSyncNode] = []
         self._waiters: Dict[int, List[_Waiter]] = {}
-        self._pending_rmw: Dict[int, _PendingRmw] = {}
-        #: Insertion-ordered token index per address (dict-as-ordered-set, so
-        #: failure notification order is explicit and snapshot-stable).
-        self._pending_by_addr: Dict[int, Dict[int, None]] = {}
-        self._next_token = 0
+        #: The open RMW windows per address, in registration order, which is
+        #: the order failures are notified in.
+        self._pending_by_addr: Dict[int, List[_PendingRmw]] = {}
         self.total_writes = 0
         # Flyweight stat handles for the per-broadcast-write hot path.
         self._writes_applied_counter = self.stats.counter("bm/writes_applied")
@@ -192,33 +193,33 @@ class BroadcastFabric:
 
     def register_pending_rmw(
         self, node: int, addr: int, on_fail: Optional[Callable[[], None]] = None
-    ) -> int:
-        token = self._next_token
-        self._next_token += 1
-        self._pending_rmw[token] = _PendingRmw(node=node, addr=addr, on_fail=on_fail)
-        tokens = self._pending_by_addr.get(addr)
-        if tokens is None:
-            tokens = self._pending_by_addr[addr] = {}
-        tokens[token] = None
-        return token
+    ) -> _PendingRmw:
+        """Open an RMW window on ``addr`` and return it; a broadcast write to
+        ``addr`` from another node fails the window and calls ``on_fail()``."""
+        pending = _PendingRmw(node, addr, on_fail)
+        windows = self._pending_by_addr.get(addr)
+        if windows is None:
+            self._pending_by_addr[addr] = [pending]
+        else:
+            windows.append(pending)
+        return pending
 
-    def consume_pending_rmw(self, token: int) -> bool:
-        pending = self._pending_rmw.pop(token, None)
-        if pending is None:
-            raise WirelessError(f"unknown pending RMW token {token}")
-        tokens = self._pending_by_addr.get(pending.addr)
-        if tokens is not None:
-            tokens.pop(token, None)
-            if not tokens:
-                del self._pending_by_addr[pending.addr]
+    def consume_pending_rmw(self, pending: _PendingRmw) -> bool:
+        """Close an RMW window; returns whether a remote write failed it."""
+        if pending.consumed:
+            raise WirelessError(f"RMW window on address {pending.addr} already consumed")
+        pending.consumed = True
+        windows = self._pending_by_addr[pending.addr]
+        windows.remove(pending)
+        if not windows:
+            del self._pending_by_addr[pending.addr]
         return pending.failed
 
     def _fail_pending(self, addr: int, sender: int) -> None:
-        # Insertion-ordered dict keys: tokens are notified in registration
-        # order, which is what the pinned golden event sequences encode.
-        for token in list(self._pending_by_addr.get(addr, ())):
-            pending = self._pending_rmw.get(token)
-            if pending is None or pending.node == sender:
+        # A snapshot of the list, because a notified node may close its
+        # window; a window closed during the walk is skipped.
+        for pending in list(self._pending_by_addr[addr]):
+            if pending.consumed or pending.node == sender:
                 continue
             newly_failed = not pending.failed
             pending.failed = True

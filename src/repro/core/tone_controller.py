@@ -10,8 +10,8 @@ to active barriers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Optional, Set
 
 from repro.config import ToneChannelConfig
 from repro.errors import ToneBarrierError
@@ -36,25 +36,12 @@ class ActiveBEntry:
     arrived: bool = False
 
 
-class _ActivationSent:
-    """Describable completion hook for a barrier-activation message."""
-
-    __slots__ = ("controller", "bm_addr")
-
-    def __init__(self, controller: "ToneController", bm_addr: int) -> None:
-        self.controller = controller
-        self.bm_addr = bm_addr
-
-    def __call__(self, message: WirelessMessage, cycle: int) -> None:
-        self.controller._activation_sent(self.bm_addr, cycle)
-
-
 class ToneController:
     """Hardware tone-barrier participation logic of one node."""
 
     STATE = (
-        "alloc_b", "active_b", "_arrived_early", "_pending_inits",
-        "barriers_initiated", "barriers_joined",
+        "alloc_b", "active_b", "_arrived_early", "barriers_initiated",
+        "barriers_joined",
     )
     REBUILT = ("node_id", "tone_channel", "transceiver", "config")
 
@@ -73,9 +60,6 @@ class ToneController:
         self.active_b: Dict[int, ActiveBEntry] = {}
         #: Arrivals observed before the activation message was delivered.
         self._arrived_early: Set[int] = set()
-        #: Optional caller hooks for in-flight activation messages, keyed by
-        #: BM address (``None`` for the common fire-and-forget arrival).
-        self._pending_inits: Dict[int, Optional[Callable[[int], None]]] = {}
         self.barriers_initiated = 0
         self.barriers_joined = 0
 
@@ -100,15 +84,8 @@ class ToneController:
         entry = self.alloc_b.get(bm_addr)
         return bool(entry and entry.armed)
 
-    def set_armed(self, bm_addr: int, armed: bool) -> None:
-        """OS hook: (dis)arm participation, e.g. when a thread is placed here."""
-        entry = self.alloc_b.get(bm_addr)
-        if entry is None:
-            raise ToneBarrierError(f"tone barrier {bm_addr} is not allocated on node {self.node_id}")
-        entry.armed = armed
-
     # --------------------------------------------------------------- arrival
-    def arrive(self, bm_addr: int, on_activation_sent: Optional[Callable[[int], None]] = None) -> bool:
+    def arrive(self, bm_addr: int) -> bool:
         """Handle a local ``tone_st``: returns True if this node initiated the barrier.
 
         If a tone is currently being issued for this address the local core
@@ -133,14 +110,12 @@ class ToneController:
             return False
         self._arrived_early.add(bm_addr)
         self.barriers_initiated += 1
-        self._pending_inits[bm_addr] = on_activation_sent
-        self.transceiver.send_tone_init(bm_addr, _ActivationSent(self, bm_addr))
+        self.transceiver.send_tone_init(bm_addr, self._activation_sent)
         return True
 
-    def _activation_sent(self, bm_addr: int, cycle: int) -> None:
-        on_activation_sent = self._pending_inits.pop(bm_addr, None)
-        if on_activation_sent is not None:
-            on_activation_sent(cycle)
+    def _activation_sent(self, message: WirelessMessage, cycle: int) -> None:
+        """The activation message's own hook does nothing: the fabric's
+        delivery listener activates the barrier on every node."""
 
     # ------------------------------------------------------------ activation
     def on_barrier_activated(self, bm_addr: int) -> bool:
@@ -166,13 +141,3 @@ class ToneController:
         """Silence detected: the barrier is over, remove it from ActiveB."""
         self.active_b.pop(bm_addr, None)
         self._arrived_early.discard(bm_addr)
-
-    # ----------------------------------------------------------------- state
-    def is_active(self, bm_addr: int) -> bool:
-        return bm_addr in self.active_b
-
-    def has_arrived(self, bm_addr: int) -> bool:
-        entry = self.active_b.get(bm_addr)
-        if entry is not None:
-            return entry.arrived
-        return bm_addr in self._arrived_early

@@ -42,35 +42,6 @@ class ThreadContext:
     rng: DeterministicRng
 
 
-class ThreadResume:
-    """Schedulable callback that resumes a thread with the delivered value.
-
-    One shared instance per thread replaces the per-suspension
-    ``lambda value: machine._advance(thread, value)`` closures the machine
-    used to allocate on every blocking operation: cheaper on the hot path,
-    and — unlike a closure — describable by the snapshot codec.
-    """
-
-    __slots__ = ("advance", "thread")
-
-    def __init__(self, advance: Callable[["SimThread", Any], None], thread: "SimThread") -> None:
-        self.advance = advance
-        self.thread = thread
-
-    def __call__(self, value: Any) -> None:
-        self.advance(self.thread, value)
-
-
-class ThreadResumeNone(ThreadResume):
-    """Resume a thread with ``None``, ignoring whatever the caller delivers
-    (completion cycles from BM stores, for example)."""
-
-    __slots__ = ()
-
-    def __call__(self, *_ignored: Any) -> None:
-        self.advance(self.thread, None)
-
-
 class SimThread:
     """One simulated thread bound to a core."""
 
@@ -84,10 +55,7 @@ class SimThread:
         "frames", "state", "start_cycle", "finish_cycle", "operations_issued",
         "result", "send",
     )
-    REBUILT = (
-        "thread_id", "core_id", "pid", "body", "context", "frame_env", "resume",
-        "resume_none",
-    )
+    REBUILT = ("thread_id", "core_id", "pid", "body", "context", "frame_env", "_advance")
 
     def __init__(
         self,
@@ -109,17 +77,26 @@ class SimThread:
         self.finish_cycle: Optional[int] = None
         self.operations_issued = 0
         self.result: Any = None
-        #: Set by the machine when the thread is registered (bind_resume).
-        self.resume: Optional[ThreadResume] = None
-        self.resume_none: Optional[ThreadResumeNone] = None
+        #: The machine's ``_advance``, bound once when the thread is
+        #: registered, so a wrapper installed on ``Manycore._advance`` before
+        #: the build (``perfbench/layers.py``) sees every resume.
+        self._advance: Optional[Callable[["SimThread", Any], None]] = None
         #: The trampoline, bound in :meth:`start` (and by native restore); the
         #: machine's dispatch loop calls ``thread.send(value)``.
         self.send: Optional[Callable[[Any], Any]] = None
 
     def bind_resume(self, advance: Callable[["SimThread", Any], None]) -> None:
-        """Create the shared resume callables (called once by the machine)."""
-        self.resume = ThreadResume(advance, self)
-        self.resume_none = ThreadResumeNone(advance, self)
+        """Bind the machine's step function (called once by the machine)."""
+        self._advance = advance
+
+    def resume(self, value: Any) -> None:
+        """Completion hook: resume the thread with the delivered value."""
+        self._advance(self, value)
+
+    def resume_none(self, *_ignored: Any) -> None:
+        """Completion hook that resumes the thread with ``None``, whatever the
+        caller delivers (completion cycles from BM stores, for example)."""
+        self._advance(self, None)
 
     def start(self) -> None:
         """Spawn the body's root frame (called by the machine when scheduling)."""

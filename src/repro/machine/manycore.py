@@ -297,6 +297,8 @@ class Manycore:
         # (events, heap tuples, operation records); generational GC scans buy
         # nothing there and cost ~15% of the run.  Reference counting frees
         # the churn either way, so pause collection for the duration.
+        # tests/test_machine.py::test_broadcast_sends_leave_no_cycles checks
+        # that the wireless path's records stay acyclic.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()

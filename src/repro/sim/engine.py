@@ -9,9 +9,9 @@ The event queue is engineered for the hot path: heap entries are plain
 ``(time, priority, seq, callback, args)`` tuples (compared in C — ``seq`` is
 unique, so a comparison never reaches the callback), and ``run``/``step``/
 ``drain`` all share one loop.  The engine has no event cancellation: a
-component that abandons work flags its own record (a cancelled wireless
-attempt, a settled BM operation) and its callback skips it when the event
-fires, so ``schedule`` returns nothing and every queued entry is live.
+component that abandons work drops it from its own records (a cancelled
+wireless attempt leaves its slot's list, and the slot's arbitration event
+still fires), so ``schedule`` returns nothing and every queued entry is live.
 """
 
 from __future__ import annotations

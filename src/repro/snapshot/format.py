@@ -47,9 +47,13 @@ def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def body_hash(body: Dict[str, Any]) -> str:
     """sha256 of the canonical JSON form of a snapshot body."""
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+    return _sha256(_canonical(body))
 
 
 @dataclass(frozen=True)
@@ -179,7 +183,14 @@ def save_snapshot(snapshot: Snapshot, path: Union[str, Path]) -> Path:
     """Atomically write a snapshot document (temp file + rename)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = _canonical(snapshot_document(snapshot))
+    # ``_canonical(snapshot_document(snapshot))``, with the body serialized
+    # once: the hashed text is the text written.  The envelope's keys are in
+    # the sorted order ``_canonical`` writes.
+    body = _canonical(snapshot.to_dict())
+    data = (
+        f'{{"format":{_canonical(SNAPSHOT_FORMAT)},"sha256":"{_sha256(body)}",'
+        f'"snapshot":{body},"version":{_canonical(SNAPSHOT_VERSION)}}}'
+    )
     fd, tmp_name = tempfile.mkstemp(
         dir=str(path.parent), prefix=path.name, suffix=".tmp"
     )

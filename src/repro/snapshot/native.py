@@ -21,8 +21,11 @@ The codec knows no simulator class by hand.  It reads two kinds of object:
   state is its ``__slots__`` or dataclass fields, and its class, like every
   enum and NamedTuple a payload may name, is listed in :data:`REGISTRY`.
   Restore builds no other class.  A record reached twice is encoded once and
-  referenced afterwards, so cycles (a send and its attempt) and sharing (a
-  ticket and the in-flight send) survive the round trip.
+  referenced afterwards, so cycles (an RMW operation and the send whose hook
+  is that operation's bound method) and sharing (a ticket and the in-flight
+  send) survive the round trip.
+* A callback is a bound method of a part or record, encoded as that object
+  and the method's name.
 
 The payload holds ``schema`` (the field list of every class it names),
 ``parts`` (one ``[class, parent, attribute, keys]`` path each), ``state``
@@ -53,14 +56,14 @@ from operator import attrgetter
 from types import MethodType
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.core.bm_controller import BmOpCallback, PendingBmOp, RmwResult
+from repro.core.bm_controller import PendingBmOp, RmwResult
 from repro.core.broadcast_memory import BmEntry
 from repro.core.fabric import _PendingRmw
 from repro.core.fabric import _Waiter as _FabricWaiter
-from repro.core.tone_controller import ActiveBEntry, AllocBEntry, _ActivationSent
+from repro.core.tone_controller import ActiveBEntry, AllocBEntry
 from repro.core.translation import PageMapping
 from repro.cpu.frames import Frame
-from repro.cpu.thread import ThreadResume, ThreadResumeNone, ThreadState
+from repro.cpu.thread import ThreadState
 from repro.errors import SnapshotError
 from repro.isa.predicates import Eq, Ge, Lt, Ne
 from repro.mem.directory import DirectoryEntry, LineState
@@ -81,8 +84,7 @@ def _name(cls: type) -> str:
 REGISTRY: Dict[str, type] = {
     _name(cls): cls
     for cls in (
-        _Attempt, _PendingSend, PendingBmOp, BmOpCallback, _ActivationSent,
-        ThreadResume, ThreadResumeNone, _PendingRmw, _FabricWaiter, _MemWaiter,
+        _Attempt, _PendingSend, PendingBmOp, _PendingRmw, _FabricWaiter, _MemWaiter,
         Frame, DirectoryEntry, BmEntry, AllocBEntry, ActiveBEntry, _ActiveBarrier,
         PageMapping, ThreadPlacement, Eq, Ne, Ge, Lt, WirelessMessage, RmwResult,
         ThreadState, LineState,

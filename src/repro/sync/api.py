@@ -120,10 +120,6 @@ class SyncFactory:
             return self._register(BroadcastCell(self.program.alloc_broadcast()))
         return self._register(CachedCell(self.program.alloc_shared()))
 
-    def create_cached_cell(self) -> AtomicCell:
-        """A shared atomic word explicitly in cached memory (for baselines)."""
-        return self._register(CachedCell(self.program.alloc_shared()))
-
     def create_rwlock(self) -> ReadersWriterLock:
         """A readers-writer lock in the fastest memory this machine offers."""
         return self._register(ReadersWriterLock(self.create_cell()))

@@ -56,37 +56,42 @@ class _Attempt:
     """
 
     __slots__ = (
-        "attempt_id",
+        "channel",
         "message",
         "on_complete",
         "on_collision",
         "enqueued_at",
-        "cancelled",
+        "slot",
         "started",
     )
 
     def __init__(
         self,
-        attempt_id: int,
+        channel: "DataChannel",
         message: WirelessMessage,
         on_complete: Callable[[WirelessMessage, int], None],
         on_collision: Callable[[WirelessMessage], int],
         enqueued_at: int,
     ) -> None:
-        #: Per-channel sequence number, in transmit order.
-        self.attempt_id = attempt_id
+        self.channel = channel
         self.message = message
         self.on_complete = on_complete
         self.on_collision = on_collision
         self.enqueued_at = enqueued_at
-        self.cancelled = False
+        #: The cycle whose arbitration holds this attempt; set again by
+        #: every (re-)registration.
+        self.slot = enqueued_at
         self.started = False
 
     def cancel(self) -> bool:
-        """Abort the transmission; returns True if it had not started yet."""
+        """Abort the transmission; returns True if it had not started yet.
+
+        The attempt leaves its slot at once.  The slot's list stays, so its
+        arbitration event still fires, with one sender fewer.
+        """
         if self.started:
             return False
-        self.cancelled = True
+        self.channel._attempts_by_cycle[self.slot].remove(self)
         return True
 
 
@@ -94,7 +99,7 @@ class DataChannel:
     """Event-accurate single-frequency-band data channel with collisions."""
 
     STATE = (
-        "_busy_until", "_next_attempt_id", "_attempts_by_cycle", "completed",
+        "_busy_until", "_attempts_by_cycle", "completed",
         "total_messages", "total_collisions",
     )
     REBUILT = (
@@ -114,7 +119,6 @@ class DataChannel:
         self.stats = stats if stats is not None else StatsRegistry()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._busy_until: int = 0
-        self._next_attempt_id = 0
         #: Queued attempts per slot; a cycle is a key exactly while its
         #: arbitration event is scheduled.
         self._attempts_by_cycle: Dict[int, List[_Attempt]] = {}
@@ -158,14 +162,7 @@ class DataChannel:
         """
         now = self.sim.now
         start = max(now, self._busy_until, earliest if earliest is not None else now)
-        attempt = _Attempt(
-            attempt_id=self._next_attempt_id,
-            message=message,
-            on_complete=on_complete,
-            on_collision=on_collision,
-            enqueued_at=now,
-        )
-        self._next_attempt_id += 1
+        attempt = _Attempt(self, message, on_complete, on_collision, now)
         self._register_attempt(start, attempt)
         return attempt
 
@@ -177,6 +174,7 @@ class DataChannel:
     def _register_attempt(self, cycle: int, attempt: _Attempt) -> None:
         if cycle < self.sim.now:
             raise WirelessError("attempt registered in the past")
+        attempt.slot = cycle
         attempts = self._attempts_by_cycle.get(cycle)
         if attempts is None:
             self._attempts_by_cycle[cycle] = [attempt]
@@ -185,8 +183,7 @@ class DataChannel:
             attempts.append(attempt)
 
     def _arbitrate(self, cycle: int) -> None:
-        attempts = self._attempts_by_cycle.pop(cycle, [])
-        attempts = [attempt for attempt in attempts if not attempt.cancelled]
+        attempts = self._attempts_by_cycle.pop(cycle)
         if not attempts:
             return
         if cycle < self._busy_until:

@@ -10,8 +10,7 @@ plus antenna.  The tone-channel extension (extra circuitry plus a second
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -37,9 +36,6 @@ class RfDesignPoint:
     power_mw: float
     center_frequency_ghz: float = 60.0
     antennas: int = 1
-
-    def with_bandwidth(self, bandwidth_gbps: float) -> "RfDesignPoint":
-        return replace(self, bandwidth_gbps=bandwidth_gbps)
 
 
 #: Measured 65 nm reference design (Yu et al. [51]).
@@ -138,12 +134,3 @@ def wisync_rf_budget(technology_nm: int = 22) -> RfDesignPoint:
         center_frequency_ghz=data_part.center_frequency_ghz,
         antennas=2,
     )
-
-
-def future_design_points() -> List[RfDesignPoint]:
-    """Exploratory points discussed in Section 2 ("Future Trends")."""
-    return [
-        RfDesignPoint(technology_nm=22, bandwidth_gbps=32.0, area_mm2=0.10, power_mw=30.0),
-        RfDesignPoint(technology_nm=14, bandwidth_gbps=64.0, area_mm2=0.01, power_mw=10.0,
-                      center_frequency_ghz=300.0),
-    ]

@@ -76,10 +76,6 @@ class ToneChannel:
     def is_active(self, bm_addr: int) -> bool:
         return bm_addr in self._active
 
-    def emitting_nodes(self, bm_addr: int) -> Set[int]:
-        barrier = self._active.get(bm_addr)
-        return set(barrier.emitting) if barrier is not None else set()
-
     # ------------------------------------------------------------ operations
     def activate(self, bm_addr: int, emitters: Set[int]) -> None:
         """A barrier becomes active: ``emitters`` start issuing tones.

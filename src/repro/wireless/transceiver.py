@@ -20,33 +20,26 @@ from repro.wireless.channel import DataChannel, WirelessMessage, _Attempt
 
 
 class _PendingSend:
-    """One queued or in-flight send: the caller's ticket and the channel's hook.
+    """One queued or in-flight send, and the caller's ticket for it.
 
     ``send_*`` return it, and the BM controller aborts an RMW's broadcast
     through :meth:`cancel` once its atomicity has failed, so the stale value
-    never occupies the Data channel.  The channel calls it when the transfer
-    lands.
+    never occupies the Data channel.
     """
 
-    __slots__ = ("transceiver", "send_id", "message", "on_complete", "attempt", "done")
+    __slots__ = ("transceiver", "message", "on_complete", "attempt", "done")
 
     def __init__(
         self,
         transceiver: "Transceiver",
-        send_id: int,
         message: WirelessMessage,
         on_complete: Callable[[WirelessMessage, int], None],
     ) -> None:
         self.transceiver = transceiver
-        #: Per-transceiver sequence number, in issue order.
-        self.send_id = send_id
         self.message = message
         self.on_complete = on_complete
         self.attempt: Optional[_Attempt] = None
         self.done = False
-
-    def __call__(self, message: WirelessMessage, cycle: int) -> None:
-        self.transceiver._on_complete(self, message, cycle)
 
     def cancel(self) -> bool:
         """Abort the send; returns True if nothing was (or will be) transmitted."""
@@ -57,8 +50,8 @@ class Transceiver:
     """MAC front end of one node."""
 
     STATE = (
-        "backoff", "_queue", "_in_flight", "_next_send_id", "sent_messages",
-        "collisions_seen", "_seen",
+        "backoff", "_queue", "_in_flight", "sent_messages", "collisions_seen",
+        "_seen",
     )
     REBUILT = ("node_id", "channel", "config", "stats", "_sent_counter", "_collision_counter")
 
@@ -77,7 +70,6 @@ class Transceiver:
         self.stats = stats if stats is not None else StatsRegistry()
         self._queue: Deque[_PendingSend] = deque()
         self._in_flight: Optional[_PendingSend] = None
-        self._next_send_id = 0
         self.sent_messages = 0
         self.collisions_seen = 0
         # Per-node flyweight stat handles, bound once per transceiver.
@@ -95,7 +87,7 @@ class Transceiver:
     ) -> _PendingSend:
         """Broadcast a single-word BM store."""
         message = WirelessMessage(sender=self.node_id, bm_addr=bm_addr, value=value)
-        return self._enqueue(self._new_pending(message, on_complete))
+        return self._enqueue(_PendingSend(self, message, on_complete))
 
     def send_bulk_store(
         self,
@@ -111,7 +103,7 @@ class Transceiver:
             bulk=True,
             bulk_values=tuple(values),
         )
-        return self._enqueue(self._new_pending(message, on_complete))
+        return self._enqueue(_PendingSend(self, message, on_complete))
 
     def send_tone_init(
         self,
@@ -124,18 +116,13 @@ class Transceiver:
         (Section 4.2.2); the 64-bit data field is immaterial.
         """
         message = WirelessMessage(sender=self.node_id, bm_addr=bm_addr, value=0, tone_bit=True)
-        return self._enqueue(self._new_pending(message, on_complete))
+        return self._enqueue(_PendingSend(self, message, on_complete))
 
     @property
     def queue_depth(self) -> int:
         return len(self._queue) + (1 if self._in_flight is not None else 0)
 
     # ------------------------------------------------------------- internals
-    def _new_pending(self, message: WirelessMessage, on_complete: Callable) -> _PendingSend:
-        pending = _PendingSend(self, self._next_send_id, message, on_complete)
-        self._next_send_id += 1
-        return pending
-
     def _enqueue(self, pending: _PendingSend) -> _PendingSend:
         self._queue.append(pending)
         self._pump()
@@ -168,7 +155,7 @@ class Transceiver:
         earliest = self.channel.sim.now + deferral if deferral > 0 else None
         pending.attempt = self.channel.transmit(
             pending.message,
-            on_complete=pending,
+            on_complete=self._on_complete,
             on_collision=self._on_collision,
             earliest=earliest,
         )
@@ -188,7 +175,11 @@ class Transceiver:
         pending.done = True
         return True
 
-    def _on_complete(self, pending: _PendingSend, message: WirelessMessage, cycle: int) -> None:
+    def _on_complete(self, message: WirelessMessage, cycle: int) -> None:
+        # The channel delivers only the send in flight: a send leaves flight
+        # early only through a cancel, and a cancel takes its attempt off
+        # the air.
+        pending = self._in_flight
         pending.done = True
         self._in_flight = None
         self.sent_messages += 1

@@ -43,12 +43,6 @@ class AppProfile:
     reductions_per_phase: int = 0
     shared_lines_per_phase: int = 4  # shared-data lines touched per phase
 
-    def total_barriers(self) -> int:
-        return self.phases * self.barriers_per_phase
-
-    def total_lock_acquisitions(self) -> int:
-        return self.phases * self.locks_per_phase
-
 
 # ---------------------------------------------------------------------------
 # Profiles.  compute_per_phase values are chosen so that, on the 64-core

@@ -1,5 +1,8 @@
 """Tests for the Manycore machine driver, programs, and results."""
 
+import gc
+from collections import Counter
+
 import pytest
 
 from frame_bodies import frame_body, op_sequence
@@ -20,6 +23,7 @@ from repro.isa.operations import (
 from repro.machine.configs import baseline, wisync
 from repro.machine.manycore import Manycore
 from repro.machine.results import SimResult
+from repro.runner.registry import REGISTRY
 from repro.sim.stats import StatsRegistry
 
 
@@ -228,6 +232,31 @@ def test_malformed_frame_programs_raise_workload_errors(step, body, match):
     with pytest.raises(WorkloadError, match=match):
         program.add_thread(FrameBody(body) if isinstance(body, str) else body)
         machine.run()
+
+
+def test_broadcast_sends_leave_no_cycles():
+    """``Manycore.advance`` pauses the collector because the event loop's
+    churn is acyclic: every send, attempt, BM operation and RMW window is
+    freed by reference counting once it settles, so none lives on as a
+    cycle until the run ends."""
+    records = {"_PendingSend", "_Attempt", "PendingBmOp", "_PendingRmw"}
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        machine = Manycore(wisync(num_cores=16))
+        assert REGISTRY.build(machine, "rwlock", {"operations": 8}).run().completed
+        gc.collect()
+        leaked = Counter(
+            type(obj).__name__ for obj in gc.garbage if type(obj).__name__ in records
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert not leaked, leaked
 
 
 class TestSimResult:

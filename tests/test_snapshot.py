@@ -61,6 +61,7 @@ from repro.snapshot import (
     snapshot_document,
     try_load_snapshot,
 )
+from repro.snapshot.format import _canonical
 from repro.wireless.backoff import BroadcastAwareBackoff
 from repro.workloads.base import WorkloadHandle
 from sweep_host import collect, serve, sweep_store, sweep_task
@@ -189,14 +190,16 @@ class TestSnapshotFormat:
         assert parse_document(snapshot_document(snapshot)) == snapshot
 
     def test_file_round_trip(self, tmp_path):
-        snapshot = self._snapshot()
-        path = tmp_path / "point.snapshot.json"
-        save_snapshot(snapshot, path)
-        assert load_snapshot(path) == snapshot
-        # The file is the canonical JSON form the integrity hash covers.
-        assert path.read_text(encoding="utf-8") == json.dumps(
-            snapshot_document(snapshot), sort_keys=True, separators=(",", ":")
-        )
+        # A tightloop cut, and a mid-broadcast cut of a contended WiSync run
+        # (pending sends, attempts, BM operations and RMW windows).
+        contended = _scenario_spec("rwlock", "high", "exponential")
+        for snapshot in (self._snapshot(), snapshot_after(contended, 600)):
+            path = tmp_path / "point.snapshot.json"
+            save_snapshot(snapshot, path)
+            assert load_snapshot(path) == snapshot
+            # The file is, byte for byte, the canonical JSON form the
+            # integrity hash covers.
+            assert path.read_bytes() == _canonical(snapshot_document(snapshot)).encode("utf-8")
 
     def test_tampered_body_fails_integrity_check(self):
         document = snapshot_document(self._snapshot())
