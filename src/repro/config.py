@@ -65,7 +65,10 @@ class NocConfig:
     hop_latency: int = 4        # cycles per hop
     link_bits: int = 128
     router_latency: int = 1
-    # Baseline+ only: virtual tree-based broadcast with flit replication [22].
+    # Virtual tree-based broadcast with flit replication [22], set by
+    # Baseline+.  Only MeshNetwork.broadcast/multicast read it, and no
+    # simulated path calls them (coherence sends unicasts), so it changes
+    # no result.
     tree_broadcast: bool = False
 
     def validate(self) -> None:

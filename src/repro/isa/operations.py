@@ -10,6 +10,11 @@ Two address spaces exist, mirroring the paper:
   ``Tone*`` operations).
 
 Values are plain Python integers; addresses are integers in each space.
+
+Thread bodies build one record per issued operation, so the records are
+slotted dataclasses, not frozen ones: a frozen constructor pays one guarded
+``object.__setattr__`` per field.  They still compare by value; nothing
+hashes or mutates an issued operation.
 """
 
 from __future__ import annotations
@@ -32,14 +37,14 @@ class RmwKind(enum.Enum):
 # --------------------------------------------------------------------------
 # Core-local operations
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Compute:
     """Execute ``cycles`` of local computation (no memory traffic)."""
 
     cycles: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Fence:
     """Order prior operations before later ones (modelled as a 1-cycle stall)."""
 
@@ -49,7 +54,7 @@ class Fence:
 # --------------------------------------------------------------------------
 # Cached (regular) memory operations
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Read:
     """Load from cached memory.  The result is the loaded value."""
 
@@ -57,7 +62,7 @@ class Read:
     size: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Write:
     """Store to cached memory."""
 
@@ -66,7 +71,7 @@ class Write:
     size: int = 8
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AtomicOp:
     """Atomic read-modify-write on cached memory.
 
@@ -81,7 +86,7 @@ class AtomicOp:
     expected: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class WaitUntil:
     """Spin on a cached location until ``predicate(value)`` becomes true.
 
@@ -99,7 +104,7 @@ class WaitUntil:
 # --------------------------------------------------------------------------
 # Broadcast-memory operations (WiSync hardware)
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmAlloc:
     """Allocate ``words`` consecutive BM entries; the result is the base BM address."""
 
@@ -108,7 +113,7 @@ class BmAlloc:
     participants: Optional[Sequence[int]] = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmFree:
     """Deallocate a previously allocated BM range."""
 
@@ -116,14 +121,14 @@ class BmFree:
     words: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmLoad:
     """Plain load from the local BM (always succeeds, local latency only)."""
 
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmStore:
     """Store broadcast to every BM through the wireless Data channel."""
 
@@ -131,14 +136,14 @@ class BmStore:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmBulkLoad:
     """Bulk load of four consecutive BM entries; the result is a tuple of 4 values."""
 
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmBulkStore:
     """Bulk store of four consecutive BM entries (one 15-cycle message)."""
 
@@ -146,7 +151,7 @@ class BmBulkStore:
     values: Sequence[int] = field(default=(0, 0, 0, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmRmw:
     """Atomic RMW on a BM location.
 
@@ -163,7 +168,7 @@ class BmRmw:
     expected: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BmWaitUntil:
     """Spin with plain BM loads until ``predicate(value)`` is true.
 
@@ -179,28 +184,28 @@ class BmWaitUntil:
 # --------------------------------------------------------------------------
 # Tone-channel operations (hardware barriers)
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToneBarrierAlloc:
     """Allocate a tone-capable BM entry and arm the given participant cores."""
 
     participants: Sequence[int] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToneStore:
     """tone_st: signal arrival at the tone barrier for this BM address."""
 
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToneLoad:
     """tone_ld: read the sense of the tone barrier location."""
 
     addr: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ToneWait:
     """Spin with tone_ld until the barrier sense flips to ``local_sense``."""
 

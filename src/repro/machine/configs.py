@@ -11,6 +11,10 @@ WiSyncNoT     Yes   Wireless (Data)  Wireless  Wireless
 WiSync        Yes   Wireless (D+T)   Wireless  Wireless/Tone
 ============  ====  ===============  ========  ============
 
+The model's coherence traffic is unicast in every configuration, so
+Baseline+'s virtual tree (``NocConfig.tree_broadcast``) is set but changes
+no simulated result; see :func:`baseline_plus`.
+
 Table 6 sensitivity variants (Default, SlowNet, SlowNet+L2, FastNet,
 SlowBMEM) are produced by :func:`sensitivity_variants`.
 """
@@ -44,7 +48,13 @@ def baseline(num_cores: int = 64, seed: int = 2016) -> MachineConfig:
 
 
 def baseline_plus(num_cores: int = 64, seed: int = 2016) -> MachineConfig:
-    """Enhanced conventional manycore: tree broadcast, MCS locks, tournament barriers."""
+    """Enhanced conventional manycore: MCS locks and tournament barriers.
+
+    It also sets ``NocConfig.tree_broadcast``, the paper's virtual tree
+    broadcast, but the coherence protocol sends only unicasts, so the flag
+    reaches no simulated path: Baseline+ differs from Baseline only in its
+    synchronization algorithms.
+    """
     return MachineConfig(
         name="baseline+",
         num_cores=num_cores,

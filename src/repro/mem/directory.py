@@ -22,7 +22,7 @@ class LineState(enum.Enum):
     MODIFIED = "M"      # exactly one dirty owner
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
     """Sharer/owner bookkeeping for one line."""
 

@@ -131,7 +131,8 @@ class MemorySystem:
     # ----------------------------------------------------------------- reads
     def read(self, core: int, addr: int, size: int = 8) -> Tuple[int, int]:
         """Load; returns ``(value, completion_cycle)``."""
-        self._check_core(core)
+        if not 0 <= core < self._num_cores:
+            raise MemoryError_(f"core {core} out of range")
         now = self.sim.now
         word = (addr // size) * size
         line = addr // self._line_bytes
@@ -153,7 +154,8 @@ class MemorySystem:
     # ---------------------------------------------------------------- writes
     def write(self, core: int, addr: int, value: int, size: int = 8) -> int:
         """Store; returns the completion cycle.  Waiters are re-checked."""
-        self._check_core(core)
+        if not 0 <= core < self._num_cores:
+            raise MemoryError_(f"core {core} out of range")
         now = self.sim.now
         word = (addr // size) * size
         line = addr // self._line_bytes
@@ -193,7 +195,8 @@ class MemorySystem:
         is exactly why CAS-based synchronization struggles at high core
         counts in the Baseline configurations.
         """
-        self._check_core(core)
+        if not 0 <= core < self._num_cores:
+            raise MemoryError_(f"core {core} out of range")
         now = self.sim.now
         word = (addr // 8) * 8
         line = addr // self._line_bytes
@@ -236,7 +239,8 @@ class MemorySystem:
         is parked and woken by the write that satisfies the predicate, with
         refill latency plus serialization among simultaneously woken waiters.
         """
-        self._check_core(core)
+        if not 0 <= core < self._num_cores:
+            raise MemoryError_(f"core {core} out of range")
         word = self.address_map.word_of(addr)
         value = self._values.get(word, 0)
         if predicate(value):
@@ -273,22 +277,17 @@ class MemorySystem:
             self._waiters.pop(word, None)
         if not woken:
             return
-        line = word // self.config.cache.line_bytes
-        home = self.address_map.home_bank(word)
+        # Invalidate + refill: each spinner's copy was invalidated by the
+        # write; it re-fetches the line from the home bank, which serves the
+        # refills one at a time.
+        row = self.mesh.flight_row((word // self._line_bytes) % self._num_cores, LINE_BITS)
+        base = write_completion + self._l2_latency
+        now = self.sim.now
+        schedule = self.sim.schedule
         for index, waiter in enumerate(woken):
-            # Invalidate + refill: the spinner's copy was invalidated by the
-            # write; it re-fetches the line from the home bank.  Refills are
-            # served one at a time by the bank.
-            flight = self.mesh.flight_latency(home, waiter.core, LINE_BITS)
-            wake_cycle = (
-                write_completion
-                + self.config.cache.l2_latency
-                + flight
-                + index * REFILL_SERIALIZATION
-            )
-            delay = max(0, wake_cycle - self.sim.now)
-            self.sim.schedule(delay, waiter.callback, value)
-            self._spin_wakeups_counter.add()
+            delay = base + row[waiter.core] + index * REFILL_SERIALIZATION - now
+            schedule(delay if delay > 0 else 0, waiter.callback, value)
+        self._spin_wakeups_counter.value += len(woken)
 
     def _miss_transaction(
         self,
@@ -329,14 +328,17 @@ class MemorySystem:
         if for_write:
             targets = self.directory.invalidation_targets(line, core, entry)
             if targets:
+                # Flight latency is symmetric: the home bank's row times both
+                # the invalidation and its ack.
+                row = self.mesh.flight_row(home, REQUEST_BITS)
+                l1 = self._l1
                 ack_time = t
-                for index, target in enumerate(sorted(targets)):
-                    issue = t + index * INVALIDATION_ISSUE
-                    arrive = issue + self.mesh.flight_latency(home, target, REQUEST_BITS)
-                    self._l1[target].invalidate(line)
-                    ack = arrive + self.mesh.flight_latency(target, home, REQUEST_BITS)
-                    ack_time = max(ack_time, ack)
-                    self._invalidations_counter.add()
+                for index, target in enumerate(sorted(targets) if len(targets) > 1 else targets):
+                    l1[target].invalidate(line)
+                    ack = t + index * INVALIDATION_ISSUE + 2 * row[target]
+                    if ack > ack_time:
+                        ack_time = ack
+                self._invalidations_counter.value += len(targets)
                 t = ack_time
         self._line_busy_until[line] = t
         # Data/ownership grant returns to the requester.
@@ -346,10 +348,6 @@ class MemorySystem:
         victim = self._l1[core].fill(line)
         if victim is not None:
             self.directory.evict(victim, core)
-
-    def _check_core(self, core: int) -> None:
-        if not 0 <= core < self.config.num_cores:
-            raise MemoryError_(f"core {core} out of range")
 
 
 def apply_rmw(kind: RmwKind, old: int, operand: int, expected: int) -> Tuple[int, bool]:

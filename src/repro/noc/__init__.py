@@ -1,8 +1,11 @@
 """Wired on-chip network models.
 
 The paper's manycore uses a 2D mesh with 4-cycle hops and 128-bit links
-(Table 1).  Baseline+ additionally supports virtual tree-based broadcast with
-flit replication at the router crossbars [Krishna et al., 22].
+(Table 1).  The paper's Baseline+ adds virtual tree-based broadcast with
+flit replication at the router crossbars [Krishna et al., 22].  Here that is
+a standalone model (``BroadcastTree``, ``MeshNetwork.broadcast``): the
+coherence protocol sends only unicasts, so no configuration's simulated
+traffic uses it.
 """
 
 from repro._lazy import lazy_exports

@@ -1,10 +1,15 @@
-"""Virtual tree-based broadcast used by the Baseline+ configuration.
+"""Virtual tree-based broadcast, as in the paper's Baseline+.
 
-Baseline+ enhances the mesh with virtual tree broadcast and flit replication
-at the router crossbars (Krishna et al. [22]): a broadcast is forwarded along
-a tree rooted at the source and replicated in the routers, so the source
-injects the message once and the latency is governed by the tree depth
-rather than by the number of destinations.
+The paper's Baseline+ enhances the mesh with virtual tree broadcast and flit
+replication at the router crossbars (Krishna et al. [22]): a broadcast is
+forwarded along a tree rooted at the source and replicated in the routers,
+so the source injects the message once and the latency is governed by the
+tree depth rather than by the number of destinations.
+
+Only ``MeshNetwork.broadcast`` and ``multicast`` use the tree, and the
+simulated machine calls neither: its coherence protocol invalidates sharers
+with unicasts from the home bank in every configuration.  So Baseline+'s
+``NocConfig.tree_broadcast`` changes no simulated result.
 """
 
 from __future__ import annotations

@@ -8,16 +8,23 @@ are served one after another, which is what makes conventional centralized
 synchronization scale poorly.
 
 Every unicast is on the simulation's hottest path (each cache miss performs
-several), so the model memoizes pure functions of the topology and config —
-flight latencies per (src, dst, bits) and flit counts per message size — and
-binds its stat counters once instead of doing string-keyed lookups per
-message.  All cached values are deterministic functions of immutable config,
-so results are bit-identical to the uncached model.
+several), so the port-free times are per-node lists, and flight latencies
+come from one row per (message size, source node): the latency to every
+destination, computed by arithmetic the first time that source sends a
+message of that size.  Flight latency depends only on the hop distance, so a
+row also holds the latency *back* to its source, and the memory hierarchy
+reads one home-bank row for a whole invalidation fan-out.  The rows are pure
+functions of the topology and config, so results do not depend on when they
+are built.
+
+The coherence protocol sends only unicasts.  ``broadcast`` and ``multicast``
+(and with them ``NocConfig.tree_broadcast``) have no caller in the simulated
+machine; they are kept as standalone models of the two broadcast schemes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import NocConfig
 from repro.noc.broadcast_tree import BroadcastTree
@@ -28,11 +35,10 @@ from repro.sim.stats import StatsRegistry
 class MeshNetwork:
     """Latency/occupancy model of the wired mesh."""
 
-    STATE = ("_ejection_free", "_injection_free")
+    STATE = ("_inject_free_at", "_eject_free_at")
     REBUILT = (
-        "topology", "config", "stats", "tree", "_flight_cache", "_flit_cache",
-        "_unicast_cache", "_messages_counter", "_flit_cycles_counter",
-        "_broadcasts_counter",
+        "topology", "config", "stats", "tree", "_flight_tables", "_messages_counter",
+        "_flit_cycles_counter", "_broadcasts_counter",
     )
 
     def __init__(
@@ -45,71 +51,76 @@ class MeshNetwork:
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
         self.tree = BroadcastTree(topology)
-        # Earliest cycle at which each node's ejection port is free again.
-        self._ejection_free: Dict[int, int] = {}
-        # Earliest cycle at which each node's injection port is free again.
-        self._injection_free: Dict[int, int] = {}
-        # Memoized pure-function tables (lazy: only pairs actually used).
-        self._flight_cache: Dict[Tuple[int, int, int], int] = {}
-        self._flit_cache: Dict[int, int] = {}
-        # (src, dst, bits) -> (occupancy, flight) for the unicast fast path.
-        self._unicast_cache: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+        # Earliest cycle at which each node's injection and ejection ports
+        # are free again.
+        self._inject_free_at: List[int] = [0] * topology.num_nodes
+        self._eject_free_at: List[int] = [0] * topology.num_nodes
+        # message bits -> (flits, flight-latency row per source node or None)
+        self._flight_tables: Dict[int, Tuple[int, List[Optional[List[int]]]]] = {}
         # Flyweight stat handles, bound once.
         self._messages_counter = self.stats.counter("noc/messages")
         self._flit_cycles_counter = self.stats.counter("noc/flit_cycles")
         self._broadcasts_counter = self.stats.counter("noc/broadcasts")
 
-    # -------------------------------------------------------------- caching
-    def _cycles_per_flit(self, message_bits: int) -> int:
-        occupancy = self._flit_cache.get(message_bits)
-        if occupancy is None:
-            occupancy = self._flit_cache[message_bits] = self.config.cycles_per_flit(
-                message_bits
-            )
-        return occupancy
+    # --------------------------------------------------------- flight tables
+    def _flight_table(self, message_bits: int) -> Tuple[int, List[Optional[List[int]]]]:
+        """The first message of a size: its flit count and no rows yet."""
+        table = self._flight_tables[message_bits] = (
+            self.config.cycles_per_flit(message_bits),
+            [None] * self.topology.num_nodes,
+        )
+        return table
+
+    def _build_row(self, rows: List[Optional[List[int]]], src: int, flits: int) -> List[int]:
+        """Hops times hop latency, plus the router and the trailing flits."""
+        width = self.topology.width
+        sx, sy = self.topology.coordinates(src)
+        hop = self.config.hop_latency
+        base = self.config.router_latency + flits - 1
+        row = [
+            base + hop * (abs(sx - dst % width) + abs(sy - dst // width))
+            for dst in range(self.topology.num_nodes)
+        ]
+        row[src] = self.config.router_latency
+        rows[src] = row
+        return row
+
+    def flight_row(self, src: int, message_bits: int = 128) -> List[int]:
+        """Flight latency from ``src`` to each node, indexed by destination,
+        without port contention.  Latency depends only on the hop distance,
+        so the row is also each node's latency to ``src``.  Do not modify it."""
+        try:
+            flits, rows = self._flight_tables[message_bits]
+        except KeyError:
+            flits, rows = self._flight_table(message_bits)
+        return rows[src] or self._build_row(rows, src, flits)
 
     # --------------------------------------------------------------- unicast
     def flight_latency(self, src: int, dst: int, message_bits: int = 128) -> int:
         """Pure wire latency of a unicast message, without port contention."""
-        key = (src, dst, message_bits)
-        latency = self._flight_cache.get(key)
-        if latency is not None:
-            return latency
-        if src == dst:
-            latency = self.config.router_latency
-        else:
-            hops = self.topology.hop_distance(src, dst)
-            serialization = self._cycles_per_flit(message_bits) - 1
-            latency = (
-                hops * self.config.hop_latency + self.config.router_latency + serialization
-            )
-        self._flight_cache[key] = latency
-        return latency
+        return self.flight_row(src, message_bits)[dst]
 
     def unicast(self, now: int, src: int, dst: int, message_bits: int = 128) -> int:
         """Send a message now; return its arrival cycle (with port contention)."""
-        key = (src, dst, message_bits)
-        cached = self._unicast_cache.get(key)
-        if cached is None:
-            cached = self._unicast_cache[key] = (
-                self._cycles_per_flit(message_bits),
-                self.flight_latency(src, dst, message_bits),
-            )
-        occupancy, flight = cached
-        injection = self._injection_free
-        inject_at = injection.get(src, 0)
-        if now > inject_at:
-            inject_at = now
-        injection[src] = inject_at + occupancy
-        arrival = inject_at + flight
-        ejection = self._ejection_free
-        eject_at = ejection.get(dst, 0)
-        if arrival > eject_at:
-            eject_at = arrival
-        ejection[dst] = eject_at + occupancy
+        try:
+            occupancy, rows = self._flight_tables[message_bits]
+        except KeyError:
+            occupancy, rows = self._flight_table(message_bits)
+        row = rows[src] or self._build_row(rows, src, occupancy)
+        inject = self._inject_free_at
+        start = inject[src]
+        if now > start:
+            start = now
+        inject[src] = start + occupancy
+        arrival = start + row[dst]
+        eject = self._eject_free_at
+        free = eject[dst]
+        if arrival > free:
+            free = arrival
+        done = eject[dst] = free + occupancy
         self._messages_counter.value += 1
         self._flit_cycles_counter.value += occupancy
-        return eject_at + occupancy
+        return done
 
     def round_trip(self, now: int, src: int, dst: int, request_bits: int = 128,
                    response_bits: int = 128) -> int:
@@ -121,14 +132,14 @@ class MeshNetwork:
     def broadcast(self, now: int, src: int, message_bits: int = 128) -> int:
         """Broadcast to every node; return the cycle the last copy arrives.
 
-        With ``tree_broadcast`` (Baseline+), the source injects once and the
-        routers replicate flits, so latency is the tree depth.  Without it
-        (Baseline), the source injects one unicast per destination and the
-        injection port serializes them.
+        With ``tree_broadcast``, the source injects once and the routers
+        replicate flits, so latency is the tree depth.  Without it, the
+        source injects one unicast per destination and the injection port
+        serializes them.
         """
         if self.config.tree_broadcast:
             depth = self.tree.depth(src)
-            serialization = self._cycles_per_flit(message_bits) - 1
+            serialization = self.config.cycles_per_flit(message_bits) - 1
             latency = depth * self.config.hop_latency + self.config.router_latency + serialization
             self._broadcasts_counter.add()
             return now + latency
@@ -155,5 +166,5 @@ class MeshNetwork:
     # ----------------------------------------------------------------- stats
     def reset_ports(self) -> None:
         """Forget port occupancy (used between independent experiment phases)."""
-        self._ejection_free.clear()
-        self._injection_free.clear()
+        for table in (self._inject_free_at, self._eject_free_at):
+            table[:] = [0] * len(table)

@@ -38,7 +38,8 @@ sets, which DET002 keeps membership-only, are sorted.
 
 Restore checks the payload before it writes anything: its schema must equal
 the running code's declarations, and every part path must resolve to a part
-of the recorded class.  Otherwise it raises :class:`SnapshotError`, and
+of the recorded class.  The schema compares field names only, so a field
+that changes shape (a dict that becomes a list, say) must change its name.  Otherwise it raises :class:`SnapshotError`, and
 :meth:`SpecExecution.resume` runs the spec from scratch.  Capture is
 read-only; a value it cannot describe (a thread parked on a lambda) raises
 :class:`SnapshotError`.

@@ -1,5 +1,6 @@
 """Tests for the Manycore machine driver, programs, and results."""
 
+import dataclasses
 import gc
 from collections import Counter
 
@@ -8,6 +9,7 @@ import pytest
 from frame_bodies import frame_body, op_sequence
 from repro.cpu.frames import START, Call, FrameBody, Op, Ret
 from repro.errors import DeadlockError, WorkloadError
+from repro.isa import operations
 from repro.isa.operations import (
     BmAlloc,
     BmLoad,
@@ -257,6 +259,23 @@ def test_broadcast_sends_leave_no_cycles():
         if enabled:
             gc.enable()
     assert not leaked, leaked
+
+
+def test_operation_records_are_slotted_and_compare_by_value():
+    """Thread bodies build one record per issued operation: each is a
+    slotted dataclass with no instance ``__dict__``, equal by value."""
+    records = [
+        cls for cls in vars(operations).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    ]
+    assert len(records) == 18
+    for cls in records:
+        assert "__slots__" in vars(cls), cls
+        width = len(dataclasses.fields(cls))
+        record = cls(*range(width))
+        assert not hasattr(record, "__dict__"), cls
+        assert record == cls(*range(width))
+        assert record != cls(*range(1, width + 1))
 
 
 class TestSimResult:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import CacheConfig, MemoryConfig, default_machine_config
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MemoryError_
 from repro.isa.operations import RmwKind
 from repro.mem.address import AddressMap
 from repro.mem.cache import CacheArray
@@ -266,7 +266,18 @@ class TestMemorySystem:
         assert len(wake_times) == 6
         assert len(set(wake_times.values())) > 1  # refills serialize, not simultaneous
 
-    def test_out_of_range_core_rejected(self):
+    # A negative core would index the mesh's per-node tables from the end.
+    @pytest.mark.parametrize("core", [-1, 4, 9])
+    @pytest.mark.parametrize(
+        "method,args",
+        [
+            ("read", (0x100,)),
+            ("write", (0x100, 1)),
+            ("atomic", (0x100, RmwKind.SWAP)),
+            ("wait_until", (0x100, bool, print)),
+        ],
+    )
+    def test_out_of_range_core_rejected(self, method, args, core):
         sim, mem = make_memory(cores=4)
-        with pytest.raises(Exception):
-            mem.read(9, 0x100)
+        with pytest.raises(MemoryError_, match="out of range"):
+            getattr(mem, method)(core, *args)

@@ -160,10 +160,34 @@ class TestMeshNetwork:
 
     def test_reset_ports_clears_congestion(self):
         mesh = self._mesh()
-        mesh.unicast(0, 0, 5)
+        first = mesh.unicast(0, 0, 5)
+        for src in range(1, 4):
+            mesh.unicast(0, src, 5)
+        assert any(mesh._inject_free_at) and any(mesh._eject_free_at)
         mesh.reset_ports()
+        assert mesh._inject_free_at == mesh._eject_free_at == [0] * 16
         again = mesh.unicast(0, 0, 5)
+        assert again == first
         assert again == mesh.unicast(0, 0, 5) - mesh.config.cycles_per_flit(128)
+
+    # 128 nodes fill a 12x11 region of a 12x12 mesh.
+    @pytest.mark.parametrize("cores", [1, 2, 5, 16, 64, 128, 256])
+    @pytest.mark.parametrize("bits", [64, 128, 512, 1000])
+    def test_flight_row_is_the_hop_formula_and_symmetric(self, cores, bits):
+        """The memory hierarchy times an invalidation and its ack from one
+        home-bank row, so ``row(src)[dst]`` must equal ``row(dst)[src]``."""
+        mesh = self._mesh(cores)
+        topo, config = mesh.topology, mesh.config
+        serialization = config.cycles_per_flit(bits) - 1
+        rows = [mesh.flight_row(src, bits) for src in topo.nodes()]
+        for src in topo.nodes():
+            assert len(rows[src]) == cores
+            for dst in topo.nodes():
+                expected = config.router_latency
+                if src != dst:
+                    expected += topo.hop_distance(src, dst) * config.hop_latency + serialization
+                assert rows[src][dst] == expected == rows[dst][src]
+                assert mesh.flight_latency(src, dst, bits) == expected
 
     def test_message_stats_counted(self):
         mesh = self._mesh()
