@@ -29,7 +29,8 @@ class RmwResult(NamedTuple):
 
     A NamedTuple (not a frozen dataclass): one is created per BM RMW, which
     is the single most frequent operation in the synchronization-heavy
-    workloads.
+    workloads.  Build it positionally; a keyword-built NamedTuple costs
+    almost twice as much.
     """
 
     old_value: int
@@ -130,14 +131,7 @@ class PendingBmOp:
             controller.rmw_failures += 1
         else:
             controller.fabric.apply_store(self.addr, self.new, controller.node_id, cycle, self.pid)
-        self.on_done(
-            RmwResult(
-                old_value=self.old,
-                success=not failed,
-                afb=failed,
-                completion_cycle=cycle,
-            )
-        )
+        self.on_done(RmwResult(self.old, not failed, failed, cycle))
 
 
 class BmController:
@@ -187,7 +181,7 @@ class BmController:
         """Broadcast store; ``on_done(completion_cycle)`` fires when performed."""
         self.wcb = False
         self.stores_issued += 1
-        op = PendingBmOp(self, "store", addr, on_done, pid, value=value)
+        op = PendingBmOp(self, "store", addr, on_done, pid, value)
         self.transceiver.send_store(addr, value, op.stored)
 
     def bulk_store(
@@ -202,8 +196,9 @@ class BmController:
             raise MemoryError_("bulk stores transfer exactly four 64-bit words")
         self.wcb = False
         self.stores_issued += 1
-        op = PendingBmOp(self, "bulk", addr, on_done, pid, values=tuple(values))
-        self.transceiver.send_bulk_store(addr, tuple(values), op.stored)
+        values = tuple(values)
+        op = PendingBmOp(self, "bulk", addr, on_done, pid, 0, values)
+        self.transceiver.send_bulk_store(addr, values, op.stored)
 
     # --------------------------------------------------------------- atomics
     def rmw(
@@ -232,11 +227,10 @@ class BmController:
             completion = self.fabric.sim.now + self.config.round_trip
             self.wcb = True
             self.fabric.sim.schedule(
-                self.config.round_trip,
-                on_done,
-                RmwResult(old_value=old, success=False, afb=False, completion_cycle=completion),
+                self.config.round_trip, on_done, RmwResult(old, False, False, completion)
             )
             return
-        op = PendingBmOp(self, "rmw", addr, on_done, pid, old=old, new=new)
+        # Positional fields, as in every build here: value, values, old, new.
+        op = PendingBmOp(self, "rmw", addr, on_done, pid, 0, (), old, new)
         op.window = self.fabric.register_pending_rmw(self.node_id, addr, op.atomicity_failed)
         op.ticket = self.transceiver.send_store(addr, new, op.rmw_performed)

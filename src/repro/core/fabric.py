@@ -255,15 +255,24 @@ class BroadcastFabric:
         waiters = self._waiters.get(addr)
         if not waiters:
             return
-        woken = [w for w in waiters if w.predicate(value)]
-        remaining = [w for w in waiters if not w.predicate(value)]
+        # One predicate call per waiter: a Predicate is a Python-level call.
+        woken: List[_Waiter] = []
+        remaining: List[_Waiter] = []
+        for waiter in waiters:
+            if waiter.predicate(value):
+                woken.append(waiter)
+            else:
+                remaining.append(waiter)
         if remaining:
             self._waiters[addr] = remaining
         else:
             self._waiters.pop(addr, None)
+        if not woken:
+            return
+        delay = max(0, cycle - self.sim.now) + self.config.bm.round_trip
+        schedule = self.sim.schedule
         for waiter in woken:
-            delay = max(0, cycle - self.sim.now) + self.config.bm.round_trip
-            self.sim.schedule(delay, waiter.callback, value)
+            schedule(delay, waiter.callback, value)
 
     # --------------------------------------------------------- tone barriers
     def _on_message_delivered(self, message: WirelessMessage, cycle: int) -> None:

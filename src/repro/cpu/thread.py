@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
-from repro.cpu.frames import Call, Frame, FrameBody, FrameEnv, Op, Ret
+from repro.cpu.frames import START, Call, Frame, FrameBody, FrameEnv, Op, Ret
 from repro.errors import WorkloadError
 from repro.sim.rng import DeterministicRng
 
@@ -25,6 +25,13 @@ class ThreadState(enum.Enum):
     RUNNING = "running"
     BLOCKED = "blocked"
     FINISHED = "finished"
+
+
+# Bound once: on Python 3.11 ``EnumType`` defines ``__getattr__``, which
+# sends every ``ThreadState.X`` read down the slow generic attribute path.
+_READY = ThreadState.READY
+_RUNNING = ThreadState.RUNNING
+_FINISHED = ThreadState.FINISHED
 
 
 @dataclass
@@ -72,7 +79,7 @@ class SimThread:
         self.context = context
         self.frames: Optional[List[Frame]] = None
         self.frame_env: Optional[FrameEnv] = None
-        self.state = ThreadState.READY
+        self.state = _READY
         self.start_cycle: Optional[int] = None
         self.finish_cycle: Optional[int] = None
         self.operations_issued = 0
@@ -102,7 +109,7 @@ class SimThread:
         """Spawn the body's root frame (called by the machine when scheduling)."""
         self.frames = self.body.spawn_stack()
         self.send = self._frame_send
-        self.state = ThreadState.RUNNING
+        self.state = _RUNNING
 
     def _frame_send(self, value: Any) -> Any:
         """Trampoline: drive the frame stack until it suspends or finishes.
@@ -126,7 +133,7 @@ class SimThread:
                 return action.operation
             if cls is Call:
                 frame.label = action.label
-                stack.append(Frame(action.routine, locals=action.locals))
+                stack.append(Frame(action.routine, START, action.locals))
                 value = None
                 continue
             if cls is not Ret:
@@ -146,7 +153,7 @@ class SimThread:
 
     @property
     def finished(self) -> bool:
-        return self.state is ThreadState.FINISHED
+        return self.state is _FINISHED
 
     @property
     def elapsed_cycles(self) -> Optional[int]:

@@ -43,6 +43,11 @@ PRIVATE_MEMORY_BASE = 0x4000_0000
 #: Size of each thread's private region in bytes.
 PRIVATE_REGION_BYTES = 1 << 20
 
+# Bound once: on Python 3.11 ``EnumType`` defines ``__getattr__``, which
+# sends every ``ThreadState.FINISHED`` read down the slow generic attribute
+# path, and ``_advance`` reads it on every event.
+_FINISHED = ThreadState.FINISHED
+
 
 class Program:
     """One running program: a PID, its threads, and its memory allocations."""
@@ -357,12 +362,12 @@ class Manycore:
         self._advance(thread, None)
 
     def _advance(self, thread: SimThread, value: Any) -> None:
-        if thread.state is ThreadState.FINISHED:
+        if thread.state is _FINISHED:
             return
         try:
             operation = thread.send(value)
         except StopIteration as stop:
-            thread.state = ThreadState.FINISHED
+            thread.state = _FINISHED
             thread.finish_cycle = self.sim.now
             thread.result = stop.value
             self._finished += 1
@@ -520,15 +525,11 @@ class Manycore:
                 op.operand,
                 op.expected,
             )
-            result = RmwResult(
-                old_value=old, success=success, afb=False, completion_cycle=completion
-            )
+            result = RmwResult(old, success, False, completion)
             self._resume(thread, completion - self.sim.now, result)
             return
         node = self.fabric.nodes[thread.core_id]
-        node.bm_controller.rmw(
-            op.addr, op.kind, thread.resume, operand=op.operand, expected=op.expected
-        )
+        node.bm_controller.rmw(op.addr, op.kind, thread.resume, op.operand, op.expected)
 
     def _handle_bm_wait(self, thread: SimThread, op: ops.BmWaitUntil) -> None:
         if self._bm_is_soft(op.addr):

@@ -22,6 +22,15 @@ class LineState(enum.Enum):
     MODIFIED = "M"      # exactly one dirty owner
 
 
+# The members the transitions compare against, bound once: on Python 3.11
+# ``EnumType`` defines ``__getattr__``, which sends every ``LineState.X``
+# read down the slow generic attribute path (several times the cost of a
+# module global), and the transitions run once per memory access.
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
+_MODIFIED = LineState.MODIFIED
+
+
 @dataclass(slots=True)
 class DirectoryEntry:
     """Sharer/owner bookkeeping for one line."""
@@ -62,11 +71,11 @@ class Directory:
         """
         if entry is None:
             entry = self.entry(line)
-        if entry.state is LineState.MODIFIED and entry.owner is not None:
+        if entry.state is _MODIFIED and entry.owner is not None:
             entry.sharers.add(entry.owner)
             entry.owner = None
         entry.sharers.add(core)
-        entry.state = LineState.SHARED
+        entry.state = _SHARED
         return entry
 
     def record_write(
@@ -77,7 +86,7 @@ class Directory:
             entry = self.entry(line)
         entry.sharers = set()
         entry.owner = core
-        entry.state = LineState.MODIFIED
+        entry.state = _MODIFIED
         return entry
 
     def invalidation_targets(
@@ -100,9 +109,9 @@ class Directory:
         entry.sharers.discard(core)
         if entry.owner == core:
             entry.owner = None
-            entry.state = LineState.SHARED if entry.sharers else LineState.INVALID
+            entry.state = _SHARED if entry.sharers else _INVALID
         elif not entry.sharers and entry.owner is None:
-            entry.state = LineState.INVALID
+            entry.state = _INVALID
 
     def sharer_count(self, line: int) -> int:
         entry = self._entries.get(line)

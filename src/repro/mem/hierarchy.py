@@ -35,6 +35,16 @@ INVALIDATION_ISSUE = 1
 REQUEST_BITS = 64
 LINE_BITS = 512
 
+# Enum members bound once, so the per-access paths read module globals: on
+# Python 3.11 ``EnumType.__getattr__`` makes every ``Kind.MEMBER`` read
+# take the slow generic attribute path.
+_MODIFIED = LineState.MODIFIED
+_TEST_AND_SET = RmwKind.TEST_AND_SET
+_FETCH_AND_INC = RmwKind.FETCH_AND_INC
+_FETCH_AND_ADD = RmwKind.FETCH_AND_ADD
+_SWAP = RmwKind.SWAP
+_COMPARE_AND_SWAP = RmwKind.COMPARE_AND_SWAP
+
 
 class _Waiter:
     __slots__ = ("core", "predicate", "callback")
@@ -162,7 +172,7 @@ class MemorySystem:
         self._writes_counter.value += 1
         entry = self.directory.entry(line)
         if (
-            entry.state is LineState.MODIFIED
+            entry.state is _MODIFIED
             and entry.owner == core
             and self._l1[core].lookup(line)
         ):
@@ -203,7 +213,7 @@ class MemorySystem:
         self._atomics_counter.value += 1
         entry = self.directory.entry(line)
         if (
-            entry.state is LineState.MODIFIED
+            entry.state is _MODIFIED
             and entry.owner == core
             and self._l1[core].lookup(line)
         ):
@@ -319,7 +329,7 @@ class MemorySystem:
         if entry is None:
             entry = self.directory.entry(line)
         # Fetch the dirty copy from a remote owner if there is one.
-        if entry.state is LineState.MODIFIED and entry.owner is not None and entry.owner != core:
+        if entry.state is _MODIFIED and entry.owner is not None and entry.owner != core:
             t = unicast(t, home, entry.owner, REQUEST_BITS)
             t += self._l1_latency
             t = unicast(t, entry.owner, home, LINE_BITS)
@@ -352,16 +362,17 @@ class MemorySystem:
 
 def apply_rmw(kind: RmwKind, old: int, operand: int, expected: int) -> Tuple[int, bool]:
     """Functional semantics of the RMW kinds; returns ``(new_value, success)``."""
-    if kind is RmwKind.TEST_AND_SET:
-        return 1, True
-    if kind is RmwKind.FETCH_AND_INC:
-        return old + 1, True
-    if kind is RmwKind.FETCH_AND_ADD:
-        return old + operand, True
-    if kind is RmwKind.SWAP:
-        return operand, True
-    if kind is RmwKind.COMPARE_AND_SWAP:
+    # Commonest kind first: CAS is the most frequent RMW in every workload.
+    if kind is _COMPARE_AND_SWAP:
         if old == expected:
             return operand, True
         return old, False
+    if kind is _FETCH_AND_INC:
+        return old + 1, True
+    if kind is _FETCH_AND_ADD:
+        return old + operand, True
+    if kind is _SWAP:
+        return operand, True
+    if kind is _TEST_AND_SET:
+        return 1, True
     raise MemoryError_(f"unsupported RMW kind {kind!r}")

@@ -13,7 +13,6 @@ cycle counts bit-for-bit.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -412,6 +411,10 @@ class ParallelExecutor(_ExecutorBase):
         failed: Dict[int, str],
     ) -> Iterator[Tuple[int, SimResult]]:
         """One fresh-pool pass over ``positions``; failures land in ``failed``."""
+        # Imported here, so a serial run never loads the pool (or the
+        # ``logging`` it imports).
+        import concurrent.futures
+
         positions = list(positions)
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(max_workers, len(positions))

@@ -24,6 +24,12 @@ class AtomicCell(ABC):
 
     REBUILT = ("addr",)
 
+    #: Whether the cell lives in the Broadcast Memory.  The RMW routines
+    #: branch on it every step: a class attribute read, where an
+    #: ``isinstance`` check against this ABC goes through
+    #: ``ABCMeta.__instancecheck__``.
+    wireless = False
+
     def __init__(self, addr: int) -> None:
         self.addr = addr
 
@@ -62,6 +68,7 @@ class BroadcastCell(AtomicCell):
     write and is re-executed.
     """
 
+    wireless = True
     #: Safety bound on AFB retries; contention never realistically needs this.
     MAX_RETRIES = 10_000
 

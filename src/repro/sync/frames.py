@@ -52,9 +52,18 @@ from repro.sync.barriers import (
     TournamentBarrier,
     WirelessBarrier,
 )
-from repro.sync.cells import BroadcastCell
 from repro.sync.locks import CasSpinLock, McsLock, WirelessLock
 from repro.sync.rwlock import WRITER_HELD
+
+# The RMW kinds the routines issue, bound once: on Python 3.11
+# ``EnumType.__getattr__`` makes every ``RmwKind.X`` read take the slow
+# generic attribute path.  Routines build an ``AtomicOp`` or ``BmRmw`` per
+# step, positionally (``addr, kind, operand, expected``), since a keyword
+# call to a dataclass constructor costs twice as much.
+_CAS = RmwKind.COMPARE_AND_SWAP
+_SWAP = RmwKind.SWAP
+_FETCH_AND_INC = RmwKind.FETCH_AND_INC
+_FETCH_AND_ADD = RmwKind.FETCH_AND_ADD
 
 
 # ---------------------------------------------------------------- barriers
@@ -64,12 +73,7 @@ def _centralized_wait(frame: Frame, value: Any, env: FrameEnv, b: CentralizedBar
         L["sense"] = b._toggle_sense(env.ctx.thread_id)
         return Op(Read(b.count_addr), "count")
     if label == "count":
-        return Op(
-            AtomicOp(
-                b.count_addr, RmwKind.COMPARE_AND_SWAP, operand=value + 1, expected=value
-            ),
-            "cas",
-        )
+        return Op(AtomicOp(b.count_addr, _CAS, value + 1, value), "cas")
     if label == "cas":
         old, success = value
         if not success:
@@ -126,13 +130,13 @@ def _wireless_barrier_wait(frame: Frame, value: Any, env: FrameEnv, b: WirelessB
     if label == START:
         L["sense"] = b._toggle_sense(env.ctx.thread_id)
         L["retries"] = 0
-        return Op(BmRmw(b.count_addr, RmwKind.FETCH_AND_INC), "rmw")
+        return Op(BmRmw(b.count_addr, _FETCH_AND_INC), "rmw")
     if label == "rmw":
         if value.afb:
             L["retries"] += 1
             if L["retries"] >= b.MAX_RETRIES:
                 raise SimulationError("wireless barrier fetch&inc exceeded retry bound")
-            return Op(BmRmw(b.count_addr, RmwKind.FETCH_AND_INC), "rmw")
+            return Op(BmRmw(b.count_addr, _FETCH_AND_INC), "rmw")
         if value.old_value == b.num_threads - 1:
             return Op(BmStore(b.count_addr, 0), "wrote_count")
         return Op(BmWaitUntil(b.release_addr, Eq(L["sense"])), "done")
@@ -176,7 +180,7 @@ def _cas_spin_acquire(frame: Frame, value: Any, env: FrameEnv, lock: CasSpinLock
             return Ret(None)
         return Op(WaitUntil(lock.addr, Eq(0)), "freed")
     # START and "freed" both race with CAS.
-    return Op(AtomicOp(lock.addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0), "cas")
+    return Op(AtomicOp(lock.addr, _CAS, 1, 0), "cas")
 
 
 def _cas_spin_release(frame: Frame, value: Any, env: FrameEnv, lock: CasSpinLock):
@@ -196,7 +200,7 @@ def _mcs_acquire(frame: Frame, value: Any, env: FrameEnv, lock: McsLock):
     if label == "wrote_next":
         return Op(Write(L["locked_addr"], 1), "wrote_locked")
     if label == "wrote_locked":
-        return Op(AtomicOp(lock.tail_addr, RmwKind.SWAP, operand=tid + 1), "swapped")
+        return Op(AtomicOp(lock.tail_addr, _SWAP, tid + 1), "swapped")
     if label == "swapped":
         predecessor, _ = value
         if predecessor == 0:
@@ -219,10 +223,7 @@ def _mcs_release(frame: Frame, value: Any, env: FrameEnv, lock: McsLock):
     if label == START:
         _, next_addr = lock._qnode(tid)
         L["next_addr"] = next_addr
-        return Op(
-            AtomicOp(lock.tail_addr, RmwKind.COMPARE_AND_SWAP, operand=0, expected=tid + 1),
-            "cas",
-        )
+        return Op(AtomicOp(lock.tail_addr, _CAS, 0, tid + 1), "cas")
     if label == "cas":
         _, success = value
         if success:
@@ -254,7 +255,7 @@ def _wireless_acquire(frame: Frame, value: Any, env: FrameEnv, lock: WirelessLoc
     if label == START:
         L["retries"] = 0
     # START, "freed", or an AFB failure: (re-)issue the CAS.
-    operation = BmRmw(lock.bm_addr, RmwKind.COMPARE_AND_SWAP, operand=1, expected=0)
+    operation = BmRmw(lock.bm_addr, _CAS, 1, 0)
     return _afb_retry(L, operation, lock.MAX_RETRIES, "wireless lock CAS")
 
 
@@ -293,6 +294,8 @@ _lock_release = _lock_method(_LOCK_RELEASE, "lock.release")
 
 # ------------------------------------------------------------------- cells
 def _cell_read(frame: Frame, value: Any, env: FrameEnv):
+    # Library routines issue ``cell.read_op()`` directly; this routine stays
+    # registered so a checkpoint whose stack holds its frame still restores.
     if frame.label == START:
         return Op(env.sync(frame.locals["sid"]).read_op(), "done")
     return Ret(value)
@@ -309,22 +312,15 @@ def _cell_cas(frame: Frame, value: Any, env: FrameEnv):
     """CAS on a cell; returns ``(success, old_value)``."""
     L, label = frame.locals, frame.label
     cell = env.sync(L["sid"])
-    if isinstance(cell, BroadcastCell):
+    if cell.wireless:
         if label == START:
             L["retries"] = 0
         elif not value.afb:
             return Ret((value.success, value.old_value))
-        operation = BmRmw(
-            cell.addr, RmwKind.COMPARE_AND_SWAP, operand=L["new"], expected=L["expected"]
-        )
+        operation = BmRmw(cell.addr, _CAS, L["new"], L["expected"])
         return _afb_retry(L, operation, cell.MAX_RETRIES, "CAS")
     if label == START:
-        return Op(
-            AtomicOp(
-                cell.addr, RmwKind.COMPARE_AND_SWAP, operand=L["new"], expected=L["expected"]
-            ),
-            "done",
-        )
+        return Op(AtomicOp(cell.addr, _CAS, L["new"], L["expected"]), "done")
     old, success = value
     return Ret((success, old))
 
@@ -333,15 +329,15 @@ def _cell_fetch_add(frame: Frame, value: Any, env: FrameEnv):
     """Fetch&add on a cell; returns the old value."""
     L, label = frame.locals, frame.label
     cell = env.sync(L["sid"])
-    if isinstance(cell, BroadcastCell):
+    if cell.wireless:
         if label == START:
             L["retries"] = 0
         elif not value.afb:
             return Ret(value.old_value)
-        operation = BmRmw(cell.addr, RmwKind.FETCH_AND_ADD, operand=L["delta"])
+        operation = BmRmw(cell.addr, _FETCH_AND_ADD, L["delta"])
         return _afb_retry(L, operation, cell.MAX_RETRIES, "fetch&add")
     if label == START:
-        return Op(AtomicOp(cell.addr, RmwKind.FETCH_AND_ADD, operand=L["delta"]), "done")
+        return Op(AtomicOp(cell.addr, _FETCH_AND_ADD, L["delta"]), "done")
     old, _ = value
     return Ret(old)
 

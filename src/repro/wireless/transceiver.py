@@ -86,7 +86,9 @@ class Transceiver:
         on_complete: Callable[[WirelessMessage, int], None],
     ) -> _PendingSend:
         """Broadcast a single-word BM store."""
-        message = WirelessMessage(sender=self.node_id, bm_addr=bm_addr, value=value)
+        # Positional: one message per BM store or RMW, and a keyword-built
+        # NamedTuple costs almost twice as much.
+        message = WirelessMessage(self.node_id, bm_addr, value)
         return self._enqueue(_PendingSend(self, message, on_complete))
 
     def send_bulk_store(
@@ -154,10 +156,7 @@ class Transceiver:
         deferral = self.backoff.deferral()
         earliest = self.channel.sim.now + deferral if deferral > 0 else None
         pending.attempt = self.channel.transmit(
-            pending.message,
-            on_complete=self._on_complete,
-            on_collision=self._on_collision,
-            earliest=earliest,
+            pending.message, self._on_complete, self._on_collision, earliest
         )
 
     def _cancel(self, pending: _PendingSend) -> bool:

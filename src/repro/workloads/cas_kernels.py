@@ -46,12 +46,13 @@ def _cas_insert(frame, value, env):
     """One successful lock-free insertion: read the pointer, CAS it forward.
 
     Frame routine; locals carry the target cell's ``sid`` and the
-    ``node_value`` to swap in.  Returns the number of attempts taken.
+    ``node_value`` to swap in.  Returns the number of attempts taken.  The
+    pointer read is the cell's own load, issued directly (no callee frame).
     """
     L, label = frame.locals, frame.label
     if label == START:
         L["attempts"] = 0
-        return Call("sync.cell.read", {"sid": L["sid"]}, "read")
+        return Op(env.sync(L["sid"]).read_op(), "read")
     if label == "read":
         L["attempts"] += 1
         return cell_cas(L["sid"], value, L["node_value"], "cas")
@@ -59,7 +60,7 @@ def _cas_insert(frame, value, env):
     success, _ = value
     if success:
         return Ret(L["attempts"])
-    return Call("sync.cell.read", {"sid": L["sid"]}, "read")
+    return Op(env.sync(L["sid"]).read_op(), "read")
 
 
 @register_workload("cas")

@@ -165,6 +165,39 @@ class TestFabricWaiters:
         assert woken == []
         assert fabric.waiter_count(7) == 1
 
+    def test_store_calls_each_predicate_once_and_wakes_in_order(self):
+        sim, fabric = make_fabric()
+
+        class Counting:
+            """A plain callable predicate that counts its calls."""
+
+            def __init__(self, target):
+                self.target = target
+                self.calls = 0
+
+            def __call__(self, value):
+                self.calls += 1
+                return value == self.target
+
+        predicates = {"a": Counting(2), "b": Counting(1), "c": Counting(2)}
+        woken = []
+        for name, predicate in predicates.items():
+            fabric.wait_until(9, predicate, lambda value, name=name: woken.append(name))
+        for predicate in predicates.values():
+            predicate.calls = 0
+        fabric.apply_store(9, 1, sender=0, cycle=sim.now)
+        assert [p.calls for p in predicates.values()] == [1, 1, 1]
+        sim.run()
+        assert woken == ["b"]
+        # "a" and "c" stay parked in registration order: the next
+        # satisfying store wakes them in that order, again one call each.
+        assert fabric.waiter_count(9) == 2
+        fabric.apply_store(9, 2, sender=0, cycle=sim.now)
+        assert [p.calls for p in predicates.values()] == [2, 1, 2]
+        sim.run()
+        assert woken == ["b", "a", "c"]
+        assert fabric.waiter_count(9) == 0
+
     def test_allocation_and_spill_routing(self):
         sim, fabric = make_fabric()
         allocation = fabric.allocate(pid=1, words=4)

@@ -109,6 +109,13 @@ class TestEntryPointLayers:
         assert "fig7: 0 simulated, 8 cached" in done.stderr
         assert simulator(loaded(done.stderr)) == []
 
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        # Only ``--parallel`` uses concurrent.futures (and the logging it
+        # imports), so a serial run's cold start skips it.
+        done = run(repro_argv("run", "fig7", "--quick"), tmp_path)
+        assert "fig7: 8 simulated, 0 cached" in done.stderr
+        assert "concurrent.futures" not in loaded(done.stderr)
+
     def test_distributed_host_loads_no_simulator(self, tmp_path):
         # The host's local worker is a plain ``python -m repro worker``
         # child: it inherits stderr but not ``-X importtime``.

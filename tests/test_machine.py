@@ -1,8 +1,13 @@
 """Tests for the Manycore machine driver, programs, and results."""
 
 import dataclasses
+import dis
+import enum
 import gc
+import importlib
+import types
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -276,6 +281,49 @@ def test_operation_records_are_slotted_and_compare_by_value():
         assert not hasattr(record, "__dict__"), cls
         assert record == cls(*range(width))
         assert record != cls(*range(1, width + 1))
+
+
+#: Modules whose functions run once per simulated event or operation.
+PER_EVENT_MODULES = (
+    "repro.machine.manycore",
+    "repro.mem.directory",
+    "repro.mem.hierarchy",
+    "repro.sync.frames",
+    "repro.core.bm_controller",
+    "repro.core.fabric",
+    "repro.wireless.channel",
+    "repro.wireless.transceiver",
+    "repro.cpu.thread",
+)
+
+
+def _code_objects(code):
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+@pytest.mark.parametrize("name", PER_EVENT_MODULES)
+def test_per_event_code_reads_no_enum_member_through_its_class(name):
+    """On Python 3.11 ``EnumType`` defines ``__getattr__``, which sends
+    every ``Kind.MEMBER`` read down the slow generic attribute path, several
+    times the cost of a module global.  The per-event modules bind the
+    members they compare against as module constants; a function that loads
+    an enum class as a global and reads an attribute off it (``LOAD_GLOBAL``
+    then ``LOAD_ATTR``) brings the cost back."""
+    module = importlib.import_module(name)
+    source = Path(module.__file__).read_text(encoding="utf-8")
+    found = []
+    for code in _code_objects(compile(source, module.__file__, "exec")):
+        instructions = list(dis.get_instructions(code))
+        for load, attr in zip(instructions, instructions[1:]):
+            if load.opname != "LOAD_GLOBAL" or attr.opname != "LOAD_ATTR":
+                continue
+            target = vars(module).get(load.argval)
+            if isinstance(target, type) and issubclass(target, enum.Enum):
+                found.append(f"{code.co_name}: {load.argval}.{attr.argval}")
+    assert found == []
 
 
 class TestSimResult:
