@@ -6,7 +6,7 @@ different programs can share physical BM pages while remaining protected
 from each other.  This example runs a barrier-heavy program and a
 lock-heavy program concurrently on one WiSync machine, shows that both make
 progress, and demonstrates the PID protection check and the tone-barrier
-migration restriction (Section 5.2).
+placement rule (Section 5.2).
 """
 
 from repro import Manycore, SyncFactory, wisync
@@ -17,6 +17,10 @@ from repro.isa.operations import Compute, Read, Write
 from repro.sync.frames import barrier_wait, lock_acquire, lock_release
 
 CORES = 16
+
+
+def body_idle(frame, value, env):
+    return Ret(None)
 
 
 def main():
@@ -84,7 +88,7 @@ def main():
                        title="Two programs sharing one WiSync chip"))
     print(f"\ntotal cycles: {result.total_cycles}, "
           f"wireless messages: {result.wireless_messages}, "
-          f"BM entries allocated: {machine.fabric.allocator.allocated_count}")
+          f"BM entries allocated: {machine.fabric.memory.allocated_count()}")
 
     # PID protection: program B cannot touch program A's tone barrier entry.
     barrier_addr = barrier.bm_addr
@@ -93,11 +97,18 @@ def main():
     except ProtectionError as error:
         print(f"\nPID protection works: {error}")
 
-    # Tone-barrier participants cannot migrate (Section 5.2).
+    # A tone barrier's Armed bit is per core, so two threads on one core
+    # may not share it (Section 5.2): the machine refuses to run them.
+    small = Manycore(wisync(num_cores=4))
+    program = small.new_program("crowded")
+    SyncFactory(program).create_barrier(4)
+    small.register_frame_routine("crowded.body", body_idle)
+    for core in (0, 1, 2, 3, 0):
+        program.add_thread(FrameBody("crowded.body"), core_id=core)
     try:
-        machine.scheduler.migrate(0, 15)
+        small.run()
     except ToneBarrierError as error:
-        print(f"Migration restriction works: {error}")
+        print(f"Tone-barrier placement rule works: {error}")
 
 
 if __name__ == "__main__":

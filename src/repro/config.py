@@ -112,6 +112,8 @@ class BroadcastMemoryConfig:
             raise ConfigurationError("BM size and latency must be positive")
         if self.entry_bits not in (32, 64):
             raise ConfigurationError("BM entries are 32 or 64 bits wide")
+        if self.pid_bits < 1:
+            raise ConfigurationError("BM PID tags need at least one bit")
         if self.num_entries > (1 << self.address_bits):
             raise ConfigurationError(
                 "address_bits too small to address every BM entry "

@@ -8,8 +8,13 @@ every node at all times, this class models the *replicated contents once*;
 per-node state that genuinely differs between nodes (Armed/Arrived bits,
 WCB/AFB) lives in the per-node controllers.
 
-Each 64-bit entry is tagged with the PID of the process that allocated it,
-and every access checks the tag (Section 4.4).
+Each 64-bit entry is tagged with the PID of the process that allocated it
+(Section 4.4), and those tags are the only record of who owns what.
+Allocation is chunk-granular (one entry per chunk), so programs share
+physical pages without page-level fragmentation.  When the BM runs out of
+space, further variables are transparently placed in regular cached memory
+and accessed through the wired network — the fallback the paper uses for
+dedup and fluidanimate, whose lock arrays exceed 16 KB.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from repro.config import BroadcastMemoryConfig
-from repro.errors import MemoryError_, ProtectionError
+from repro.errors import AllocationError, MemoryError_, ProtectionError
 
 
 @dataclass
@@ -31,22 +36,34 @@ class BmEntry:
     tone_capable: bool = False
 
 
-class BroadcastMemory:
-    """Replicated broadcast-memory contents plus per-entry PID tags."""
+@dataclass(frozen=True)
+class BmAllocation:
+    """Result of an allocation request."""
 
-    STATE = ("_entries",)
-    REBUILT = ("config", "_value_mask")
+    base_addr: int
+    words: int
+    pid: int
+    spilled: bool = False
+
+
+class BroadcastMemory:
+    """Replicated broadcast-memory contents, per-entry PID tags, and the
+    first-fit allocator over those tags."""
+
+    STATE = ("_entries", "_next_spill")
+    REBUILT = ("config", "_value_mask", "spill_base")
 
     def __init__(self, config: BroadcastMemoryConfig) -> None:
         self.config = config
         self._entries: Dict[int, BmEntry] = {}
         self._value_mask = (1 << config.entry_bits) - 1
+        #: One past the last physical entry: spilled allocations get
+        #: addresses from here up, and callers route accesses to them
+        #: through the cached-memory hierarchy.
+        self.spill_base = config.num_entries
+        self._next_spill = self.spill_base
 
     # ------------------------------------------------------------ structure
-    @property
-    def num_entries(self) -> int:
-        return self.config.num_entries
-
     def entry(self, addr: int) -> BmEntry:
         entry = self._entries.get(addr)
         if entry is None:
@@ -61,25 +78,49 @@ class BroadcastMemory:
         return sum(1 for e in self._entries.values() if e.allocated)
 
     # ------------------------------------------------------------ allocation
-    def allocate_entry(self, addr: int, pid: int, tone_capable: bool = False) -> None:
-        """Tag an entry as owned by ``pid`` (performed in every BM at once)."""
-        entry = self.entry(addr)
-        if entry.allocated:
-            raise MemoryError_(f"BM entry {addr} is already allocated (pid={entry.pid})")
-        entry.allocated = True
-        entry.pid = pid
-        entry.tone_capable = tone_capable
-        entry.value = 0
+    def allocate(self, pid: int, words: int = 1, tone_capable: bool = False) -> BmAllocation:
+        """Tag the first run of ``words`` free entries as owned by ``pid``
+        (performed in every BM at once).
 
-    def free_entry(self, addr: int, pid: int) -> None:
-        entry = self.entry(addr)
-        if not entry.allocated:
-            raise MemoryError_(f"BM entry {addr} is not allocated")
-        if entry.pid != pid:
-            raise ProtectionError(
-                f"process {pid} cannot free BM entry {addr} owned by process {entry.pid}"
-            )
-        self._entries[addr] = BmEntry()
+        Only the first entry of a tone-capable allocation is tone capable.
+        When no free run is long enough, the allocation spills.
+        """
+        if words < 1:
+            raise AllocationError("allocation must request at least one word")
+        base = self._first_free_run(words)
+        if base is None:
+            base = self._next_spill
+            self._next_spill += words
+            return BmAllocation(base, words, pid, spilled=True)
+        for addr in range(base, base + words):
+            entry = self.entry(addr)
+            entry.allocated = True
+            entry.pid = pid
+            entry.tone_capable = tone_capable and addr == base
+            entry.value = 0
+        return BmAllocation(base, words, pid)
+
+    def free(self, pid: int, base_addr: int, words: int = 1) -> None:
+        """Release an allocation; a spilled one is simply forgotten.
+
+        Every entry is checked before any is released, so a rejected free
+        changes nothing.
+        """
+        if words < 1:
+            raise AllocationError("a free must release at least one word")
+        if base_addr >= self.spill_base:
+            return
+        addrs = range(base_addr, base_addr + words)
+        for addr in addrs:
+            entry = self.entry(addr)
+            if not entry.allocated:
+                raise MemoryError_(f"BM entry {addr} is not allocated")
+            if entry.pid != pid:
+                raise ProtectionError(
+                    f"process {pid} cannot free BM entry {addr} owned by process {entry.pid}"
+                )
+        for addr in addrs:
+            self._entries[addr] = BmEntry()
 
     # --------------------------------------------------------------- access
     def read(self, addr: int, pid: Optional[int] = None) -> int:
@@ -111,6 +152,17 @@ class BroadcastMemory:
         return self.entry(addr).pid
 
     # ------------------------------------------------------------- internals
+    def _first_free_run(self, words: int) -> Optional[int]:
+        entries = self._entries
+        run_start = 0
+        for addr in range(self.spill_base):
+            entry = entries.get(addr)
+            if entry is not None and entry.allocated:
+                run_start = addr + 1
+            elif addr + 1 - run_start >= words:
+                return run_start
+        return None
+
     def _check_addr(self, addr: int) -> None:
         if not 0 <= addr < self.config.num_entries:
             raise MemoryError_(

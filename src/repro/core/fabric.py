@@ -1,10 +1,11 @@
 """The broadcast fabric: everything the wireless network keeps consistent.
 
-``BroadcastFabric`` owns the replicated Broadcast Memory, the BM allocator,
-the Data and Tone channels, and the per-node hardware bundles.  It is the
-single point through which BM values change, which is what gives broadcast
-writes their chip-wide total order (Section 3.1, Figure 1) and what lets the
-fabric implement the Atomicity Failure Bit and the tone-barrier protocol.
+``BroadcastFabric`` owns the replicated Broadcast Memory (which allocates its
+own entries), the Data and Tone channels, and the per-node hardware bundles.
+It is the single point through which BM values change, which is what gives
+broadcast writes their chip-wide total order (Section 3.1, Figure 1) and what
+lets the fabric implement the Atomicity Failure Bit and the tone-barrier
+protocol.
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.config import MachineConfig
-from repro.core.allocator import BmAllocation, BmAllocator
 from repro.core.bm_controller import BmController
-from repro.core.broadcast_memory import BroadcastMemory
+from repro.core.broadcast_memory import BmAllocation, BroadcastMemory
 from repro.core.node import WiSyncNode
 from repro.core.tone_controller import ToneController
-from repro.core.translation import BmTlb
 from repro.errors import WirelessError
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
@@ -58,8 +57,8 @@ class BroadcastFabric:
     """Chip-wide wireless synchronization fabric."""
 
     STATE = (
-        "memory", "allocator", "tlb", "data_channel", "tone_channel", "nodes",
-        "_waiters", "_pending_by_addr", "total_writes",
+        "memory", "data_channel", "tone_channel", "nodes", "_waiters",
+        "_pending_by_addr", "total_writes",
     )
     REBUILT = ("sim", "config", "stats", "tracer", "rng", "_writes_applied_counter")
 
@@ -77,8 +76,6 @@ class BroadcastFabric:
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.rng = rng if rng is not None else DeterministicRng(config.seed, "fabric")
         self.memory = BroadcastMemory(config.bm)
-        self.allocator = BmAllocator(config.bm)
-        self.tlb = BmTlb(config.bm)
         self.data_channel = DataChannel(sim, config.data_channel, self.stats, self.tracer)
         self.tone_channel: Optional[ToneChannel] = None
         if config.tone_channel.enabled:
@@ -118,9 +115,6 @@ class BroadcastFabric:
         self.nodes.append(node)
         return node
 
-    def node(self, node_id: int) -> WiSyncNode:
-        return self.nodes[node_id]
-
     # ------------------------------------------------------------ allocation
     def allocate(
         self,
@@ -136,12 +130,10 @@ class BroadcastFabric:
         ``participants`` (Section 4.4: the runtime must know the
         participants of a tone barrier in advance).
         """
-        allocation = self.allocator.allocate(pid, words)
+        allocation = self.memory.allocate(pid, words, tone_capable)
         if allocation.spilled:
             self.stats.counter("bm/spilled_allocations").add()
             return allocation
-        for addr in allocation.addresses:
-            self.memory.allocate_entry(addr, pid, tone_capable and addr == allocation.base_addr)
         if tone_capable:
             if self.tone_channel is None:
                 raise WirelessError("tone barrier allocation requires the tone channel")
@@ -154,19 +146,14 @@ class BroadcastFabric:
         return allocation
 
     def free(self, pid: int, base_addr: int, words: int = 1) -> None:
-        if self.allocator.is_spilled(base_addr):
-            self.allocator.free(pid, base_addr, words)
-            return
-        tone_capable = self.memory.is_tone_capable(base_addr)
-        for addr in range(base_addr, base_addr + words):
-            self.memory.free_entry(addr, pid)
+        tone_capable = not self.is_spilled(base_addr) and self.memory.is_tone_capable(base_addr)
+        self.memory.free(pid, base_addr, words)
         if tone_capable:
             for node in self.nodes:
                 node.tone_controller.deallocate_barrier(base_addr)
-        self.allocator.free(pid, base_addr, words)
 
     def is_spilled(self, addr: int) -> bool:
-        return self.allocator.is_spilled(addr)
+        return addr >= self.memory.spill_base
 
     # ----------------------------------------------------------- value plane
     def apply_store(

@@ -39,11 +39,7 @@ class ProtectionError(MemoryError_):
 
 
 class AllocationError(MemoryError_):
-    """A broadcast-memory or page allocation could not be satisfied."""
-
-
-class TranslationError(MemoryError_):
-    """A virtual address had no valid translation for the accessing process."""
+    """A broadcast-memory allocation request could not be satisfied."""
 
 
 class WirelessError(ReproError):

@@ -49,7 +49,6 @@ SIM_CORE_PACKAGES = frozenset(
         "machine",
         "workloads",
         "isa",
-        "osmodel",
     }
 )
 

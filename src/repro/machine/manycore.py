@@ -11,7 +11,7 @@ and the thread resumes when the operation completes.
 from __future__ import annotations
 
 import gc
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.config import MachineConfig
 from repro.core.bm_controller import RmwResult
@@ -19,7 +19,13 @@ from repro.core.fabric import BroadcastFabric
 from repro.cpu.core import Core
 from repro.cpu.frames import FrameBody, FrameEnv
 from repro.cpu.thread import SimThread, ThreadContext, ThreadState
-from repro.errors import DeadlockError, WorkloadError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    ReproError,
+    ToneBarrierError,
+    WorkloadError,
+)
 from repro.isa import operations as ops
 from repro.isa.predicates import Eq
 from repro.sync.frames import SYNC_ROUTINES
@@ -27,8 +33,6 @@ from repro.machine.results import SimResult
 from repro.mem.hierarchy import MemorySystem
 from repro.noc.mesh import MeshNetwork
 from repro.noc.topology import MeshTopology
-from repro.osmodel.process import ProcessTable
-from repro.osmodel.scheduler import Scheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
@@ -50,7 +54,8 @@ _FINISHED = ThreadState.FINISHED
 
 
 class Program:
-    """One running program: a PID, its threads, and its memory allocations."""
+    """One running program, the machine's process record: a PID, its threads,
+    and its memory allocations."""
 
     STATE = ("_next_shared",)
     REBUILT = ("machine", "pid", "name", "threads")
@@ -95,16 +100,8 @@ class Program:
         """
         fabric = self.machine.fabric
         if fabric is None:
-            addr = self.machine._alloc_soft_bm(words)
-            return addr
-        allocation = fabric.allocate(self.pid, words, tone_capable, participants)
-        if tone_capable and participants:
-            # Threads already placed on participant cores are bound to the
-            # tone barrier, which restricts their migration (Section 5.2).
-            for core in participants:
-                for thread_id in self.machine.scheduler.threads_on(core):
-                    self.machine.scheduler.register_tone_barrier(thread_id, allocation.base_addr)
-        return allocation.base_addr
+            return self.machine._alloc_soft_bm(words)
+        return fabric.allocate(self.pid, words, tone_capable, participants).base_addr
 
     def private_addr(self, thread_id: int, offset_words: int = 0) -> int:
         """A per-thread private cached address (thread-local pools, stacks)."""
@@ -130,12 +127,12 @@ class Manycore:
 
     STATE = (
         "sim", "threads", "programs", "cores", "memory", "mesh", "fabric",
-        "scheduler", "sync_objects", "_finished", "_soft_bm_next", "_events_start",
+        "sync_objects", "_finished", "_soft_bm_next", "_events_start",
     )
     REBUILT = (
         "config", "topology", "_bm_spill_base",  # the config and what it derives
         "tracer",  # a side-channel event log, not simulation state
-        "process_table", "frame_routines",  # made by the workload build
+        "frame_routines",  # made by the workload build
         "_schedule", "_dispatch_table", "_dispatch_get",  # hot-path bindings
         "stats", "rng",  # restored in place from the payload's own sections
         "_ran",  # set by begin() on the rebuilt machine
@@ -158,8 +155,6 @@ class Manycore:
             )
             for core_id in range(config.num_cores):
                 self.fabric.create_node(core_id)
-        self.process_table = ProcessTable()
-        self.scheduler = Scheduler(config.num_cores)
         self.threads: List[SimThread] = []
         self.programs: List[Program] = []
         # Frame support: synchronization objects registered by creation
@@ -173,7 +168,7 @@ class Manycore:
         self._soft_bm_next = 0
         self._ran = False
         self._events_start = 0
-        self._bm_spill_base = self.fabric.allocator.spill_base if self.fabric is not None else 0
+        self._bm_spill_base = self.fabric.memory.spill_base if self.fabric is not None else 0
         # Hot-path bindings: one type-keyed dispatch table instead of an
         # isinstance chain, and bound methods so the inner loop does not
         # repeat attribute lookups for every executed operation.
@@ -227,8 +222,11 @@ class Manycore:
         self.frame_routines[name] = step
 
     def new_program(self, name: str = "program") -> Program:
-        process = self.process_table.spawn(name)
-        program = Program(self, process.pid, name)
+        """Start a program; PIDs count from 1 and must fit the BM's PID tag."""
+        pid = len(self.programs) + 1
+        if pid >= 1 << self.config.bm.pid_bits:
+            raise ReproError("process table full: PID space exhausted")
+        program = Program(self, pid, name)
         self.programs.append(program)
         return program
 
@@ -238,6 +236,8 @@ class Manycore:
         thread_id = len(self.threads)
         if core_id is None:
             core_id = thread_id % self.config.num_cores
+        elif not 0 <= core_id < self.config.num_cores:
+            raise ConfigurationError(f"core {core_id} out of range")
         context = ThreadContext(
             thread_id=thread_id,
             core_id=core_id,
@@ -250,8 +250,6 @@ class Manycore:
         thread.frame_env = FrameEnv(self, thread)
         self.threads.append(thread)
         program.threads.append(thread)
-        self.process_table.get(program.pid).add_thread(thread_id)
-        self.scheduler.place(thread_id, program.pid, core_id)
         return thread
 
     def _alloc_soft_bm(self, words: int) -> int:
@@ -283,6 +281,8 @@ class Manycore:
         self._ran = True
         if not self.threads:
             raise WorkloadError("no threads registered; add threads through a Program first")
+        if self.fabric is not None:
+            self._check_armed_tone_barriers()
         for thread in self.threads:
             thread.context.num_threads = len(self.threads)
         for thread in self.threads:
@@ -348,16 +348,27 @@ class Manycore:
         return self._build_result(truncated)
 
     # ------------------------------------------------------------ internals
+    def _check_tone_barrier(self, addr: int, cores: Iterable[int]) -> None:
+        """Section 5.2: two threads on one core may not share a tone barrier,
+        because the barrier's Armed bit is per core."""
+        for core in cores:
+            sharing = [t.thread_id for t in self.threads if t.core_id == core]
+            if len(sharing) > 1:
+                raise ToneBarrierError(
+                    f"threads {sharing[1]} and {sharing[0]} on core {core} "
+                    f"cannot both use tone barrier {addr}"
+                )
+
+    def _check_armed_tone_barriers(self) -> None:
+        """Check every tone barrier the build allocated, on each core it is
+        armed on."""
+        for node in self.fabric.nodes:
+            for addr, entry in node.tone_controller.alloc_b.items():
+                if entry.armed:
+                    self._check_tone_barrier(addr, (node.node_id,))
+
     def _start_thread(self, thread: SimThread) -> None:
         thread.start_cycle = self.sim.now
-        if self.fabric is not None:
-            # Bind the thread to any tone barrier armed on its core so the
-            # scheduler can enforce the migration restriction of Section 5.2.
-            controller = self.fabric.node(thread.core_id).tone_controller
-            placement = self.scheduler.placement(thread.thread_id)
-            for addr, entry in controller.alloc_b.items():
-                if entry.armed and addr not in placement.tone_barriers:
-                    self.scheduler.register_tone_barrier(thread.thread_id, addr)
         thread.start()
         self._advance(thread, None)
 
@@ -555,9 +566,7 @@ class Manycore:
         allocation = self.fabric.allocate(
             thread.pid, 1, tone_capable=True, participants=list(op.participants)
         )
-        for participant_core in op.participants:
-            for tid in self.scheduler.threads_on(participant_core):
-                self.scheduler.register_tone_barrier(tid, allocation.base_addr)
+        self._check_tone_barrier(allocation.base_addr, op.participants)
         self._resume(thread, self.config.data_channel.message_cycles, allocation.base_addr)
 
     def _handle_tone_store(self, thread: SimThread, op: ops.ToneStore) -> None:

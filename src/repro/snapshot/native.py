@@ -62,14 +62,12 @@ from repro.core.broadcast_memory import BmEntry
 from repro.core.fabric import _PendingRmw
 from repro.core.fabric import _Waiter as _FabricWaiter
 from repro.core.tone_controller import ActiveBEntry, AllocBEntry
-from repro.core.translation import PageMapping
 from repro.cpu.frames import Frame
 from repro.cpu.thread import ThreadState
 from repro.errors import SnapshotError
 from repro.isa.predicates import Eq, Ge, Lt, Ne
 from repro.mem.directory import DirectoryEntry, LineState
 from repro.mem.hierarchy import _Waiter as _MemWaiter
-from repro.osmodel.scheduler import ThreadPlacement
 from repro.sim.stats import StatsRegistry
 from repro.wireless.channel import WirelessMessage, _Attempt
 from repro.wireless.tone import _ActiveBarrier
@@ -87,8 +85,7 @@ REGISTRY: Dict[str, type] = {
     for cls in (
         _Attempt, _PendingSend, PendingBmOp, _PendingRmw, _FabricWaiter, _MemWaiter,
         Frame, DirectoryEntry, BmEntry, AllocBEntry, ActiveBEntry, _ActiveBarrier,
-        PageMapping, ThreadPlacement, Eq, Ne, Ge, Lt, WirelessMessage, RmwResult,
-        ThreadState, LineState,
+        Eq, Ne, Ge, Lt, WirelessMessage, RmwResult, ThreadState, LineState,
     )
 }
 _REGISTERED = frozenset(REGISTRY.values())
@@ -292,12 +289,26 @@ def capture_machine(machine) -> Dict[str, Any]:
 
 
 # -------------------------------------------------------------------- restore
+def _changed(name: str, fields: List[Any], cls: Optional[type]) -> SnapshotError:
+    return SnapshotError(
+        f"the simulation code has changed since the checkpoint was "
+        f"written: the checkpoint holds {name} as {fields}, the running "
+        f"code declares {'no such class' if cls is None else _fields_of(cls)}"
+    )
+
+
 def _resolve(machine, payload: Dict[str, Any]) -> List[Any]:
-    """Every part of the payload, found at its path in the fresh machine."""
+    """Every part of the payload, found at its path in the fresh machine.
+
+    A part's fields are checked when it is found, before any part below it
+    is looked up, so a part the running code no longer holds is reported as
+    a code change, not as an unresolvable path.
+    """
     schema = payload["schema"]
     parts: List[Any] = []
+    checked = set()
     for index, (cls_index, parent, name, keys) in enumerate(payload["parts"]):
-        recorded = schema[cls_index][0]
+        recorded, fields = schema[cls_index]
         try:
             part = machine if parent is None else getattr(parts[parent], name)
             for key in keys:
@@ -309,6 +320,10 @@ def _resolve(machine, payload: Dict[str, Any]) -> List[Any]:
                 f"part {index} ({recorded} at {name}{keys}) does not resolve to a "
                 f"{recorded} in the rebuilt machine"
             )
+        if cls_index not in checked:
+            if _fields_of(type(part)) != fields:
+                raise _changed(recorded, fields, type(part))
+            checked.add(cls_index)
         parts.append(part)
     return parts
 
@@ -326,11 +341,7 @@ def restore_machine(machine, payload: Dict[str, Any]) -> None:
     for name, fields in payload["schema"]:
         cls = running.get(name) or REGISTRY.get(name)
         if cls is None or _fields_of(cls) != fields:
-            raise SnapshotError(
-                f"the simulation code has changed since the checkpoint was "
-                f"written: the checkpoint holds {name} as {fields}, the running "
-                f"code declares {'no such class' if cls is None else _fields_of(cls)}"
-            )
+            raise _changed(name, fields, cls)
         classes.append(None if name in running else cls)
     fields = [names for _name_, names in payload["schema"]]
     records: List[Any] = []

@@ -1,13 +1,10 @@
-"""Tests for the Broadcast Memory, allocator, translation, and protection."""
+"""Tests for the Broadcast Memory: contents, allocation, and protection."""
 
 import pytest
 
 from repro.config import BroadcastMemoryConfig
-from repro.core.allocator import BmAllocator
 from repro.core.broadcast_memory import BroadcastMemory
-from repro.core.translation import BmTlb
-from repro.errors import AllocationError, MemoryError_, ProtectionError, TranslationError
-from repro.osmodel.vm import BmVirtualMemory
+from repro.errors import AllocationError, MemoryError_, ProtectionError
 
 
 @pytest.fixture
@@ -40,36 +37,39 @@ class TestBroadcastMemory:
         assert bm.read(1) < (1 << 64)
 
     def test_allocation_tags_pid(self, bm):
-        bm.allocate_entry(3, pid=7)
-        assert bm.owner_pid(3) == 7
-        assert bm.read(3, pid=7) == 0
+        allocation = bm.allocate(pid=7)
+        assert bm.owner_pid(allocation.base_addr) == 7
+        assert bm.read(allocation.base_addr, pid=7) == 0
 
     def test_double_allocation_rejected(self, bm):
-        bm.allocate_entry(3, pid=7)
-        with pytest.raises(MemoryError_):
-            bm.allocate_entry(3, pid=8)
+        first = bm.allocate(pid=7, words=2)
+        bm.write(first.base_addr, 5)
+        second = bm.allocate(pid=8, words=2)
+        assert second.base_addr == first.base_addr + 2
+        assert bm.owner_pid(first.base_addr) == 7
+        assert bm.read(first.base_addr) == 5
 
     def test_pid_mismatch_is_protection_violation(self, bm):
-        bm.allocate_entry(3, pid=7)
+        addr = bm.allocate(pid=7).base_addr
         with pytest.raises(ProtectionError):
-            bm.read(3, pid=8)
+            bm.read(addr, pid=8)
         with pytest.raises(ProtectionError):
-            bm.write(3, 1, pid=8)
+            bm.write(addr, 1, pid=8)
 
     def test_access_to_unallocated_entry_with_pid_rejected(self, bm):
         with pytest.raises(ProtectionError):
             bm.read(9, pid=1)
 
     def test_free_requires_owner(self, bm):
-        bm.allocate_entry(4, pid=1)
+        addr = bm.allocate(pid=1).base_addr
         with pytest.raises(ProtectionError):
-            bm.free_entry(4, pid=2)
-        bm.free_entry(4, pid=1)
-        assert bm.owner_pid(4) is None
+            bm.free(pid=2, base_addr=addr)
+        bm.free(pid=1, base_addr=addr)
+        assert bm.owner_pid(addr) is None
 
     def test_free_unallocated_rejected(self, bm):
         with pytest.raises(MemoryError_):
-            bm.free_entry(10, pid=1)
+            bm.free(pid=1, base_addr=10)
 
     def test_toggle_alternates_zero_nonzero(self, bm):
         assert bm.toggle(2) == 1
@@ -78,152 +78,102 @@ class TestBroadcastMemory:
         assert bm.toggle(2) == 0
 
     def test_tone_capability_flag(self, bm):
-        bm.allocate_entry(6, pid=1, tone_capable=True)
-        assert bm.is_tone_capable(6)
-        assert not bm.is_tone_capable(7)
+        allocation = bm.allocate(pid=1, words=2, tone_capable=True)
+        assert bm.is_tone_capable(allocation.base_addr)
+        assert not bm.is_tone_capable(allocation.base_addr + 1)
 
     def test_allocated_count(self, bm):
-        bm.allocate_entry(1, pid=1)
-        bm.allocate_entry(2, pid=1)
+        bm.allocate(pid=1, words=2)
         assert bm.allocated_count() == 2
-        assert list(bm.allocated_entries()) == [1, 2]
+        assert list(bm.allocated_entries()) == [0, 1]
 
 
-class TestBmAllocator:
-    def test_sequential_allocation(self, bm_config):
-        allocator = BmAllocator(bm_config)
-        first = allocator.allocate(pid=1, words=2)
-        second = allocator.allocate(pid=1, words=3)
+class TestAllocation:
+    def test_sequential_allocation(self, bm):
+        first = bm.allocate(pid=1, words=2)
+        second = bm.allocate(pid=1, words=3)
         assert first.base_addr == 0 and first.words == 2
         assert second.base_addr == 2
-        assert allocator.allocated_count == 5
+        assert bm.allocated_count() == 5
 
-    def test_first_fit_reuses_freed_space(self, bm_config):
-        allocator = BmAllocator(bm_config)
-        first = allocator.allocate(pid=1, words=4)
-        allocator.allocate(pid=1, words=4)
-        allocator.free(pid=1, base_addr=first.base_addr, words=4)
-        third = allocator.allocate(pid=1, words=2)
+    def test_first_fit_reuses_freed_space(self, bm):
+        first = bm.allocate(pid=1, words=4)
+        bm.allocate(pid=1, words=4)
+        bm.free(pid=1, base_addr=first.base_addr, words=4)
+        third = bm.allocate(pid=1, words=2)
         assert third.base_addr == first.base_addr
 
     def test_spill_when_full(self):
         config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
-        allocator = BmAllocator(config)
-        allocator.allocate(pid=1, words=config.num_entries)
-        spilled = allocator.allocate(pid=1, words=1)
+        bm = BroadcastMemory(config)
+        bm.allocate(pid=1, words=config.num_entries)
+        spilled = bm.allocate(pid=1, words=2)
         assert spilled.spilled
-        assert allocator.is_spilled(spilled.base_addr)
-        assert allocator.spilled_allocations == 1
+        assert spilled.base_addr == bm.spill_base == config.num_entries
+        assert bm.allocate(pid=1).base_addr == bm.spill_base + 2
+        bm.free(pid=2, base_addr=spilled.base_addr, words=2)
+        assert bm.allocated_count() == config.num_entries
 
-    def test_spill_disallowed_raises(self):
+    def test_free_requires_ownership(self, bm):
+        first = bm.allocate(pid=1)
+        bm.allocate(pid=2)
+        with pytest.raises(ProtectionError):
+            bm.free(pid=1, base_addr=first.base_addr, words=2)
+        assert [bm.owner_pid(addr) for addr in (0, 1)] == [1, 2]
+        assert bm.allocated_count() == 2
+        assert bm.allocate(pid=3).base_addr == 2
+
+    def test_zero_word_allocation_rejected(self, bm):
+        with pytest.raises(AllocationError):
+            bm.allocate(pid=1, words=0)
+
+    def test_first_fit_skips_a_gap_too_small(self, bm):
+        bm.allocate(pid=1, words=2)
+        middle = bm.allocate(pid=1, words=2)
+        bm.allocate(pid=1, words=2)
+        bm.free(pid=1, base_addr=middle.base_addr, words=2)
+        assert bm.allocate(pid=2, words=3).base_addr == 6
+        assert bm.allocate(pid=2, words=2).base_addr == middle.base_addr
+
+    def test_spills_only_when_no_free_run_fits(self):
         config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
-        allocator = BmAllocator(config)
-        allocator.allocate(pid=1, words=config.num_entries)
+        bm = BroadcastMemory(config)
+        bm.allocate(pid=1, words=config.num_entries - 1)
+        assert bm.allocate(pid=1, words=2).spilled
+        last = bm.allocate(pid=1)
+        assert not last.spilled and last.base_addr == config.num_entries - 1
+        assert bm.allocated_count() == config.num_entries
+
+    def test_free_resets_the_entries(self, bm):
+        allocation = bm.allocate(pid=1, words=2, tone_capable=True)
+        bm.write(allocation.base_addr, 5)
+        bm.free(pid=1, base_addr=allocation.base_addr, words=2)
+        assert bm.owner_pid(allocation.base_addr) is None
+        assert not bm.is_tone_capable(allocation.base_addr)
+        again = bm.allocate(pid=2)
+        assert again.base_addr == allocation.base_addr
+        assert bm.read(again.base_addr, pid=2) == 0
+
+    def test_free_with_an_unallocated_tail_changes_nothing(self, bm):
+        allocation = bm.allocate(pid=1, words=2)
+        with pytest.raises(MemoryError_, match="entry 2 is not allocated"):
+            bm.free(pid=1, base_addr=allocation.base_addr, words=3)
+        assert list(bm.allocated_entries()) == [0, 1]
+        assert bm.allocate(pid=1).base_addr == 2
+
+    def test_free_past_the_last_entry_changes_nothing(self):
+        config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
+        bm = BroadcastMemory(config)
+        last = config.num_entries - 1
+        bm.allocate(pid=1, words=config.num_entries)
+        with pytest.raises(MemoryError_, match="out of range"):
+            bm.free(pid=1, base_addr=last, words=2)
+        assert bm.owner_pid(last) == 1
+        assert bm.allocated_count() == config.num_entries
+
+    @pytest.mark.parametrize("words", [0, -1])
+    def test_empty_free_rejected(self, bm, words):
+        allocation = bm.allocate(pid=1)
         with pytest.raises(AllocationError):
-            allocator.allocate(pid=1, words=1, allow_spill=False)
-
-    def test_free_requires_ownership(self, bm_config):
-        allocator = BmAllocator(bm_config)
-        allocation = allocator.allocate(pid=1, words=1)
-        with pytest.raises(AllocationError):
-            allocator.free(pid=2, base_addr=allocation.base_addr)
-
-    def test_free_all_releases_everything(self, bm_config):
-        allocator = BmAllocator(bm_config)
-        for _ in range(5):
-            allocator.allocate(pid=3, words=2)
-        released = allocator.free_all(pid=3)
-        assert released == 10
-        assert allocator.allocated_count == 0
-
-    def test_zero_word_allocation_rejected(self, bm_config):
-        with pytest.raises(AllocationError):
-            BmAllocator(bm_config).allocate(pid=1, words=0)
-
-    def test_owner_tracking(self, bm_config):
-        allocator = BmAllocator(bm_config)
-        allocation = allocator.allocate(pid=9, words=1)
-        assert allocator.owner_of(allocation.base_addr) == 9
-        assert allocation.addresses == [allocation.base_addr]
-
-
-class TestBmTlb:
-    def test_translate_maps_page_and_offset(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=0, physical_page=2)
-        physical = tlb.translate(1, 5)
-        assert physical == 2 * bm_config.entries_per_page + 5
-
-    def test_missing_mapping_raises(self, bm_config):
-        tlb = BmTlb(bm_config)
-        with pytest.raises(TranslationError):
-            tlb.translate(1, 0)
-
-    def test_write_protection(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=0, physical_page=0, writable=False)
-        tlb.translate(1, 3, for_write=False)
-        with pytest.raises(TranslationError):
-            tlb.translate(1, 3, for_write=True)
-
-    def test_per_process_mappings_are_independent(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=0, physical_page=0)
-        tlb.map_page(pid=2, virtual_page=0, physical_page=1)
-        assert tlb.translate(1, 0) != tlb.translate(2, 0)
-
-    def test_invalid_physical_page_rejected(self, bm_config):
-        tlb = BmTlb(bm_config)
-        with pytest.raises(TranslationError):
-            tlb.map_page(pid=1, virtual_page=0, physical_page=99)
-
-    def test_reverse_translate(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=3, physical_page=1)
-        physical = tlb.translate(1, 3 * bm_config.entries_per_page + 7)
-        assert tlb.reverse_translate(1, physical) == 3 * bm_config.entries_per_page + 7
-        assert tlb.reverse_translate(2, physical) is None
-
-    def test_unmap(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=0, physical_page=0)
-        tlb.unmap_page(pid=1, virtual_page=0)
-        with pytest.raises(TranslationError):
-            tlb.translate(1, 0)
-
-    def test_hit_miss_counters(self, bm_config):
-        tlb = BmTlb(bm_config)
-        tlb.map_page(pid=1, virtual_page=0, physical_page=0)
-        tlb.translate(1, 0)
-        with pytest.raises(TranslationError):
-            tlb.translate(1, 10_000)
-        assert tlb.hits == 1
-        assert tlb.misses == 1
-
-
-class TestBmVirtualMemory:
-    def test_lazy_mapping_is_stable(self, bm_config):
-        vm = BmVirtualMemory(bm_config)
-        first = vm.ensure_mapping(pid=1, physical_addr=100)
-        again = vm.ensure_mapping(pid=1, physical_addr=100)
-        assert first == again
-        assert vm.translate(1, first) == 100
-
-    def test_processes_share_physical_pages(self, bm_config):
-        vm = BmVirtualMemory(bm_config)
-        a = vm.ensure_mapping(pid=1, physical_addr=10)
-        b = vm.ensure_mapping(pid=2, physical_addr=11)
-        assert vm.translate(1, a) == 10
-        assert vm.translate(2, b) == 11
-
-    def test_release_process_clears_mappings(self, bm_config):
-        vm = BmVirtualMemory(bm_config)
-        virtual = vm.ensure_mapping(pid=1, physical_addr=10)
-        vm.release_process(1)
-        with pytest.raises(TranslationError):
-            vm.translate(1, virtual)
-
-    def test_nonexistent_physical_page_rejected(self, bm_config):
-        vm = BmVirtualMemory(bm_config)
-        with pytest.raises(AllocationError):
-            vm.ensure_mapping(pid=1, physical_addr=bm_config.num_entries + 5)
+            bm.free(pid=1, base_addr=allocation.base_addr, words=words)
+        assert bm.owner_pid(allocation.base_addr) == 1

@@ -81,6 +81,11 @@ class TestBroadcastMemoryConfig:
         with pytest.raises(ConfigurationError):
             BroadcastMemoryConfig(entry_bits=128).validate()
 
+    @pytest.mark.parametrize("pid_bits", [0, -1])
+    def test_pid_tags_need_a_bit(self, pid_bits):
+        with pytest.raises(ConfigurationError, match="PID"):
+            BroadcastMemoryConfig(pid_bits=pid_bits).validate()
+
 
 class TestDataChannelConfig:
     def test_message_format_is_77_bits(self):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import default_machine_config
 from repro.core.fabric import BroadcastFabric
-from repro.errors import WirelessError
+from repro.errors import AllocationError, ProtectionError, WirelessError
 from repro.isa.operations import RmwKind
 from repro.machine.configs import wisync
 from repro.machine.manycore import Manycore
@@ -204,7 +204,7 @@ class TestFabricWaiters:
         assert not allocation.spilled
         assert fabric.memory.owner_pid(allocation.base_addr) == 1
         assert not fabric.is_spilled(allocation.base_addr)
-        assert fabric.is_spilled(fabric.allocator.spill_base)
+        assert fabric.is_spilled(fabric.memory.spill_base)
 
     def test_tone_allocation_requires_tone_channel(self):
         sim = Simulator()
@@ -220,4 +220,51 @@ class TestFabricWaiters:
         sim, fabric = make_fabric()
         allocation = fabric.allocate(pid=1, words=2)
         fabric.free(pid=1, base_addr=allocation.base_addr, words=2)
-        assert fabric.allocator.allocated_count == 0
+        assert fabric.memory.allocated_count() == 0
+
+    def test_free_of_another_pids_entry_changes_nothing(self):
+        sim, fabric = make_fabric()
+        assert fabric.allocate(pid=1).base_addr == 0
+        assert fabric.allocate(pid=2).base_addr == 1
+        with pytest.raises(ProtectionError):
+            fabric.free(pid=1, base_addr=0, words=2)
+        assert [fabric.memory.owner_pid(addr) for addr in (0, 1)] == [1, 2]
+        assert fabric.memory.allocated_count() == 2
+        fabric.free(pid=1, base_addr=0)
+        assert fabric.allocate(pid=3).base_addr == 0
+
+    def test_free_drops_the_tone_barrier_from_every_node(self):
+        sim, fabric = make_fabric()
+        addr = fabric.allocate(pid=1, tone_capable=True, participants=[0, 2]).base_addr
+        armed = [node.tone_controller.is_armed(addr) for node in fabric.nodes]
+        assert armed == [True, False, True, False]
+        fabric.free(pid=1, base_addr=addr)
+        assert not any(addr in node.tone_controller.alloc_b for node in fabric.nodes)
+        assert fabric.memory.owner_pid(addr) is None
+
+    def test_foreign_free_keeps_the_tone_barrier(self):
+        sim, fabric = make_fabric()
+        addr = fabric.allocate(pid=1, tone_capable=True, participants=[1]).base_addr
+        with pytest.raises(ProtectionError):
+            fabric.free(pid=2, base_addr=addr)
+        assert fabric.nodes[1].tone_controller.is_armed(addr)
+        assert all(addr in node.tone_controller.alloc_b for node in fabric.nodes)
+
+    def test_spilled_allocations_are_counted_and_freed_without_entries(self):
+        sim, fabric = make_fabric()
+        capacity = fabric.memory.spill_base
+        fabric.allocate(pid=1, words=capacity)
+        spilled = fabric.allocate(pid=2, words=3)
+        assert spilled.spilled and fabric.is_spilled(spilled.base_addr)
+        assert fabric.stats.counter("bm/spilled_allocations").value == 1
+        assert fabric.stats.counter("bm/allocations").value == 1
+        fabric.free(pid=2, base_addr=spilled.base_addr, words=3)
+        assert fabric.memory.allocated_count() == capacity
+
+    def test_zero_word_free_keeps_the_tone_barrier(self):
+        sim, fabric = make_fabric()
+        addr = fabric.allocate(pid=1, tone_capable=True, participants=[0]).base_addr
+        with pytest.raises(AllocationError):
+            fabric.free(pid=2, base_addr=addr, words=0)
+        assert all(addr in node.tone_controller.alloc_b for node in fabric.nodes)
+        assert fabric.memory.owner_pid(addr) == 1

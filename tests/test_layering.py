@@ -28,6 +28,7 @@ from typing import List, Set
 import pytest
 
 import repro
+from repro.lint.engine import SIM_CORE_PACKAGES
 from repro.runner.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -35,12 +36,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Seconds any one child may take to become ready or to finish.
 TIMEOUT_S = 60.0
 
-#: Simulator packages; ``repro.sim`` and ``repro.machine`` also hold the
-#: stats and result records every front end reads, so only their simulator
-#: modules are listed.
-SIMULATOR_PACKAGES = (
-    "mem", "noc", "wireless", "core", "cpu", "isa", "sync", "osmodel", "workloads",
-)
+#: Simulator packages, the lint's sim-core scope; ``repro.sim`` and
+#: ``repro.machine`` also hold the stats and result records every front end
+#: reads, so only their simulator modules are listed.
+SIMULATOR_PACKAGES = SIM_CORE_PACKAGES - {"sim", "machine"}
 SIMULATOR_MODULES = ("repro.machine.manycore", "repro.sim.engine")
 
 #: Layers an idle ``repro worker`` has no use for until its first task.

@@ -15,6 +15,7 @@ import pytest
 import repro
 from repro.errors import LintError
 from repro.lint import (
+    SIM_CORE_PACKAGES,
     Finding,
     LintEngine,
     apply_baseline,
@@ -721,6 +722,16 @@ class TestSelfLint:
         package_dir = Path(repro.__file__).parent
         findings = LintEngine(default_rules()).run([str(package_dir)])
         assert findings == [], "\n".join(f.format_text() for f in findings)
+
+    def test_sim_core_scope_names_only_shipped_packages(self):
+        """A package deleted or renamed without editing the scope would
+        leave the sim-core rules checking a name nothing uses."""
+        package_dir = Path(repro.__file__).parent
+        missing = [
+            name for name in sorted(SIM_CORE_PACKAGES)
+            if not (package_dir / name / "__init__.py").is_file()
+        ]
+        assert missing == []
 
     @pytest.mark.parametrize(
         "rel, anchor, added, rules",

@@ -13,16 +13,25 @@ import pytest
 
 from frame_bodies import frame_body, op_sequence
 from repro.cpu.frames import START, Call, FrameBody, Op, Ret
-from repro.errors import DeadlockError, WorkloadError
+from repro.errors import (
+    ConfigurationError,
+    DeadlockError,
+    ProtectionError,
+    ReproError,
+    ToneBarrierError,
+    WorkloadError,
+)
 from repro.isa import operations
 from repro.isa.operations import (
     BmAlloc,
+    BmFree,
     BmLoad,
     BmStore,
     BmWaitUntil,
     Compute,
     Fence,
     Read,
+    ToneBarrierAlloc,
     ToneStore,
     WaitUntil,
     Write,
@@ -32,6 +41,8 @@ from repro.machine.manycore import Manycore
 from repro.machine.results import SimResult
 from repro.runner.registry import REGISTRY
 from repro.sim.stats import StatsRegistry
+from repro.sync.api import SyncFactory
+from repro.sync.frames import barrier_wait
 
 
 def _noop_thread(machine):
@@ -75,6 +86,197 @@ class TestProgramAndThreads:
         program = wisync_machine.new_program("p")
         with pytest.raises(WorkloadError):
             program.alloc_shared(0)
+
+    @pytest.mark.parametrize("core_id", [8, -1])
+    def test_out_of_range_core_registers_no_thread(self, wisync_machine, core_id):
+        program = wisync_machine.new_program("p")
+        body = _noop_thread(wisync_machine)
+        program.add_thread(body, core_id=0)
+        with pytest.raises(ConfigurationError, match=f"core {core_id} out of range"):
+            program.add_thread(body, core_id=core_id)
+        assert [t.thread_id for t in wisync_machine.threads] == [0]
+        assert program.threads == wisync_machine.threads
+        assert wisync_machine.run().completed
+
+    def test_pid_space_is_the_bm_tag_width(self):
+        config = wisync(num_cores=2)
+        machine = Manycore(config.replace(bm=dataclasses.replace(config.bm, pid_bits=2)))
+        assert [machine.new_program(f"p{i}").pid for i in range(3)] == [1, 2, 3]
+        with pytest.raises(ReproError, match="PID space exhausted"):
+            machine.new_program("p3")
+        assert len(machine.programs) == 3
+
+    @pytest.mark.parametrize("pid_bits, last_pid", [(1, 1), (8, 255)])
+    def test_last_pid_fills_the_tag(self, pid_bits, last_pid):
+        config = wisync(num_cores=2)
+        machine = Manycore(config.replace(bm=dataclasses.replace(config.bm, pid_bits=pid_bits)))
+        for _ in range(last_pid):
+            machine.new_program("p")
+        assert machine.programs[-1].pid == last_pid
+        with pytest.raises(ReproError, match="PID space exhausted"):
+            machine.new_program("one too many")
+
+    def test_programs_and_threads_are_the_process_table(self, wisync_machine):
+        first = wisync_machine.new_program("a")
+        second = wisync_machine.new_program("b")
+        assert [p.pid for p in wisync_machine.programs] == [1, 2]
+        body = _noop_thread(wisync_machine)
+        placed = [
+            first.add_thread(body, core_id=3),
+            second.add_thread(body, core_id=3),
+            first.add_thread(body, core_id=5),
+        ]
+        assert wisync_machine.threads == placed
+        assert first.threads == [placed[0], placed[2]]
+        assert second.threads == [placed[1]]
+        assert [(t.thread_id, t.pid, t.core_id) for t in placed] == [
+            (0, 1, 3), (1, 2, 3), (2, 1, 5),
+        ]
+        assert wisync_machine.run().completed
+
+    def test_broadcast_allocations_carry_the_programs_pid(self, wisync_machine):
+        first = wisync_machine.new_program("a")
+        second = wisync_machine.new_program("b")
+        a = first.alloc_broadcast(2)
+        b = second.alloc_broadcast(1)
+        memory = wisync_machine.fabric.memory
+        assert [memory.owner_pid(addr) for addr in (a, a + 1, b)] == [1, 1, 2]
+
+    def test_runtime_free_of_another_programs_entry_fails(self, wisync_machine):
+        owner = wisync_machine.new_program("owner")
+        other = wisync_machine.new_program("other")
+        addr = owner.alloc_broadcast(1)
+        other.add_thread(op_sequence(wisync_machine, "free", BmFree(addr)))
+        with pytest.raises(ProtectionError, match=f"process 2 cannot free BM entry {addr}"):
+            wisync_machine.run()
+        assert wisync_machine.fabric.memory.owner_pid(addr) == 1
+
+
+class TestToneBarrierPlacement:
+    """Section 5.2: the Armed bit is per core, so two threads on one core may
+    not share a tone barrier."""
+
+    @pytest.mark.parametrize("threads_first", [True, False])
+    def test_two_threads_on_an_armed_core_fail_the_run(self, threads_first):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        body = _noop_thread(machine)
+        if threads_first:
+            program.add_thread(body, core_id=0)
+            program.add_thread(body, core_id=0)
+        addr = program.alloc_broadcast(1, tone_capable=True, participants=[0, 1])
+        if not threads_first:
+            program.add_thread(body, core_id=0)
+            program.add_thread(body, core_id=0)
+        message = f"threads 1 and 0 on core 0 cannot both use tone barrier {addr}"
+        with pytest.raises(ToneBarrierError, match=message):
+            machine.run()
+
+    def test_runtime_allocation_on_a_shared_core_fails(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        alloc = op_sequence(machine, "alloc", ToneBarrierAlloc(participants=(0, 1)))
+        program.add_thread(alloc, core_id=0)
+        idle = _noop_thread(machine)
+        program.add_thread(idle, core_id=1)
+        program.add_thread(idle, core_id=1)
+        with pytest.raises(ToneBarrierError, match="threads 2 and 1 on core 1"):
+            machine.run()
+
+    def test_one_thread_per_core_shares_a_barrier(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        barrier = SyncFactory(program).create_barrier(4)
+
+        def step(frame, value, env):
+            if frame.label == START:
+                return barrier_wait(barrier.sync_id, "crossed")
+            if frame.label == "crossed" and env.ctx.thread_id == 0:
+                return Op(ToneBarrierAlloc(participants=(0, 1, 2, 3)), "allocated")
+            return Ret(None)
+
+        body = frame_body(machine, "crosser", step)
+        for core in range(4):
+            program.add_thread(body, core_id=core)
+        assert machine.run().completed
+        assert len(machine.fabric.nodes[3].tone_controller.alloc_b) == 2
+
+    @pytest.mark.parametrize("threads_first", [True, False])
+    def test_a_shared_core_the_barrier_does_not_arm_runs(self, threads_first):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        body = _noop_thread(machine)
+        if threads_first:
+            program.add_thread(body, core_id=2)
+            program.add_thread(body, core_id=2)
+        program.alloc_broadcast(1, tone_capable=True, participants=[0, 1])
+        if not threads_first:
+            program.add_thread(body, core_id=2)
+            program.add_thread(body, core_id=2)
+        assert machine.run().completed
+
+    def test_barrier_without_participants_arms_every_core(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        addr = program.alloc_broadcast(1, tone_capable=True)
+        body = _noop_thread(machine)
+        for core in (0, 1, 3, 3):
+            program.add_thread(body, core_id=core)
+        with pytest.raises(ToneBarrierError, match=f"threads 3 and 2 on core 3 .* barrier {addr}"):
+            machine.run()
+
+    def test_plain_broadcast_variables_allow_shared_cores(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        program.alloc_broadcast(2)
+        body = _noop_thread(machine)
+        program.add_thread(body, core_id=0)
+        program.add_thread(body, core_id=0)
+        assert machine.run().completed
+
+    def test_threads_of_two_programs_share_the_armed_bit(self):
+        machine = Manycore(wisync(num_cores=4))
+        owner = machine.new_program("owner")
+        other = machine.new_program("other")
+        owner.alloc_broadcast(1, tone_capable=True, participants=[0])
+        body = _noop_thread(machine)
+        owner.add_thread(body, core_id=0)
+        other.add_thread(body, core_id=0)
+        with pytest.raises(ToneBarrierError, match="threads 1 and 0 on core 0"):
+            machine.run()
+
+    def test_conflict_is_refused_before_any_cycle(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        program.alloc_broadcast(1, tone_capable=True, participants=[1])
+        body = op_sequence(machine, "long", Compute(1_000))
+        threads = [program.add_thread(body, core_id=1) for _ in range(2)]
+        with pytest.raises(ToneBarrierError):
+            machine.run()
+        assert machine.sim.now == 0
+        assert machine.sim.events_processed == 0
+        assert all(t.start_cycle is None for t in threads)
+
+    def test_freed_barrier_binds_no_thread(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        body = _noop_thread(machine)
+        program.add_thread(body, core_id=0)
+        program.add_thread(body, core_id=0)
+        addr = program.alloc_broadcast(1, tone_capable=True, participants=[0, 1])
+        machine.fabric.free(program.pid, addr)
+        assert machine.run().completed
+
+    def test_runtime_allocation_off_the_shared_core_runs(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        alloc = op_sequence(machine, "alloc", ToneBarrierAlloc(participants=(0, 2)))
+        program.add_thread(alloc, core_id=0)
+        idle = _noop_thread(machine)
+        program.add_thread(idle, core_id=1)
+        program.add_thread(idle, core_id=1)
+        assert machine.run().completed
+        assert len(machine.fabric.nodes[1].tone_controller.alloc_b) == 1
 
 
 class TestRunSemantics:

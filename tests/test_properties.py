@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import BroadcastMemoryConfig, CacheConfig, MemoryConfig
-from repro.core.allocator import BmAllocator
 from repro.core.broadcast_memory import BroadcastMemory
+from repro.errors import MemoryError_, ProtectionError
 from repro.mem.address import AddressMap
 from repro.mem.cache import CacheArray
 from repro.mem.directory import Directory, LineState
@@ -86,18 +87,75 @@ def test_rmw_semantics_properties(old, operand, expected):
         assert not success and new == old
 
 
+#: Allocate ``words`` for a pid, or free (with a pid, possibly not the
+#: owner) an earlier allocation's range, possibly reaching ``extra`` entries
+#: past its end.
+_BM_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("alloc"), st.integers(1, 3), st.integers(1, 48)),
+        st.tuples(st.just("free"), st.integers(1, 3), st.integers(0, 1000), st.integers(0, 2)),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+def _first_fit(owners, words, capacity):
+    for base in range(capacity - words + 1):
+        if not any(addr in owners for addr in range(base, base + words)):
+            return base
+    return None
+
+
+def _expected_free_error(owners, pid, base, words, capacity):
+    for addr in range(base, base + words):
+        if addr >= capacity or addr not in owners:
+            return MemoryError_
+        if owners[addr] != pid:
+            return ProtectionError
+    return None
+
+
 @COMMON_SETTINGS
-@given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=40))
-def test_allocator_never_double_allocates(requests):
-    allocator = BmAllocator(BroadcastMemoryConfig())
-    seen = set()
-    for pid, words in enumerate(requests, start=1):
-        allocation = allocator.allocate(pid=pid, words=words)
-        addresses = set(allocation.addresses)
-        if not allocation.spilled:
-            assert not (addresses & seen)
-        seen |= addresses
-    assert allocator.allocated_count <= allocator.capacity
+@given(_BM_OPS)
+def test_allocator_never_double_allocates(ops):
+    """Interleaved allocations and frees by several pids against a model of
+    the owner tags: first fit, no entry handed out twice, and a rejected free
+    changes nothing."""
+    bm = BroadcastMemory(BroadcastMemoryConfig(size_kb=1, page_kb=1))
+    capacity = bm.spill_base
+    owners = {}  # addr -> pid, for every live entry
+    made = []
+    for op in ops:
+        if op[0] == "alloc":
+            _, pid, words = op
+            expected = _first_fit(owners, words, capacity)
+            live = set(bm.allocated_entries())
+            allocation = bm.allocate(pid=pid, words=words)
+            made.append(allocation)
+            assert allocation.spilled == (expected is None)
+            if expected is not None:
+                run = range(allocation.base_addr, allocation.base_addr + words)
+                assert live.isdisjoint(run)
+                assert allocation.base_addr == expected
+                owners.update((addr, pid) for addr in run)
+        elif made:
+            _, pid, index, extra = op
+            target = made[index % len(made)]
+            base, words = target.base_addr, target.words + extra
+            error = None if target.spilled else _expected_free_error(
+                owners, pid, base, words, capacity
+            )
+            if error is None:
+                bm.free(pid=pid, base_addr=base, words=words)
+                if not target.spilled:
+                    for addr in range(base, base + words):
+                        del owners[addr]
+            else:
+                with pytest.raises(MemoryError_) as raised:
+                    bm.free(pid=pid, base_addr=base, words=words)
+                assert type(raised.value) is error
+        assert bm.allocated_count() == len(owners)
+        assert {addr: bm.owner_pid(addr) for addr in bm.allocated_entries()} == owners
 
 
 @COMMON_SETTINGS

@@ -28,12 +28,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frame_bodies import op_sequence
+from frame_bodies import frame_body, op_sequence
 from goldens import GOLDEN_PATH, golden_specs
-from repro.cpu.frames import Frame
+from repro.config import BroadcastMemoryConfig
+from repro.cpu.frames import START, Frame, Op, Ret
 from repro.errors import ConfigurationError, SnapshotError
 from repro.experiments.scenarios import scenario_sweep
-from repro.isa.operations import Compute, WaitUntil, Write
+from repro.isa.operations import BmAlloc, Compute, WaitUntil, Write
 from repro.runner import RunSpec, SerialExecutor, WorkerSupervisor
 from repro.runner.cli import main
 from repro.runner.distributed import DistributedExecutor
@@ -329,6 +330,47 @@ class TestCaptureRestore:
         execution = run_prefix(spec, 2)  # the waiter is parked on the lambda
         with pytest.raises(SnapshotError, match="opaque callable"):
             execution.capture()
+
+    def test_restore_keeps_runtime_bm_owner_tags_and_spill_counter(self, monkeypatch):
+        # The entries' own tags are the only owner record, so a restored run
+        # must place its later allocations exactly where the uninterrupted
+        # run does: in the last free entry, then past the earlier spill.
+        def build(machine):
+            program = machine.new_program("bm-alloc")
+            entries = machine.config.bm.num_entries
+            requests = [BmAlloc(entries - 1), BmAlloc(2), Compute(5_000), BmAlloc(1), BmAlloc(2)]
+
+            def step(frame, value, env):
+                L = frame.locals
+                if frame.label == START:
+                    L["addrs"], index = [], 0
+                else:
+                    index = int(frame.label) + 1
+                    if isinstance(requests[index - 1], BmAlloc):
+                        L["addrs"].append(value)
+                if index == len(requests):
+                    return Ret(L["addrs"])
+                return Op(requests[index], str(index))
+
+            program.add_thread(frame_body(machine, "allocator", step))
+            return WorkloadHandle("bm-alloc", machine, program, 1, {})
+
+        monkeypatch.setitem(REGISTRY._builders, "bm_alloc", build)
+        spec = RunSpec(workload="bm_alloc", config="WiSync", num_cores=2)
+        full = execute_spec(spec)
+        entries = BroadcastMemoryConfig().num_entries
+        assert full.thread_results == [[0, entries, entries - 1, entries + 2]]
+
+        execution = SpecExecution(spec)  # cut just after the first spill
+        while execution.machine.stats.counter_value("bm/spilled_allocations") < 1:
+            assert execution.advance(1) == 1
+        restored = SpecExecution.from_snapshot(execution.capture())
+        memory = restored.machine.fabric.memory
+        assert memory.allocated_count() == entries - 1
+        assert {memory.owner_pid(addr) for addr in memory.allocated_entries()} == {1}
+        resumed = restored.run_to_completion()
+        assert_identical(resumed, full)
+        assert resumed.thread_results == full.thread_results
 
     def test_native_strategy_without_payload_is_rejected(self):
         snapshot = Snapshot(spec=tight(), events_processed=100, clock=100)
