@@ -16,46 +16,43 @@ from repro.errors import ConfigurationError
 
 @dataclass(frozen=True)
 class CoreConfig:
-    """Timing-relevant core parameters (Table 1, "General Parameters")."""
+    """Timing-relevant core parameters (Table 1, "General Parameters").
 
-    frequency_ghz: float = 1.0
+    Cores are modelled by cycle accounting, not as pipelines, so Table 1's
+    frequency, ROB and load/store queue have no field here.
+    """
+
     issue_width: int = 2
-    rob_entries: int = 64
-    load_store_queue: int = 20
 
     def validate(self) -> None:
-        if self.frequency_ghz <= 0:
-            raise ConfigurationError("core frequency must be positive")
         if self.issue_width < 1:
             raise ConfigurationError("issue width must be at least 1")
 
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """L1/L2 cache hierarchy parameters (Table 1)."""
+    """L1/L2 cache hierarchy parameters (Table 1).
+
+    The shared L2 keeps every line it has filled (the memory system's
+    resident set), so Table 1's 512 KB, 8-way banks have no field here.
+    """
 
     line_bytes: int = 64
     l1_size_kb: int = 32
     l1_assoc: int = 2
     l1_latency: int = 2          # round-trip cycles
-    l2_bank_size_kb: int = 512   # per-core shared L2 bank
-    l2_assoc: int = 8
     l2_latency: int = 6          # local bank round-trip cycles
 
     def validate(self) -> None:
         if self.line_bytes <= 0 or self.line_bytes & (self.line_bytes - 1):
             raise ConfigurationError("cache line size must be a positive power of two")
-        for name in ("l1_size_kb", "l1_assoc", "l1_latency", "l2_bank_size_kb", "l2_assoc", "l2_latency"):
+        for name in ("l1_size_kb", "l1_assoc", "l1_latency", "l2_latency"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
 
     @property
     def l1_sets(self) -> int:
         return (self.l1_size_kb * 1024) // (self.line_bytes * self.l1_assoc)
-
-    @property
-    def l2_sets_per_bank(self) -> int:
-        return (self.l2_bank_size_kb * 1024) // (self.line_bytes * self.l2_assoc)
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class BroadcastMemoryConfig:
     size_kb: int = 16
     round_trip: int = 2          # cycles (Table 1: "2-cycle RT")
     entry_bits: int = 64
-    page_kb: int = 4
     address_bits: int = 11       # 16KB of 64-bit entries -> 2048 entries -> 11 bits
     pid_bits: int = 8
 
@@ -124,14 +120,6 @@ class BroadcastMemoryConfig:
     def num_entries(self) -> int:
         return (self.size_kb * 1024 * 8) // self.entry_bits
 
-    @property
-    def entries_per_page(self) -> int:
-        return (self.page_kb * 1024 * 8) // self.entry_bits
-
-    @property
-    def num_pages(self) -> int:
-        return self.size_kb // self.page_kb
-
 
 @dataclass(frozen=True)
 class DataChannelConfig:
@@ -140,11 +128,11 @@ class DataChannelConfig:
     A transfer carries a 64-bit datum, an 11-bit BM address, a Bulk bit and a
     Tone bit (77 bits total) in 5 slots of 1 ns; the second slot is used for
     collision detection, so a collision only wastes 2 cycles.  A bulk message
-    carries four 64-bit words and takes 15 cycles.
+    carries four 64-bit words and takes 15 cycles.  The RF figures of
+    Table 4 (bandwidth, carrier, area, power) live in
+    :mod:`repro.wireless.link_budget`.
     """
 
-    bandwidth_gbps: float = 19.0
-    center_frequency_ghz: float = 60.0
     slot_cycles: int = 1
     message_cycles: int = 5
     collision_detect_cycle: int = 2
@@ -158,8 +146,6 @@ class DataChannelConfig:
             raise ConfigurationError("collision detection must happen before message end")
         if self.bulk_message_cycles < self.message_cycles:
             raise ConfigurationError("bulk messages cannot be shorter than single messages")
-        if self.bandwidth_gbps <= 0:
-            raise ConfigurationError("bandwidth must be positive")
 
     @property
     def message_bits(self) -> int:
@@ -181,8 +167,6 @@ class ToneChannelConfig:
     """Wireless Tone channel parameters (Section 4.1 / 5.1)."""
 
     enabled: bool = True
-    bandwidth_gbps: float = 1.0
-    center_frequency_ghz: float = 90.0
     slot_cycles: int = 1
     table_entries: int = 64      # AllocB / ActiveB size
 
@@ -278,18 +262,6 @@ class MachineConfig:
                 f"configuration {self.name!r} uses tone barriers but the tone channel is disabled"
             )
         return self
-
-    # --------------------------------------------------------------- helpers
-    @property
-    def mesh_width(self) -> int:
-        """Side of the smallest square mesh that fits ``num_cores`` nodes."""
-        width = 1
-        while width * width < self.num_cores:
-            width += 1
-        return width
-
-    def with_cores(self, num_cores: int) -> "MachineConfig":
-        return replace(self, num_cores=num_cores)
 
     def replace(self, **kwargs) -> "MachineConfig":
         return replace(self, **kwargs)

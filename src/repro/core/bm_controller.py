@@ -127,9 +127,7 @@ class PendingBmOp:
         controller = self.controller
         controller.afb = failed
         controller.wcb = True
-        if failed:
-            controller.rmw_failures += 1
-        else:
+        if not failed:
             controller.fabric.apply_store(self.addr, self.new, controller.node_id, cycle, self.pid)
         self.on_done(RmwResult(self.old, not failed, failed, cycle))
 
@@ -137,7 +135,7 @@ class PendingBmOp:
 class BmController:
     """Front end between one core's pipeline and the wireless fabric."""
 
-    STATE = ("wcb", "afb", "stores_issued", "rmws_issued", "rmw_failures")
+    STATE = ("wcb", "afb")
     REBUILT = ("node_id", "fabric", "transceiver", "config")
 
     def __init__(
@@ -155,9 +153,6 @@ class BmController:
         self.wcb: bool = False
         #: Atomicity Failure Bit of the last RMW instruction.
         self.afb: bool = False
-        self.stores_issued = 0
-        self.rmws_issued = 0
-        self.rmw_failures = 0
 
     # ----------------------------------------------------------------- loads
     def load(self, addr: int, pid: Optional[int] = None) -> Tuple[int, int]:
@@ -180,7 +175,6 @@ class BmController:
     ) -> None:
         """Broadcast store; ``on_done(completion_cycle)`` fires when performed."""
         self.wcb = False
-        self.stores_issued += 1
         op = PendingBmOp(self, "store", addr, on_done, pid, value)
         self.transceiver.send_store(addr, value, op.stored)
 
@@ -195,7 +189,6 @@ class BmController:
         if len(values) != 4:
             raise MemoryError_("bulk stores transfer exactly four 64-bit words")
         self.wcb = False
-        self.stores_issued += 1
         values = tuple(values)
         op = PendingBmOp(self, "bulk", addr, on_done, pid, 0, values)
         self.transceiver.send_bulk_store(addr, values, op.stored)
@@ -217,7 +210,6 @@ class BmController:
         code simply retries after re-reading), so the result arrives after
         the local BM round trip.
         """
-        self.rmws_issued += 1
         self.wcb = False
         self.afb = False
         old = self.fabric.memory.read(addr, pid)

@@ -21,7 +21,6 @@ from repro.errors import WirelessError
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 from repro.wireless.backoff import make_backoff
 from repro.wireless.channel import DataChannel, WirelessMessage
 from repro.wireless.tone import ToneChannel
@@ -58,28 +57,26 @@ class BroadcastFabric:
 
     STATE = (
         "memory", "data_channel", "tone_channel", "nodes", "_waiters",
-        "_pending_by_addr", "total_writes",
+        "_pending_by_addr",
     )
-    REBUILT = ("sim", "config", "stats", "tracer", "rng", "_writes_applied_counter")
+    REBUILT = ("sim", "config", "stats", "rng", "_writes_applied_counter")
 
     def __init__(
         self,
         sim: Simulator,
         config: MachineConfig,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         rng: Optional[DeterministicRng] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.rng = rng if rng is not None else DeterministicRng(config.seed, "fabric")
         self.memory = BroadcastMemory(config.bm)
-        self.data_channel = DataChannel(sim, config.data_channel, self.stats, self.tracer)
+        self.data_channel = DataChannel(sim, config.data_channel, self.stats)
         self.tone_channel: Optional[ToneChannel] = None
         if config.tone_channel.enabled:
-            self.tone_channel = ToneChannel(sim, config.tone_channel, self.stats, self.tracer)
+            self.tone_channel = ToneChannel(sim, config.tone_channel, self.stats)
             self.tone_channel.add_completion_listener(self._on_tone_complete)
         self.data_channel.add_listener(self._on_message_delivered)
         self.nodes: List[WiSyncNode] = []
@@ -87,7 +84,6 @@ class BroadcastFabric:
         #: The open RMW windows per address, in registration order, which is
         #: the order failures are notified in.
         self._pending_by_addr: Dict[int, List[_PendingRmw]] = {}
-        self.total_writes = 0
         # Flyweight stat handles for the per-broadcast-write hot path.
         self._writes_applied_counter = self.stats.counter("bm/writes_applied")
 
@@ -171,7 +167,6 @@ class BroadcastFabric:
         after delivery.
         """
         self.memory.write(addr, value, pid)
-        self.total_writes += 1
         self._writes_applied_counter.add()
         if addr in self._pending_by_addr:
             self._fail_pending(addr, sender)

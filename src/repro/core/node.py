@@ -26,14 +26,3 @@ class WiSyncNode:
     transceiver: Transceiver
     bm_controller: BmController
     tone_controller: ToneController
-
-    def describe(self) -> str:
-        """One-line summary used by examples and debugging output."""
-        return (
-            f"node {self.node_id}: "
-            f"{self.transceiver.sent_messages} wireless messages sent, "
-            f"{self.transceiver.collisions_seen} collisions, "
-            f"{self.bm_controller.rmws_issued} BM RMWs "
-            f"({self.bm_controller.rmw_failures} atomicity failures), "
-            f"{self.tone_controller.barriers_initiated} tone barriers initiated"
-        )

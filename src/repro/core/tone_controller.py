@@ -39,10 +39,7 @@ class ActiveBEntry:
 class ToneController:
     """Hardware tone-barrier participation logic of one node."""
 
-    STATE = (
-        "alloc_b", "active_b", "_arrived_early", "barriers_initiated",
-        "barriers_joined",
-    )
+    STATE = ("alloc_b", "active_b", "_arrived_early")
     REBUILT = ("node_id", "tone_channel", "transceiver", "config")
 
     def __init__(
@@ -60,8 +57,6 @@ class ToneController:
         self.active_b: Dict[int, ActiveBEntry] = {}
         #: Arrivals observed before the activation message was delivered.
         self._arrived_early: Set[int] = set()
-        self.barriers_initiated = 0
-        self.barriers_joined = 0
 
     # ------------------------------------------------------------ allocation
     def allocate_barrier(self, bm_addr: int, armed: bool) -> None:
@@ -103,13 +98,11 @@ class ToneController:
                 active.arrived = True
                 if self.tone_channel is not None and self.is_armed(bm_addr):
                     self.tone_channel.stop_tone(bm_addr, self.node_id)
-            self.barriers_joined += 1
             return False
         if bm_addr in self._arrived_early:
             # Already signalled arrival while the activation is still in flight.
             return False
         self._arrived_early.add(bm_addr)
-        self.barriers_initiated += 1
         self.transceiver.send_tone_init(bm_addr, self._activation_sent)
         return True
 

@@ -11,7 +11,7 @@ and the thread resumes when the operation completes.
 from __future__ import annotations
 
 import gc
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import MachineConfig
 from repro.core.bm_controller import RmwResult
@@ -36,7 +36,6 @@ from repro.noc.topology import MeshTopology
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 #: Base of the cached-memory arena used for workload shared variables.
 SHARED_MEMORY_BASE = 0x1000_0000
@@ -131,28 +130,24 @@ class Manycore:
     )
     REBUILT = (
         "config", "topology", "_bm_spill_base",  # the config and what it derives
-        "tracer",  # a side-channel event log, not simulation state
         "frame_routines",  # made by the workload build
         "_schedule", "_dispatch_table", "_dispatch_get",  # hot-path bindings
         "stats", "rng",  # restored in place from the payload's own sections
         "_ran",  # set by begin() on the rebuilt machine
     )
 
-    def __init__(self, config: MachineConfig, trace: bool = False) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config.validate()
         self.sim = Simulator()
         self.stats = StatsRegistry()
-        self.tracer = Tracer(enabled=trace)
         self.rng = DeterministicRng(config.seed, "machine")
         self.topology = MeshTopology.square_for(config.num_cores)
         self.mesh = MeshNetwork(self.topology, config.noc, self.stats)
-        self.memory = MemorySystem(self.sim, config, self.mesh, self.stats, self.tracer)
+        self.memory = MemorySystem(self.sim, config, self.mesh, self.stats)
         self.cores = [Core(core_id, config.core) for core_id in range(config.num_cores)]
         self.fabric: Optional[BroadcastFabric] = None
         if config.wisync_enabled:
-            self.fabric = BroadcastFabric(
-                self.sim, config, self.stats, self.tracer, self.rng.child("fabric")
-            )
+            self.fabric = BroadcastFabric(self.sim, config, self.stats, self.rng.child("fabric"))
             for core_id in range(config.num_cores):
                 self.fabric.create_node(core_id)
         self.threads: List[SimThread] = []
@@ -461,17 +456,29 @@ class Manycore:
     def _soft_bm_cached_addr(self, addr: int) -> int:
         return SPILL_MEMORY_BASE + addr * 8
 
+    def _allocate(
+        self,
+        thread: SimThread,
+        words: int,
+        tone_capable: bool,
+        participants: Optional[Sequence[int]],
+    ) -> None:
+        """A run-time BM allocation; the allocation instruction broadcasts one
+        wireless message.  A tone barrier gets the Section 5.2 check on every
+        core the fabric armed it on: ``participants``, or every core when
+        that is ``None``; a spilled allocation arms none."""
+        allocation = self.fabric.allocate(thread.pid, words, tone_capable, participants)
+        if tone_capable and not allocation.spilled:
+            armed = participants if participants is not None else range(len(self.fabric.nodes))
+            self._check_tone_barrier(allocation.base_addr, armed)
+        self._resume(thread, self.config.data_channel.message_cycles, allocation.base_addr)
+
     def _handle_bm_alloc(self, thread: SimThread, op: ops.BmAlloc) -> None:
-        program_pid = thread.pid
         if self.fabric is None:
             addr = self._alloc_soft_bm(op.words)
             self._resume(thread, self.config.bm.round_trip, addr)
             return
-        allocation = self.fabric.allocate(
-            program_pid, op.words, op.tone_capable, op.participants
-        )
-        # The allocation instruction broadcasts one wireless message.
-        self._resume(thread, self.config.data_channel.message_cycles, allocation.base_addr)
+        self._allocate(thread, op.words, op.tone_capable, op.participants)
 
     def _handle_bm_free(self, thread: SimThread, op: ops.BmFree) -> None:
         if self.fabric is not None:
@@ -563,11 +570,7 @@ class Manycore:
 
     def _handle_tone_alloc(self, thread: SimThread, op: ops.ToneBarrierAlloc) -> None:
         self._require_tone(thread)
-        allocation = self.fabric.allocate(
-            thread.pid, 1, tone_capable=True, participants=list(op.participants)
-        )
-        self._check_tone_barrier(allocation.base_addr, op.participants)
-        self._resume(thread, self.config.data_channel.message_cycles, allocation.base_addr)
+        self._allocate(thread, 1, True, list(op.participants))
 
     def _handle_tone_store(self, thread: SimThread, op: ops.ToneStore) -> None:
         self._require_tone(thread)

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 class CacheArray:
     """A tag array with ``num_sets`` sets of ``associativity`` ways (LRU)."""
 
-    STATE = ("_sets", "hits", "misses", "evictions")
+    STATE = ("_sets",)
     REBUILT = ("num_sets", "associativity", "line_bytes", "name")
 
     def __init__(self, num_sets: int, associativity: int, line_bytes: int, name: str = "cache") -> None:
@@ -28,9 +28,6 @@ class CacheArray:
         self.name = name
         # set index -> OrderedDict(line_number -> True), most recent last
         self._sets: Dict[int, OrderedDict] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     # ------------------------------------------------------------------ api
     # The set probe (line % num_sets, get-or-create) is inlined in each
@@ -43,13 +40,11 @@ class CacheArray:
         if entries is not None and line in entries:
             if touch:
                 entries.move_to_end(line)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def contains(self, line: int) -> bool:
-        """Hit/miss check without disturbing LRU order or statistics."""
+        """Hit/miss check without disturbing LRU order."""
         entries = self._sets.get(line % self.num_sets)
         return entries is not None and line in entries
 
@@ -65,7 +60,6 @@ class CacheArray:
             return None
         if len(entries) >= self.associativity:
             victim, _ = entries.popitem(last=False)
-            self.evictions += 1
         entries[line] = True
         return victim
 
@@ -86,8 +80,3 @@ class CacheArray:
     @property
     def occupancy(self) -> int:
         return sum(len(entries) for entries in self._sets.values())
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

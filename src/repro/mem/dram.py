@@ -35,6 +35,3 @@ class DramModel:
         self._controller_free[controller] = start + self.CONTROLLER_OCCUPANCY
         self._accesses_counter.add()
         return start + self.config.dram_round_trip
-
-    def reset(self) -> None:
-        self._controller_free.clear()

@@ -25,7 +25,6 @@ from repro.mem.dram import DramModel
 from repro.noc.mesh import MeshNetwork
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 #: Cycles the home bank is occupied serving each refill to a waiting spinner.
 REFILL_SERIALIZATION = 3
@@ -68,7 +67,7 @@ class MemorySystem:
         "_waiters",
     )
     REBUILT = (
-        "sim", "config", "mesh", "stats", "tracer", "address_map", "_line_bytes",
+        "sim", "config", "mesh", "stats", "address_map", "_line_bytes",
         "_l1_latency", "_l2_latency", "_num_cores", "_num_controllers",
         "_reads_counter", "_read_misses_counter", "_writes_counter",
         "_write_misses_counter", "_atomics_counter", "_spin_waits_counter",
@@ -82,13 +81,11 @@ class MemorySystem:
         config: MachineConfig,
         mesh: MeshNetwork,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.mesh = mesh
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.address_map = AddressMap(config.cache, config.memory, config.num_cores)
         self.directory = Directory()
         self.dram = DramModel(config.memory, self.stats)
@@ -149,16 +146,11 @@ class MemorySystem:
         self._reads_counter.value += 1
         entry = self.directory.entry(line)
         if self._l1[core].lookup(line) and entry.has_copy(core):
-            completion = now + self._l1_latency
-            if self.tracer.enabled:
-                self.tracer.emit(now, f"core{core}", "mem.read.hit", f"addr={addr:#x}")
-            return self._values.get(word, 0), completion
+            return self._values.get(word, 0), now + self._l1_latency
         self._read_misses_counter.value += 1
         completion = self._miss_transaction(core, line, now, for_write=False, entry=entry)
         self._fill_l1(core, line)
         self.directory.record_read(line, core, entry)
-        if self.tracer.enabled:
-            self.tracer.emit(now, f"core{core}", "mem.read.miss", f"addr={addr:#x}")
         return self._values.get(word, 0), completion
 
     # ---------------------------------------------------------------- writes
@@ -183,8 +175,6 @@ class MemorySystem:
             self._fill_l1(core, line)
         self.directory.record_write(line, core, entry)
         self._values[word] = value
-        if self.tracer.enabled:
-            self.tracer.emit(now, f"core{core}", "mem.write", f"addr={addr:#x} value={value}")
         if word in self._waiters:
             self._notify_waiters(word, value, completion)
         return completion
@@ -228,10 +218,6 @@ class MemorySystem:
             self._values[word] = new
             if word in self._waiters:
                 self._notify_waiters(word, new, completion)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, f"core{core}", "mem.atomic", f"addr={addr:#x} kind={kind.value} old={old}"
-            )
         return old, success, completion
 
     # ----------------------------------------------------------- spin waits

@@ -162,9 +162,3 @@ class MeshNetwork:
                 continue
             last_arrival = max(last_arrival, self.unicast(now, src, dst, message_bits))
         return last_arrival
-
-    # ----------------------------------------------------------------- stats
-    def reset_ports(self) -> None:
-        """Forget port occupancy (used between independent experiment phases)."""
-        for table in (self._inject_free_at, self._eject_free_at):
-            table[:] = [0] * len(table)

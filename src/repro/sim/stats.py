@@ -35,9 +35,6 @@ class Counter:
     def add(self, amount: int = 1) -> None:
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Counter({self.name}={self.value})"
 
@@ -202,19 +199,6 @@ class StatsRegistry:
             tracker.busy_cycles = int(entry["busy_cycles"])
             tracker.busy_intervals = int(entry["busy_intervals"])
         return registry
-
-    def merge(self, other: "StatsRegistry") -> None:
-        """Accumulate another registry into this one (used by sweeps)."""
-        for name, counter in other.counters.items():
-            self.counter(name).add(counter.value)
-        for name, histogram in other.histograms.items():
-            mine = self.histogram(name)
-            mine.samples.extend(histogram.samples)
-            mine._sorted = None
-        for name, tracker in other.utilizations.items():
-            mine_u = self.utilization(name)
-            mine_u.busy_cycles += tracker.busy_cycles
-            mine_u.busy_intervals += tracker.busy_intervals
 
 
 def geometric_mean(values: List[float]) -> float:

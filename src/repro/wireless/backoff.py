@@ -27,10 +27,6 @@ class BackoffPolicy(ABC):
     def on_success(self) -> None:
         """Record a successful transmission (contention is easing)."""
 
-    @abstractmethod
-    def reset(self) -> None:
-        """Forget all contention history."""
-
     def deferral(self) -> int:
         """Slots to defer a *fresh* transmission under observed contention.
 
@@ -64,7 +60,7 @@ class ExponentialBackoff(BackoffPolicy):
     decremented on every success, exactly as described in Section 5.3.
     """
 
-    STATE = ("exponent", "collisions", "successes")
+    STATE = ("exponent",)
     REBUILT = ("rng", "max_exponent")
 
     def __init__(self, rng: DeterministicRng, max_exponent: int = 10) -> None:
@@ -73,25 +69,14 @@ class ExponentialBackoff(BackoffPolicy):
         self.rng = rng
         self.max_exponent = max_exponent
         self.exponent = 0
-        self.collisions = 0
-        self.successes = 0
 
     def on_collision(self) -> int:
-        self.collisions += 1
         self.exponent = min(self.max_exponent, self.exponent + 1)
         window = (1 << self.exponent) - 1
         return self.rng.randint(0, window) if window > 0 else 0
 
     def on_success(self) -> None:
-        self.successes += 1
         self.exponent = max(0, self.exponent - 1)
-
-    def reset(self) -> None:
-        # All state, not just the window: a reset transceiver must not carry
-        # contention statistics from its previous life into new measurements.
-        self.exponent = 0
-        self.collisions = 0
-        self.successes = 0
 
     def deferral(self) -> int:
         if self.exponent == 0:
@@ -118,7 +103,7 @@ class BroadcastAwareBackoff(BackoffPolicy):
     without starving the last arrivals.
     """
 
-    STATE = ("estimate", "collisions", "successes")
+    STATE = ("estimate",)
     REBUILT = ("rng", "max_window")
 
     def __init__(self, rng: DeterministicRng, max_window: int = 512) -> None:
@@ -127,19 +112,15 @@ class BroadcastAwareBackoff(BackoffPolicy):
         self.rng = rng
         self.max_window = max_window
         self.estimate = 1.0
-        self.collisions = 0
-        self.successes = 0
 
     def _window(self) -> int:
         return max(1, min(self.max_window, int(round(self.estimate))))
 
     def on_collision(self) -> int:
-        self.collisions += 1
         self.estimate = min(float(self.max_window), max(2.0, self.estimate * 2.0))
         return self.rng.randint(0, self._window() - 1)
 
     def on_success(self) -> None:
-        self.successes += 1
         self.estimate = max(1.0, self.estimate / 2.0)
 
     def on_observed_success(self, count: int = 1) -> None:
@@ -155,16 +136,10 @@ class BroadcastAwareBackoff(BackoffPolicy):
             return 0
         return self.rng.randint(0, window - 1)
 
-    def reset(self) -> None:
-        self.estimate = 1.0
-        self.collisions = 0
-        self.successes = 0
-
 
 class FixedBackoff(BackoffPolicy):
     """Uniform backoff over a fixed window (ablation baseline)."""
 
-    STATE = ("collisions", "successes")
     REBUILT = ("rng", "window")
 
     def __init__(self, rng: DeterministicRng, window: int = 8) -> None:
@@ -172,19 +147,12 @@ class FixedBackoff(BackoffPolicy):
             raise ConfigurationError("window must be >= 1")
         self.rng = rng
         self.window = window
-        self.collisions = 0
-        self.successes = 0
 
     def on_collision(self) -> int:
-        self.collisions += 1
         return self.rng.randint(0, self.window - 1)
 
     def on_success(self) -> None:
-        self.successes += 1
-
-    def reset(self) -> None:
-        self.collisions = 0
-        self.successes = 0
+        """A fixed window does not adapt to contention."""
 
 
 def make_backoff(config: BackoffConfig, rng: DeterministicRng) -> BackoffPolicy:

@@ -18,7 +18,6 @@ from repro.config import DataChannelConfig
 from repro.errors import WirelessError
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 #: Event priority used for channel arbitration so that every transmission
 #: attempt registered for a cycle is visible before the winner is decided.
@@ -98,12 +97,9 @@ class _Attempt:
 class DataChannel:
     """Event-accurate single-frequency-band data channel with collisions."""
 
-    STATE = (
-        "_busy_until", "_attempts_by_cycle", "completed",
-        "total_messages", "total_collisions",
-    )
+    STATE = ("_busy_until", "_attempts_by_cycle", "completed")
     REBUILT = (
-        "sim", "config", "stats", "tracer", "_listeners", "_messages_counter",
+        "sim", "config", "stats", "_listeners", "_messages_counter",
         "_collisions_counter", "_channel_util", "_latency_hist",
     )
 
@@ -112,12 +108,10 @@ class DataChannel:
         sim: Simulator,
         config: DataChannelConfig,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._busy_until: int = 0
         #: Queued attempts per slot; a cycle is a key exactly while its
         #: arbitration event is scheduled.
@@ -126,8 +120,6 @@ class DataChannel:
         #: Transfers finished so far.  Each transceiver folds the ones it has
         #: not yet seen into its backoff lazily (``Transceiver._observe``).
         self.completed = 0
-        self.total_messages = 0
-        self.total_collisions = 0
         # Flyweight stat handles, bound once so the per-message hot path does
         # no string-keyed registry lookups.
         self._messages_counter = self.stats.counter("wireless/messages")
@@ -206,17 +198,9 @@ class DataChannel:
         duration = attempt.message.duration(self.config)
         completion = cycle + duration
         self._busy_until = completion
-        self.total_messages += 1
         self._messages_counter.add()
         self._channel_util.add_busy(duration)
         self._latency_hist.record(completion - attempt.enqueued_at)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                cycle,
-                f"node{attempt.message.sender}",
-                "wireless.send",
-                f"addr={attempt.message.bm_addr} bulk={attempt.message.bulk} tone={attempt.message.tone_bit}",
-            )
         self.sim.schedule_at(completion, self._complete, attempt, completion)
 
     def _complete(self, attempt: _Attempt, completion: int) -> None:
@@ -240,11 +224,8 @@ class DataChannel:
         penalty = self.config.collision_penalty_cycles
         free_at = cycle + penalty
         self._busy_until = max(self._busy_until, free_at)
-        self.total_collisions += 1
         self._collisions_counter.add()
         self._channel_util.add_busy(penalty)
-        if self.tracer.enabled:
-            self.tracer.emit(cycle, "channel", "wireless.collision", f"senders={len(attempts)}")
         for attempt in attempts:
             backoff = attempt.on_collision(attempt.message)
             if backoff < 0:

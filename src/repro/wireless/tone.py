@@ -22,7 +22,6 @@ from repro.config import ToneChannelConfig
 from repro.errors import ToneBarrierError
 from repro.sim.engine import Simulator
 from repro.sim.stats import StatsRegistry
-from repro.sim.trace import Tracer
 
 
 @dataclass
@@ -38,9 +37,9 @@ class _ActiveBarrier:
 class ToneChannel:
     """Slot-multiplexed tone channel with silence detection."""
 
-    STATE = ("_active", "_active_order", "completed_barriers")
+    STATE = ("_active", "_active_order")
     REBUILT = (
-        "sim", "config", "stats", "tracer", "_completion_listeners",
+        "sim", "config", "stats", "_completion_listeners",
         "_activations_counter", "_completions_counter",
     )
 
@@ -49,17 +48,14 @@ class ToneChannel:
         sim: Simulator,
         config: ToneChannelConfig,
         stats: Optional[StatsRegistry] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.stats = stats if stats is not None else StatsRegistry()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._active: Dict[int, _ActiveBarrier] = {}
         #: Active barrier addresses in activation order (slot assignment order).
         self._active_order: List[int] = []
         self._completion_listeners: List[Callable[[int, int], None]] = []
-        self.completed_barriers = 0
         self._activations_counter = self.stats.counter("tone/activations")
         self._completions_counter = self.stats.counter("tone/completions")
 
@@ -94,10 +90,6 @@ class ToneChannel:
         self._active[bm_addr] = barrier
         self._active_order.append(bm_addr)
         self._activations_counter.add()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self.sim.now, "tone", "tone.activate", f"addr={bm_addr} emitters={len(emitters)}"
-            )
         if not barrier.emitting:
             self._schedule_completion(barrier)
 
@@ -107,8 +99,6 @@ class ToneChannel:
         if barrier is None:
             raise ToneBarrierError(f"no active tone barrier at BM address {bm_addr}")
         barrier.emitting.discard(node)
-        if self.tracer.enabled:
-            self.tracer.emit(self.sim.now, f"node{node}", "tone.stop", f"addr={bm_addr}")
         if not barrier.emitting:
             self._schedule_completion(barrier)
 
@@ -138,10 +128,7 @@ class ToneChannel:
             return
         del self._active[bm_addr]
         self._active_order.remove(bm_addr)
-        self.completed_barriers += 1
         self._completions_counter.add()
         detection_cycle = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(detection_cycle, "tone", "tone.complete", f"addr={bm_addr}")
         for listener in self._completion_listeners:
             listener(bm_addr, detection_cycle)

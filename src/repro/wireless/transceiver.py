@@ -49,10 +49,7 @@ class _PendingSend:
 class Transceiver:
     """MAC front end of one node."""
 
-    STATE = (
-        "backoff", "_queue", "_in_flight", "sent_messages", "collisions_seen",
-        "_seen",
-    )
+    STATE = ("backoff", "_queue", "_in_flight", "_seen")
     REBUILT = ("node_id", "channel", "config", "stats", "_sent_counter", "_collision_counter")
 
     def __init__(
@@ -70,8 +67,6 @@ class Transceiver:
         self.stats = stats if stats is not None else StatsRegistry()
         self._queue: Deque[_PendingSend] = deque()
         self._in_flight: Optional[_PendingSend] = None
-        self.sent_messages = 0
-        self.collisions_seen = 0
         # Per-node flyweight stat handles, bound once per transceiver.
         self._sent_counter = self.stats.counter(f"transceiver/{node_id}/sent")
         self._collision_counter = self.stats.counter(f"transceiver/{node_id}/collisions")
@@ -181,7 +176,6 @@ class Transceiver:
         pending = self._in_flight
         pending.done = True
         self._in_flight = None
-        self.sent_messages += 1
         self._observe()
         self.backoff.on_success()
         # The channel counts this transfer after its hooks return; step past
@@ -192,7 +186,6 @@ class Transceiver:
         self._pump()
 
     def _on_collision(self, message: WirelessMessage) -> int:
-        self.collisions_seen += 1
         self._collision_counter.add()
         self._observe()
         return self.backoff.on_collision()

@@ -104,7 +104,7 @@ class TestAllocation:
         assert third.base_addr == first.base_addr
 
     def test_spill_when_full(self):
-        config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
+        config = BroadcastMemoryConfig(size_kb=4, address_bits=11)
         bm = BroadcastMemory(config)
         bm.allocate(pid=1, words=config.num_entries)
         spilled = bm.allocate(pid=1, words=2)
@@ -136,7 +136,7 @@ class TestAllocation:
         assert bm.allocate(pid=2, words=2).base_addr == middle.base_addr
 
     def test_spills_only_when_no_free_run_fits(self):
-        config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
+        config = BroadcastMemoryConfig(size_kb=4, address_bits=11)
         bm = BroadcastMemory(config)
         bm.allocate(pid=1, words=config.num_entries - 1)
         assert bm.allocate(pid=1, words=2).spilled
@@ -162,7 +162,7 @@ class TestAllocation:
         assert bm.allocate(pid=1).base_addr == 2
 
     def test_free_past_the_last_entry_changes_nothing(self):
-        config = BroadcastMemoryConfig(size_kb=4, page_kb=4, address_bits=11)
+        config = BroadcastMemoryConfig(size_kb=4, address_bits=11)
         bm = BroadcastMemory(config)
         last = config.num_entries - 1
         bm.allocate(pid=1, words=config.num_entries)

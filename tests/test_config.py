@@ -40,15 +40,11 @@ class TestCacheConfig:
         cache = CacheConfig()
         assert cache.l1_sets == 32 * 1024 // (64 * 2)
 
-    def test_l2_sets_per_bank(self):
-        cache = CacheConfig()
-        assert cache.l2_sets_per_bank == 512 * 1024 // (64 * 8)
-
     def test_rejects_non_power_of_two_lines(self):
         with pytest.raises(ConfigurationError):
             CacheConfig(line_bytes=48).validate()
 
-    @pytest.mark.parametrize("field", ["l1_size_kb", "l1_latency", "l2_bank_size_kb", "l2_latency"])
+    @pytest.mark.parametrize("field", ["l1_size_kb", "l1_assoc", "l1_latency", "l2_latency"])
     def test_rejects_non_positive_fields(self, field):
         with pytest.raises(ConfigurationError):
             dataclasses.replace(CacheConfig(), **{field: 0}).validate()
@@ -67,11 +63,6 @@ class TestBroadcastMemoryConfig:
     def test_address_bits_cover_all_entries(self):
         bm = BroadcastMemoryConfig()
         assert bm.num_entries <= (1 << bm.address_bits)
-
-    def test_pages(self):
-        bm = BroadcastMemoryConfig()
-        assert bm.num_pages == 4
-        assert bm.entries_per_page == 512
 
     def test_too_few_address_bits_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -148,17 +139,6 @@ class TestSyncAndBackoffConfig:
 class TestMachineConfig:
     def test_default_is_valid(self):
         default_machine_config().validate()
-
-    def test_mesh_width_covers_cores(self):
-        for cores in (1, 4, 16, 60, 64, 100, 128, 256):
-            config = MachineConfig(num_cores=cores)
-            assert config.mesh_width ** 2 >= cores
-
-    def test_with_cores_returns_new_config(self):
-        config = default_machine_config(64)
-        other = config.with_cores(128)
-        assert other.num_cores == 128
-        assert config.num_cores == 64
 
     def test_wireless_sync_requires_wireless_hardware(self):
         bad = MachineConfig(

@@ -89,7 +89,7 @@ class TestFabricRmw:
         assert not result.success and not result.afb
         assert fabric.memory.read(2) == 7
         # No wireless message was spent on the failed comparison.
-        assert fabric.data_channel.total_messages == 0
+        assert fabric.stats.counter_value("wireless/messages") == 0
 
     def test_concurrent_rmws_one_wins_others_get_afb(self):
         sim, fabric = make_fabric()

@@ -183,6 +183,40 @@ class TestToneBarrierPlacement:
         with pytest.raises(ToneBarrierError, match="threads 2 and 1 on core 1"):
             machine.run()
 
+    def test_runtime_tone_capable_bm_alloc_on_a_shared_core_fails(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        op = BmAlloc(1, tone_capable=True, participants=(0, 1))
+        program.add_thread(op_sequence(machine, "alloc", op), core_id=0)
+        idle = _noop_thread(machine)
+        program.add_thread(idle, core_id=1)
+        program.add_thread(idle, core_id=1)
+        with pytest.raises(ToneBarrierError, match="threads 2 and 1 on core 1"):
+            machine.run()
+
+    def test_runtime_allocation_without_participants_checks_every_core(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        op = BmAlloc(1, tone_capable=True)
+        program.add_thread(op_sequence(machine, "alloc", op), core_id=0)
+        idle = _noop_thread(machine)
+        program.add_thread(idle, core_id=3)
+        program.add_thread(idle, core_id=3)
+        with pytest.raises(ToneBarrierError, match="threads 2 and 1 on core 3"):
+            machine.run()
+
+    def test_spilled_runtime_barrier_arms_no_core(self):
+        machine = Manycore(wisync(num_cores=4))
+        program = machine.new_program("p")
+        program.alloc_broadcast(machine.fabric.memory.spill_base)  # fill the BM
+        op = ToneBarrierAlloc(participants=(0, 1))
+        program.add_thread(op_sequence(machine, "alloc", op), core_id=0)
+        idle = _noop_thread(machine)
+        program.add_thread(idle, core_id=1)
+        program.add_thread(idle, core_id=1)
+        assert machine.run().completed
+        assert all(not node.tone_controller.alloc_b for node in machine.fabric.nodes)
+
     def test_one_thread_per_core_shares_a_barrier(self):
         machine = Manycore(wisync(num_cores=4))
         program = machine.new_program("p")

@@ -158,18 +158,6 @@ class TestMeshNetwork:
         done = mesh.multicast(0, 0, [1, 2, 3], 128)
         assert done > 0
 
-    def test_reset_ports_clears_congestion(self):
-        mesh = self._mesh()
-        first = mesh.unicast(0, 0, 5)
-        for src in range(1, 4):
-            mesh.unicast(0, src, 5)
-        assert any(mesh._inject_free_at) and any(mesh._eject_free_at)
-        mesh.reset_ports()
-        assert mesh._inject_free_at == mesh._eject_free_at == [0] * 16
-        again = mesh.unicast(0, 0, 5)
-        assert again == first
-        assert again == mesh.unicast(0, 0, 5) - mesh.config.cycles_per_flit(128)
-
     # 128 nodes fill a 12x11 region of a 12x12 mesh.
     @pytest.mark.parametrize("cores", [1, 2, 5, 16, 64, 128, 256])
     @pytest.mark.parametrize("bits", [64, 128, 512, 1000])

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine, RNG, statistics, and tracing."""
+"""Tests for the discrete-event engine, RNG, and statistics."""
 
 import random
 
@@ -10,12 +10,10 @@ from repro.sim.rng import DeterministicRng, _derive_seed
 from repro.sim.stats import (
     Counter,
     Histogram,
-    StatsRegistry,
     UtilizationTracker,
     arithmetic_mean,
     geometric_mean,
 )
-from repro.sim.trace import Tracer
 
 
 class TestSimulator:
@@ -199,8 +197,6 @@ class TestStats:
         counter.add()
         counter.add(4)
         assert counter.value == 5
-        counter.reset()
-        assert counter.value == 0
 
     def test_histogram_statistics(self):
         histogram = Histogram("h")
@@ -244,17 +240,14 @@ class TestStats:
         assert len(calls) == 1
 
     def test_percentile_survives_direct_sample_extension(self):
-        # merge() extends .samples in place; the cached view must not go stale.
-        a = Histogram("a")
-        b = Histogram("b")
+        # from_dict and the snapshot restore set .samples directly; the cached
+        # view must not go stale.
+        histogram = Histogram("h")
         for value in (1, 2, 3):
-            a.record(value)
-        assert a.percentile(1.0) == 3
-        b.record(10)
-        registry_a = StatsRegistry(histograms={"h": a})
-        registry_b = StatsRegistry(histograms={"h": b})
-        registry_a.merge(registry_b)
-        assert registry_a.histogram("h").percentile(1.0) == 10
+            histogram.record(value)
+        assert histogram.percentile(1.0) == 3
+        histogram.samples.extend([10.0])
+        assert histogram.percentile(1.0) == 10
 
     def test_utilization_tracker(self):
         tracker = UtilizationTracker("u")
@@ -273,16 +266,6 @@ class TestStats:
         assert stats.histogram("b") is stats.histogram("b")
         assert stats.utilization("c") is stats.utilization("c")
 
-    def test_registry_merge(self):
-        a = StatsRegistry()
-        b = StatsRegistry()
-        a.counter("x").add(2)
-        b.counter("x").add(3)
-        b.histogram("h").record(1.0)
-        a.merge(b)
-        assert a.counter_value("x") == 5
-        assert a.histogram("h").count == 1
-
     def test_snapshot_flattens(self, stats):
         stats.counter("n").add(7)
         stats.histogram("h").record(2.0)
@@ -299,39 +282,3 @@ class TestStats:
     def test_arithmetic_mean(self):
         assert arithmetic_mean([1, 2, 3]) == 2.0
         assert arithmetic_mean([]) == 0.0
-
-
-class TestTracer:
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        tracer.emit(1, "a", "kind")
-        assert tracer.records == []
-
-    def test_enabled_tracer_records(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1, "a", "read", "x")
-        tracer.emit(2, "b", "write", "y")
-        assert len(tracer.records) == 2
-        assert tracer.records[0].kind == "read"
-
-    def test_filter_by_kind_and_source(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1, "a", "read")
-        tracer.emit(2, "a", "write")
-        tracer.emit(3, "b", "read")
-        assert len(tracer.filter(kind="read")) == 2
-        assert len(tracer.filter(kind="read", source="b")) == 1
-
-    def test_capacity_limit(self):
-        tracer = Tracer(enabled=True, capacity=2)
-        for i in range(5):
-            tracer.emit(i, "a", "k")
-        assert len(tracer.records) == 2
-
-    def test_kinds_listing_and_clear(self):
-        tracer = Tracer(enabled=True)
-        tracer.emit(1, "a", "z")
-        tracer.emit(1, "a", "b")
-        assert list(tracer.kinds()) == ["b", "z"]
-        tracer.clear()
-        assert tracer.records == []

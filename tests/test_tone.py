@@ -122,13 +122,13 @@ class TestToneController:
         sim.run()
         # The location toggled from 0 to 1 when the last core arrived.
         assert fabric.memory.entry(addr).value == 1
-        assert fabric.tone_channel.completed_barriers == 1
+        assert fabric.stats.counter_value("tone/completions") == 1
         # Reuse: second episode toggles back to 0.
         for node_id in range(4):
             sim.schedule(node_id * 3 + 1, lambda n=node_id: fabric.nodes[n].tone_controller.arrive(addr))
         sim.run()
         assert fabric.memory.entry(addr).value == 0
-        assert fabric.tone_channel.completed_barriers == 2
+        assert fabric.stats.counter_value("tone/completions") == 2
 
     def test_unarmed_node_does_not_block_barrier(self):
         machine = self._machine(cores=4)
@@ -140,4 +140,4 @@ class TestToneController:
         sim.schedule_at(4, lambda: fabric.nodes[1].tone_controller.arrive(addr))
         sim.run()
         # Nodes 2 and 3 never arrive, yet the barrier completes.
-        assert fabric.tone_channel.completed_barriers == 1
+        assert fabric.stats.counter_value("tone/completions") == 1

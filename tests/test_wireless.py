@@ -4,6 +4,8 @@ import pytest
 
 from repro.config import BackoffConfig, DataChannelConfig, ToneChannelConfig
 from repro.errors import ConfigurationError
+from repro.experiments.scenarios import WIRELESS_CONFIGS, scenario_sweep
+from repro.runner.executor import execute_spec
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
@@ -64,9 +66,6 @@ class TestBackoff:
         for _ in range(5):
             backoff.on_observed_success()
         assert backoff.estimate < high
-        backoff.reset()
-        assert backoff.estimate == 1.0
-        assert backoff.deferral() == 0
 
     def test_make_backoff_kinds(self, rng):
         assert isinstance(make_backoff(BackoffConfig(kind="exponential"), rng), ExponentialBackoff)
@@ -80,25 +79,6 @@ class TestBackoff:
             FixedBackoff(rng, window=0)
         with pytest.raises(ConfigurationError):
             BroadcastAwareBackoff(rng, max_window=1)
-
-    @pytest.mark.parametrize(
-        "factory",
-        [ExponentialBackoff, BroadcastAwareBackoff, FixedBackoff],
-        ids=lambda f: f.__name__,
-    )
-    def test_reset_clears_all_contention_state(self, rng, factory):
-        # Regression: reset() used to zero only the window state and leak the
-        # collision/success counters across transceiver resets.
-        backoff = factory(rng)
-        for _ in range(5):
-            backoff.on_collision()
-        backoff.on_success()
-        assert backoff.collisions == 5
-        assert backoff.successes == 1
-        backoff.reset()
-        assert backoff.collisions == 0
-        assert backoff.successes == 0
-        assert backoff.deferral() == 0  # window state gone too
 
     def test_broadcast_aware_observed_successes_converge_window(self, rng):
         # Deterministic: the estimate decays by exactly one per observed
@@ -163,7 +143,7 @@ class TestDataChannel:
         send(0)
         send(1)
         sim.run()
-        assert channel.total_collisions == 1
+        assert channel.stats.counter_value("wireless/collisions") == 1
         assert len(done) == 2
         assert min(done.values()) >= 2 + 5  # collision penalty then a full message
 
@@ -182,7 +162,7 @@ class TestDataChannel:
         send_at(1, 1)   # channel busy: defers to next free slot
         sim.run()
         assert completions == [5, 10]
-        assert channel.total_collisions == 0
+        assert channel.stats.counter_value("wireless/collisions") == 0
 
     def test_listener_sees_every_delivery(self, sim):
         channel = make_channel(sim)
@@ -215,7 +195,7 @@ class TestDataChannel:
         sim.schedule_at(2, lambda: handle.cancel())
         sim.run()
         assert done == []
-        assert channel.total_messages == 0
+        assert channel.stats.counter_value("wireless/messages") == 0
 
     def test_cancel_fails_after_transmission_started(self, sim):
         channel = make_channel(sim)
@@ -229,7 +209,7 @@ class TestDataChannel:
         sim.schedule_at(3, lambda: outcome.append(handle_box["h"].cancel()))
         sim.run()
         assert outcome == [False]
-        assert channel.total_messages == 1
+        assert channel.stats.counter_value("wireless/messages") == 1
 
     def test_utilization_tracks_busy_cycles(self, sim):
         channel = make_channel(sim)
@@ -270,7 +250,7 @@ class TestTransceiver:
         transceiver.send_store(3, 42, lambda m, c: done.append((m.value, c)))
         sim.run()
         assert done == [(42, 5)]
-        assert transceiver.sent_messages == 1
+        assert transceiver.stats.counter_value("transceiver/0/sent") == 1
 
     def test_sends_are_serialized_per_node(self, sim):
         transceiver, _ = self._transceiver(sim)
@@ -302,7 +282,7 @@ class TestTransceiver:
         ticket_second = transceiver.send_store(1, 2, lambda m, c: None)
         assert ticket_second.cancel() is True
         sim.run()
-        assert channel.total_messages == 1
+        assert channel.stats.counter_value("wireless/messages") == 1
 
     def test_cancel_after_completion_fails(self, sim):
         transceiver, _ = self._transceiver(sim)
@@ -332,7 +312,8 @@ class TestTransceiver:
         assert outcome == [True]
         assert heard == [(1, 10, 5), (0, 2, 10)]
         assert done == [2]
-        assert node0.sent_messages == 1 and node0.queue_depth == 0
+        assert node0.stats.counter_value("transceiver/0/sent") == 1
+        assert node0.queue_depth == 0
         assert tickets[0].cancel() is False
 
     def test_mac_folds_heard_successes_but_never_its_own(self, sim):
@@ -345,9 +326,6 @@ class TestTransceiver:
 
             def on_success(self):
                 self.log.append("own")
-
-            def reset(self):
-                pass
 
             def deferral(self):
                 self.log.append("deferral")
@@ -372,6 +350,36 @@ class TestTransceiver:
         assert backoffs[0].log == [3, "deferral", "own"]
         assert backoffs[1].log == ["deferral", "own"] * 3 + [1, "deferral", "own"]
         assert channel.completed == 5
+
+
+# ---------------------------------------------------------------------------
+# MAC counts across whole runs
+# ---------------------------------------------------------------------------
+_MAC_CORES = 16
+_MAC_SPECS = scenario_sweep(
+    core_counts=[_MAC_CORES],
+    configs=list(WIRELESS_CONFIGS),
+    contention=["high"],
+    backoffs=["broadcast_aware", "exponential"],
+).specs
+
+
+@pytest.mark.parametrize(
+    "spec", _MAC_SPECS, ids=lambda s: f"{s.workload}-{s.config}-{s.variant or 'default'}"
+)
+def test_mac_counts_agree_with_the_channel(spec):
+    # The channel counts a collision once per slot with two or more senders,
+    # and every one of those senders counts it.  The channel counts a transfer
+    # when it starts and the sender when it completes, and each MAC has at
+    # most one transfer in flight when the run ends.
+    stats = execute_spec(spec).stats
+    sent = sum(stats.counter_value(f"transceiver/{i}/sent") for i in range(_MAC_CORES))
+    seen = sum(stats.counter_value(f"transceiver/{i}/collisions") for i in range(_MAC_CORES))
+    collisions = stats.counter_value("wireless/collisions")
+    messages = stats.counter_value("wireless/messages")
+    assert collisions > 0
+    assert seen >= 2 * collisions
+    assert sent <= messages <= sent + _MAC_CORES
 
 
 # ---------------------------------------------------------------------------
