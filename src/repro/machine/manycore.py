@@ -10,7 +10,6 @@ and the thread resumes when the operation completes.
 
 from __future__ import annotations
 
-import gc
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.config import MachineConfig
@@ -33,6 +32,7 @@ from repro.machine.results import SimResult
 from repro.mem.hierarchy import MemorySystem
 from repro.noc.mesh import MeshNetwork
 from repro.noc.topology import MeshTopology
+from repro.sim.collector import gc_paused
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import StatsRegistry
@@ -293,20 +293,14 @@ class Manycore:
         """
         sim = self.sim
         before = sim.events_processed
-        # The event loop allocates millions of short-lived, acyclic objects
-        # (events, heap tuples, operation records); generational GC scans buy
-        # nothing there and cost ~15% of the run.  Reference counting frees
-        # the churn either way, so pause collection for the duration.
-        # tests/test_machine.py::test_broadcast_sends_leave_no_cycles checks
-        # that the wireless path's records stay acyclic.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        # Reference counting frees the event loop's acyclic churn, so a
+        # collector scan finds nothing to free (repro.sim.collector);
+        # tests/test_machine.py::test_broadcast_sends_leave_no_cycles keeps
+        # the wireless path's records acyclic.  Under execute_spec the
+        # collector is already paused for the whole spec, so this pause is a
+        # no-op there; it serves direct run() and advance() callers.
+        with gc_paused():
             sim.run(max_events=max_events, stop_at=max_cycles)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return sim.events_processed - before
 
     def run_complete(self, max_cycles: Optional[int] = None) -> bool:

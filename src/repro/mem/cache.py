@@ -34,12 +34,11 @@ class CacheArray:
     # method: lookup/fill run once per modelled memory access, and a helper
     # call was pure overhead.  Only fill creates sets; the read-only paths
     # treat a missing set as a miss.
-    def lookup(self, line: int, touch: bool = True) -> bool:
-        """Return True on hit; update LRU order when ``touch`` is set."""
+    def lookup(self, line: int) -> bool:
+        """Return True on hit, and make the line most recently used."""
         entries = self._sets.get(line % self.num_sets)
         if entries is not None and line in entries:
-            if touch:
-                entries.move_to_end(line)
+            entries.move_to_end(line)
             return True
         return False
 

@@ -13,6 +13,7 @@ cycle counts bit-for-bit.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -107,8 +108,33 @@ def execute_spec(
     A checkpoint write that fails with ``OSError`` is skipped: disk trouble
     costs resume granularity, not the spec.  The checkpoint file is deleted
     once the spec completes, so a later run of the same spec starts clean.
+
+    The spec's machine is freed when the spec ends.  A finished machine is
+    one cyclic object graph, so reference counting never frees it, and in a
+    process that runs many specs (a sweep, a worker, a benchmark) dead
+    machines pile up until a rare full collection.  So the cyclic collector
+    is paused (:func:`repro.sim.collector.gc_paused`) from before the
+    machine is built or restored until the result is built; no automatic
+    collection runs in between, so the machine's whole graph is still in the
+    youngest generation, and once the execution is dropped one
+    ``gc.collect(0)`` frees all of it (under 3 ms per spec, the freeing
+    included).  That collection runs only when the collector was enabled
+    on entry: a caller that disabled it keeps it disabled and sees no
+    collection.  Rejected:
+
+    * clearing the machine's cycle edges after a run: there are many (a
+      thread's bound ``send``, its ``_advance`` to the Manycore, the
+      ``FrameEnv``/thread pair, the dispatch table's bound methods,
+      ``Program``/``Manycore``, the fabric/node/controller links, the
+      channel's listeners), and that teardown path is one every future edge
+      would have to join;
+    * a full ``gc.collect()`` per spec: it walks every module object, 4 to
+      8 ms per spec;
+    * ``gc.freeze()``: it is process-global, and a cycle later formed from
+      frozen objects is never freed.
     """
     from repro.errors import SnapshotError
+    from repro.sim.collector import gc_paused
     from repro.snapshot.execution import ExecutionPreempted, SpecExecution
     from repro.snapshot.format import checkpoint_path, save_snapshot
 
@@ -143,15 +169,19 @@ def execute_spec(
 
     # Capture between slices only when something keeps the snapshot.
     wanted = path is not None or ring is not None or on_checkpoint is not None
-    execution = SpecExecution.resume(spec, resume_from, path)
-    try:
-        result = execution.run_to_completion(
-            checkpoint_every=checkpoint_every, should_stop=should_stop,
-            on_checkpoint=checkpoint if wanted else None,
-        )
-    except ExecutionPreempted as preempted:
-        bank(preempted.snapshot)
-        raise
+    with gc_paused() as collecting:
+        execution = SpecExecution.resume(spec, resume_from, path)
+        try:
+            result = execution.run_to_completion(
+                checkpoint_every=checkpoint_every, should_stop=should_stop,
+                on_checkpoint=checkpoint if wanted else None,
+            )
+        except ExecutionPreempted as preempted:
+            bank(preempted.snapshot)
+            raise
+        del execution
+        if collecting:
+            gc.collect(0)
     if path is not None:
         path.unlink(missing_ok=True)
     return result

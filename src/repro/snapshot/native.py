@@ -49,13 +49,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import gc
 from collections import OrderedDict, deque
-from contextlib import contextmanager
 from itertools import chain, repeat
 from operator import attrgetter
 from types import MethodType
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.bm_controller import PendingBmOp, RmwResult
 from repro.core.broadcast_memory import BmEntry
@@ -68,6 +66,7 @@ from repro.errors import SnapshotError
 from repro.isa.predicates import Eq, Ge, Lt, Ne
 from repro.mem.directory import DirectoryEntry, LineState
 from repro.mem.hierarchy import _Waiter as _MemWaiter
+from repro.sim.collector import gc_paused
 from repro.sim.stats import StatsRegistry
 from repro.wireless.channel import WirelessMessage, _Attempt
 from repro.wireless.tone import _ActiveBarrier
@@ -96,20 +95,6 @@ _REGISTERED = frozenset(REGISTRY.values())
 TAGS = ("T", "D", "S", "O", "Q", "P", "R", "r", "N", "E", "M")
 
 _PLAIN = frozenset({int, float, str, bool, type(None)})
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector: a payload is acyclic and a restored record
-    is held by the machine, so its scans, triggered by the allocations, find
-    nothing to free (``Manycore.advance`` pauses it for the same reason)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _declares(cls: type) -> bool:
@@ -273,7 +258,7 @@ def capture_machine(machine) -> Dict[str, Any]:
     Raises :class:`SnapshotError` if any live state is not describable.
     """
     capture = _Capture()
-    with _gc_paused():
+    with gc_paused():
         capture.discover(machine)
         state = [
             capture.items(getattr(part, name) for name in capture.kind(type(part))[1])
@@ -397,7 +382,7 @@ def restore_machine(machine, payload: Dict[str, Any]) -> None:
         "E": lambda body: registered(body[0])(body[1]),
         "M": lambda body: getattr(decode(body[0]), body[1]),
     }
-    with _gc_paused():
+    with gc_paused():
         decoded = [items(values) for values in payload["state"]]
     for part, (cls_index, *_path), values in zip(
         parts, payload["parts"], decoded, strict=True

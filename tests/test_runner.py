@@ -1,8 +1,10 @@
 """Tests for the declarative run API (repro.runner)."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,75 @@ class TestExecutors:
         )
         result = execute_spec(tightloop_spec(), **options)
         assert 0 < result.extra["wall_seconds"] < 0.3
+
+
+class TestSpecMemory:
+    """``execute_spec`` frees each spec's machine when the spec ends, with one
+    young collection under a collector paused for the whole spec."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tightloop_spec(config=config, num_cores=cores, params={"iterations": 1})
+            for config in ("Baseline", "Baseline+", "WiSyncNoT", "WiSync")
+            for cores in (4, 16, 64)
+        ]
+        + [RunSpec(workload="rwlock", params={"operations": 8}, config="WiSync", num_cores=16)],
+        ids=RunSpec.label,
+    )
+    def test_the_machine_is_freed_when_the_spec_ends(self, monkeypatch, spec):
+        # A finished machine is one cyclic graph; without the young
+        # collection it would wait for a full collection.
+        machines = []
+        real_init = Manycore.__init__
+
+        def init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            machines.append(weakref.ref(self))
+
+        monkeypatch.setattr(Manycore, "__init__", init)
+        assert execute_spec(spec).completed
+        assert len(machines) == 1
+        assert machines[0]() is None
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+    @pytest.mark.parametrize("exit_path", ["returns", "build-raises", "preempted"])
+    def test_the_collector_is_left_as_found(self, exit_path, enabled):
+        from repro.snapshot.execution import ExecutionPreempted
+
+        spec, options, raised = {
+            "returns": (tightloop_spec(), {}, None),
+            "build-raises": (tightloop_spec(config="NoSuchConfig"), {}, ConfigurationError),
+            "preempted": (
+                tightloop_spec(),
+                {"checkpoint_every": 100, "should_stop": lambda: True},
+                ExecutionPreempted,
+            ),
+        }[exit_path]
+        generations = []
+
+        def collection(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        was_enabled = gc.isenabled()
+        gc.collect()  # so no automatic collection falls due before the pause
+        (gc.enable if enabled else gc.disable)()
+        gc.callbacks.append(collection)
+        try:
+            if raised is None:
+                execute_spec(spec, **options)
+            else:
+                with pytest.raises(raised):
+                    execute_spec(spec, **options)
+            assert gc.isenabled() == enabled
+        finally:
+            gc.callbacks.remove(collection)
+            (gc.enable if was_enabled else gc.disable)()
+        if not enabled:
+            assert generations == []
+        elif raised is None:
+            assert generations == [0]
 
 
 def fault_spec(**params):
