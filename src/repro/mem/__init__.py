@@ -11,20 +11,14 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "AddressMap",
-    "CacheArray",
-    "Directory",
     "DirectoryEntry",
-    "LineState",
     "DramModel",
     "MemorySystem",
 ]
 
 _EXPORTS = {
     "AddressMap": "repro.mem.address",
-    "CacheArray": "repro.mem.cache",
-    "Directory": "repro.mem.directory",
-    "DirectoryEntry": "repro.mem.directory",
-    "LineState": "repro.mem.directory",
+    "DirectoryEntry": "repro.mem.hierarchy",
     "DramModel": "repro.mem.dram",
     "MemorySystem": "repro.mem.hierarchy",
 }

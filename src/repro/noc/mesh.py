@@ -10,12 +10,14 @@ synchronization scale poorly.
 Every unicast is on the simulation's hottest path (each cache miss performs
 several), so the port-free times are per-node lists, and flight latencies
 come from one row per (message size, source node): the latency to every
-destination, computed by arithmetic the first time that source sends a
-message of that size.  Flight latency depends only on the hop distance, so a
-row also holds the latency *back* to its source, and the memory hierarchy
-reads one home-bank row for a whole invalidation fan-out.  The rows are pure
-functions of the topology and config, so results do not depend on when they
-are built.
+destination, computed by arithmetic the first time that row is read.  Flight
+latency depends only on the hop distance, so a row also holds the latency
+*back* to its source.  That is how a cache miss is timed: the memory
+hierarchy reads its home bank's two rows (request and line sized) once, and
+every leg of the miss, to or from the home bank, passes ``unicast`` its
+flight latency from them and its flit count; ``unicast`` adds only the port
+contention.  The rows are pure functions of the topology and config, so
+results do not depend on when they are built.
 
 The coherence protocol sends only unicasts.  ``broadcast`` and ``multicast``
 (and with them ``NocConfig.tree_broadcast``) have no caller in the simulated
@@ -24,7 +26,7 @@ machine; they are kept as standalone models of the two broadcast schemes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.config import NocConfig
 from repro.noc.broadcast_tree import BroadcastTree
@@ -37,7 +39,7 @@ class MeshNetwork:
 
     STATE = ("_inject_free_at", "_eject_free_at")
     REBUILT = (
-        "topology", "config", "stats", "tree", "_flight_tables", "_messages_counter",
+        "topology", "config", "stats", "tree", "_flight_rows", "_messages_counter",
         "_flit_cycles_counter", "_broadcasts_counter",
     )
 
@@ -55,28 +57,32 @@ class MeshNetwork:
         # are free again.
         self._inject_free_at: List[int] = [0] * topology.num_nodes
         self._eject_free_at: List[int] = [0] * topology.num_nodes
-        # message bits -> (flits, flight-latency row per source node or None)
-        self._flight_tables: Dict[int, Tuple[int, List[Optional[List[int]]]]] = {}
+        # message bits -> flight-latency row per source node (None until read)
+        self._flight_rows: Dict[int, List[Optional[List[int]]]] = {}
         # Flyweight stat handles, bound once.
         self._messages_counter = self.stats.counter("noc/messages")
         self._flit_cycles_counter = self.stats.counter("noc/flit_cycles")
         self._broadcasts_counter = self.stats.counter("noc/broadcasts")
 
-    # --------------------------------------------------------- flight tables
-    def _flight_table(self, message_bits: int) -> Tuple[int, List[Optional[List[int]]]]:
-        """The first message of a size: its flit count and no rows yet."""
-        table = self._flight_tables[message_bits] = (
-            self.config.cycles_per_flit(message_bits),
-            [None] * self.topology.num_nodes,
-        )
-        return table
+    # --------------------------------------------------------- flight rows
+    def flight_row(self, src: int, message_bits: int = 128) -> List[int]:
+        """Flight latency from ``src`` to each node, indexed by destination,
+        without port contention.  Latency depends only on the hop distance,
+        so the row is also each node's latency to ``src``.  Do not modify it."""
+        try:
+            rows = self._flight_rows[message_bits]
+        except KeyError:
+            rows = self._flight_rows[message_bits] = [None] * self.topology.num_nodes
+        return rows[src] or self._build_row(rows, src, message_bits)
 
-    def _build_row(self, rows: List[Optional[List[int]]], src: int, flits: int) -> List[int]:
+    def _build_row(
+        self, rows: List[Optional[List[int]]], src: int, message_bits: int
+    ) -> List[int]:
         """Hops times hop latency, plus the router and the trailing flits."""
         width = self.topology.width
         sx, sy = self.topology.coordinates(src)
         hop = self.config.hop_latency
-        base = self.config.router_latency + flits - 1
+        base = self.config.router_latency + self.config.cycles_per_flit(message_bits) - 1
         row = [
             base + hop * (abs(sx - dst % width) + abs(sy - dst // width))
             for dst in range(self.topology.num_nodes)
@@ -85,48 +91,35 @@ class MeshNetwork:
         rows[src] = row
         return row
 
-    def flight_row(self, src: int, message_bits: int = 128) -> List[int]:
-        """Flight latency from ``src`` to each node, indexed by destination,
-        without port contention.  Latency depends only on the hop distance,
-        so the row is also each node's latency to ``src``.  Do not modify it."""
-        try:
-            flits, rows = self._flight_tables[message_bits]
-        except KeyError:
-            flits, rows = self._flight_table(message_bits)
-        return rows[src] or self._build_row(rows, src, flits)
-
-    # --------------------------------------------------------------- unicast
     def flight_latency(self, src: int, dst: int, message_bits: int = 128) -> int:
         """Pure wire latency of a unicast message, without port contention."""
         return self.flight_row(src, message_bits)[dst]
 
-    def unicast(self, now: int, src: int, dst: int, message_bits: int = 128) -> int:
-        """Send a message now; return its arrival cycle (with port contention)."""
-        try:
-            occupancy, rows = self._flight_tables[message_bits]
-        except KeyError:
-            occupancy, rows = self._flight_table(message_bits)
-        row = rows[src] or self._build_row(rows, src, occupancy)
+    # --------------------------------------------------------------- unicast
+    def unicast(self, now: int, src: int, dst: int, flight: int, flits: int) -> int:
+        """Send a message of ``flits`` flits from ``src`` at cycle ``now``;
+        return the cycle its last flit leaves ``dst``'s ejection port.
+
+        ``flight`` is the message's wire latency: ``flight_row(src,
+        bits)[dst]``, or, latency being symmetric, ``flight_row(dst,
+        bits)[src]``.  The caller reads it, so a cache miss reads its home
+        bank's rows once for all its legs.  Each node's injection and
+        ejection ports serve one message at a time, ``flits`` cycles each.
+        """
         inject = self._inject_free_at
         start = inject[src]
         if now > start:
             start = now
-        inject[src] = start + occupancy
-        arrival = start + row[dst]
+        inject[src] = start + flits
+        arrival = start + flight
         eject = self._eject_free_at
         free = eject[dst]
         if arrival > free:
             free = arrival
-        done = eject[dst] = free + occupancy
+        done = eject[dst] = free + flits
         self._messages_counter.value += 1
-        self._flit_cycles_counter.value += occupancy
+        self._flit_cycles_counter.value += flits
         return done
-
-    def round_trip(self, now: int, src: int, dst: int, request_bits: int = 128,
-                   response_bits: int = 128) -> int:
-        """Request to ``dst`` plus response back to ``src``."""
-        arrival = self.unicast(now, src, dst, request_bits)
-        return self.unicast(arrival, dst, src, response_bits)
 
     # ------------------------------------------------------------- broadcast
     def broadcast(self, now: int, src: int, message_bits: int = 128) -> int:
@@ -143,11 +136,13 @@ class MeshNetwork:
             latency = depth * self.config.hop_latency + self.config.router_latency + serialization
             self._broadcasts_counter.add()
             return now + latency
+        row = self.flight_row(src, message_bits)
+        flits = self.config.cycles_per_flit(message_bits)
         last_arrival = now
         for dst in self.topology.nodes():
             if dst == src:
                 continue
-            last_arrival = max(last_arrival, self.unicast(now, src, dst, message_bits))
+            last_arrival = max(last_arrival, self.unicast(now, src, dst, row[dst], flits))
         self._broadcasts_counter.add()
         return last_arrival
 
@@ -156,9 +151,11 @@ class MeshNetwork:
         if self.config.tree_broadcast:
             # The tree reaches everyone; latency is bounded by the tree depth.
             return self.broadcast(now, src, message_bits)
+        row = self.flight_row(src, message_bits)
+        flits = self.config.cycles_per_flit(message_bits)
         last_arrival = now
         for dst in dsts:
             if dst == src:
                 continue
-            last_arrival = max(last_arrival, self.unicast(now, src, dst, message_bits))
+            last_arrival = max(last_arrival, self.unicast(now, src, dst, row[dst], flits))
         return last_arrival

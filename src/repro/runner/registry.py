@@ -16,7 +16,7 @@ the runner, cache, and CLI pick them up automatically.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, TYPE_CHECKING
+from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
 
 from repro.errors import WorkloadError
 
@@ -74,8 +74,23 @@ class WorkloadRegistry:
         return name in self._builders
 
     def build(self, machine: "Manycore", name: str, params: Dict[str, object]) -> "WorkloadHandle":
-        """Instantiate workload ``name`` on ``machine`` with ``params``."""
-        return self.get(name)(machine, **params)
+        """Instantiate workload ``name`` on ``machine`` with ``params``.
+
+        The parameters are checked against the builder's signature before it
+        runs: an unknown or missing one raises :class:`WorkloadError` naming
+        the workload and every such parameter.  A ``TypeError`` raised inside
+        the builder propagates unchanged.
+        """
+        builder = self.get(name)
+        unknown, missing = _unbound(builder, params)
+        if unknown or missing:
+            problems = []
+            if unknown:
+                problems.append(f"unknown parameter(s) {', '.join(map(repr, unknown))}")
+            if missing:
+                problems.append(f"missing parameter(s) {', '.join(map(repr, missing))}")
+            raise WorkloadError(f"workload {name!r}: {'; '.join(problems)}")
+        return builder(machine, **params)
 
     # ------------------------------------------------------------ internals
     def _ensure_populated(self) -> None:
@@ -90,6 +105,25 @@ class WorkloadRegistry:
             # not suppress the import that registers the built-in ones.
             self._populated = True
             import repro.workloads  # noqa: F401  (import side effect registers builders)
+
+
+def _unbound(builder: WorkloadBuilder, params: Dict[str, object]) -> Tuple[List[str], List[str]]:
+    """The parameters ``builder(machine, **params)`` would reject: those it
+    does not take, and the required ones ``params`` leaves out."""
+    # Local import: only a process that builds a machine needs it, and that
+    # process has loaded inspect already (dataclasses imports it).
+    import inspect
+
+    # The first parameter is the machine, which params cannot name.
+    taken = list(inspect.signature(builder).parameters.values())[1:]
+    named = [p for p in taken if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)]
+    names = {p.name for p in named}
+    if any(p.kind is p.VAR_KEYWORD for p in taken):
+        unknown: List[str] = []
+    else:
+        unknown = sorted(key for key in params if key not in names)
+    missing = [p.name for p in named if p.default is p.empty and p.name not in params]
+    return unknown, missing
 
 
 #: The process-wide registry used by the executor and CLI.

@@ -8,12 +8,12 @@ cycle-exact at the captured point, in O(state), re-running no event.
 The codec knows no simulator class by hand.  It reads two kinds of object:
 
 * A *part* is an object the deterministic build creates (the machine, the
-  engine, threads, cores, caches, channels, controllers, sync objects).  Its
-  class declares ``STATE``, the attributes a checkpoint captures, and
-  ``REBUILT``, the ones the build recreates; a subclass lists only its own
-  names.  Capture first finds every part, descending only through parts'
-  ``STATE`` attributes and plain lists and dicts, and records each part's path
-  (parent part, attribute, container keys).  Restore resolves the same paths
+  engine, threads, cores, the memory system, channels, controllers, sync
+  objects).  Its class declares ``STATE``, the attributes a checkpoint
+  captures, and ``REBUILT``, the ones the build recreates; a subclass lists
+  only its own names.  Capture first finds every part, descending only
+  through parts' ``STATE`` attributes and plain lists and dicts, and records
+  each part's path (parent part, attribute, container keys).  Restore resolves the same paths
   in the fresh machine and overwrites only ``STATE``, so every part keeps its
   identity: subsystems hold each other, and the stats flyweights, directly.
 * A *record* is an object created at run time (channel attempts, pending
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import OrderedDict, deque
+from collections import deque
 from itertools import chain, repeat
 from operator import attrgetter
 from types import MethodType
@@ -64,7 +64,7 @@ from repro.cpu.frames import Frame
 from repro.cpu.thread import ThreadState
 from repro.errors import SnapshotError
 from repro.isa.predicates import Eq, Ge, Lt, Ne
-from repro.mem.directory import DirectoryEntry, LineState
+from repro.mem.hierarchy import DirectoryEntry
 from repro.mem.hierarchy import _Waiter as _MemWaiter
 from repro.sim.collector import gc_paused
 from repro.sim.stats import StatsRegistry
@@ -84,15 +84,15 @@ REGISTRY: Dict[str, type] = {
     for cls in (
         _Attempt, _PendingSend, PendingBmOp, _PendingRmw, _FabricWaiter, _MemWaiter,
         Frame, DirectoryEntry, BmEntry, AllocBEntry, ActiveBEntry, _ActiveBarrier,
-        Eq, Ne, Ge, Lt, WirelessMessage, RmwResult, ThreadState, LineState,
+        Eq, Ne, Ge, Lt, WirelessMessage, RmwResult, ThreadState,
     )
 }
 _REGISTERED = frozenset(REGISTRY.values())
 
-#: Value tags: a tuple, dict, set, OrderedDict or deque; a part by index; a
-#: record's first encoding and later references; a NamedTuple; an enum
-#: member; a bound method of a part or record.
-TAGS = ("T", "D", "S", "O", "Q", "P", "R", "r", "N", "E", "M")
+#: Value tags: a tuple, dict, set or deque; a part by index; a record's
+#: first encoding and later references; a NamedTuple; an enum member; a
+#: bound method of a part or record.
+TAGS = ("T", "D", "S", "Q", "P", "R", "r", "N", "E", "M")
 
 _PLAIN = frozenset({int, float, str, bool, type(None)})
 
@@ -144,7 +144,6 @@ class _Capture:
             dict: lambda value: {"D": self.pairs(value)},
             tuple: lambda value: {"T": self.items(value)},
             set: lambda value: {"S": self.items(sorted(value))},
-            OrderedDict: lambda value: {"O": self.pairs(value)},
             deque: lambda value: {"Q": self.items(value)},
             MethodType: self._method,
         }
@@ -377,7 +376,6 @@ def restore_machine(machine, payload: Dict[str, Any]) -> None:
         "T": lambda body: tuple(items(body)),
         "D": lambda body: dict(pairs(body)),
         "S": lambda body: set(items(body)),
-        "O": lambda body: OrderedDict(pairs(body)),
         "Q": lambda body: deque(items(body)),
         "E": lambda body: registered(body[0])(body[1]),
         "M": lambda body: getattr(decode(body[0]), body[1]),

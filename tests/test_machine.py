@@ -522,8 +522,8 @@ def test_operation_records_are_slotted_and_compare_by_value():
 #: Modules whose functions run once per simulated event or operation.
 PER_EVENT_MODULES = (
     "repro.machine.manycore",
-    "repro.mem.directory",
     "repro.mem.hierarchy",
+    "repro.noc.mesh",
     "repro.sync.frames",
     "repro.core.bm_controller",
     "repro.core.fabric",

@@ -1,13 +1,13 @@
 """Tests for the cache hierarchy, directory coherence, and DRAM models."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import CacheConfig, MemoryConfig, default_machine_config
 from repro.errors import ConfigurationError, MemoryError_
 from repro.isa.operations import RmwKind
 from repro.mem.address import AddressMap
-from repro.mem.cache import CacheArray
-from repro.mem.directory import Directory, LineState
 from repro.mem.dram import DramModel
 from repro.mem.hierarchy import MemorySystem, apply_rmw
 from repro.noc.mesh import MeshNetwork
@@ -46,92 +46,6 @@ class TestAddressMap:
             assert 0 <= amap.memory_controller(addr) < 4
 
 
-class TestCacheArray:
-    def test_miss_then_hit(self):
-        cache = CacheArray(num_sets=4, associativity=2, line_bytes=64)
-        assert not cache.lookup(10)
-        cache.fill(10)
-        assert cache.lookup(10)
-
-    def test_lru_eviction(self):
-        cache = CacheArray(num_sets=1, associativity=2, line_bytes=64)
-        cache.fill(1)
-        cache.fill(2)
-        cache.lookup(1)          # 1 becomes MRU
-        victim = cache.fill(3)
-        assert victim == 2
-        assert cache.contains(1) and cache.contains(3) and not cache.contains(2)
-
-    def test_fill_existing_line_no_eviction(self):
-        cache = CacheArray(num_sets=1, associativity=1, line_bytes=64)
-        cache.fill(5)
-        assert cache.fill(5) is None
-
-    def test_invalidate(self):
-        cache = CacheArray(num_sets=2, associativity=2, line_bytes=64)
-        cache.fill(7)
-        assert cache.invalidate(7)
-        assert not cache.invalidate(7)
-        assert not cache.contains(7)
-
-    def test_occupancy_counts_resident_lines(self):
-        cache = CacheArray(num_sets=4, associativity=2, line_bytes=64)
-        cache.fill(1)
-        cache.fill(2)
-        cache.lookup(1)
-        cache.lookup(99)
-        assert cache.occupancy == 2
-
-    def test_invalid_geometry_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CacheArray(num_sets=0, associativity=2, line_bytes=64)
-
-
-class TestDirectory:
-    def test_read_creates_shared_state(self):
-        directory = Directory()
-        entry = directory.record_read(1, core=3)
-        assert entry.state is LineState.SHARED
-        assert 3 in entry.sharers
-
-    def test_write_invalidate_targets(self):
-        directory = Directory()
-        directory.record_read(1, 0)
-        directory.record_read(1, 1)
-        directory.record_read(1, 2)
-        targets = directory.invalidation_targets(1, requester=2)
-        assert targets == {0, 1}
-
-    def test_write_takes_exclusive_ownership(self):
-        directory = Directory()
-        directory.record_read(1, 0)
-        entry = directory.record_write(1, 5)
-        assert entry.state is LineState.MODIFIED
-        assert entry.owner == 5
-        assert entry.sharers == set()
-
-    def test_read_after_write_downgrades_owner(self):
-        directory = Directory()
-        directory.record_write(1, 5)
-        entry = directory.record_read(1, 2)
-        assert entry.state is LineState.SHARED
-        assert entry.owner is None
-        assert {2, 5} <= entry.sharers
-
-    def test_evict_clears_owner(self):
-        directory = Directory()
-        directory.record_write(1, 5)
-        directory.evict(1, 5)
-        assert directory.entry(1).state is not LineState.MODIFIED
-
-    def test_sharer_count(self):
-        directory = Directory()
-        assert directory.sharer_count(9) == 0
-        directory.record_read(9, 0)
-        directory.record_read(9, 1)
-        assert directory.sharer_count(9) == 2
-
-
 class TestDram:
     def test_round_trip_latency(self):
         dram = DramModel(MemoryConfig(), StatsRegistry())
@@ -148,12 +62,157 @@ class TestDram:
         assert dram.access(0, 0) == dram.access(0, 1)
 
 
-def make_memory(cores=8):
+def make_memory(cores=8, **cache):
+    """A memory system; ``cache`` overrides :class:`CacheConfig` fields."""
     config = default_machine_config(cores)
+    config = replace(config, cache=replace(config.cache, **cache))
     sim = Simulator()
     stats = StatsRegistry()
     mesh = MeshNetwork(MeshTopology.square_for(cores), config.noc, stats)
     return sim, MemorySystem(sim, config, mesh, stats)
+
+
+#: A 1 KB, 2-way L1 has 8 sets: lines 512 bytes apart share a set.
+SMALL_L1 = {"l1_size_kb": 1, "l1_assoc": 2}
+SAME_SET = 512
+
+
+def holds(mem, core, addr):
+    """Whether ``core``'s L1 holds ``addr``'s line (LRU order untouched)."""
+    line = addr // 64
+    return line in mem._l1_tags[core].get(line % mem._l1_sets, ())
+
+
+def entry_of(mem, addr):
+    """The directory entry of ``addr``'s line, or None before its first miss."""
+    return mem._directory.get(addr // 64)
+
+
+def misses(mem):
+    return mem.stats.counter_value("mem/read_misses") + mem.stats.counter_value(
+        "mem/write_misses"
+    )
+
+
+class TestL1Tags:
+    def test_miss_then_hit(self):
+        sim, mem = make_memory()
+        _, first = mem.read(0, 0x1000)
+        _, second = mem.read(0, 0x1000)
+        assert first > sim.now + 2
+        assert second == sim.now + 2
+        assert mem.stats.counter_value("mem/read_misses") == 1
+
+    def test_lru_eviction(self):
+        sim, mem = make_memory(**SMALL_L1)
+        a, b, c = 0, SAME_SET, 2 * SAME_SET
+        mem.read(0, a)
+        mem.read(0, b)
+        mem.read(0, a)           # a becomes MRU
+        mem.read(0, c)           # evicts b, the LRU way
+        assert holds(mem, 0, a) and holds(mem, 0, c) and not holds(mem, 0, b)
+        assert 0 not in entry_of(mem, b).sharers
+        before = misses(mem)
+        mem.read(0, a)
+        assert misses(mem) == before
+        mem.read(0, b)
+        assert misses(mem) == before + 1
+
+    def test_upgrade_of_resident_line_evicts_nothing(self):
+        sim, mem = make_memory(**SMALL_L1)
+        a, b, c = 0, SAME_SET, 2 * SAME_SET
+        mem.read(0, a)
+        mem.read(0, b)
+        mem.write(0, a, 1)       # upgrade refills a in place, as the MRU way
+        assert holds(mem, 0, a) and holds(mem, 0, b)
+        mem.read(0, c)           # so b, not a, is the victim
+        assert holds(mem, 0, a) and not holds(mem, 0, b)
+        assert entry_of(mem, a).owner == 0
+
+    def test_invalidated_copy_misses_again(self):
+        sim, mem = make_memory()
+        mem.read(0, 0x1000)
+        mem.write(1, 0x1000, 7)
+        assert not holds(mem, 0, 0x1000)
+        before = misses(mem)
+        value, _ = mem.read(0, 0x1000)
+        assert value == 7
+        assert misses(mem) == before + 1
+
+    def test_occupancy_never_exceeds_capacity(self):
+        sim, mem = make_memory(**SMALL_L1)
+        for line in range(40):
+            mem.read(0, line * 64)
+        resident = [line for tags in mem._l1_tags[0].values() for line in tags]
+        assert len(resident) == 8 * 2
+        assert sorted(resident) == list(range(24, 40))
+        assert all(len(tags) <= 2 for tags in mem._l1_tags[0].values())
+
+    def test_invalid_geometry_rejected(self):
+        # 1 KB of 64-byte lines cannot fill one 32-way set.
+        with pytest.raises(ConfigurationError):
+            make_memory(l1_size_kb=1, l1_assoc=32)
+
+
+class TestDirectoryEntries:
+    def test_read_records_a_sharer(self):
+        sim, mem = make_memory()
+        assert entry_of(mem, 64) is None
+        mem.read(3, 64)
+        entry = entry_of(mem, 64)
+        assert entry.owner is None
+        assert entry.sharers == {3}
+
+    def test_write_invalidates_the_other_sharers(self):
+        sim, mem = make_memory()
+        for core in (0, 1, 2):
+            mem.read(core, 64)
+        mem.write(2, 64, 1)
+        assert mem.stats.counter_value("mem/invalidations") == 2
+        assert not holds(mem, 0, 64) and not holds(mem, 1, 64)
+        assert holds(mem, 2, 64)
+
+    def test_write_takes_exclusive_ownership(self):
+        sim, mem = make_memory()
+        mem.read(0, 64)
+        mem.write(5, 64, 1)
+        entry = entry_of(mem, 64)
+        assert entry.owner == 5
+        assert entry.sharers == set()
+
+    def test_read_after_write_downgrades_owner(self):
+        sim, mem = make_memory()
+        mem.write(5, 64, 1)
+        mem.read(2, 64)
+        entry = entry_of(mem, 64)
+        assert entry.owner is None
+        assert entry.sharers == {2, 5}
+        assert mem.stats.counter_value("mem/owner_forwards") == 1
+
+    def test_eviction_clears_owner(self):
+        sim, mem = make_memory(**SMALL_L1)
+        mem.write(5, 0, 1)
+        mem.read(5, SAME_SET)
+        mem.read(5, 2 * SAME_SET)   # evicts the owned line
+        entry = entry_of(mem, 0)
+        assert entry.owner is None and entry.sharers == set()
+        writes = mem.stats.counter_value("mem/write_misses")
+        mem.write(5, 0, 2)
+        assert mem.stats.counter_value("mem/write_misses") == writes + 1
+
+    def test_sharer_count(self):
+        sim, mem = make_memory()
+        mem.read(0, 9 * 64)
+        mem.read(1, 9 * 64)
+        assert len(entry_of(mem, 9 * 64).sharers) == 2
+
+    def test_spin_wait_holds_a_shared_copy(self):
+        sim, mem = make_memory()
+        mem.write(4, 64, 0)
+        mem.wait_until(1, 64, lambda v: v == 1, print)
+        entry = entry_of(mem, 64)
+        assert entry.owner is None and entry.sharers == {1, 4}
+        assert holds(mem, 1, 64)
 
 
 class TestMemorySystem:
@@ -198,7 +257,7 @@ class TestMemorySystem:
         assert mem.stats.counter_value("mem/invalidations") >= 4
         # The previous readers lost their copies.
         for core in range(4):
-            assert not mem.l1_cache(core).contains(0x4000 // 64)
+            assert not holds(mem, core, 0x4000)
 
     @pytest.mark.parametrize(
         "kind,operand,expected,old,new,success",

@@ -127,16 +127,23 @@ class TestMeshNetwork:
 
     def test_unicast_advances_with_congestion(self):
         mesh = self._mesh()
-        first = mesh.unicast(0, 0, 5, 128)
-        second = mesh.unicast(0, 1, 5, 128)
-        third = mesh.unicast(0, 2, 5, 128)
+        row = mesh.flight_row(5, 128)
+        first = mesh.unicast(0, 0, 5, row[0], 1)
+        second = mesh.unicast(0, 1, 5, row[1], 1)
+        third = mesh.unicast(0, 2, 5, row[2], 1)
         # All three target node 5: ejection port serializes them.
         assert first < second < third
 
-    def test_round_trip_is_two_traversals(self):
+    def test_unicast_ports_each_serve_one_message_at_a_time(self):
+        """A message holds its source's injection port and its destination's
+        ejection port for one cycle per flit; the caller supplies the flight."""
         mesh = self._mesh()
-        rt = mesh.round_trip(0, 0, 15)
-        assert rt >= 2 * mesh.flight_latency(0, 15)
+        assert mesh.unicast(0, 0, 1, 5, 4) == 5 + 4
+        # Injected at 4, behind the first message's flits; ejected at 9 + 4.
+        assert mesh.unicast(0, 0, 2, 5, 4) == 4 + 5 + 4
+        # Arrives at 1 + 5 = 6, but node 1's ejection port is busy until 9.
+        assert mesh.unicast(1, 3, 1, 5, 4) == 9 + 4
+        assert mesh.stats.counter_value("noc/flit_cycles") == 12
 
     def test_broadcast_without_tree_serializes_at_source(self):
         mesh = self._mesh(tree=False)
@@ -179,6 +186,6 @@ class TestMeshNetwork:
 
     def test_message_stats_counted(self):
         mesh = self._mesh()
-        mesh.unicast(0, 0, 1)
-        mesh.unicast(0, 1, 2)
+        mesh.unicast(0, 0, 1, mesh.flight_latency(0, 1), 1)
+        mesh.unicast(0, 1, 2, mesh.flight_latency(1, 2), 1)
         assert mesh.stats.counter_value("noc/messages") == 2

@@ -1,17 +1,23 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import BroadcastMemoryConfig, CacheConfig, MemoryConfig
+from repro.config import (
+    BroadcastMemoryConfig,
+    CacheConfig,
+    MemoryConfig,
+    default_machine_config,
+)
 from repro.core.broadcast_memory import BroadcastMemory
 from repro.errors import MemoryError_, ProtectionError
 from repro.mem.address import AddressMap
-from repro.mem.cache import CacheArray
-from repro.mem.directory import Directory, LineState
-from repro.mem.hierarchy import apply_rmw
+from repro.mem.hierarchy import MemorySystem, apply_rmw
 from repro.isa.operations import RmwKind
+from repro.noc.mesh import MeshNetwork
 from repro.noc.topology import MeshTopology
 from repro.sim.engine import Simulator
 from repro.sim.rng import DeterministicRng
@@ -43,35 +49,56 @@ def test_event_queue_fires_in_nondecreasing_time_order(delays):
     assert len(fired) == len(delays)
 
 
-@COMMON_SETTINGS
-@given(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=100),
-       st.integers(min_value=1, max_value=8))
-def test_cache_occupancy_never_exceeds_capacity(lines, assoc):
-    cache = CacheArray(num_sets=4, associativity=assoc, line_bytes=64)
-    for line in lines:
-        cache.fill(line)
-    assert cache.occupancy <= 4 * assoc
-    for line in cache.resident_lines():
-        assert cache.contains(line)
+#: One cached-memory access: (kind, core, line).  A 1 KB, 2-way L1 has 8
+#: sets, so the 24 lines put three in each set and evict one another.
+_MEM_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "write", "atomic", "wait"]),
+        st.integers(0, 7),
+        st.integers(0, 23),
+    ),
+    min_size=1, max_size=200,
+)
 
 
-@COMMON_SETTINGS
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=7),
-                          st.booleans()), min_size=1, max_size=60))
-def test_directory_invariants_under_random_traffic(operations):
-    directory = Directory()
-    line = 42
-    for core, is_write in operations:
-        if is_write:
-            directory.record_write(line, core)
+def _assert_l1_agrees_with_directory(mem):
+    """Each L1 holds a line exactly when the directory lists that core as a
+    sharer or the owner; an owned line has no sharers; no set overflows."""
+    holders = {}
+    for core, sets in enumerate(mem._l1_tags):
+        for tags in sets.values():
+            assert len(tags) <= mem._l1_assoc
+            assert len(set(tags)) == len(tags)
+            for line in tags:
+                holders.setdefault(line, set()).add(core)
+    for line, entry in mem._directory.items():
+        listed = set(entry.sharers)
+        if entry.owner is not None:
+            assert not entry.sharers
+            listed.add(entry.owner)
+        assert holders.pop(line, set()) == listed
+    assert not holders
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_MEM_OPS)
+def test_l1_tags_and_directory_agree_under_evictions(operations):
+    config = default_machine_config(8)
+    config = replace(config, cache=replace(config.cache, l1_size_kb=1, l1_assoc=2))
+    sim = Simulator()
+    mesh = MeshNetwork(MeshTopology.square_for(8), config.noc)
+    mem = MemorySystem(sim, config, mesh, mesh.stats)
+    for index, (kind, core, line) in enumerate(operations):
+        addr = line * 64
+        if kind == "read":
+            mem.read(core, addr)
+        elif kind == "write":
+            mem.write(core, addr, index)
+        elif kind == "atomic":
+            mem.atomic(core, addr, RmwKind.FETCH_AND_INC)
         else:
-            directory.record_read(line, core)
-    entry = directory.entry(line)
-    if entry.state is LineState.MODIFIED:
-        assert entry.owner is not None
-        assert entry.sharers == set()
-    if entry.state is LineState.SHARED:
-        assert entry.sharers
+            mem.wait_until(core, addr, lambda value: value % 3 == 0, lambda value: None)
+        _assert_l1_agrees_with_directory(mem)
 
 
 @COMMON_SETTINGS

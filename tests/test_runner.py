@@ -25,6 +25,7 @@ from repro.runner import (
     workload_names,
 )
 from repro.runner.cache import CACHE_FORMAT_VERSION
+from repro.runner.registry import WorkloadRegistry
 from repro.workloads.cas_kernels import CasKernelKind
 from repro.workloads.tightloop import build_tightloop
 
@@ -58,6 +59,29 @@ class TestRegistry:
         machine = Manycore(wisync(num_cores=4))
         handle = REGISTRY.build(machine, "tightloop", {"iterations": 2})
         assert handle.run().completed
+
+    def test_build_names_every_unknown_and_missing_parameter(self):
+        machine = Manycore(wisync(num_cores=4))
+        with pytest.raises(
+            WorkloadError, match=r"workload 'tightloop': unknown parameter\(s\) 'iterationz'$"
+        ):
+            REGISTRY.build(machine, "tightloop", {"iterationz": 3})
+        with pytest.raises(WorkloadError) as caught:
+            REGISTRY.build(machine, "cas", {"kind": "lifo", "bogus": 1})
+        assert str(caught.value) == (
+            "workload 'cas': unknown parameter(s) 'bogus'; "
+            "missing parameter(s) 'critical_section_instructions'"
+        )
+
+    def test_build_passes_a_builder_type_error_through(self):
+        registry = WorkloadRegistry()
+
+        @registry.register("broken")
+        def build_broken(machine, size=1, **extra):
+            raise TypeError("raised inside the builder")
+
+        with pytest.raises(TypeError, match="raised inside the builder"):
+            registry.build(None, "broken", {"size": 2, "anything": 3})
 
     def test_user_registration_does_not_hide_builtins(self):
         # A custom workload registered before any lookup must not suppress

@@ -19,7 +19,10 @@ must still finish bit-identical to serial.
 """
 
 import json
+import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -679,6 +682,37 @@ class TestSnapshotCli:
         baseline = execute_spec(tight(seed=2016))  # the CLI's default seed
         assert payload["total_cycles"] == baseline.total_cycles
         assert payload["events_processed"] == baseline.events_processed
+
+    @pytest.mark.parametrize(
+        "argv,problem",
+        [
+            (
+                ["snapshot", "save", "--workload", "tightloop", "--param", "iterationz=3",
+                 "--events", "10"],
+                "unknown parameter(s) 'iterationz'",
+            ),
+            (
+                ["snapshot", "save", "--workload", "cas", "--events", "10"],
+                "missing parameter(s) 'kind', 'critical_section_instructions'",
+            ),
+            (
+                ["debug", "--workload", "tightloop", "--param", "iterationz=3",
+                 "--exec", "stats"],
+                "unknown parameter(s) 'iterationz'",
+            ),
+        ],
+    )
+    def test_bad_workload_parameter_is_a_clean_error(self, tmp_path, argv, problem):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv, *(
+                ["--output", str(tmp_path / "x.json")] if argv[0] == "snapshot" else []
+            )],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and problem in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_restore_of_tampered_file_fails_cleanly(self, tmp_path):
         path = tmp_path / "mid.snapshot.json"
